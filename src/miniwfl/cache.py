@@ -18,11 +18,10 @@ import time
 from dataclasses import dataclass
 
 from . import model, parser
-from .planner import FileValue, TaskNode, file_checksum
+from .planner import FileValue, TaskNode, file_checksum, map_files
+from .runtime import stage_out
 
 log = logging.getLogger(__name__)
-
-NO_REUSE = "no-reuse"
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,8 @@ class CacheKey:
 
 def _value_fingerprint(value):
     """Path-independent canonical form: Files by content, not location."""
-    if isinstance(value, FileValue):
-        return {"file": {"checksum": value.checksum, "size": value.size}}
-    if isinstance(value, list):
-        return [_value_fingerprint(v) for v in value]
-    return value
+    return map_files(value, lambda fv: {
+        "file": {"checksum": fv.checksum, "size": fv.size}})
 
 
 def _tool_plain(tool):
@@ -125,16 +121,16 @@ class ResultCache:
             return None
 
         files_dir = os.path.join(entry_dir, "files")
-        outputs = {}
-        for out_id, stored in entry["outputs"].items():
-            outputs[out_id] = _entry_to_value(stored, files_dir)
-        for value in outputs.values():
-            for fv in _walk_files(value):
-                if (not os.path.isfile(fv.path)
-                        or file_checksum(fv.path) != fv.checksum):
-                    log.warning("cache entry corrupt, evicting: %s", entry_dir)
-                    self._evict(entry_dir)
-                    return None
+        outputs = {out_id: _entry_to_value(stored, files_dir)
+                   for out_id, stored in entry["outputs"].items()}
+        files = []
+        map_files(list(outputs.values()), files.append)
+        for fv in files:
+            if (not os.path.isfile(fv.path)
+                    or file_checksum(fv.path) != fv.checksum):
+                log.warning("cache entry corrupt, evicting: %s", entry_dir)
+                self._evict(entry_dir)
+                return None
         return outputs
 
     def store(self, key: CacheKey, outputs: dict, source_run_id: str = ""):
@@ -156,18 +152,14 @@ class ResultCache:
             files_dir = os.path.join(tmp_dir, "files")
             os.makedirs(files_dir)
 
-            def persist(value):
-                if isinstance(value, FileValue):
-                    store_name = f"{value.checksum[:16]}-{value.basename}"
-                    target = os.path.join(files_dir, store_name)
-                    if not os.path.exists(target):
-                        shutil.copyfile(value.path, target)
-                    out = value.to_json(include_path=False)
-                    out["store"] = store_name
-                    return out
-                if isinstance(value, list):
-                    return [persist(v) for v in value]
-                return value
+            def persist(fv):
+                store_name = f"{fv.checksum[:16]}-{fv.basename}"
+                target = os.path.join(files_dir, store_name)
+                if not os.path.exists(target):
+                    shutil.copyfile(fv.path, target)
+                out = fv.to_json(include_path=False)
+                out["store"] = store_name
+                return out
 
             entry = {
                 "key": {
@@ -175,7 +167,8 @@ class ResultCache:
                     "inputs": key.input_digest,
                     "env": key.env_digest,
                 },
-                "outputs": {k: persist(v) for k, v in outputs.items()},
+                "outputs": {k: map_files(v, persist)
+                            for k, v in outputs.items()},
                 "createdAt": time.time(),
                 "sourceRunId": source_run_id,
             }
@@ -194,33 +187,7 @@ class ResultCache:
     def republish(self, outputs: dict, dest_dir: str) -> dict:
         """Copy cached files into the run's own directory so the run stays
         self-contained even if the cache is pruned later."""
-        os.makedirs(dest_dir, exist_ok=True)
-
-        def copy_out(value):
-            if isinstance(value, FileValue):
-                target = os.path.join(dest_dir, value.basename)
-                base, ext = os.path.splitext(target)
-                n = 1
-                while os.path.exists(target) and file_checksum(target) != value.checksum:
-                    target = f"{base}.{n}{ext}"
-                    n += 1
-                if not os.path.exists(target):
-                    shutil.copyfile(value.path, target)
-                from dataclasses import replace
-                return replace(value, path=target)
-            if isinstance(value, list):
-                return [copy_out(v) for v in value]
-            return value
-
-        return {k: copy_out(v) for k, v in outputs.items()}
+        return stage_out(outputs, dest_dir)
 
     def _evict(self, entry_dir: str):
         shutil.rmtree(entry_dir, ignore_errors=True)
-
-
-def _walk_files(value):
-    if isinstance(value, FileValue):
-        yield value
-    elif isinstance(value, list):
-        for v in value:
-            yield from _walk_files(v)

@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 import uuid
-from dataclasses import replace
 
 from . import parser, planner, provenance, scheduler, upgrader, validator
 from .cache import ResultCache
 from .errors import DowngradeError, MiniwflError, UnknownVersionError
-from .planner import FileValue
-from .runtime import LocalRuntime
+from .runtime import LocalRuntime, stage_out
 from .validator import SupportMatrix
 
 EXIT_OK = 0
@@ -57,8 +54,6 @@ def _build_parser() -> _ArgumentParser:
                      help="disable result reuse for this run")
     run.add_argument("--no-container", action="store_true",
                      help="run container-hinted tools directly on the host")
-    run.add_argument("--enable-streaming", action="store_true",
-                     help="stage streamable inputs as named pipes")
     run.add_argument("--on-error", choices=["stop", "continue"],
                      default="stop")
     run.add_argument("--quiet", action="store_true",
@@ -84,11 +79,6 @@ def _load_resolved(path: str):
     return parser.resolve_references(doc, base_uri=path)
 
 
-def _support_matrix(args) -> SupportMatrix:
-    kinds = set(SupportMatrix().supported_requirement_kinds)
-    return SupportMatrix(supported_requirement_kinds=frozenset(kinds))
-
-
 def _print_diags(diags, stream):
     for d in diags:
         print(d.to_json_line(), file=stream)
@@ -96,25 +86,7 @@ def _print_diags(diags, stream):
 
 def _stage_workflow_outputs(outputs: dict, outdir: str) -> dict:
     """Copy output files into the run's --outdir and rewrite paths."""
-    os.makedirs(outdir, exist_ok=True)
-
-    def copy_out(value):
-        if isinstance(value, FileValue):
-            target = os.path.join(outdir, value.basename)
-            base, ext = os.path.splitext(target)
-            n = 1
-            while (os.path.exists(target)
-                   and planner.file_checksum(target) != value.checksum):
-                target = f"{base}.{n}{ext}"
-                n += 1
-            if not os.path.exists(target):
-                shutil.copyfile(value.path, target)
-            return replace(value, path=os.path.abspath(target))
-        if isinstance(value, list):
-            return [copy_out(v) for v in value]
-        return value
-
-    return {k: copy_out(v) for k, v in outputs.items()}
+    return stage_out(outputs, outdir)
 
 
 def cmd_run(args) -> int:
@@ -124,7 +96,7 @@ def cmd_run(args) -> int:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    diags = validator.validate(doc, _support_matrix(args))
+    diags = validator.validate(doc, SupportMatrix())
     if not args.quiet or validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
     if validator.has_errors(diags):
@@ -143,9 +115,7 @@ def cmd_run(args) -> int:
     outdir = os.path.abspath(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     work_root = os.path.join(outdir, ".work")
-    runtime = LocalRuntime(work_root,
-                           use_containers=not args.no_container,
-                           enable_streaming=args.enable_streaming)
+    runtime = LocalRuntime(work_root, use_containers=not args.no_container)
     cache = None if args.no_reuse else ResultCache(args.cache_dir)
     cfg = scheduler.RunConfig(
         parallelism=max(1, args.parallel),
@@ -154,8 +124,11 @@ def cmd_run(args) -> int:
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
-    result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
-                           run_id=run_id)
+    try:
+        result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
+                               run_id=run_id)
+    finally:
+        runtime.close()
 
     record = provenance.build_record(result, parser.canonical_digest(doc),
                                      job, run_id=run_id)
@@ -182,7 +155,7 @@ def cmd_validate(args) -> int:
     except MiniwflError as exc:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    diags = validator.validate(doc, _support_matrix(args))
+    diags = validator.validate(doc, SupportMatrix())
     _print_diags(diags, sys.stdout)
     return EXIT_INVALID if validator.has_errors(diags) else EXIT_OK
 
@@ -193,7 +166,7 @@ def cmd_graph(args) -> int:
     except MiniwflError as exc:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    diags = validator.validate(doc, _support_matrix(args))
+    diags = validator.validate(doc, SupportMatrix())
     if validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
         return EXIT_INVALID

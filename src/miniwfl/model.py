@@ -76,14 +76,8 @@ class DataType:
             s += "?"
         return s
 
-    def without_optional(self) -> "DataType":
-        return DataType(self.base, self.array, False)
-
     def element(self) -> "DataType":
         return DataType(self.base, False, self.optional)
-
-    def as_array(self) -> "DataType":
-        return DataType(self.base, True, False)
 
 
 @dataclass(frozen=True)

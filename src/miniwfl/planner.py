@@ -67,11 +67,9 @@ class FileValue:
     size: int
     checksum: str
     format: Optional[str] = None
-    streamable: bool = False
 
     @classmethod
-    def from_path(cls, path: str, format: Optional[str] = None,
-                  streamable: bool = False) -> "FileValue":
+    def from_path(cls, path: str, format: Optional[str] = None) -> "FileValue":
         path = os.path.abspath(path)
         if not os.path.isfile(path):
             raise JobOrderError(f"file does not exist: {path}")
@@ -81,7 +79,6 @@ class FileValue:
             size=os.path.getsize(path),
             checksum=file_checksum(path),
             format=format,
-            streamable=streamable,
         )
 
     def to_json(self, include_path: bool = True) -> dict:
@@ -98,12 +95,18 @@ class FileValue:
         return out
 
 
-def value_to_json(value, include_path=True):
+def map_files(value, fn):
+    """``value`` with every FileValue in it (at any list depth) replaced by
+    ``fn(file_value)``; other values are returned as they are."""
     if isinstance(value, FileValue):
-        return value.to_json(include_path)
+        return fn(value)
     if isinstance(value, list):
-        return [value_to_json(v, include_path) for v in value]
+        return [map_files(v, fn) for v in value]
     return value
+
+
+def value_to_json(value, include_path=True):
+    return map_files(value, lambda fv: fv.to_json(include_path))
 
 
 def _coerce_value(value, dtype: DataType, param_id: str, base_dir: str):
@@ -146,7 +149,6 @@ def _coerce_file(value, dtype, param_id, base_dir):
     if isinstance(value, FileValue):
         return value
     fmt = None
-    streamable = False
     if isinstance(value, dict):
         if value.get("class") != "File" or "path" not in value:
             raise JobOrderError(
@@ -184,8 +186,6 @@ def load_job_order(values: dict, wf, base_dir: str = ".") -> dict:
             if isinstance(fv, FileValue):
                 if fv.format is None and param.format is not None:
                     fv = replace(fv, format=param.format)
-                if param.streamable:
-                    fv = replace(fv, streamable=True)
                 out[param.id] = fv
         elif param.has_default:
             out[param.id] = _coerce_value(param.default, param.type,
@@ -243,9 +243,6 @@ class DataflowGraph:
     nodes: dict = field(default_factory=dict)
     edges: set = field(default_factory=set)  # ((ptid, out), (ctid, inp))
     workflow_outputs: dict = field(default_factory=dict)
-
-    def consumers(self, task_id: str):
-        return {c for (p, _), (c, _) in self.edges if p == task_id}
 
 
 def plan(doc: Document, job: dict) -> DataflowGraph:
@@ -333,8 +330,6 @@ def _plan_step(step: Step, wf, prefix, input_bindings, published, graph):
         sub_outputs = _plan_workflow(step.run.body, task_id + "/", bound, graph)
         for out_id, value in sub_outputs.items():
             published[(step.id, out_id)] = value
-            if value[0] == "edge":
-                pass  # consumers wire directly to the inner producer
         return
 
     tool = step.run.body

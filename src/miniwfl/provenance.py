@@ -11,18 +11,15 @@ import os
 import time
 import uuid
 
-from .planner import FileValue
+from .planner import map_files
 
 ENGINE_VERSION = "miniwfl 0.1.0"
 
 
 def _value_record(value):
-    if isinstance(value, FileValue):
-        return {"class": "File", "basename": value.basename,
-                "checksum": value.checksum, "size": value.size}
-    if isinstance(value, list):
-        return [_value_record(v) for v in value]
-    return value
+    return map_files(value, lambda fv: {
+        "class": "File", "basename": fv.basename,
+        "checksum": fv.checksum, "size": fv.size})
 
 
 def _iso(ts: float) -> str:

@@ -1,8 +1,9 @@
 """Task execution: staging, command-line building, process launch, outputs.
 
-Every attempt gets a fresh working directory; inputs are copied in read-only
-and re-checksummed, the tool runs with a minimal explicit environment, and
-stdout/stderr are always captured to files for provenance.
+Every attempt gets a fresh working directory and read-only copies of its
+inputs that match the job-order checksums (see BlobStore); the tool runs
+with a minimal explicit environment, and stdout/stderr are always captured
+to files for provenance.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import glob as globlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import threading
 import time
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .expression import EvalContext, interpolate
 from .model import ToolDescription
-from .planner import FileValue, TaskNode, file_checksum
+from .planner import FileValue, TaskNode, file_checksum, map_files
 
 SUCCESS = "Success"
 TEMPORARY_FAILURE = "TemporaryFailure"
@@ -72,26 +74,90 @@ class AttemptResult:
     outputs: Optional[dict] = None
 
 
-def _iter_file_values(value):
-    if isinstance(value, FileValue):
-        yield value
-    elif isinstance(value, list):
-        for v in value:
-            yield from _iter_file_values(v)
+# a file changed within the timestamp tick of a check can keep its stat
+# signature, so a signature this recent is not trusted (git's "racily clean")
+_RACY_NS = 1_000_000_000
+# below this size hashing every attempt's copy costs about what a blob's extra
+# file creation and metadata calls do (~1 ms each on a 2-core VM)
+_BLOB_MIN_BYTES = 1 << 20
 
 
-def _map_file_values(value, mapper):
-    if isinstance(value, FileValue):
-        return mapper(value)
-    if isinstance(value, list):
-        return [_map_file_values(v, mapper) for v in value]
-    return value
+def _signature(path: str):
+    """(inode, size, mtime, ctime) of a regular file, or None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _check_content(fv: FileValue, found: str):
+    if found != fv.checksum:
+        raise StagingError(
+            f"input changed during run: {fv.path} "
+            f"(expected {fv.checksum[:12]}, found {found[:12]})")
+
+
+class BlobStore:
+    """Run-scoped source of verified input bytes.
+
+    An input under ``_BLOB_MIN_BYTES`` is copied and its copy hashed.  A
+    larger one is ingested once per run into ``<root>/<sha256>``: copied,
+    hashed and checked, made read-only and renamed into place.  Later uses
+    compare stat signatures instead of hashing: a moved source is hashed
+    again and must still match, and a moved (tampered) blob is ingested
+    again, never copied out."""
+
+    def __init__(self, root: str):
+        self.root = root
+        self._locks = {}    # checksum -> lock serialising work on that blob
+        self._blobs = {}    # checksum -> blob signature after ingest
+        self._sources = {}  # source path -> signature when last verified
+
+    def copy_to(self, fv: FileValue, target: str):
+        """Write ``fv``'s verified bytes to ``target``."""
+        source = _signature(fv.path)
+        if source is None:
+            raise StagingError(f"input file missing: {fv.path}")
+        if fv.size < _BLOB_MIN_BYTES:
+            shutil.copyfile(fv.path, target)
+            return _check_content(fv, file_checksum(target))
+        # setdefault is atomic, so racing callers still share one lock
+        lock = self._locks.setdefault(fv.checksum, threading.Lock())
+        blob = os.path.join(self.root, fv.checksum)
+        while True:
+            with lock:
+                verified = self._verify(fv, blob, source)
+            shutil.copyfile(blob, target)
+            if _signature(blob) == verified:  # untouched while copying
+                return
+
+    def _verify(self, fv: FileValue, blob: str, source: tuple):
+        recorded = self._blobs.get(fv.checksum)
+        if recorded is None or recorded != _signature(blob):
+            self._ingest(fv, blob)
+        elif self._sources.get(fv.path) != source:
+            _check_content(fv, file_checksum(fv.path))
+        settled = time.time_ns() - max(source[2], source[3]) >= _RACY_NS
+        self._sources[fv.path] = source if settled else None
+        return self._blobs[fv.checksum]
+
+    def _ingest(self, fv: FileValue, blob: str):
+        os.makedirs(self.root, exist_ok=True)
+        tmp = blob + ".tmp"
+        shutil.copyfile(fv.path, tmp)
+        _check_content(fv, file_checksum(tmp))
+        os.chmod(tmp, 0o444)
+        os.utime(tmp, ns=(0, 0))  # any later write moves mtime off the epoch
+        os.replace(tmp, blob)
+        self._blobs[fv.checksum] = _signature(blob)
 
 
 def stage(node_id: str, bindings: dict, work_root: str,
           initial_workdir: Optional[model.Clause] = None,
-          enable_streaming: bool = False,
-          for_container: bool = False) -> tuple:
+          blobs: Optional[BlobStore] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
@@ -107,67 +173,37 @@ def stage(node_id: str, bindings: dict, work_root: str,
     os.makedirs(outdir)
     os.makedirs(tmpdir)
     os.makedirs(inputs_dir)
+    if blobs is None:
+        blobs = BlobStore(os.path.join(work_root, "blobs"))
 
     staged_inputs = {}
     container_map = {}
-    feeders = []
-    counter = 0
-    for input_id in sorted(bindings):
-        for fv in _iter_file_values(bindings[input_id]):
-            if fv.path in staged_inputs:
-                continue
-            slot = os.path.join(inputs_dir, str(counter))
-            os.makedirs(slot)
-            target = os.path.join(slot, fv.basename)
-            if not os.path.isfile(fv.path):
-                raise StagingError(f"input file missing: {fv.path}")
-            if fv.streamable and enable_streaming and not for_container:
-                os.mkfifo(target)
-                feeders.append((fv.path, target))
-            else:
-                current = file_checksum(fv.path)
-                if current != fv.checksum:
-                    raise StagingError(
-                        f"input changed during run: {fv.path} "
-                        f"(expected {fv.checksum[:12]}, found {current[:12]})")
-                shutil.copyfile(fv.path, target)
-                os.chmod(target, 0o444)
-            staged_inputs[fv.path] = target
-            container_map[target] = f"{C_INPUTS}/{counter}/{fv.basename}"
-            counter += 1
 
+    def place(fv: FileValue) -> FileValue:
+        if fv.path not in staged_inputs:
+            slot = str(len(staged_inputs))
+            target = os.path.join(inputs_dir, slot, fv.basename)
+            os.makedirs(os.path.dirname(target))
+            blobs.copy_to(fv, target)
+            os.chmod(target, 0o444)
+            staged_inputs[fv.path] = target
+            container_map[target] = f"{C_INPUTS}/{slot}/{fv.basename}"
+        return replace(fv, path=staged_inputs[fv.path])
+
+    staged_bindings = {k: map_files(bindings[k], place)
+                       for k in sorted(bindings)}
     container_map[outdir] = C_OUTDIR
     container_map[tmpdir] = C_TMPDIR
 
     staged = StagedDirectory(root=root, staged_inputs=staged_inputs,
                              outdir=outdir, tmpdir=tmpdir,
                              container_map=container_map)
-
-    def mapper(fv: FileValue) -> FileValue:
-        return replace(fv, path=staged_inputs[fv.path])
-
-    staged_bindings = {k: _map_file_values(v, mapper) for k, v in bindings.items()}
-
     if initial_workdir is not None:
-        _materialize_initial_workdir(initial_workdir, staged, bindings,
-                                     staged_bindings, for_container)
-
-    for source, fifo in feeders:
-        threading.Thread(target=_feed_fifo, args=(source, fifo),
-                         daemon=True).start()
+        _materialize_initial_workdir(initial_workdir, staged, bindings)
     return staged, staged_bindings
 
 
-def _feed_fifo(source: str, fifo: str):
-    try:
-        with open(source, "rb") as src, open(fifo, "wb") as sink:
-            shutil.copyfileobj(src, sink)
-    except OSError:
-        pass  # reader went away; the attempt outcome reports the real error
-
-
-def _materialize_initial_workdir(clause, staged, bindings, staged_bindings,
-                                 for_container):
+def _materialize_initial_workdir(clause, staged, bindings):
     ctx = EvalContext(inputs=bindings, runtime={"outdir": staged.outdir})
     seen = set()
     for item in clause.payload.get("listing", []):
@@ -186,7 +222,8 @@ def _materialize_initial_workdir(clause, staged, bindings, staged_bindings,
                 raise StagingError(
                     f"working-directory basename collision: {name!r}")
             seen.add(name)
-            shutil.copyfile(value.path, target)
+            # the verified staged copy's bytes, the source's mode bits
+            shutil.copyfile(staged.staged_inputs[value.path], target)
             shutil.copymode(value.path, target)
         else:
             if entryname is None:
@@ -199,6 +236,39 @@ def _materialize_initial_workdir(clause, staged, bindings, staged_bindings,
             target = os.path.join(staged.outdir, entryname)
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(value if isinstance(value, str) else json.dumps(value))
+
+
+def stage_out(outputs: dict, dest_dir: str) -> dict:
+    """Copy the files in ``outputs`` into ``dest_dir`` and rewrite their paths.
+
+    A basename taken by other content moves on to ``name.1.ext``,
+    ``name.2.ext`` and so on; a target already holding the same content is
+    reused.  Each target is probed once per basename and hashed at most once
+    per call, and files copied here are never hashed.
+    """
+    dest_dir = os.path.abspath(dest_dir)
+    os.makedirs(dest_dir, exist_ok=True)
+    sums = {}    # target -> checksum of every target written or hashed
+    probed = {}  # basename -> how many of its candidate names are known
+    chosen = {}  # (basename, checksum) -> first candidate holding it
+
+    def place(fv: FileValue) -> FileValue:
+        first = os.path.join(dest_dir, fv.basename)
+        base, ext = os.path.splitext(first)
+        while (fv.basename, fv.checksum) not in chosen:
+            n = probed.get(fv.basename, 0)
+            target = f"{base}.{n}{ext}" if n else first
+            if target not in sums:
+                if os.path.exists(target):
+                    sums[target] = file_checksum(target)
+                else:
+                    shutil.copyfile(fv.path, target)
+                    sums[target] = fv.checksum
+            chosen.setdefault((fv.basename, sums[target]), target)
+            probed[fv.basename] = n + 1
+        return replace(fv, path=chosen[fv.basename, fv.checksum])
+
+    return {k: map_files(v, place) for k, v in outputs.items()}
 
 
 def _render_value(value, ctx):
@@ -432,14 +502,18 @@ class LocalRuntime:
     """Executes TaskNodes on the local machine, optionally via containers."""
 
     def __init__(self, work_root: str, use_containers: bool = True,
-                 enable_streaming: bool = False, adapter=None):
+                 adapter=None):
         self.work_root = os.path.abspath(work_root)
         os.makedirs(self.work_root, exist_ok=True)
         self.use_containers = use_containers
-        self.enable_streaming = enable_streaming
         self.adapter = adapter or DockerAdapter()
+        self.blobs = BlobStore(os.path.join(self.work_root, "blobs"))
         self.spawn_count = 0
         self._lock = threading.Lock()
+
+    def close(self):
+        """Delete the run's input blobs; attempt directories stay."""
+        shutil.rmtree(self.blobs.root, ignore_errors=True)
 
     def _count_spawn(self, argv):
         with self._lock:
@@ -460,8 +534,7 @@ class LocalRuntime:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 initial_workdir=node.clause(model.CLAUSE_INITIAL_WORKDIR),
-                enable_streaming=self.enable_streaming,
-                for_container=image is not None)
+                blobs=self.blobs)
         except StagingError as exc:
             attempt.failure_kind = "StagingError"
             attempt.error = str(exc)
@@ -472,7 +545,7 @@ class LocalRuntime:
         if image is not None:
             def to_container(fv: FileValue) -> FileValue:
                 return replace(fv, path=staged.container_map[fv.path])
-            ctx_bindings = {k: _map_file_values(v, to_container)
+            ctx_bindings = {k: map_files(v, to_container)
                             for k, v in staged_bindings.items()}
             outdir_for_tool = C_OUTDIR
         else:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +155,64 @@ def test_warm_cache_run_produces_identical_output(project):
 def test_on_error_flag_validation(project):
     code, _ = run_cli(_run_args(project, "--on-error", "explode"))
     assert code == 3
+
+
+APPEND_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [sh, -c, '[ "$0" = 0 ] && echo appended >> "$1"; cat "$1"']
+inputs:
+  i: {type: int, position: 1}
+  f: {type: File, position: 2}
+outputs:
+  out: {type: File, capture: stdout}
+stdout: seen.txt
+"""
+
+APPEND_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  f: File
+  shards: int[]
+outputs:
+  seen: {type: "File[]", outputSource: read/out}
+steps:
+  read:
+    run: append.cwl
+    scatter: [i]
+    in: {i: shards, f: f}
+"""
+
+
+def test_shard_writing_its_input_leaves_siblings_and_blobs_intact(
+        tmp_path, monkeypatch):
+    from miniwfl.planner import file_checksum
+    from miniwfl.runtime import LocalRuntime
+    blobs_at_close = []
+    close = LocalRuntime.close
+
+    def recording_close(self):
+        blobs_at_close.append(sorted(os.listdir(self.blobs.root)))
+        close(self)
+
+    monkeypatch.setattr(LocalRuntime, "close", recording_close)
+    (tmp_path / "append.cwl").write_text(APPEND_TOOL)
+    (tmp_path / "wf.cwl").write_text(APPEND_WF)
+    original = "original\n" * 120000  # over 1 MiB: served from a blob
+    (tmp_path / "data.txt").write_text(original)
+    (tmp_path / "job.yml").write_text(
+        "f: {class: File, path: data.txt}\nshards: [0, 1, 2, 3, 4, 5]\n")
+    out = tmp_path / "out"
+    code, stdout = run_cli(["run", str(tmp_path / "wf.cwl"),
+                            str(tmp_path / "job.yml"), "--outdir", str(out),
+                            "--no-reuse", "--no-container", "--quiet",
+                            "--parallel", "2"])
+    assert code == 0
+    seen = [Path(fv["path"]).read_text() for fv in json.loads(stdout)["seen"]]
+    assert seen == [original + "appended\n"] + [original] * 5
+    assert (tmp_path / "data.txt").read_text() == original
+    # one verified blob served all six shards, and the run deleted it
+    assert blobs_at_close == [[file_checksum(str(tmp_path / "data.txt"))]]
+    assert os.path.isdir(out / ".work")
+    assert not os.path.exists(out / ".work" / "blobs")

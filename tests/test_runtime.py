@@ -39,6 +39,11 @@ def _fv(tmp_path, name="in.txt", content="payload\n"):
     return FileValue.from_path(str(p))
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 CTX = EvalContext(inputs={}, runtime={"cores": 1, "ram": 256, "outdir": "/w"})
 
 
@@ -180,6 +185,179 @@ def test_stage_workdir_entry_from_input_file(tmp_path):
                       initial_workdir=clause)
     assert open(os.path.join(staged.outdir, "renamed.dat")).read() \
         == "original\n"
+
+
+def test_workdir_entry_holds_verified_bytes_when_source_changes_after_check(
+        tmp_path, monkeypatch):
+    fv = _fv(tmp_path, content="original\n")
+    checksum = runtime.file_checksum
+    edits = []
+
+    def hash_then_edit_source(path):
+        result = checksum(path)
+        if not edits:
+            edits.append(path)
+            (tmp_path / "in.txt").write_text("swapped!\n")
+        return result
+
+    monkeypatch.setattr(runtime, "file_checksum", hash_then_edit_source)
+    clause = Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+        {"entryname": "renamed.dat", "entry": "$(inputs.f)"},
+    ]})
+    staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
+                             initial_workdir=clause)
+    assert edits  # the source really changed after it was verified
+    assert _read(bindings["f"].path) == "original\n"
+    assert _read(os.path.join(staged.outdir, "renamed.dat")) \
+        == "original\n"
+
+
+def _count_hashes(monkeypatch):
+    calls = []
+    checksum = runtime.file_checksum
+
+    def counting(path):
+        calls.append(path)
+        return checksum(path)
+
+    monkeypatch.setattr(runtime, "file_checksum", counting)
+    return calls
+
+
+def _big(tmp_path, name="big.bin", fill="p"):
+    """An input large enough to go through the run's blob store."""
+    p = tmp_path / name
+    p.write_text(fill * runtime._BLOB_MIN_BYTES)
+    return FileValue.from_path(str(p))
+
+
+def test_blob_store_hashes_each_large_input_once_per_run(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(runtime, "_RACY_NS", 0)  # trust fresh signatures
+    big, small = _big(tmp_path), _fv(tmp_path)
+    calls = _count_hashes(monkeypatch)
+    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
+    for _ in range(3):
+        _, bindings = stage("t", {"f": big, "g": big, "s": small},
+                            str(tmp_path / "work"), blobs=blobs)
+        assert file_checksum(bindings["f"].path) == big.checksum
+        assert _read(bindings["s"].path) == "payload\n"
+    # one ingest for the large input; the small one is hashed per attempt
+    assert len(calls) == 1 + 3
+    assert os.listdir(blobs.root) == [big.checksum]
+    blob = os.path.join(blobs.root, big.checksum)
+    assert stat.S_IMODE(os.stat(blob).st_mode) == 0o444
+    assert file_checksum(blob) == big.checksum
+
+
+def test_source_edited_between_attempts_fails_the_later_one(tmp_path,
+                                                            monkeypatch):
+    big = _big(tmp_path)
+    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
+    stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
+    # same size, right away: a stat signature this fresh is not trusted
+    _big(tmp_path, fill="q")
+    with pytest.raises(StagingError, match="changed"):
+        stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
+
+    # a trusted signature that moves is re-hashed too
+    monkeypatch.setattr(runtime, "_RACY_NS", 0)
+    other = _big(tmp_path, "other.bin")
+    stage("t", {"f": other}, str(tmp_path / "work"), blobs=blobs)
+    with open(other.path, "a") as fh:
+        fh.write("edited")
+    with pytest.raises(StagingError, match="changed"):
+        stage("t", {"f": other}, str(tmp_path / "work"), blobs=blobs)
+
+
+def test_tampered_blob_is_ingested_again_never_staged(tmp_path, monkeypatch):
+    monkeypatch.setattr(runtime, "_RACY_NS", 0)
+    big = _big(tmp_path)
+    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
+    stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
+    blob = os.path.join(blobs.root, big.checksum)
+    os.chmod(blob, 0o644)
+    with open(blob, "r+") as fh:
+        fh.write("tampered")  # same size as the real bytes
+    calls = _count_hashes(monkeypatch)
+    _, bindings = stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
+    assert file_checksum(bindings["f"].path) == big.checksum
+    assert file_checksum(blob) == big.checksum
+    assert len(calls) == 1  # the re-ingest
+
+
+def test_blob_store_ingests_once_under_contention(tmp_path, monkeypatch):
+    import sys
+    import threading
+    monkeypatch.setattr(runtime, "_RACY_NS", 0)
+    files = [_big(tmp_path, f"in{i}.bin", str(i)) for i in range(3)]
+    calls = _count_hashes(monkeypatch)
+    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
+    staged, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(5):
+                staged.append(stage("t", {"a": files, "b": files[0]},
+                                    str(tmp_path / "work"), blobs=blobs)[1])
+        except Exception as exc:  # noqa: BLE001 - reported by the assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(staged) == 40
+    assert sorted(calls) == sorted(os.path.join(blobs.root, f.checksum)
+                                   + ".tmp" for f in files)
+    for bindings in staged:
+        for original, copy in zip(files, bindings["a"]):
+            assert file_checksum(copy.path) == original.checksum
+
+
+def test_stage_out_names_collisions_without_hashing_its_own_copies(
+        tmp_path, monkeypatch):
+    from miniwfl import cache, planner
+    made = []
+
+    def produced(name, content):  # one shard's output, in its own directory
+        directory = tmp_path / "src" / str(len(made))
+        directory.mkdir(parents=True)
+        made.append(_fv(directory, name, content))
+        return made[-1]
+
+    contents = ["a\n", "b\n", "a\n", "c\n", "b\n"]
+    outputs = {"xs": [produced("out.txt", c) for c in contents]}
+    calls = []
+    for module in (planner, runtime, cache):
+        checksum = module.file_checksum
+        monkeypatch.setattr(module, "file_checksum",
+                            lambda p, f=checksum: calls.append(p) or f(p))
+    dest = tmp_path / "outdir"
+    staged = runtime.stage_out(outputs, str(dest))
+    names = [os.path.basename(fv.path) for fv in staged["xs"]]
+    assert names == ["out.txt", "out.1.txt", "out.txt", "out.2.txt",
+                     "out.1.txt"]
+    assert calls == []
+    for fv, content in zip(staged["xs"], contents):
+        assert _read(fv.path) == content
+    # a later call hashes each existing target once, in probe order
+    later = {"x": [produced("out.txt", "c\n"), produced("out.txt", "d\n"),
+                   produced("out.1.txt", "e\n")]}
+    del calls[:]  # loading those hashed them
+    staged = runtime.stage_out(later, str(dest))
+    assert [os.path.basename(fv.path) for fv in staged["x"]] \
+        == ["out.2.txt", "out.3.txt", "out.1.1.txt"]
+    assert [os.path.basename(p) for p in calls] \
+        == ["out.txt", "out.1.txt", "out.2.txt"]
 
 
 # --- execution --------------------------------------------------------------
