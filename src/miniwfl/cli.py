@@ -124,11 +124,8 @@ def cmd_run(args) -> int:
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
-    try:
-        result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
-                               run_id=run_id)
-    finally:
-        runtime.close()
+    result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
+                           run_id=run_id)
 
     record = provenance.build_record(result, parser.canonical_digest(doc),
                                      job, run_id=run_id)

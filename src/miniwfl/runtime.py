@@ -1,7 +1,8 @@
 """Task execution: staging, command-line building, process launch, outputs.
 
 Every attempt gets a fresh working directory and read-only copies of its
-inputs that match the job-order checksums (see BlobStore); the tool runs
+inputs that match the job-order checksums, each source hashed once per run
+while its stat signature holds (see _copy_verified); the tool runs
 with a minimal explicit environment, and stdout/stderr are always captured
 to files for provenance.
 """
@@ -77,9 +78,6 @@ class AttemptResult:
 # a file changed within the timestamp tick of a check can keep its stat
 # signature, so a signature this recent is not trusted (git's "racily clean")
 _RACY_NS = 1_000_000_000
-# below this size hashing every attempt's copy costs about what a blob's extra
-# file creation and metadata calls do (~1 ms each on a 2-core VM)
-_BLOB_MIN_BYTES = 1 << 20
 
 
 def _signature(path: str):
@@ -93,76 +91,39 @@ def _signature(path: str):
     return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _check_content(fv: FileValue, found: str):
+def _copy_verified(fv: FileValue, target: str, verified: dict):
+    """Copy ``fv``'s source to ``target`` holding the job-order bytes.
+
+    ``verified`` maps a source path to its stat signature when its bytes
+    were last checked.  A copy taken while the source kept that signature is
+    trusted; any other copy is hashed and must match the job-order checksum.
+    """
+    before = _signature(fv.path)
+    if before is None:
+        raise StagingError(f"input file missing: {fv.path}")
+    shutil.copyfile(fv.path, target)
+    steady = _signature(fv.path) == before
+    if steady and verified.get(fv.path) == before:
+        return
+    found = file_checksum(target)
     if found != fv.checksum:
         raise StagingError(
             f"input changed during run: {fv.path} "
             f"(expected {fv.checksum[:12]}, found {found[:12]})")
-
-
-class BlobStore:
-    """Run-scoped source of verified input bytes.
-
-    An input under ``_BLOB_MIN_BYTES`` is copied and its copy hashed.  A
-    larger one is ingested once per run into ``<root>/<sha256>``: copied,
-    hashed and checked, made read-only and renamed into place.  Later uses
-    compare stat signatures instead of hashing: a moved source is hashed
-    again and must still match, and a moved (tampered) blob is ingested
-    again, never copied out."""
-
-    def __init__(self, root: str):
-        self.root = root
-        self._locks = {}    # checksum -> lock serialising work on that blob
-        self._blobs = {}    # checksum -> blob signature after ingest
-        self._sources = {}  # source path -> signature when last verified
-
-    def copy_to(self, fv: FileValue, target: str):
-        """Write ``fv``'s verified bytes to ``target``."""
-        source = _signature(fv.path)
-        if source is None:
-            raise StagingError(f"input file missing: {fv.path}")
-        if fv.size < _BLOB_MIN_BYTES:
-            shutil.copyfile(fv.path, target)
-            return _check_content(fv, file_checksum(target))
-        # setdefault is atomic, so racing callers still share one lock
-        lock = self._locks.setdefault(fv.checksum, threading.Lock())
-        blob = os.path.join(self.root, fv.checksum)
-        while True:
-            with lock:
-                verified = self._verify(fv, blob, source)
-            shutil.copyfile(blob, target)
-            if _signature(blob) == verified:  # untouched while copying
-                return
-
-    def _verify(self, fv: FileValue, blob: str, source: tuple):
-        recorded = self._blobs.get(fv.checksum)
-        if recorded is None or recorded != _signature(blob):
-            self._ingest(fv, blob)
-        elif self._sources.get(fv.path) != source:
-            _check_content(fv, file_checksum(fv.path))
-        settled = time.time_ns() - max(source[2], source[3]) >= _RACY_NS
-        self._sources[fv.path] = source if settled else None
-        return self._blobs[fv.checksum]
-
-    def _ingest(self, fv: FileValue, blob: str):
-        os.makedirs(self.root, exist_ok=True)
-        tmp = blob + ".tmp"
-        shutil.copyfile(fv.path, tmp)
-        _check_content(fv, file_checksum(tmp))
-        os.chmod(tmp, 0o444)
-        os.utime(tmp, ns=(0, 0))  # any later write moves mtime off the epoch
-        os.replace(tmp, blob)
-        self._blobs[fv.checksum] = _signature(blob)
+    if steady and time.time_ns() - max(before[2], before[3]) >= _RACY_NS:
+        verified[fv.path] = before
 
 
 def stage(node_id: str, bindings: dict, work_root: str,
           initial_workdir: Optional[model.Clause] = None,
-          blobs: Optional[BlobStore] = None) -> tuple:
+          verified: Optional[dict] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
     carry FileValues rewritten to their in-sandbox host paths; container
     equivalents are recorded in the directory's container_map.
+    ``verified`` is the run's record of checked sources (see
+    _copy_verified); without it every input copy is hashed.
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     root = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
@@ -173,8 +134,8 @@ def stage(node_id: str, bindings: dict, work_root: str,
     os.makedirs(outdir)
     os.makedirs(tmpdir)
     os.makedirs(inputs_dir)
-    if blobs is None:
-        blobs = BlobStore(os.path.join(work_root, "blobs"))
+    if verified is None:
+        verified = {}
 
     staged_inputs = {}
     container_map = {}
@@ -184,7 +145,7 @@ def stage(node_id: str, bindings: dict, work_root: str,
             slot = str(len(staged_inputs))
             target = os.path.join(inputs_dir, slot, fv.basename)
             os.makedirs(os.path.dirname(target))
-            blobs.copy_to(fv, target)
+            _copy_verified(fv, target, verified)
             os.chmod(target, 0o444)
             staged_inputs[fv.path] = target
             container_map[target] = f"{C_INPUTS}/{slot}/{fv.basename}"
@@ -507,13 +468,9 @@ class LocalRuntime:
         os.makedirs(self.work_root, exist_ok=True)
         self.use_containers = use_containers
         self.adapter = adapter or DockerAdapter()
-        self.blobs = BlobStore(os.path.join(self.work_root, "blobs"))
+        self.verified = {}  # source path -> signature of checked bytes
         self.spawn_count = 0
         self._lock = threading.Lock()
-
-    def close(self):
-        """Delete the run's input blobs; attempt directories stay."""
-        shutil.rmtree(self.blobs.root, ignore_errors=True)
 
     def _count_spawn(self, argv):
         with self._lock:
@@ -534,7 +491,7 @@ class LocalRuntime:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 initial_workdir=node.clause(model.CLAUSE_INITIAL_WORKDIR),
-                blobs=self.blobs)
+                verified=self.verified)
         except StagingError as exc:
             attempt.failure_kind = "StagingError"
             attempt.error = str(exc)

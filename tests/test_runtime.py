@@ -224,103 +224,43 @@ def _count_hashes(monkeypatch):
     return calls
 
 
-def _big(tmp_path, name="big.bin", fill="p"):
-    """An input large enough to go through the run's blob store."""
-    p = tmp_path / name
-    p.write_text(fill * runtime._BLOB_MIN_BYTES)
-    return FileValue.from_path(str(p))
-
-
-def test_blob_store_hashes_each_large_input_once_per_run(tmp_path,
-                                                         monkeypatch):
+def test_stage_hashes_each_input_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(runtime, "_RACY_NS", 0)  # trust fresh signatures
-    big, small = _big(tmp_path), _fv(tmp_path)
+    fv = _fv(tmp_path)
+    other = _fv(tmp_path, "other.txt", "o\n")
     calls = _count_hashes(monkeypatch)
-    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
+    verified = {}
     for _ in range(3):
-        _, bindings = stage("t", {"f": big, "g": big, "s": small},
-                            str(tmp_path / "work"), blobs=blobs)
-        assert file_checksum(bindings["f"].path) == big.checksum
-        assert _read(bindings["s"].path) == "payload\n"
-    # one ingest for the large input; the small one is hashed per attempt
-    assert len(calls) == 1 + 3
-    assert os.listdir(blobs.root) == [big.checksum]
-    blob = os.path.join(blobs.root, big.checksum)
-    assert stat.S_IMODE(os.stat(blob).st_mode) == 0o444
-    assert file_checksum(blob) == big.checksum
+        _, bindings = stage("t", {"f": fv, "g": fv, "h": other},
+                            str(tmp_path / "work"), verified=verified)
+        assert _read(bindings["f"].path) == "payload\n"
+        assert _read(bindings["h"].path) == "o\n"
+    # the first attempt hashes its copies; later ones trust the signatures
+    assert len(calls) == 2
+    # without a run's record every copy is hashed
+    stage("t", {"f": fv}, str(tmp_path / "work"))
+    assert len(calls) == 3
 
 
 def test_source_edited_between_attempts_fails_the_later_one(tmp_path,
                                                             monkeypatch):
-    big = _big(tmp_path)
-    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
-    stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
-    # same size, right away: a stat signature this fresh is not trusted
-    _big(tmp_path, fill="q")
+    fv = _fv(tmp_path)
+    verified = {}
+    stage("t", {"f": fv}, str(tmp_path / "work"), verified=verified)
+    assert verified == {}  # a signature this fresh is not trusted
+    (tmp_path / "in.txt").write_text("PAYLOAD\n")  # same size, right away
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
+        stage("t", {"f": fv}, str(tmp_path / "work"), verified=verified)
 
     # a trusted signature that moves is re-hashed too
     monkeypatch.setattr(runtime, "_RACY_NS", 0)
-    other = _big(tmp_path, "other.bin")
-    stage("t", {"f": other}, str(tmp_path / "work"), blobs=blobs)
+    other = _fv(tmp_path, "other.txt", "o\n")
+    stage("t", {"f": other}, str(tmp_path / "work"), verified=verified)
+    assert other.path in verified
     with open(other.path, "a") as fh:
         fh.write("edited")
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": other}, str(tmp_path / "work"), blobs=blobs)
-
-
-def test_tampered_blob_is_ingested_again_never_staged(tmp_path, monkeypatch):
-    monkeypatch.setattr(runtime, "_RACY_NS", 0)
-    big = _big(tmp_path)
-    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
-    stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
-    blob = os.path.join(blobs.root, big.checksum)
-    os.chmod(blob, 0o644)
-    with open(blob, "r+") as fh:
-        fh.write("tampered")  # same size as the real bytes
-    calls = _count_hashes(monkeypatch)
-    _, bindings = stage("t", {"f": big}, str(tmp_path / "work"), blobs=blobs)
-    assert file_checksum(bindings["f"].path) == big.checksum
-    assert file_checksum(blob) == big.checksum
-    assert len(calls) == 1  # the re-ingest
-
-
-def test_blob_store_ingests_once_under_contention(tmp_path, monkeypatch):
-    import sys
-    import threading
-    monkeypatch.setattr(runtime, "_RACY_NS", 0)
-    files = [_big(tmp_path, f"in{i}.bin", str(i)) for i in range(3)]
-    calls = _count_hashes(monkeypatch)
-    blobs = runtime.BlobStore(str(tmp_path / "work" / "blobs"))
-    staged, errors = [], []
-
-    def worker():
-        try:
-            for _ in range(5):
-                staged.append(stage("t", {"a": files, "b": files[0]},
-                                    str(tmp_path / "work"), blobs=blobs)[1])
-        except Exception as exc:  # noqa: BLE001 - reported by the assert
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(staged) == 40
-    assert sorted(calls) == sorted(os.path.join(blobs.root, f.checksum)
-                                   + ".tmp" for f in files)
-    for bindings in staged:
-        for original, copy in zip(files, bindings["a"]):
-            assert file_checksum(copy.path) == original.checksum
+        stage("t", {"f": other}, str(tmp_path / "work"), verified=verified)
 
 
 def test_stage_out_names_collisions_without_hashing_its_own_copies(
