@@ -1,10 +1,16 @@
 """Content-addressed result reuse.
 
 Keys are built from what an execution *is* — tool digest, input content
-digests, declared environment and container image — never from absolute
-paths, timestamps, or host names.  Layout on disk:
+digests, every effective requirement and hint (step-level overrides
+included) and the resolved resources — never from absolute paths,
+timestamps, or host names.  Layout on disk:
 ``<cache-dir>/<first-2-hex>/<key>/entry.json`` plus a ``files/`` payload
 directory, human-inspectable.
+
+Payload files are hard links to the outputs the run collected under its
+``.work`` directory (copies where the cache sits on another filesystem),
+so an edit to either name changes both.  ``lookup`` therefore re-hashes
+every payload file on each hit and evicts an entry that no longer matches.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from . import model, parser
 from .planner import FileValue, TaskNode, file_checksum, map_files
-from .runtime import stage_out
+from .runtime import link_or_copy, stage_out
 
 log = logging.getLogger(__name__)
 
@@ -46,32 +53,36 @@ def _value_fingerprint(value):
         "file": {"checksum": fv.checksum, "size": fv.size}})
 
 
-def _tool_plain(tool):
-    doc = model.Document(version="v1.2", body=tool)
-    return parser.to_plain(doc)
+def digest_tool(tool) -> str:
+    """SHA-256 of the tool's canonical serialization."""
+    return parser.canonical_digest(model.Document(version="v1.2", body=tool))
 
 
-def cache_key(node: TaskNode, bindings: dict) -> CacheKey:
+def cache_key(node: TaskNode, bindings: dict,
+              tool_digest: Optional[str] = None,
+              resources: Optional[dict] = None) -> CacheKey:
     """Key for one concrete execution; WorkReuse(enableReuse: false) yields
-    a key that never matches."""
+    a key that never matches.
+
+    ``tool_digest`` is ``digest_tool(node.tool)``, computed when not given;
+    ``resources`` are the unit's resolved resource values, which reach the
+    command line through ``runtime.cores`` and ``runtime.ram``.
+    """
     reuse = True
     clause = node.clause(model.CLAUSE_WORK_REUSE)
     if clause is not None and clause.payload.get("enableReuse", True) is False:
         reuse = False
 
-    env_desc = {}
-    env_clause = node.clause(model.CLAUSE_ENV)
-    if env_clause is not None:
-        env_desc["env"] = dict(env_clause.payload["envDef"])
-    container = node.clause(model.CLAUSE_CONTAINER)
-    if container is not None:
-        env_desc["image"] = container.payload["image"]
-
+    # requirements before hints, step overrides before tool clauses: the
+    # order node.clause() resolves them in
+    clauses = [{"kind": c.kind, "payload": c.payload}
+               for c in node.requirements + node.hints]
     return CacheKey(
-        tool_digest=parser.digest_data(_tool_plain(node.tool)),
+        tool_digest=tool_digest or digest_tool(node.tool),
         input_digest=parser.digest_data(
             {k: _value_fingerprint(v) for k, v in bindings.items()}),
-        env_digest=parser.digest_data(env_desc),
+        env_digest=parser.digest_data(
+            {"clauses": clauses, "resources": resources}),
         reuse_enabled=reuse,
     )
 
@@ -156,7 +167,7 @@ class ResultCache:
                 store_name = f"{fv.checksum[:16]}-{fv.basename}"
                 target = os.path.join(files_dir, store_name)
                 if not os.path.exists(target):
-                    shutil.copyfile(fv.path, target)
+                    link_or_copy(fv.path, target)
                 out = fv.to_json(include_path=False)
                 out["store"] = store_name
                 return out

@@ -22,9 +22,10 @@ def _value_record(value):
         "checksum": fv.checksum, "size": fv.size})
 
 
-def _iso(ts: float) -> str:
+def iso_time(ts: float) -> str:
+    """UTC ISO-8601 with milliseconds, e.g. ``2024-05-01T12:00:00.250Z``."""
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ts)) + (
-        "%.3fZ" % (ts % 1))[1:]
+        ".%03dZ" % (ts % 1 * 1000))
 
 
 def _attempt_record(attempt):
@@ -32,8 +33,9 @@ def _attempt_record(attempt):
         "attempt": attempt.attempt_number,
         "argv": list(attempt.argv),
         "env": dict(attempt.env),
-        "startTime": _iso(attempt.start_time) if attempt.start_time else None,
-        "endTime": _iso(attempt.end_time) if attempt.end_time else None,
+        "startTime": (iso_time(attempt.start_time)
+                      if attempt.start_time else None),
+        "endTime": iso_time(attempt.end_time) if attempt.end_time else None,
         "exitCode": attempt.exit_code,
         "outcome": attempt.outcome,
         "error": attempt.error,

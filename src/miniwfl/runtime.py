@@ -4,7 +4,8 @@ Every attempt gets a fresh working directory and read-only copies of its
 inputs that match the job-order checksums, each source hashed once per run
 while its stat signature holds (see _copy_verified); the tool runs
 with a minimal explicit environment, and stdout/stderr are always captured
-to files for provenance.
+to files for provenance.  A successful attempt's input copies are deleted
+once its outputs are collected, unless an output resolves into them.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class StagedDirectory:
     outdir: str
     tmpdir: str
     container_map: dict = field(default_factory=dict)  # host -> container path
+
+    @property
+    def inputs_dir(self) -> str:
+        """Where input copies go; created when the first one is staged."""
+        return os.path.join(self.root, "inputs")
 
 
 @dataclass
@@ -114,6 +120,15 @@ def _copy_verified(fv: FileValue, target: str, verified: dict):
         verified[fv.path] = before
 
 
+def link_or_copy(source: str, target: str):
+    """Make ``target`` a hard link to ``source``, or a copy where the
+    filesystem refuses the link (another device, no hard links)."""
+    try:
+        os.link(source, target)
+    except OSError:
+        shutil.copyfile(source, target)
+
+
 def stage(node_id: str, bindings: dict, work_root: str,
           initial_workdir: Optional[model.Clause] = None,
           verified: Optional[dict] = None) -> tuple:
@@ -130,20 +145,21 @@ def stage(node_id: str, bindings: dict, work_root: str,
     os.makedirs(root)
     outdir = os.path.join(root, "outdir")
     tmpdir = os.path.join(root, "tmp")
-    inputs_dir = os.path.join(root, "inputs")
     os.makedirs(outdir)
     os.makedirs(tmpdir)
-    os.makedirs(inputs_dir)
     if verified is None:
         verified = {}
 
     staged_inputs = {}
     container_map = {}
+    staged = StagedDirectory(root=root, staged_inputs=staged_inputs,
+                             outdir=outdir, tmpdir=tmpdir,
+                             container_map=container_map)
 
     def place(fv: FileValue) -> FileValue:
         if fv.path not in staged_inputs:
             slot = str(len(staged_inputs))
-            target = os.path.join(inputs_dir, slot, fv.basename)
+            target = os.path.join(staged.inputs_dir, slot, fv.basename)
             os.makedirs(os.path.dirname(target))
             _copy_verified(fv, target, verified)
             os.chmod(target, 0o444)
@@ -155,10 +171,6 @@ def stage(node_id: str, bindings: dict, work_root: str,
                        for k in sorted(bindings)}
     container_map[outdir] = C_OUTDIR
     container_map[tmpdir] = C_TMPDIR
-
-    staged = StagedDirectory(root=root, staged_inputs=staged_inputs,
-                             outdir=outdir, tmpdir=tmpdir,
-                             container_map=container_map)
     if initial_workdir is not None:
         _materialize_initial_workdir(initial_workdir, staged, bindings)
     return staged, staged_bindings
@@ -403,7 +415,7 @@ def _capture_path(tool: ToolDescription, staged: StagedDirectory,
         return source
     target = os.path.join(staged.outdir, name)
     if not os.path.exists(target):
-        shutil.copyfile(source, target)
+        link_or_copy(source, target)
     return target
 
 
@@ -571,4 +583,18 @@ class LocalRuntime:
             attempt.failure_kind = "OutputAmbiguous"
             attempt.error = str(exc)
             return AttemptResult(attempt=attempt)
+        _drop_spent_inputs(staged, outputs)
         return AttemptResult(attempt=attempt, outputs=outputs)
+
+
+def _drop_spent_inputs(staged: StagedDirectory, outputs: dict):
+    """Delete a successful attempt's input copies, which nothing reads again,
+    unless an output resolves to a path under them (a symlink, say)."""
+    if not staged.staged_inputs:
+        return
+    files = []
+    map_files(list(outputs.values()), files.append)
+    inputs_dir = os.path.realpath(staged.inputs_dir) + os.sep
+    if not any(os.path.realpath(fv.path).startswith(inputs_dir)
+               for fv in files):
+        shutil.rmtree(staged.inputs_dir, ignore_errors=True)

@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import parser, planner
-from .cache import ResultCache, cache_key
+from . import planner
+from .cache import CacheKey, ResultCache, cache_key, digest_tool
 from .errors import (
     ExprSyntaxError,
     ExprTypeError,
@@ -28,7 +28,7 @@ from .errors import (
     UnknownReferenceError,
 )
 from .expression import EvalContext, interpolate
-from .model import CLAUSE_RESOURCE, Document
+from .model import CLAUSE_RESOURCE
 from .planner import (
     CACHED,
     FAILED,
@@ -44,6 +44,7 @@ from .planner import (
     ready_set,
     resolved_bindings,
 )
+from .provenance import iso_time
 
 TEMPORARY = "Temporary"
 PERMANENT = "Permanent"
@@ -142,6 +143,7 @@ class _Unit:
     resources: dict
     shard_index: Optional[int] = None
     attempt: int = 1
+    key: Optional[CacheKey] = None  # set by the cache lookup, reused by store
 
     @property
     def sort_key(self):
@@ -212,7 +214,7 @@ class _Coordinator:
 
     def log(self, task_id: str, transition: str, attempt: int = 0):
         self.events.append({
-            "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "ts": iso_time(time.time()),
             "task": task_id,
             "transition": transition,
             "attempt": attempt,
@@ -226,8 +228,7 @@ class _Coordinator:
 
     def tool_digest(self, node: TaskNode) -> str:
         if node.id not in self._tool_digests:
-            doc = Document(version="v1.2", body=node.tool)
-            self._tool_digests[node.id] = parser.canonical_digest(doc)
+            self._tool_digests[node.id] = digest_tool(node.tool)
         return self._tool_digests[node.id]
 
     def set_state(self, node: TaskNode, state: str, attempt: int = 0):
@@ -389,8 +390,10 @@ class _Coordinator:
         cache = self.services.cache
         if cache is None or not self.cfg.enable_reuse:
             return False
-        key = cache_key(unit.exec_node, unit.bindings)
-        hit = cache.lookup(key)
+        if unit.key is None:
+            unit.key = cache_key(unit.exec_node, unit.bindings,
+                                 self.tool_digest(unit.node), unit.resources)
+        hit = cache.lookup(unit.key)
         if hit is None:
             return False
         dest = os.path.join(getattr(self.services.runtime, "work_root", "."),
@@ -428,6 +431,11 @@ class _Coordinator:
                 result = self.services.runtime.run_task(
                     unit.exec_node, unit.bindings, unit.attempt,
                     unit.resources)
+                # stored here, off the coordinator; unit.key is set only
+                # when the cache is in use
+                if result.outputs is not None and unit.key is not None:
+                    self.services.cache.store(unit.key, result.outputs,
+                                              source_run_id=self.run_id)
             except Exception as exc:  # defensive: worker must always report
                 from .runtime import AttemptResult, TaskAttempt
                 attempt = TaskAttempt(task_id=unit.exec_node.id,
@@ -465,10 +473,6 @@ class _Coordinator:
             self._fail_node(unit.node, result.attempt.error or "task failed")
 
     def _complete_success(self, unit: _Unit, outputs: dict):
-        cache = self.services.cache
-        if cache is not None and self.cfg.enable_reuse:
-            key = cache_key(unit.exec_node, unit.bindings)
-            cache.store(key, outputs, source_run_id=self.run_id)
         info = self.task_info(unit.exec_node.id)
         info["outputs"] = outputs
         if unit.shard_index is not None:

@@ -176,3 +176,173 @@ def test_store_failure_degrades_to_warning(tmp_path, caplog):
     cache = ResultCache(str(blocked))
     cache.store(key, {"out": fv})  # must not raise
     assert cache.lookup(key) is None
+
+
+def test_key_changes_with_step_clauses_and_resources(tmp_path):
+    from miniwfl.model import CLAUSE_INITIAL_WORKDIR
+    fv = _fv(tmp_path)
+
+    def workdir(text):
+        return [Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+            {"entryname": "cfg.txt", "entry": text}]})]
+
+    keys = {
+        cache_key(_node(workdir("alpha")), {"f": fv}).key,
+        cache_key(_node(workdir("beta")), {"f": fv}).key,
+        cache_key(_node(), {"f": fv}, resources={"coresMin": 1}).key,
+        cache_key(_node(), {"f": fv}, resources={"coresMin": 2}).key,
+    }
+    assert len(keys) == 4
+    # the digest the scheduler memoizes is the one computed by default
+    from miniwfl.cache import digest_tool
+    assert cache_key(_node(), {"f": fv}, digest_tool(TOOL)).key \
+        == cache_key(_node(), {"f": fv}).key
+
+
+def _run_workflow(raw, job, tmp_path, cache, parallelism=1):
+    from miniwfl import planner, scheduler
+    from miniwfl.runtime import LocalRuntime
+    graph = planner.plan(parser.parse_raw(raw), job)
+    runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    cfg = scheduler.RunConfig(parallelism=parallelism)
+    return scheduler.run(graph, cfg, scheduler.Services(runtime, cache))
+
+
+def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["cat", "cfg.txt"], "inputs": [],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+
+    def step(name, text):
+        return {"id": name, "run": dict(tool), "in": {}, "requirements": [
+            {"class": "InitialWorkDirRequirement", "listing": [
+                {"entryname": "cfg.txt", "entry": text}]}]}
+
+    raw = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": [],
+           "outputs": [{"id": "a", "type": "File", "outputSource": "a/out"},
+                       {"id": "b", "type": "File", "outputSource": "b/out"}],
+           "steps": [step("a", "alpha\n"), step("b", "beta\n")]}
+    result = _run_workflow(raw, {}, tmp_path,
+                           ResultCache(str(tmp_path / "cache")))
+    assert result.status == "Success"
+    assert open(result.outputs["a"].path).read() == "alpha\n"
+    assert open(result.outputs["b"].path).read() == "beta\n"
+    assert result.tasks["b"]["cached"] is False
+
+
+def _entry_payload(cache_dir, key):
+    files_dir = os.path.join(cache_dir, key.key[:2], key.key, "files")
+    return os.path.join(files_dir, os.listdir(files_dir)[0])
+
+
+def test_payload_is_a_hard_link_to_the_output(tmp_path):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    assert os.path.samefile(_entry_payload(cache.cache_dir, key), fv.path)
+
+
+def test_payload_is_copied_where_links_fail(tmp_path, monkeypatch):
+    import errno
+
+    def cross_device(src, dst, **kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", cross_device)
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    payload = _entry_payload(cache.cache_dir, key)
+    assert not os.path.samefile(payload, fv.path)
+    assert file_checksum(payload) == fv.checksum
+    assert cache.lookup(key)["out"].checksum == fv.checksum
+
+
+def test_editing_the_run_output_evicts_the_linked_entry(tmp_path):
+    from miniwfl.runtime import LocalRuntime
+    runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+    node = _node()
+    result = runtime.run_task(node, {"f": fv}, 1, {})
+    key = cache_key(node, {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, result.outputs)
+    assert cache.lookup(key)["out"].checksum == fv.checksum
+    with open(result.outputs["out"].path, "w") as fh:  # in place, same inode
+        fh.write("edited under .work\n")
+    assert cache.lookup(key) is None
+    assert not os.path.exists(os.path.join(cache.cache_dir, key.key[:2],
+                                           key.key))
+
+
+def test_scatter_keys_each_shard_once_and_stores_on_workers(tmp_path,
+                                                            monkeypatch):
+    import threading
+
+    from miniwfl import scheduler
+    keyed, stored_on = [], []
+    real_key, real_store = scheduler.cache_key, ResultCache.store
+
+    def counting_key(*args, **kwargs):
+        keyed.append(args[0].id)
+        return real_key(*args, **kwargs)
+
+    def recording_store(self, *args, **kwargs):
+        stored_on.append(threading.get_ident())
+        return real_store(self, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "cache_key", counting_key)
+    monkeypatch.setattr(ResultCache, "store", recording_store)
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "i", "type": "int", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+    raw = {"cwlVersion": "v1.2", "class": "Workflow",
+           "inputs": [{"id": "idx", "type": "int[]"}],
+           "outputs": [{"id": "outs", "type": "File[]",
+                        "outputSource": "fan/out"}],
+           "steps": [{"id": "fan", "run": tool, "in": {"i": "idx"},
+                      "scatter": ["i"]}]}
+    result = _run_workflow(raw, {"idx": list(range(5))}, tmp_path,
+                           ResultCache(str(tmp_path / "cache")),
+                           parallelism=2)
+    assert result.status == "Success"
+    assert [open(fv.path).read() for fv in result.outputs["outs"]] \
+        == [f"{i}\n" for i in range(5)]
+    assert sorted(keyed) == [f"fan[{i}]" for i in range(5)]
+    assert len(stored_on) == 5
+    assert threading.get_ident() not in stored_on
+
+
+def test_concurrent_worker_stores_of_one_key_leave_one_entry(tmp_path):
+    import sys
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "s", "type": "string", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+    raw = {"cwlVersion": "v1.2", "class": "Workflow",
+           "inputs": [{"id": "xs", "type": "string[]"}],
+           "outputs": [{"id": "outs", "type": "File[]",
+                        "outputSource": "fan/out"}],
+           "steps": [{"id": "fan", "run": tool, "in": {"s": "xs"},
+                      "scatter": ["s"]}]}
+    cache_dir = tmp_path / "cache"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = _run_workflow(raw, {"xs": ["same"] * 16}, tmp_path,
+                               ResultCache(str(cache_dir)), parallelism=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.status == "Success"
+    assert {open(fv.path).read() for fv in result.outputs["outs"]} \
+        == {"same\n"}
+    (shard_dir,) = os.listdir(cache_dir)
+    entries = os.listdir(cache_dir / shard_dir)
+    assert len(entries) == 1  # one entry, no temporary directory left
+    assert os.path.isfile(cache_dir / shard_dir / entries[0] / "entry.json")

@@ -134,6 +134,11 @@ def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
     assert os.path.isdir(staged.tmpdir)
 
 
+def test_stage_without_file_inputs_makes_no_inputs_dir(tmp_path):
+    staged, _ = stage("t1", {"msg": "hi"}, str(tmp_path / "work"))
+    assert sorted(os.listdir(staged.root)) == ["outdir", "tmp"]
+
+
 def test_stage_fresh_directory_per_attempt(tmp_path):
     fv = _fv(tmp_path)
     s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"))
@@ -392,6 +397,7 @@ def test_collect_stdout_capture_named_file(tmp_path):
     assert fv.basename == "out.txt"
     assert open(fv.path).read() == "hi\n"
     assert fv.checksum == file_checksum(fv.path)
+    assert os.path.samefile(fv.path, attempt.stdout_path)  # a link, no copy
 
 
 def test_collect_glob_single_file(tmp_path):
@@ -473,6 +479,35 @@ def test_run_task_counts_spawns_and_collects(tmp_path):
     assert open(result.outputs["out"].path).read() == "hello\n"
     assert rt.spawn_count == 1
     assert result.attempt.argv == ["echo", "hello"]
+
+
+def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+
+    def attempt(script, outputs):
+        tool = _tool(baseCommand=["sh", "-c", script],
+                     inputs=[{"id": "f", "type": "File", "position": 1}],
+                     outputs=outputs)
+        result = rt.run_task(TaskNode(id="t", tool=tool, bindings={}),
+                             {"f": fv}, 1, {})
+        inputs_dir = os.path.join(
+            os.path.dirname(result.attempt.stdout_path), "inputs")
+        return result, inputs_dir
+
+    copied = [{"id": "out", "type": "File", "glob": "copy.txt"}]
+    result, inputs_dir = attempt('cp "$0" copy.txt', copied)
+    assert _read(result.outputs["out"].path) == "payload\n"
+    assert not os.path.exists(inputs_dir)
+
+    result, inputs_dir = attempt('cp "$0" copy.txt; exit 3', copied)
+    assert result.outputs is None
+    assert os.listdir(inputs_dir) == ["0"]  # kept for debugging
+
+    linked = [{"id": "out", "type": "File", "glob": "link.txt"}]
+    result, inputs_dir = attempt('ln -s "$0" link.txt', linked)
+    assert _read(result.outputs["out"].path) == "payload\n"
+    assert os.path.isdir(inputs_dir)
 
 
 def test_run_task_reports_env_clause(tmp_path):

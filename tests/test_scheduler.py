@@ -370,3 +370,16 @@ def test_deterministic_outputs_across_parallelism():
     r4 = _run(build(), StubRuntime(delay=0.01), parallelism=4)
     assert r1.outputs == r4.outputs
     assert r1.status == r4.status == "Success"
+
+
+def test_events_carry_millisecond_utc_timestamps():
+    import re
+
+    from miniwfl.provenance import iso_time
+    result = _run(_graph(_node("a"), _node("b", deps=["a"], layer=1)))
+    assert result.event_log
+    for event in result.event_log:
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z",
+                            event["ts"]), event
+    # milliseconds are truncated, never rounded into the next second
+    assert iso_time(86400.9999) == "1970-01-02T00:00:00.999Z"
