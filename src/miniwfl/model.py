@@ -6,6 +6,7 @@ documents can be shared freely across threads.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
@@ -182,6 +183,19 @@ class Document:
     @property
     def is_workflow(self) -> bool:
         return isinstance(self.body, WorkflowDescription)
+
+
+@dataclass(frozen=True)
+class Machine:
+    """The capacity that validation checks and scheduling admits against."""
+
+    cores: int = field(default_factory=lambda: os.cpu_count() or 1)
+    ram_mib: int = 8192
+    disk_mib: int = 65536
+
+    def __post_init__(self):
+        if self.cores <= 0 or self.ram_mib <= 0 or self.disk_mib <= 0:
+            raise ValueError("machine capacities must be positive")
 
 
 def is_identifier(s: str) -> bool:

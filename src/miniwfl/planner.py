@@ -9,6 +9,7 @@ to the graph shape.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -17,6 +18,7 @@ import yaml
 
 from . import model
 from .errors import (
+    GraphCycleError,
     JobOrderError,
     PlanError,
     ScatterLengthMismatchError,
@@ -40,9 +42,9 @@ SKIPPED = "Skipped"
 CACHED = "Cached"
 
 _TRANSITIONS = {
-    PENDING: {READY, SKIPPED},
+    PENDING: {READY, SKIPPED, FAILED},
     READY: {RUNNING, CACHED, SKIPPED, FAILED},
-    RUNNING: {SUCCEEDED, FAILED, RUNNING},
+    RUNNING: {SUCCEEDED, FAILED, RUNNING, CACHED},
     SUCCEEDED: set(),
     FAILED: set(),
     SKIPPED: set(),
@@ -257,45 +259,64 @@ def plan(doc: Document, job: dict) -> DataflowGraph:
     return graph
 
 
+def toposort(ids, edges):
+    """Kahn's algorithm over (producer, consumer) ``edges`` among ``ids``.
+
+    Returns ``(order, rest)``: the ids in dependency order, ties going to the
+    id given first, and the ids on or behind a cycle, in the given order.
+    Iterative, so no depth of graph exhausts the stack."""
+    ids = list(ids)
+    position = {node: i for i, node in enumerate(ids)}
+    consumers = {node: [] for node in ids}
+    waiting = dict.fromkeys(ids, 0)
+    for producer, consumer in edges:
+        consumers[producer].append(consumer)
+        waiting[consumer] += 1
+    ready = [i for i, node in enumerate(ids) if not waiting[node]]
+    order = []
+    while ready:
+        node = ids[heapq.heappop(ready)]
+        order.append(node)
+        for consumer in consumers[node]:
+            waiting[consumer] -= 1
+            if not waiting[consumer]:
+                heapq.heappush(ready, position[consumer])
+    placed = set(order)
+    return order, [node for node in ids if node not in placed]
+
+
+def step_dependency_edges(wf: WorkflowDescription):
+    """Edges (producer step id, consumer step id) from data connections."""
+    step_ids = set(wf.step_map())
+    edges = set()
+    for step in wf.steps:
+        for _, binding in step.in_map:
+            if binding.is_literal or "/" not in (binding.source or ""):
+                continue
+            producer = binding.source.split("/", 1)[0]
+            if producer in step_ids:
+                edges.add((producer, step.id))
+    return edges
+
+
 def _plan_workflow(wf: WorkflowDescription, prefix: str, input_bindings: dict,
                    graph: DataflowGraph) -> dict:
     # published: (scoped step id, output id) -> binding
     published = {}
-    pending = list(wf.steps)
-    planned = set()
-    # Steps can reference each other in any order; iterate to fixpoint over
-    # the (acyclic, validated) dependency relation.
-    while pending:
-        progressed = False
-        remaining = []
-        for step in pending:
-            if _deps_planned(step, wf, planned):
-                _plan_step(step, wf, prefix, input_bindings, published, graph)
-                planned.add(step.id)
-                progressed = True
-            else:
-                remaining.append(step)
-        if not progressed:
-            raise PlanError("unplannable step order (cycle past validation?)")
-        pending = remaining
+    steps = wf.step_map()
+    order, rest = toposort(steps, step_dependency_edges(wf))
+    if rest:
+        raise GraphCycleError(
+            f"workflow step graph is cyclic through {', '.join(rest)}")
+    for step_id in order:
+        _plan_step(steps[step_id], wf, prefix, input_bindings, published,
+                   graph)
 
     outputs = {}
     for out in wf.outputs:
         outputs[out.id] = _resolve_source(out.output_source, wf, input_bindings,
                                           published)
     return outputs
-
-
-def _deps_planned(step: Step, wf: WorkflowDescription, planned: set) -> bool:
-    step_ids = set(wf.step_map())
-    for _, binding in step.in_map:
-        if binding.is_literal or binding.source is None:
-            continue
-        if "/" in binding.source:
-            producer = binding.source.split("/", 1)[0]
-            if producer in step_ids and producer not in planned:
-                return False
-    return True
 
 
 def _resolve_source(ref: str, wf, input_bindings, published):
@@ -364,19 +385,16 @@ def _plan_step(step: Step, wf, prefix, input_bindings, published, graph):
 
 
 def _assign_layers(graph: DataflowGraph):
-    preds = {tid: set() for tid in graph.nodes}
-    for (ptid, _), (ctid, _) in graph.edges:
-        if ptid in preds and ctid in preds:
-            preds[ctid].add(ptid)
-    depth = {}
-
-    def depth_of(tid):
-        if tid not in depth:
-            depth[tid] = 1 + max((depth_of(p) for p in preds[tid]), default=-1)
-        return depth[tid]
-
-    for tid in graph.nodes:
-        graph.nodes[tid].layer = depth_of(tid)
+    """Layer of each node: 1 + the largest layer among its producers."""
+    edges = {(ptid, ctid) for (ptid, _), (ctid, _) in graph.edges
+             if ptid in graph.nodes and ctid in graph.nodes}
+    producers = {tid: [] for tid in graph.nodes}
+    for ptid, ctid in edges:
+        producers[ctid].append(ptid)
+    order, _ = toposort(graph.nodes, edges)
+    for tid in order:
+        graph.nodes[tid].layer = 1 + max(
+            (graph.nodes[p].layer for p in producers[tid]), default=-1)
 
 
 def resolved_bindings(node: TaskNode, published: dict) -> dict:

@@ -28,7 +28,7 @@ from .errors import (
     UnknownReferenceError,
 )
 from .expression import EvalContext, interpolate
-from .model import CLAUSE_RESOURCE
+from .model import CLAUSE_RESOURCE, Machine
 from .planner import (
     CACHED,
     FAILED,
@@ -52,17 +52,6 @@ PERMANENT = "Permanent"
 _TEMPORARY_KINDS = {"Timeout", "LaunchRace"}
 
 RESOURCE_DEFAULTS = {"coresMin": 1, "ramMin": 256, "diskMin": 0}
-
-
-@dataclass(frozen=True)
-class Machine:
-    cores: int = field(default_factory=lambda: os.cpu_count() or 1)
-    ram_mib: int = 8192
-    disk_mib: int = 65536
-
-    def __post_init__(self):
-        if self.cores <= 0 or self.ram_mib <= 0 or self.disk_mib <= 0:
-            raise ValueError("machine capacities must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,6 +120,17 @@ def fits_machine(resources: dict, machine: Machine) -> bool:
     return (resources["coresMin"] <= machine.cores
             and resources["ramMin"] <= machine.ram_mib
             and resources["diskMin"] <= machine.disk_mib)
+
+
+@dataclass
+class _Scatter:
+    """Progress of a scattered node's shards."""
+
+    width: int
+    results: list  # per shard: its outputs, or None until it finishes
+    done: int = 0
+    cached: int = 0
+    skipped: int = 0
 
 
 @dataclass
@@ -206,7 +206,7 @@ class _Coordinator:
         self.completions = queue.Queue()
         self.stop_admission = False
         self.in_flight = 0
-        self.scatter_state = {}  # node id -> {"width", "results", "done"}
+        self.scatters = {}  # node id -> _Scatter
         self.run_id = ""
         self._tool_digests = {}
 
@@ -290,9 +290,7 @@ class _Coordinator:
         shards, width = expand_scatter(node, bindings)
         self.set_state(node, READY)
         self.set_state(node, RUNNING)
-        state = {"width": width, "results": [None] * width, "done": 0,
-                 "cached": 0, "skipped": 0}
-        self.scatter_state[node.id] = state
+        scatter = self.scatters[node.id] = _Scatter(width, [None] * width)
         if width == 0:
             self._finalize_scatter(node)
             return
@@ -308,9 +306,9 @@ class _Coordinator:
                     self.log(shard.id, SKIPPED)
                     outputs = {out.id: None for out in node.tool.outputs}
                     shard_info["outputs"] = outputs
-                    state["results"][i] = outputs
-                    state["done"] += 1
-                    state["skipped"] += 1
+                    scatter.results[i] = outputs
+                    scatter.done += 1
+                    scatter.skipped += 1
                     continue
             resources = resolve_resources(shard, shard_bindings,
                                           self.cfg.machine)
@@ -322,45 +320,32 @@ class _Coordinator:
             self.admissible.append(_Unit(node=node, exec_node=shard,
                                          bindings=shard_bindings,
                                          resources=resources, shard_index=i))
-        if state["done"] == width:
+        if scatter.done == width:
             self._finalize_scatter(node)
 
     def _finalize_scatter(self, node: TaskNode):
-        state = self.scatter_state[node.id]
+        scatter = self.scatters[node.id]
         outputs = {}
         for out in node.tool.outputs:
             outputs[out.id] = [
-                (r or {}).get(out.id) for r in state["results"]]
+                (r or {}).get(out.id) for r in scatter.results]
         info = self.task_info(node.id)
-        executed = state["width"] - state["skipped"]
-        if state["width"] > 0 and executed > 0 and state["cached"] == executed:
-            node.state = CACHED
-            info["state"] = CACHED
+        executed = scatter.width - scatter.skipped
+        if executed > 0 and scatter.cached == executed:
+            self.set_state(node, CACHED)
             info["cached"] = True
-            self.log(node.id, CACHED)
         else:
             self.set_state(node, SUCCEEDED)
         info["outputs"] = outputs
         self.publish(node, outputs)
 
     def _fail_node(self, node: TaskNode, error: str):
-        info = self.task_info(node.id)
-        if node.state == FAILED:
-            self.admissible = [u for u in self.admissible if u.node is not node]
-            return
-        info["error"] = error
-        if node.state == PENDING:
-            node.state = READY
-        if node.state in (READY, RUNNING):
-            if node.state == READY:
-                node.state = RUNNING
+        if node.state != FAILED:
+            self.task_info(node.id)["error"] = error
             self.set_state(node, FAILED)
-        else:
-            info["state"] = FAILED
-            self.log(node.id, FAILED)
+            if self.cfg.on_error == "stop":
+                self.stop_admission = True
         self.admissible = [u for u in self.admissible if u.node is not node]
-        if self.cfg.on_error == "stop":
-            self.stop_admission = True
 
     # -- admission / completion --------------------------------------------
 
@@ -406,11 +391,11 @@ class _Coordinator:
         if unit.shard_index is not None:
             info["state"] = CACHED
             self.log(unit.exec_node.id, CACHED)
-            state = self.scatter_state[unit.node.id]
-            state["results"][unit.shard_index] = outputs
-            state["done"] += 1
-            state["cached"] += 1
-            if state["done"] == state["width"]:
+            scatter = self.scatters[unit.node.id]
+            scatter.results[unit.shard_index] = outputs
+            scatter.done += 1
+            scatter.cached += 1
+            if scatter.done == scatter.width:
                 self._finalize_scatter(unit.node)
         else:
             self.set_state(unit.node, CACHED)
@@ -478,12 +463,12 @@ class _Coordinator:
         if unit.shard_index is not None:
             info["state"] = SUCCEEDED
             self.log(unit.exec_node.id, SUCCEEDED, unit.attempt)
-            state = self.scatter_state[unit.node.id]
-            state["results"][unit.shard_index] = outputs
-            state["done"] += 1
+            scatter = self.scatters[unit.node.id]
+            scatter.results[unit.shard_index] = outputs
+            scatter.done += 1
             if unit.node.state == FAILED:
                 return
-            if state["done"] == state["width"]:
+            if scatter.done == scatter.width:
                 self._finalize_scatter(unit.node)
         else:
             self.set_state(unit.node, SUCCEEDED, unit.attempt)

@@ -8,20 +8,21 @@ warnings — an engine may ignore advice but must refuse what it cannot honor.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from . import model
-from .errors import ExprSyntaxError, GraphCycleError
+from .errors import ExprSyntaxError
 from .expression import parse_expr
 from .model import (
     Clause,
     DataType,
     Document,
+    Machine,
     Step,
     ToolDescription,
     WorkflowDescription,
 )
+from .planner import step_dependency_edges, toposort
 
 ERROR = "error"
 WARNING = "warning"
@@ -49,13 +50,7 @@ class SupportMatrix:
 
     supported_requirement_kinds: frozenset = frozenset(model.KNOWN_CLAUSE_KINDS)
     supported_versions: frozenset = frozenset(model.SUPPORTED_VERSIONS)
-    max_cores: int = field(default_factory=lambda: os.cpu_count() or 1)
-    max_ram_mib: int = 8192
-    max_disk_mib: int = 65536
-
-    def __post_init__(self):
-        if self.max_cores <= 0 or self.max_ram_mib <= 0 or self.max_disk_mib <= 0:
-            raise ValueError("machine capacities must be strictly positive")
+    machine: Machine = field(default_factory=Machine)
 
 
 def _err(code, location, message):
@@ -93,9 +88,9 @@ def _check_resources(clause: Clause, matrix: SupportMatrix, location: str):
         return []
     out = []
     limits = {
-        "coresMin": matrix.max_cores,
-        "ramMin": matrix.max_ram_mib,
-        "diskMin": matrix.max_disk_mib,
+        "coresMin": matrix.machine.cores,
+        "ramMin": matrix.machine.ram_mib,
+        "diskMin": matrix.machine.disk_mib,
     }
     for key, cap in limits.items():
         value = clause.payload.get(key)
@@ -121,12 +116,14 @@ def _run_body(step: Step):
     return None
 
 
-def _source_type(ref: str, wf: WorkflowDescription, location: str, diags,
-                 conditional_steps):
-    """Type of a source reference, or None after emitting a diagnostic."""
+def _source_type(ref: str, steps: dict, inputs: dict, conditional_steps,
+                 location: str, diags):
+    """Type of a source reference, or None after emitting a diagnostic.
+
+    ``steps`` and ``inputs`` are the workflow's step and input maps."""
     if "/" in ref:
         step_id, out_id = ref.split("/", 1)
-        step = wf.step_map().get(step_id)
+        step = steps.get(step_id)
         if step is None:
             diags.append(_err("DanglingReference", location,
                               f"source {ref!r}: no step named {step_id!r}"))
@@ -145,7 +142,7 @@ def _source_type(ref: str, wf: WorkflowDescription, location: str, diags,
         if step.id in conditional_steps:
             dtype = DataType(dtype.base, dtype.array, True)
         return dtype, out_param.format
-    param = wf.input_map().get(ref)
+    param = inputs.get(ref)
     if param is None:
         diags.append(_err("DanglingReference", location,
                           f"source {ref!r} names no workflow input or step output"))
@@ -153,17 +150,14 @@ def _source_type(ref: str, wf: WorkflowDescription, location: str, diags,
     return param.type, param.format
 
 
-def _check_step_connections(step: Step, wf: WorkflowDescription, diags,
+def _check_step_connections(step: Step, steps: dict, inputs: dict, diags,
                             conditional_steps, location):
     body = _run_body(step)
     if body is None:
         diags.append(_err("DanglingReference", location,
                           f"step {step.id!r} has an unresolved run reference"))
         return
-    if isinstance(body, ToolDescription):
-        sink_params = body.input_map()
-    else:
-        sink_params = body.input_map()
+    sink_params = body.input_map()
 
     bound = set()
     for input_id, binding in step.in_map:
@@ -176,8 +170,8 @@ def _check_step_connections(step: Step, wf: WorkflowDescription, diags,
             continue
         if binding.is_literal:
             continue
-        src_type, src_format = _source_type(binding.source, wf, loc, diags,
-                                            conditional_steps)
+        src_type, src_format = _source_type(binding.source, steps, inputs,
+                                            conditional_steps, loc, diags)
         if src_type is None:
             continue
         sink_type = sink.type
@@ -211,81 +205,28 @@ def _check_step_connections(step: Step, wf: WorkflowDescription, diags,
                           f"is unbound"))
 
 
-def step_dependency_edges(wf: WorkflowDescription):
-    """Edges (producer step id, consumer step id) from data connections."""
-    step_ids = set(wf.step_map())
-    edges = set()
-    for step in wf.steps:
-        for _, binding in step.in_map:
-            if binding.is_literal or "/" not in (binding.source or ""):
-                continue
-            producer = binding.source.split("/", 1)[0]
-            if producer in step_ids:
-                edges.add((producer, step.id))
-    return edges
-
-
-def _find_cycle(nodes, edges):
-    """DFS cycle finder; returns one cycle as a list of node ids, or None."""
-    adjacency = {n: [] for n in nodes}
-    for a, b in sorted(edges):
-        adjacency[a].append(b)
-    color = {n: 0 for n in nodes}  # 0 white, 1 gray, 2 black
-    stack = []
-
-    def visit(node):
-        color[node] = 1
-        stack.append(node)
-        for nxt in adjacency[node]:
-            if color[nxt] == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == 0:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = 2
-        return None
-
-    for node in sorted(nodes):
-        if color[node] == 0:
-            found = visit(node)
-            if found:
-                return found
-    return None
-
-
 def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
     """Empty iff the step-dependency relation is a DAG."""
-    cycle = _find_cycle(set(wf.step_map()), step_dependency_edges(wf))
-    if cycle is None:
+    edges = step_dependency_edges(wf)
+    _, rest = toposort((s.id for s in wf.steps), edges)
+    if not rest:
         return []
+    # Every left-over step has a left-over producer, so walking producers
+    # back from any of them must repeat a step; the repeat closes a cycle.
+    left = set(rest)
+    producer = {}
+    for a, b in sorted(edges):
+        if a in left:
+            producer.setdefault(b, a)
+    seen = {}  # step -> position in the walk
+    node = rest[0]
+    while node not in seen:
+        seen[node] = len(seen)
+        node = producer[node]
+    # the walk runs against the dataflow, so the cycle reads it backwards
+    cycle = [node] + list(seen)[seen[node] + 1:][::-1] + [node]
     return [_err("CycleDetected", location,
                  "dependency cycle: " + " -> ".join(cycle))]
-
-
-def layering(wf: WorkflowDescription):
-    """Steps grouped by longest dependency path from the workflow inputs."""
-    if check_acyclic(wf):
-        raise GraphCycleError("workflow step graph is cyclic")
-    edges = step_dependency_edges(wf)
-    preds = {s.id: set() for s in wf.steps}
-    for a, b in edges:
-        preds[b].add(a)
-    depth = {}
-
-    def depth_of(node):
-        if node not in depth:
-            depth[node] = 1 + max((depth_of(p) for p in preds[node]), default=-1)
-        return depth[node]
-
-    layers = []
-    for step in wf.steps:
-        d = depth_of(step.id)
-        while len(layers) <= d:
-            layers.append(set())
-        layers[d].add(step.id)
-    return layers
 
 
 def validate(doc: Document, matrix: SupportMatrix = None, location: str = "$"):
@@ -309,6 +250,8 @@ def validate(doc: Document, matrix: SupportMatrix = None, location: str = "$"):
 
 def _validate_workflow(wf: WorkflowDescription, matrix, location):
     diags = []
+    steps = wf.step_map()
+    inputs = wf.input_map()
     conditional_steps = {s.id for s in wf.steps if s.when is not None}
 
     for step in wf.steps:
@@ -327,7 +270,8 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
             except ExprSyntaxError as exc:
                 diags.append(_err("InvalidExpression", f"{step_loc}/when",
                                   str(exc)))
-        _check_step_connections(step, wf, diags, conditional_steps, step_loc)
+        _check_step_connections(step, steps, inputs, diags, conditional_steps,
+                                step_loc)
         if isinstance(step.run, Document) and step.run.is_workflow:
             if step.scatter:
                 diags.append(_err("UnsupportedFeature", step_loc,
@@ -337,9 +281,8 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
 
     for out in wf.outputs:
         loc = f"{location}/outputs/{out.id}"
-        src_type, src_format = _source_type(out.output_source, wf, loc, diags,
-                                            {s.id for s in wf.steps
-                                             if s.when is not None})
+        src_type, src_format = _source_type(out.output_source, steps, inputs,
+                                            conditional_steps, loc, diags)
         if src_type is not None and not _assignable(src_type, out.type):
             diags.append(_err(
                 "TypeMismatch", loc,

@@ -5,10 +5,11 @@ import io
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
-from miniwfl import cli
+from miniwfl import cli, parser
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -81,6 +82,28 @@ def strip_paths(value):
     if isinstance(value, list):
         return [strip_paths(v) for v in value]
     return value
+
+
+def deep_chain(n, ring=False):
+    """A workflow of ``n`` steps where ``s{i:04d}`` consumes the output of
+    the step before it, listed last step first; ``ring`` also feeds the last
+    step into the first.  The parser orders steps by id, so the listing is
+    reversed on the parsed document."""
+    tool = {
+        "cwlVersion": "v1.2", "class": "CommandLineTool",
+        "baseCommand": ["true"],
+        "inputs": [{"id": "x", "type": "File?"}],
+        "outputs": [{"id": "out", "type": "File", "glob": "o.txt"}],
+    }
+    steps = []
+    for i in range(n):
+        feed = {"x": f"s{(i - 1) % n:04d}/out"} if i or ring else {}
+        steps.append({"id": f"s{i:04d}", "run": dict(tool), "in": feed})
+    doc = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": [], "outputs": [], "steps": steps,
+    })
+    return replace(doc, body=replace(doc.body, steps=doc.body.steps[::-1]))
 
 
 def load_expected(name):

@@ -1,6 +1,7 @@
 """Planning: job orders, graph construction, inlining, scatter, guards."""
 
 import pytest
+from conftest import deep_chain
 
 from miniwfl import parser, planner
 from miniwfl.errors import (
@@ -185,6 +186,33 @@ def test_steps_plan_regardless_of_declaration_order(tmp_path):
     ]
     graph = plan(_wf(steps, inputs=[{"id": "f", "type": "File"}]), {"f": fv})
     assert graph.edges == {(("early", "out"), ("late", "x"))}
+
+
+def test_deep_chain_plans_one_layer_per_step():
+    graph = plan(deep_chain(2000), {})
+    assert [graph.nodes[f"s{i:04d}"].layer for i in range(2000)] == \
+        list(range(2000))
+
+
+def test_assign_layers_on_deep_chain_added_last_step_first():
+    tool = parser.parse_raw(dict(TOOL_RAW)).body
+    graph = DataflowGraph()
+    for i in reversed(range(2000)):
+        bindings = {"x": ("edge", (f"t{i - 1}", "out"))} if i else {}
+        graph.nodes[f"t{i}"] = TaskNode(id=f"t{i}", tool=tool,
+                                        bindings=bindings)
+        if i:
+            graph.edges.add(((f"t{i - 1}", "out"), (f"t{i}", "x")))
+    planner._assign_layers(graph)
+    assert [graph.nodes[f"t{i}"].layer for i in range(2000)] == \
+        list(range(2000))
+
+
+def test_toposort_keeps_given_order_among_ready_ids():
+    edges = {("a", "b"), ("c", "d"), ("d", "c"), ("d", "e")}
+    order, rest = planner.toposort(["b", "e", "a", "d", "c", "f"], edges)
+    assert order == ["a", "b", "f"]
+    assert rest == ["e", "d", "c"]
 
 
 # --- scatter expansion ------------------------------------------------------

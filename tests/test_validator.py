@@ -4,10 +4,12 @@ import json
 import random
 
 import pytest
+from conftest import deep_chain
 from hypothesis import given, settings, strategies as st
 
-from miniwfl import parser, validator
+from miniwfl import parser, planner, validator
 from miniwfl.errors import GraphCycleError
+from miniwfl.model import Document, Machine
 from miniwfl.validator import Diagnostic, SupportMatrix
 
 
@@ -81,10 +83,10 @@ def test_unsupported_version_reported():
 
 def test_resource_unsatisfiable():
     doc = _doc(TOOL + "requirements:\n  - {class: ResourceRequirement, coresMin: 4}\n")
-    matrix = SupportMatrix(max_cores=2)
+    matrix = SupportMatrix(machine=Machine(cores=2))
     diags = validator.validate(doc, matrix)
     assert _codes(diags) == ["ResourceUnsatisfiable"]
-    assert validator.validate(doc, SupportMatrix(max_cores=4)) == []
+    assert validator.validate(doc, SupportMatrix(machine=Machine(cores=4))) == []
 
 
 def test_dangling_source_reference():
@@ -207,6 +209,16 @@ def _chain_workflow(edges, n):
     return parser.parse_raw(raw).body
 
 
+def _plan_layers(wf):
+    """Step ids grouped by the layer ``planner.plan`` gives their nodes."""
+    layers = []
+    for tid, node in planner.plan(Document("v1.2", wf), {}).nodes.items():
+        while len(layers) <= node.layer:
+            layers.append(set())
+        layers[node.layer].add(tid)
+    return layers
+
+
 def _oracle_has_cycle(n, edges):
     """Independent check: Kahn's algorithm leaves nodes iff a cycle exists."""
     indeg = {i: 0 for i in range(n)}
@@ -254,6 +266,15 @@ def test_cycle_detection_matches_oracle_on_random_graphs():
         assert bool(validator.check_acyclic(wf)) == expected
 
 
+def test_deep_chain_listed_backwards_validates_clean():
+    assert validator.validate(deep_chain(2000)) == []
+
+
+def test_deep_ring_is_one_cycle():
+    (diag,) = validator.validate(deep_chain(2000, ring=True))
+    assert diag.code == "CycleDetected"
+
+
 def test_cycle_diagnostic_names_the_cycle():
     wf = _chain_workflow([(0, 1), (1, 2), (2, 0)], 3)
     (diag,) = validator.check_acyclic(wf)
@@ -266,7 +287,7 @@ def test_layering_every_edge_crosses_forward():
     for _ in range(50):
         n = rng.randint(2, 8)
         wf = _chain_workflow(sorted(_random_dag_edges(rng, n)), n)
-        layers = validator.layering(wf)
+        layers = _plan_layers(wf)
         index = {}
         for depth, group in enumerate(layers):
             for sid in group:
@@ -279,12 +300,12 @@ def test_layering_every_edge_crosses_forward():
 def test_layering_raises_on_cycle():
     wf = _chain_workflow([(0, 1), (1, 0)], 2)
     with pytest.raises(GraphCycleError):
-        validator.layering(wf)
+        _plan_layers(wf)
 
 
 def test_layering_chain_is_one_step_per_layer():
     wf = _chain_workflow([(0, 1), (1, 2), (2, 3)], 4)
-    layers = validator.layering(wf)
+    layers = _plan_layers(wf)
     assert [sorted(g) for g in layers] == [["s0"], ["s1"], ["s2"], ["s3"]]
 
 
