@@ -383,3 +383,192 @@ def test_events_carry_millisecond_utc_timestamps():
                             event["ts"]), event
     # milliseconds are truncated, never rounded into the next second
     assert iso_time(86400.9999) == "1970-01-02T00:00:00.999Z"
+
+
+# --- pinned event log --------------------------------------------------------
+
+class FakeCache:
+    """In-memory result cache: ``store`` remembers outputs by key and
+    ``republish`` hands them back unchanged."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def lookup(self, key):
+        return self.entries.get(key.key)
+
+    def store(self, key, outputs, source_run_id=""):
+        self.entries[key.key] = outputs
+
+    def republish(self, outputs, dest_dir):
+        return outputs
+
+
+def _fan(tid, xs, **kwargs):
+    bindings = dict(kwargs.pop("bindings", {}))
+    bindings["xs"] = ("lit", list(xs))
+    return _node(tid, scatter=["xs"], bindings=bindings, **kwargs)
+
+
+def _cores(expr):
+    return [Clause(CLAUSE_RESOURCE, {"coresMin": expr})]
+
+
+def _pin_cached():
+    """Warm a fake cache with ``p`` and shards xs=a, xs=b, then run a graph
+    in which those hit and the shard xs=c and the consumer miss."""
+    cache = FakeCache()
+    run(_graph(_node("p"), _fan("fan", ["a", "b"])), RunConfig(),
+        Services(StubRuntime(), cache=cache))
+    graph = _graph(_node("p"), _fan("fan", ["a", "b", "c"]),
+                   _fan("all", ["b", "a"]),
+                   _node("down", deps=["p", "fan"], layer=1),
+                   outputs={"fan": ("edge", ("fan", "out")),
+                            "all": ("edge", ("all", "out"))})
+    return graph, {"cache": cache}
+
+
+def _pin_retries():
+    return (_graph(_node("flaky"), _fan("fan", ["a", "b"], layer=1)),
+            {"retries": 1,
+             "runtime": StubRuntime(temp_fail_counts={"flaky": 1,
+                                                      "fan[1]": 1})})
+
+
+def _pin_failure(on_error):
+    def build():
+        return (_graph(_node("bad"), _node("down", deps=["bad"], layer=1),
+                       _node("indep", layer=1)),
+                {"on_error": on_error, "runtime": StubRuntime(fail={"bad"})})
+    return build
+
+
+PIN_SCENARIOS = {
+    "chain": lambda: (_graph(_node("a"), _node("b", deps=["a"], layer=1),
+                             _node("c", deps=["b"], layer=2)), {}),
+    "guard_skip": lambda: (_graph(
+        _node("maybe", guard="$(inputs.go)", bindings={"go": ("lit", False)}),
+        _node("down", deps=["maybe"], layer=1)), {}),
+    "shard_guards": lambda: (_graph(
+        _fan("fan", ["go", "stop", "go"], guard="$(inputs.xs == 'go')"),
+        _node("down", deps=["fan"], layer=1),
+        outputs={"fan": ("edge", ("fan", "out"))}), {}),
+    "width_zero": lambda: (_graph(
+        _fan("fan", []), _node("down", deps=["fan"], layer=1),
+        outputs={"fan": ("edge", ("fan", "out")),
+                 "down": ("edge", ("down", "out"))}), {}),
+    "retries": _pin_retries,
+    "fail_stop": _pin_failure("stop"),
+    "fail_continue": _pin_failure("continue"),
+    "shard_failure": lambda: (_graph(
+        _fan("fan", ["a", "b", "c"]), _node("down", deps=["fan"], layer=1),
+        _node("indep", layer=1)),
+        {"on_error": "continue", "runtime": StubRuntime(fail={"fan[1]"})}),
+    "oversized": lambda: (_graph(
+        _node("huge", requirements=_cores(64)),
+        _fan("fan", [1, 64, 1], requirements=_cores("$(inputs.xs)")),
+        _node("small", layer=1)),
+        {"on_error": "continue", "machine": Machine(cores=2)}),
+    "cached": _pin_cached,
+}
+
+PIN_EXPECTED = {
+    "chain": (
+        "Success",
+        ["a Ready 0", "a Running 1", "a Succeeded 1", "b Ready 0",
+         "b Running 1", "b Succeeded 1", "c Ready 0", "c Running 1",
+         "c Succeeded 1"],
+        {"a": "Succeeded", "b": "Succeeded", "c": "Succeeded"},
+        {}),
+    "guard_skip": (
+        "Success",
+        ["maybe Skipped 0", "down Ready 0", "down Running 1",
+         "down Succeeded 1"],
+        {"down": "Succeeded", "maybe": "Skipped"},
+        {}),
+    "shard_guards": (
+        "Success",
+        ["fan Ready 0", "fan Running 0", "fan[1] Skipped 0",
+         "fan[0] Running 1", "fan[0] Succeeded 1", "fan[2] Running 1",
+         "fan[2] Succeeded 1", "fan Succeeded 0", "down Ready 0",
+         "down Running 1", "down Succeeded 1"],
+        {"down": "Succeeded", "fan": "Succeeded", "fan[0]": "Succeeded",
+         "fan[1]": "Skipped", "fan[2]": "Succeeded"},
+        {"fan": ["fan[0]-value", None, "fan[2]-value"]}),
+    "width_zero": (
+        "Success",
+        ["fan Ready 0", "fan Running 0", "fan Succeeded 0", "down Ready 0",
+         "down Running 1", "down Succeeded 1"],
+        {"down": "Succeeded", "fan": "Succeeded"},
+        {"fan": [], "down": "down-value"}),
+    "retries": (
+        "Success",
+        ["fan Ready 0", "fan Running 0", "flaky Ready 0", "flaky Running 1",
+         "flaky Running 2", "flaky Succeeded 2", "fan[0] Running 1",
+         "fan[0] Succeeded 1", "fan[1] Running 1", "fan[1] Running 2",
+         "fan[1] Succeeded 2", "fan Succeeded 0"],
+        {"fan": "Succeeded", "fan[0]": "Succeeded", "fan[1]": "Succeeded",
+         "flaky": "Succeeded"},
+        {}),
+    "fail_stop": (
+        "PermanentFail",
+        ["bad Ready 0", "indep Ready 0", "bad Running 1", "bad Failed 0"],
+        {"bad": "Failed", "indep": "Ready"},
+        {}),
+    "fail_continue": (
+        "PermanentFail",
+        ["bad Ready 0", "indep Ready 0", "bad Running 1", "bad Failed 0",
+         "indep Running 1", "indep Succeeded 1"],
+        {"bad": "Failed", "indep": "Succeeded"},
+        {}),
+    "shard_failure": (
+        "PermanentFail",
+        ["fan Ready 0", "fan Running 0", "indep Ready 0", "fan[0] Running 1",
+         "fan[0] Succeeded 1", "fan[1] Running 1", "fan[1] Failed 1",
+         "fan Failed 0", "indep Running 1", "indep Succeeded 1"],
+        {"fan": "Failed", "fan[0]": "Succeeded", "fan[1]": "Failed",
+         "fan[2]": "Pending", "indep": "Succeeded"},
+        {}),
+    "oversized": (
+        "PermanentFail",
+        ["fan Ready 0", "fan Running 0", "fan Failed 0", "huge Ready 0",
+         "huge Failed 0", "small Ready 0", "small Running 1",
+         "small Succeeded 1"],
+        {"fan": "Failed", "fan[0]": "Pending", "fan[1]": "Pending",
+         "huge": "Failed", "small": "Succeeded"},
+        {}),
+    "cached": (
+        "Success",
+        ["all Ready 0", "all Running 0", "fan Ready 0", "fan Running 0",
+         "p Ready 0", "all[0] Cached 0", "all[1] Cached 0", "all Cached 0",
+         "fan[0] Cached 0", "fan[1] Cached 0", "fan[2] Running 1",
+         "fan[2] Succeeded 1", "fan Succeeded 0", "p Cached 0", "down Ready 0",
+         "down Running 1", "down Succeeded 1"],
+        {"all": "Cached", "all[0]": "Cached", "all[1]": "Cached",
+         "down": "Succeeded", "fan": "Succeeded", "fan[0]": "Cached",
+         "fan[1]": "Cached", "fan[2]": "Succeeded", "p": "Cached"},
+        {"fan": ["fan[0]-value", "fan[1]-value", "fan[2]-value"],
+         "all": ["fan[1]-value", "fan[0]-value"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SCENARIOS))
+def test_event_log_and_task_states_are_pinned(name):
+    """The coordinator's whole observable trace for each scenario, serial so
+    that completions cannot interleave."""
+    from miniwfl import provenance
+    graph, kwargs = PIN_SCENARIOS[name]()
+    runtime = kwargs.pop("runtime", None) or StubRuntime()
+    cache = kwargs.pop("cache", None)
+    result = run(graph, RunConfig(parallelism=1, **kwargs),
+                 Services(runtime, cache=cache))
+    record = provenance.build_record(result, "", {})
+    status, events, states, outputs = PIN_EXPECTED[name]
+    assert result.status == status
+    assert [f"{e['task']} {e['transition']} {e['attempt']}"
+            for e in result.event_log] == events
+    assert {tid: task["state"]
+            for tid, task in record["tasks"].items()} == states
+    assert all(task["cached"] == (task["state"] == planner.CACHED)
+               for task in record["tasks"].values())
+    assert result.outputs == outputs
