@@ -120,7 +120,6 @@ def cmd_run(args) -> int:
     cfg = scheduler.RunConfig(
         parallelism=max(1, args.parallel),
         retries=args.retries,
-        enable_reuse=not args.no_reuse,
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
@@ -138,9 +137,9 @@ def cmd_run(args) -> int:
     obj = {k: planner.value_to_json(v) for k, v in sorted(outputs.items())}
     print(json.dumps(obj, indent=2, sort_keys=True))
     if result.status != "Success":
-        for tid, info in sorted(result.tasks.items()):
-            if info.get("error"):
-                print(f"miniwfl: task {tid} failed: {info['error']}",
+        for tid, task in sorted(result.tasks.items()):
+            if task.error:
+                print(f"miniwfl: task {tid} failed: {task.error}",
                       file=sys.stderr)
         return EXIT_RUN_FAILED
     return EXIT_OK

@@ -454,14 +454,15 @@ def apply_guard(node: TaskNode, ctx: EvalContext) -> str:
     return PROCEED if eval_guard(node.guard, ctx) else SKIP
 
 
-def ready_set(graph: DataflowGraph, published: dict):
-    """Pending nodes whose incoming edges all carry published values."""
+def ready_set(graph: DataflowGraph, published: dict, candidates) -> set:
+    """The candidate ids whose nodes are pending and whose incoming edges
+    all carry published values."""
     ready = set()
-    for tid, node in graph.nodes.items():
-        if node.state != PENDING:
-            continue
-        deps = [b[1] for b in node.bindings.values() if b[0] == "edge"]
-        if all(d in published for d in deps):
+    for tid in candidates:
+        node = graph.nodes[tid]
+        if node.state == PENDING and all(
+                b[1] in published for b in node.bindings.values()
+                if b[0] == "edge"):
             ready.add(tid)
     return ready
 

@@ -47,16 +47,16 @@ def build_record(result, workflow_digest: str, job: dict,
     """Assemble the provenance record for a finished run (any status)."""
     run_id = run_id or uuid.uuid4().hex
     tasks = {}
-    for task_id, info in sorted(result.tasks.items()):
+    for task_id, task in sorted(result.tasks.items()):
         tasks[task_id] = {
-            "toolDigest": info.get("toolDigest"),
-            "state": info["state"],
-            "cached": info.get("cached", False),
-            "attempts": [_attempt_record(a) for a in info.get("attempts", [])],
+            "toolDigest": task.tool_digest,
+            "state": task.state,
+            "cached": task.cached,
+            "attempts": [_attempt_record(a) for a in task.attempts],
             "inputs": {k: _value_record(v)
-                       for k, v in sorted(info.get("inputs", {}).items())},
+                       for k, v in sorted(task.inputs.items())},
             "outputs": {k: _value_record(v)
-                        for k, v in sorted((info.get("outputs") or {}).items())},
+                        for k, v in sorted((task.outputs or {}).items())},
         }
     return {
         "runId": run_id,

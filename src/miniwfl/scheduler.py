@@ -2,21 +2,26 @@
 
 One coordinator thread owns all graph state; attempts run in worker threads
 (each blocking on its own subprocess) and report back through a queue.
-Admission is deterministic first-fit in (layer, task-id) order under both a
-parallelism bound and the machine's resource capacity, so runs are
-reproducible regardless of completion interleaving.
 
-A scattered node stays a single graph node; its shards are independent work
-units sharing the node's completion.
+Readiness is incremental: publishing an output makes only the nodes that
+read it candidates, and only candidates are checked, in id order.  A ready
+node becomes work units (one for a plain node, one per shard for a
+scattered node, which stays a single graph node) that all take the same
+path: guard, resources, a heap ordered by (layer, task id), admission,
+cache lookup or a worker, and one completion routine.  Admission pops the
+first-fit units under both a parallelism bound and the machine's resource
+capacity, so runs are reproducible regardless of completion interleaving,
+and the coordinator's cost grows linearly with tasks and shards.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import planner
@@ -59,7 +64,6 @@ class RunConfig:
     parallelism: int = 1
     retries: int = 0
     machine: Machine = field(default_factory=Machine)
-    enable_reuse: bool = True
     on_error: str = "stop"  # or "continue"
 
     def __post_init__(self):
@@ -78,11 +82,24 @@ class Services:
 
 
 @dataclass
+class TaskRecord:
+    """What a run recorded about one task or scatter shard."""
+
+    state: str = PENDING
+    cached: bool = False
+    attempts: list = field(default_factory=list)
+    inputs: dict = field(default_factory=dict)
+    outputs: Optional[dict] = None
+    tool_digest: Optional[str] = None
+    error: Optional[str] = None
+
+
+@dataclass
 class RunResult:
     status: str  # Success | PermanentFail
     outputs: dict
     event_log: list
-    tasks: dict
+    tasks: dict  # task or shard id -> TaskRecord
 
 
 def classify_failure(attempt) -> str:
@@ -116,42 +133,10 @@ def resolve_resources(node: TaskNode, bindings: dict, machine: Machine) -> dict:
     return resources
 
 
-def fits_machine(resources: dict, machine: Machine) -> bool:
-    return (resources["coresMin"] <= machine.cores
-            and resources["ramMin"] <= machine.ram_mib
-            and resources["diskMin"] <= machine.disk_mib)
-
-
-@dataclass
-class _Scatter:
-    """Progress of a scattered node's shards."""
-
-    width: int
-    results: list  # per shard: its outputs, or None until it finishes
-    done: int = 0
-    cached: int = 0
-    skipped: int = 0
-
-
-@dataclass
-class _Unit:
-    """One admissible execution: a plain node or a single scatter shard."""
-
-    node: TaskNode        # graph node (completion owner)
-    exec_node: TaskNode   # what actually runs (shard for scatters)
-    bindings: dict
-    resources: dict
-    shard_index: Optional[int] = None
-    attempt: int = 1
-    key: Optional[CacheKey] = None  # set by the cache lookup, reused by store
-
-    @property
-    def sort_key(self):
-        return (self.node.layer, self.exec_node.id)
-
-
 @dataclass
 class _Ledger:
+    """Work admitted and not yet finished."""
+
     running: int = 0
     cores: int = 0
     ram: int = 0
@@ -170,26 +155,61 @@ class _Ledger:
         self.disk -= res["diskMin"]
 
 
-def admission(ready_units: list, ledger: _Ledger, cfg: RunConfig) -> list:
-    """Deterministic first-fit prefix of the ready units that fits the
-    parallelism and capacity budget.  Does not mutate the ledger."""
-    admitted = []
-    running = ledger.running
-    cores = ledger.cores
-    ram = ledger.ram
-    disk = ledger.disk
-    for unit in sorted(ready_units, key=lambda u: u.sort_key):
-        if running >= cfg.parallelism:
-            break
-        res = unit.resources
-        if (cores + res["coresMin"] <= cfg.machine.cores
-                and ram + res["ramMin"] <= cfg.machine.ram_mib
-                and disk + res["diskMin"] <= cfg.machine.disk_mib):
+_IDLE = _Ledger()
+
+
+def fits_machine(resources: dict, machine: Machine,
+                 used: _Ledger = _IDLE) -> bool:
+    """Whether ``resources`` fit on ``machine`` next to the ``used`` work."""
+    return (used.cores + resources["coresMin"] <= machine.cores
+            and used.ram + resources["ramMin"] <= machine.ram_mib
+            and used.disk + resources["diskMin"] <= machine.disk_mib)
+
+
+@dataclass
+class _Scatter:
+    """Progress of a scattered node's shards."""
+
+    width: int
+    results: list  # per shard: its outputs, or None until it finishes
+    done: int = 0
+    cached: int = 0
+    skipped: int = 0
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One admissible execution, ordered by (layer, exec id): a plain node,
+    whose ``exec_node`` is the node itself, or a single scatter shard."""
+
+    node: TaskNode        # graph node (completion owner)
+    exec_node: TaskNode   # what actually runs (shard for scatters)
+    bindings: dict
+    resources: Optional[dict] = None
+    shard_index: Optional[int] = None
+    attempt: int = 1
+    key: Optional[CacheKey] = None  # set by the cache lookup, reused by store
+
+    def __lt__(self, other: "_Unit") -> bool:
+        return ((self.node.layer, self.exec_node.id)
+                < (other.node.layer, other.exec_node.id))
+
+
+def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
+    """Pop the deterministic first-fit prefix of the ``heap`` of units that
+    fits the parallelism and capacity budget; units passed over go back on
+    the heap.  Does not mutate the ledger."""
+    budget = replace(ledger)
+    admitted, passed = [], []
+    while heap and budget.running < cfg.parallelism:
+        unit = heapq.heappop(heap)
+        if fits_machine(unit.resources, cfg.machine, budget):
+            budget.admitting(unit.resources)
             admitted.append(unit)
-            running += 1
-            cores += res["coresMin"]
-            ram += res["ramMin"]
-            disk += res["diskMin"]
+        else:
+            passed.append(unit)
+    for unit in passed:
+        heapq.heappush(heap, unit)
     return admitted
 
 
@@ -200,8 +220,8 @@ class _Coordinator:
         self.services = services
         self.published = {}
         self.events = []
-        self.tasks = {}
-        self.admissible = []
+        self.tasks = {}  # task or shard id -> TaskRecord
+        self.admissible = []  # heap of _Unit
         self.ledger = _Ledger()
         self.completions = queue.Queue()
         self.stop_admission = False
@@ -209,6 +229,13 @@ class _Coordinator:
         self.scatters = {}  # node id -> _Scatter
         self.run_id = ""
         self._tool_digests = {}
+        # (producer id, output id) -> ids of the nodes that read it
+        self.readers = {}
+        for node in graph.nodes.values():
+            for kind, source in node.bindings.values():
+                if kind == "edge":
+                    self.readers.setdefault(source, []).append(node.id)
+        self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -220,12 +247,6 @@ class _Coordinator:
             "attempt": attempt,
         })
 
-    def task_info(self, task_id: str) -> dict:
-        return self.tasks.setdefault(task_id, {
-            "state": PENDING, "cached": False, "attempts": [],
-            "inputs": {}, "outputs": None, "toolDigest": None,
-        })
-
     def tool_digest(self, node: TaskNode) -> str:
         if node.id not in self._tool_digests:
             self._tool_digests[node.id] = digest_tool(node.tool)
@@ -233,23 +254,32 @@ class _Coordinator:
 
     def set_state(self, node: TaskNode, state: str, attempt: int = 0):
         node.transition(state)
-        self.task_info(node.id)["state"] = state
+        self.tasks[node.id].state = state
         self.log(node.id, state, attempt)
+
+    def mark(self, unit: _Unit, state: str, attempt: int = 0):
+        if unit.exec_node is unit.node:
+            self.set_state(unit.node, state, attempt)
+        else:
+            self.tasks[unit.exec_node.id].state = state
+            self.log(unit.exec_node.id, state, attempt)
 
     def publish(self, node: TaskNode, outputs: dict):
         for out in node.tool.outputs:
-            self.published[(node.id, out.id)] = outputs.get(out.id)
+            key = (node.id, out.id)
+            self.published[key] = outputs.get(out.id)
+            self.candidates.update(self.readers.get(key, ()))
 
     # -- readiness ----------------------------------------------------------
 
     def process_readiness(self):
-        # Loop to a fixpoint: skipped steps and width-0 scatters publish
-        # outputs immediately, which can make their consumers ready in turn.
-        while True:
-            ready = sorted(ready_set(self.graph, self.published))
-            if not ready:
-                return
-            for tid in ready:
+        # Rounds in id order until no candidate is ready: skipped steps and
+        # width-0 scatters publish outputs immediately, which can make their
+        # readers ready in turn.
+        while self.candidates:
+            candidates, self.candidates = self.candidates, set()
+            for tid in sorted(ready_set(self.graph, self.published,
+                                        candidates)):
                 node = self.graph.nodes[tid]
                 try:
                     self._make_ready(node)
@@ -259,93 +289,80 @@ class _Coordinator:
 
     def _make_ready(self, node: TaskNode):
         bindings = resolved_bindings(node, self.published)
-        info = self.task_info(node.id)
-        info["inputs"] = bindings
-        info["toolDigest"] = self.tool_digest(node)
-
-        if node.scatter:
-            self._make_scatter_ready(node, bindings)
-            return
-
-        if node.guard is not None:
-            ctx = EvalContext(inputs=bindings, runtime={})
-            if apply_guard(node, ctx) == planner.SKIP:
-                self.set_state(node, SKIPPED)
-                outputs = {out.id: None for out in node.tool.outputs}
-                info["outputs"] = outputs
-                self.publish(node, outputs)
-                return
-
-        self.set_state(node, READY)
-        resources = resolve_resources(node, bindings, self.cfg.machine)
-        if not fits_machine(resources, self.cfg.machine):
-            self._fail_node(
-                node, f"declared resource minima {resources} exceed machine "
-                      f"capacity")
-            return
-        self.admissible.append(_Unit(node=node, exec_node=node,
-                                     bindings=bindings, resources=resources))
-
-    def _make_scatter_ready(self, node: TaskNode, bindings: dict):
-        shards, width = expand_scatter(node, bindings)
-        self.set_state(node, READY)
-        self.set_state(node, RUNNING)
-        scatter = self.scatters[node.id] = _Scatter(width, [None] * width)
-        if width == 0:
-            self._finalize_scatter(node)
-            return
-        for i, shard in enumerate(shards):
-            shard_bindings = {k: b[1] for k, b in shard.bindings.items()}
-            shard_info = self.task_info(shard.id)
-            shard_info["inputs"] = shard_bindings
-            shard_info["toolDigest"] = self.tool_digest(node)
-            if shard.guard is not None:
-                ctx = EvalContext(inputs=shard_bindings, runtime={})
-                if apply_guard(shard, ctx) == planner.SKIP:
-                    shard_info["state"] = SKIPPED
-                    self.log(shard.id, SKIPPED)
-                    outputs = {out.id: None for out in node.tool.outputs}
-                    shard_info["outputs"] = outputs
-                    scatter.results[i] = outputs
-                    scatter.done += 1
-                    scatter.skipped += 1
-                    continue
-            resources = resolve_resources(shard, shard_bindings,
-                                          self.cfg.machine)
-            if not fits_machine(resources, self.cfg.machine):
-                self._fail_node(node,
-                                f"shard {shard.id}: resource minima exceed "
-                                f"machine capacity")
-                return
-            self.admissible.append(_Unit(node=node, exec_node=shard,
-                                         bindings=shard_bindings,
-                                         resources=resources, shard_index=i))
-        if scatter.done == width:
-            self._finalize_scatter(node)
-
-    def _finalize_scatter(self, node: TaskNode):
-        scatter = self.scatters[node.id]
-        outputs = {}
-        for out in node.tool.outputs:
-            outputs[out.id] = [
-                (r or {}).get(out.id) for r in scatter.results]
-        info = self.task_info(node.id)
-        executed = scatter.width - scatter.skipped
-        if executed > 0 and scatter.cached == executed:
-            self.set_state(node, CACHED)
-            info["cached"] = True
+        self.tasks[node.id] = TaskRecord(inputs=bindings,
+                                         tool_digest=self.tool_digest(node))
+        if not node.scatter:
+            units = [_Unit(node, node, bindings)]
         else:
-            self.set_state(node, SUCCEEDED)
-        info["outputs"] = outputs
-        self.publish(node, outputs)
+            shards, width = expand_scatter(node, bindings)
+            self.set_state(node, READY)
+            self.set_state(node, RUNNING)
+            self.scatters[node.id] = _Scatter(width, [None] * width)
+            if width == 0:
+                self._finish_scatter(node)
+            units = [_Unit(node, shard,
+                           {k: b[1] for k, b in shard.bindings.items()},
+                           shard_index=i)
+                     for i, shard in enumerate(shards)]
+
+        for unit in units:
+            task = unit.exec_node
+            if task is not node:
+                self.tasks[task.id] = TaskRecord(
+                    inputs=unit.bindings, tool_digest=self.tool_digest(node))
+            ctx = EvalContext(inputs=unit.bindings, runtime={})
+            if apply_guard(task, ctx) == planner.SKIP:
+                self._finish(unit, SKIPPED, 0,
+                             {out.id: None for out in node.tool.outputs})
+                continue
+            if task is node:
+                self.set_state(node, READY)
+            unit.resources = resolve_resources(task, unit.bindings,
+                                               self.cfg.machine)
+            if not fits_machine(unit.resources, self.cfg.machine):
+                what = (f"declared resource minima {unit.resources} exceed"
+                        if task is node else
+                        f"shard {task.id}: resource minima exceed")
+                self._fail_node(node, f"{what} machine capacity")
+                return
+            heapq.heappush(self.admissible, unit)
+
+    def _finish(self, unit: _Unit, state: str, attempt: int, outputs: dict):
+        """Record a unit that ended with outputs (skipped, cached or
+        succeeded) and publish them, or fill in its scatter."""
+        record = self.tasks[unit.exec_node.id]
+        record.outputs = outputs
+        record.cached = state == CACHED
+        self.mark(unit, state, attempt)
+        if unit.exec_node is unit.node:
+            self.publish(unit.node, outputs)
+            return
+        scatter = self.scatters[unit.node.id]
+        scatter.results[unit.shard_index] = outputs
+        scatter.done += 1
+        scatter.cached += state == CACHED
+        scatter.skipped += state == SKIPPED
+        if scatter.done == scatter.width and unit.node.state != FAILED:
+            self._finish_scatter(unit.node)
+
+    def _finish_scatter(self, node: TaskNode):
+        scatter = self.scatters[node.id]
+        outputs = {out.id: [(r or {}).get(out.id) for r in scatter.results]
+                   for out in node.tool.outputs}
+        executed = scatter.width - scatter.skipped
+        state = (CACHED if executed > 0 and scatter.cached == executed
+                 else SUCCEEDED)
+        # the scatter node finishes as a unit of its own
+        self._finish(_Unit(node, node, {}), state, 0, outputs)
 
     def _fail_node(self, node: TaskNode, error: str):
         if node.state != FAILED:
-            self.task_info(node.id)["error"] = error
+            self.tasks[node.id].error = error
             self.set_state(node, FAILED)
             if self.cfg.on_error == "stop":
                 self.stop_admission = True
         self.admissible = [u for u in self.admissible if u.node is not node]
+        heapq.heapify(self.admissible)
 
     # -- admission / completion --------------------------------------------
 
@@ -358,7 +375,6 @@ class _Coordinator:
                 return
             cache_hit = False
             for unit in admitted:
-                self.admissible.remove(unit)
                 if self._try_cache(unit):
                     cache_hit = True
                 else:
@@ -373,7 +389,7 @@ class _Coordinator:
 
     def _try_cache(self, unit: _Unit) -> bool:
         cache = self.services.cache
-        if cache is None or not self.cfg.enable_reuse:
+        if cache is None:
             return False
         if unit.key is None:
             unit.key = cache_key(unit.exec_node, unit.bindings,
@@ -384,30 +400,11 @@ class _Coordinator:
         dest = os.path.join(getattr(self.services.runtime, "work_root", "."),
                             "cached",
                             unit.exec_node.id.replace("/", "_"))
-        outputs = cache.republish(hit, dest)
-        info = self.task_info(unit.exec_node.id)
-        info["cached"] = True
-        info["outputs"] = outputs
-        if unit.shard_index is not None:
-            info["state"] = CACHED
-            self.log(unit.exec_node.id, CACHED)
-            scatter = self.scatters[unit.node.id]
-            scatter.results[unit.shard_index] = outputs
-            scatter.done += 1
-            scatter.cached += 1
-            if scatter.done == scatter.width:
-                self._finalize_scatter(unit.node)
-        else:
-            self.set_state(unit.node, CACHED)
-            self.publish(unit.node, outputs)
+        self._finish(unit, CACHED, 0, cache.republish(hit, dest))
         return True
 
     def _start(self, unit: _Unit, pool):
-        if unit.shard_index is None and unit.node.state == READY:
-            self.set_state(unit.node, RUNNING, unit.attempt)
-        else:
-            self.log(unit.exec_node.id, RUNNING, unit.attempt)
-            self.task_info(unit.exec_node.id)["state"] = RUNNING
+        self.mark(unit, RUNNING, unit.attempt)
         self.ledger.admitting(unit.resources)
         self.in_flight += 1
 
@@ -435,44 +432,25 @@ class _Coordinator:
     def handle_completion(self, unit: _Unit, result):
         self.ledger.releasing(unit.resources)
         self.in_flight -= 1
-        info = self.task_info(unit.exec_node.id)
-        info["attempts"].append(result.attempt)
+        record = self.tasks[unit.exec_node.id]
+        record.attempts.append(result.attempt)
 
         if result.outputs is not None:
-            self._complete_success(unit, result.outputs)
+            self._finish(unit, SUCCEEDED, unit.attempt, result.outputs)
             return
 
         if (classify_failure(result.attempt) == TEMPORARY
                 and unit.attempt <= self.cfg.retries):
             unit.attempt += 1
-            self.admissible.append(unit)
+            heapq.heappush(self.admissible, unit)
             return
 
-        info["error"] = result.attempt.error
-        if unit.shard_index is not None:
-            info["state"] = FAILED
-            self.log(unit.exec_node.id, FAILED, unit.attempt)
-            self._fail_node(unit.node, f"shard {unit.exec_node.id} failed: "
-                                       f"{result.attempt.error}")
-        else:
-            self._fail_node(unit.node, result.attempt.error or "task failed")
-
-    def _complete_success(self, unit: _Unit, outputs: dict):
-        info = self.task_info(unit.exec_node.id)
-        info["outputs"] = outputs
-        if unit.shard_index is not None:
-            info["state"] = SUCCEEDED
-            self.log(unit.exec_node.id, SUCCEEDED, unit.attempt)
-            scatter = self.scatters[unit.node.id]
-            scatter.results[unit.shard_index] = outputs
-            scatter.done += 1
-            if unit.node.state == FAILED:
-                return
-            if scatter.done == scatter.width:
-                self._finalize_scatter(unit.node)
-        else:
-            self.set_state(unit.node, SUCCEEDED, unit.attempt)
-            self.publish(unit.node, outputs)
+        error = record.error = result.attempt.error
+        if unit.exec_node is not unit.node:
+            # a failed plain node is logged by _fail_node, with attempt 0
+            self.mark(unit, FAILED, unit.attempt)
+            error = f"shard {unit.exec_node.id} failed: {error}"
+        self._fail_node(unit.node, error or "task failed")
 
     # -- main loop ----------------------------------------------------------
 

@@ -27,8 +27,7 @@ def _api_run(doc, job, work_root, parallelism=2, retries=0, cache=None,
     graph = planner.plan(doc, job)
     runtime = LocalRuntime(str(work_root), use_containers=use_containers)
     cfg = RunConfig(parallelism=parallelism, retries=retries,
-                    machine=Machine(cores=cores),
-                    enable_reuse=cache is not None)
+                    machine=Machine(cores=cores))
     result = scheduler.run(graph, cfg, Services(runtime, cache))
     return result, runtime
 
@@ -310,7 +309,7 @@ def test_failure_semantics_attempt_budget(tmp_path, k, retries):
     counter = str(tmp_path / "counter")
     result, _ = _api_run(doc, {"counter": counter}, tmp_path / "w",
                          retries=retries)
-    attempts = result.tasks["flaky"]["attempts"]
+    attempts = result.tasks["flaky"].attempts
     assert len(attempts) == min(k, retries) + 1
     expect_success = retries >= k
     assert (result.status == "Success") == expect_success

@@ -228,7 +228,7 @@ def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
     assert result.status == "Success"
     assert open(result.outputs["a"].path).read() == "alpha\n"
     assert open(result.outputs["b"].path).read() == "beta\n"
-    assert result.tasks["b"]["cached"] is False
+    assert result.tasks["b"].cached is False
 
 
 def _entry_payload(cache_dir, key):

@@ -274,11 +274,14 @@ def test_ready_set_tracks_published_values(tmp_path):
     # c's second binding is type-sloppy but the plan shape is what matters here
     doc_steps = list(doc.body.steps)
     graph = plan(doc, {"f": _fv(tmp_path)})
-    assert ready_set(graph, {}) == {"a", "b"}
-    assert ready_set(graph, {("a", "out"): "v"}) == {"a", "b"}
+    assert ready_set(graph, {}, graph.nodes) == {"a", "b"}
+    assert ready_set(graph, {("a", "out"): "v"}, graph.nodes) == {"a", "b"}
+    # only the candidates are checked
+    assert ready_set(graph, {}, ["b", "c"]) == {"b"}
     graph.nodes["a"].state = planner.SUCCEEDED
     graph.nodes["b"].state = planner.SUCCEEDED
-    assert ready_set(graph, {("a", "out"): "v", ("b", "out"): "w"}) == {"c"}
+    assert ready_set(graph, {("a", "out"): "v", ("b", "out"): "w"},
+                     graph.nodes) == {"c"}
     assert doc_steps  # silence lint: parsed steps remain immutable
 
 

@@ -1,5 +1,6 @@
 """Scheduling: admission, retries, failure policy, scatter completion."""
 
+import heapq
 import threading
 import time
 
@@ -115,6 +116,7 @@ def _units(spec):
         res = {"coresMin": cores, "ramMin": 1, "diskMin": 0}
         out.append(_Unit(node=node, exec_node=node, bindings={},
                          resources=res))
+    heapq.heapify(out)
     return out
 
 def test_admission_respects_core_capacity():
@@ -219,7 +221,7 @@ def test_temporary_failures_retry_until_budget():
     result = _run(g, rt, retries=3)
     assert result.status == "Success"
     assert rt.calls == [("flaky", 1), ("flaky", 2), ("flaky", 3)]
-    attempts = result.tasks["flaky"]["attempts"]
+    attempts = result.tasks["flaky"].attempts
     assert len(attempts) == 3
 
 
@@ -237,7 +239,7 @@ def test_permanent_failure_never_retries():
     result = _run(g, rt, retries=5)
     assert result.status == "PermanentFail"
     assert rt.calls == [("bad", 1)]
-    assert result.tasks["bad"]["state"] == planner.FAILED
+    assert result.tasks["bad"].state == planner.FAILED
 
 
 def test_on_error_stop_skips_downstream_and_independent_work():
@@ -268,7 +270,7 @@ def test_skipped_guard_publishes_nulls():
     rt = StubRuntime()
     result = _run(g, rt)
     assert result.status == "Success"
-    assert result.tasks["maybe"]["state"] == planner.SKIPPED
+    assert result.tasks["maybe"].state == planner.SKIPPED
     assert result.outputs == {"o": None}
     assert ("maybe", 1) not in rt.calls
     assert ("down", 1) in rt.calls  # consumes the published null
@@ -280,7 +282,7 @@ def test_guard_true_runs_normally():
     rt = StubRuntime()
     result = _run(g, rt)
     assert rt.calls == [("maybe", 1)]
-    assert result.tasks["maybe"]["state"] == planner.SUCCEEDED
+    assert result.tasks["maybe"].state == planner.SUCCEEDED
 
 
 def test_guard_type_error_fails_node():
@@ -299,7 +301,7 @@ def test_scatter_shards_gather_in_index_order():
     assert result.status == "Success"
     assert result.outputs == {
         "all": ["fan[0]-value", "fan[1]-value", "fan[2]-value"]}
-    assert result.tasks["fan"]["state"] == planner.SUCCEEDED
+    assert result.tasks["fan"].state == planner.SUCCEEDED
 
 
 def test_scatter_width_zero_completes_without_spawns():
@@ -318,7 +320,7 @@ def test_scatter_shard_failure_fails_the_node():
     rt = StubRuntime(fail={"fan[1]"})
     result = _run(g, rt, parallelism=2)
     assert result.status == "PermanentFail"
-    assert result.tasks["fan"]["state"] == planner.FAILED
+    assert result.tasks["fan"].state == planner.FAILED
 
 
 def test_scatter_length_mismatch_fails_at_readiness():
@@ -572,3 +574,34 @@ def test_event_log_and_task_states_are_pinned(name):
     assert all(task["cached"] == (task["state"] == planner.CACHED)
                for task in record["tasks"].values())
     assert result.outputs == outputs
+
+
+# --- coordinator cost ------------------------------------------------------
+
+def _scatter(width):
+    return _graph(_fan("fan", [str(i) for i in range(width)]))
+
+
+def _chain(length):
+    return _graph(*[_node(f"s{i}", deps=[f"s{i - 1}"] if i else [], layer=i)
+                    for i in range(length)])
+
+
+def _best_of_3(build, size):
+    """Fastest of three runs over the stub runtime, whose tasks cost
+    nothing, so the time is the coordinator's own."""
+    times = []
+    for _ in range(3):
+        graph = build(size)
+        started = time.perf_counter()
+        assert _run(graph).status == "Success"
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+@pytest.mark.parametrize("build, small, large",
+                         [(_scatter, 1000, 4000), (_chain, 500, 2000)])
+def test_coordinator_cost_grows_linearly(build, small, large):
+    # 4x the units: about 4x the time when linear, 16x when quadratic
+    ratio = _best_of_3(build, large) / _best_of_3(build, small)
+    assert ratio < 7, f"{large} units took {ratio:.1f}x the time of {small}"
