@@ -3,30 +3,32 @@
 Keys are built from what an execution *is* — tool digest, input content
 digests, every effective requirement and hint (step-level overrides
 included) and the resolved resources — never from absolute paths,
-timestamps, or host names.  Layout on disk:
-``<cache-dir>/<first-2-hex>/<key>/entry.json`` plus a ``files/`` payload
-directory, human-inspectable.
+timestamps, or host names.  Layout on disk, two flat directories:
+``ac/<key>.json`` is one entry, and ``cas/<sha256>`` one payload file,
+named by its checksum and shared by every entry holding those bytes.
+Entries of the older ``<first-2-hex>/<key>/`` layout are never read: they
+miss, and can be deleted by hand.
 
 Payload files are hard links to the outputs the run collected under its
 ``.work`` directory (copies where the cache sits on another filesystem),
 so an edit to either name changes both.  ``lookup`` therefore re-hashes
-every payload file on each hit and evicts an entry that no longer matches.
+every payload file on each hit, and evicts an entry that no longer
+matches along with the payload file that failed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import model, parser
 from .planner import FileValue, TaskNode, file_checksum, map_files
-from .runtime import link_or_copy, stage_out
+from .runtime import link_or_copy, stage_out, write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -87,17 +89,18 @@ def cache_key(node: TaskNode, bindings: dict,
     )
 
 
-def _entry_to_value(value, files_dir):
+def _entry_to_value(value, cas_dir):
     if isinstance(value, dict) and value.get("class") == "File":
         return FileValue(
-            path=os.path.join(files_dir, value["store"]),
+            # basename: a damaged entry cannot name a path outside cas/
+            path=os.path.join(cas_dir, os.path.basename(value["checksum"])),
             basename=value["basename"],
             size=value["size"],
             checksum=value["checksum"],
             format=value.get("format"),
         )
     if isinstance(value, list):
-        return [_entry_to_value(v, files_dir) for v in value]
+        return [_entry_to_value(v, cas_dir) for v in value]
     return value
 
 
@@ -106,10 +109,11 @@ class ResultCache:
 
     def __init__(self, cache_dir: str):
         self.cache_dir = os.path.abspath(cache_dir)
+        self.ac_dir = os.path.join(self.cache_dir, "ac")
+        self.cas_dir = os.path.join(self.cache_dir, "cas")
 
-    def _entry_dir(self, key: CacheKey) -> str:
-        k = key.key
-        return os.path.join(self.cache_dir, k[:2], k)
+    def _entry_path(self, key: CacheKey) -> str:
+        return os.path.join(self.ac_dir, f"{key.key}.json")
 
     def lookup(self, key: CacheKey):
         """Verified outputs for a key, or None.
@@ -119,8 +123,7 @@ class ResultCache:
         """
         if not key.reuse_enabled:
             return None
-        entry_dir = self._entry_dir(key)
-        entry_path = os.path.join(entry_dir, "entry.json")
+        entry_path = self._entry_path(key)
         try:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
@@ -128,19 +131,18 @@ class ResultCache:
             return None
         except (OSError, json.JSONDecodeError) as exc:
             log.warning("cache entry unreadable, evicting: %s", exc)
-            self._evict(entry_dir)
+            self._evict(entry_path)
             return None
 
-        files_dir = os.path.join(entry_dir, "files")
-        outputs = {out_id: _entry_to_value(stored, files_dir)
+        outputs = {out_id: _entry_to_value(stored, self.cas_dir)
                    for out_id, stored in entry["outputs"].items()}
         files = []
         map_files(list(outputs.values()), files.append)
         for fv in files:
             if (not os.path.isfile(fv.path)
                     or file_checksum(fv.path) != fv.checksum):
-                log.warning("cache entry corrupt, evicting: %s", entry_dir)
-                self._evict(entry_dir)
+                log.warning("cache entry corrupt, evicting: %s", entry_path)
+                self._evict(entry_path, fv.path)
                 return None
         return outputs
 
@@ -154,51 +156,43 @@ class ResultCache:
             log.warning("cache store failed (continuing): %s", exc)
 
     def _store(self, key: CacheKey, outputs: dict, source_run_id: str):
-        entry_dir = self._entry_dir(key)
-        if os.path.exists(os.path.join(entry_dir, "entry.json")):
+        entry_path = self._entry_path(key)
+        if os.path.exists(entry_path):
             return  # equal keys imply identical results; first writer wins
-        os.makedirs(os.path.dirname(entry_dir), exist_ok=True)
-        tmp_dir = tempfile.mkdtemp(dir=os.path.dirname(entry_dir))
-        try:
-            files_dir = os.path.join(tmp_dir, "files")
-            os.makedirs(files_dir)
+        for directory in (self.ac_dir, self.cas_dir):
+            if not os.path.isdir(directory):
+                os.makedirs(directory, exist_ok=True)
 
-            def persist(fv):
-                store_name = f"{fv.checksum[:16]}-{fv.basename}"
-                target = os.path.join(files_dir, store_name)
-                if not os.path.exists(target):
-                    link_or_copy(fv.path, target)
-                out = fv.to_json(include_path=False)
-                out["store"] = store_name
-                return out
+        def persist(fv):
+            blob = os.path.join(self.cas_dir, fv.checksum)
+            if not os.path.exists(blob):  # else it holds these bytes already
+                link_or_copy(fv.path, blob)
+            return fv.to_json(include_path=False)
 
-            entry = {
-                "key": {
-                    "tool": key.tool_digest,
-                    "inputs": key.input_digest,
-                    "env": key.env_digest,
-                },
-                "outputs": {k: map_files(v, persist)
-                            for k, v in outputs.items()},
-                "createdAt": time.time(),
-                "sourceRunId": source_run_id,
-            }
-            with open(os.path.join(tmp_dir, "entry.json"), "w",
-                      encoding="utf-8") as fh:
+        entry = {
+            "key": {
+                "tool": key.tool_digest,
+                "inputs": key.input_digest,
+                "env": key.env_digest,
+            },
+            "outputs": {k: map_files(v, persist) for k, v in outputs.items()},
+            "createdAt": time.time(),
+            "sourceRunId": source_run_id,
+        }
+
+        def write(path):
+            with open(path, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh, sort_keys=True, indent=1)
-            try:
-                os.rename(tmp_dir, entry_dir)
-            except OSError:
-                # concurrent store of the same key; ours is redundant
-                shutil.rmtree(tmp_dir, ignore_errors=True)
-        except OSError:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            raise
+        write_atomically(entry_path, write)
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
         """Copy cached files into the run's own directory so the run stays
         self-contained even if the cache is pruned later."""
         return stage_out(outputs, dest_dir)
 
-    def _evict(self, entry_dir: str):
-        shutil.rmtree(entry_dir, ignore_errors=True)
+    def _evict(self, *paths: str):
+        """Remove an entry, and a blob whose bytes no longer match its
+        name, so that a later store links a good copy."""
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)

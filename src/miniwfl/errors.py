@@ -1,7 +1,7 @@
 """Exception hierarchy for the miniwfl engine.
 
 Static-class errors (parse/validate/plan time) and runtime-class errors
-(staging, launch, output collection) are kept in separate branches so the
+(staging, output collection) are kept in separate branches so the
 scheduler can classify failures without string matching.
 """
 
@@ -74,14 +74,6 @@ class StagingError(MiniwflError):
     """Input staging failed: missing file, checksum drift, or collision."""
 
 
-class LaunchError(MiniwflError):
-    """Process or container could not be started."""
-
-
-class TaskTimeout(MiniwflError):
-    """Wall-time limit exceeded; the attempt was killed."""
-
-
 class OutputMissingError(MiniwflError):
     """Required File output matched nothing."""
 
@@ -90,11 +82,7 @@ class OutputAmbiguousError(MiniwflError):
     """Single-File output glob matched more than one file."""
 
 
-# --- cache / upgrade --------------------------------------------------------
-
-class CacheIOError(MiniwflError):
-    """Cache backend failure; degrades to a miss, never fails the run."""
-
+# --- upgrade ----------------------------------------------------------------
 
 class DowngradeError(MiniwflError):
     """Requested target version precedes the document version."""

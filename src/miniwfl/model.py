@@ -140,9 +140,6 @@ class Step:
     requirements: tuple = ()
     hints: tuple = ()
 
-    def bindings(self) -> dict:
-        return dict(self.in_map)
-
 
 @dataclass(frozen=True)
 class Binding:

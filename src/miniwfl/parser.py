@@ -481,10 +481,6 @@ def unresolved_run_references(doc: Document):
 
 # --- canonical serialization ------------------------------------------------
 
-def _plain_type(dtype: DataType) -> str:
-    return dtype.to_string()
-
-
 def _plain_clause(clause: Clause) -> dict:
     if clause.kind == model.CLAUSE_EXTENSION:
         return dict(clause.payload)
@@ -494,7 +490,7 @@ def _plain_clause(clause: Clause) -> dict:
 
 
 def _plain_input(p: InputParameter, tool: bool) -> dict:
-    out = {"id": p.id, "type": _plain_type(p.type)}
+    out = {"id": p.id, "type": p.type.to_string()}
     if tool and p.position is not None:
         out["position"] = p.position
     if tool and p.prefix is not None:
@@ -509,7 +505,7 @@ def _plain_input(p: InputParameter, tool: bool) -> dict:
 
 
 def _plain_output(p: OutputParameter) -> dict:
-    out = {"id": p.id, "type": _plain_type(p.type)}
+    out = {"id": p.id, "type": p.type.to_string()}
     if p.glob is not None:
         out["glob"] = p.glob
     if p.capture is not None:

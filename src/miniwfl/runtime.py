@@ -26,7 +26,6 @@ from . import model
 from .errors import (
     ExprSyntaxError,
     ExprTypeError,
-    LaunchError,
     OutputAmbiguousError,
     OutputMissingError,
     StagingError,
@@ -122,11 +121,27 @@ def _copy_verified(fv: FileValue, target: str, verified: dict):
 
 def link_or_copy(source: str, target: str):
     """Make ``target`` a hard link to ``source``, or a copy where the
-    filesystem refuses the link (another device, no hard links)."""
+    filesystem refuses the link (another device, no hard links).  An
+    existing ``target``, perhaps another run's file, is never written to:
+    it is kept, or replaced by renaming a copy over it."""
     try:
         os.link(source, target)
+    except FileExistsError:
+        pass
     except OSError:
-        shutil.copyfile(source, target)
+        write_atomically(target, lambda path: shutil.copyfile(source, path))
+
+
+def write_atomically(target: str, write):
+    """Call ``write(path)`` on a temporary name beside ``target``, then
+    rename it over ``target``; a failed write leaves nothing behind."""
+    partial = f"{target}.{uuid.uuid4().hex[:8]}.tmp"
+    try:
+        write(partial)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def stage(node_id: str, bindings: dict, work_root: str,
@@ -139,14 +154,17 @@ def stage(node_id: str, bindings: dict, work_root: str,
     equivalents are recorded in the directory's container_map.
     ``verified`` is the run's record of checked sources (see
     _copy_verified); without it every input copy is hashed.
+    Inputs go to ``inputs/<basename>``, or to ``inputs/<n>/<basename>``
+    when the basename is taken.  ``tmp/`` is always made: TMPDIR must name
+    a private directory that exists, and containers mount it at /tmp.
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     root = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
     os.makedirs(root)
     outdir = os.path.join(root, "outdir")
     tmpdir = os.path.join(root, "tmp")
-    os.makedirs(outdir)
-    os.makedirs(tmpdir)
+    os.mkdir(outdir)
+    os.mkdir(tmpdir)
     if verified is None:
         verified = {}
 
@@ -156,15 +174,25 @@ def stage(node_id: str, bindings: dict, work_root: str,
                              outdir=outdir, tmpdir=tmpdir,
                              container_map=container_map)
 
+    taken = set()  # names directly under inputs/
+
     def place(fv: FileValue) -> FileValue:
         if fv.path not in staged_inputs:
-            slot = str(len(staged_inputs))
-            target = os.path.join(staged.inputs_dir, slot, fv.basename)
-            os.makedirs(os.path.dirname(target))
+            name = fv.basename
+            if not staged_inputs:
+                os.mkdir(staged.inputs_dir)
+            elif name in taken:
+                slot = len(staged_inputs)
+                while str(slot) in taken:
+                    slot += 1
+                os.mkdir(os.path.join(staged.inputs_dir, str(slot)))
+                name = f"{slot}/{name}"
+            taken.add(name.split("/")[0])
+            target = os.path.join(staged.inputs_dir, name)
             _copy_verified(fv, target, verified)
             os.chmod(target, 0o444)
             staged_inputs[fv.path] = target
-            container_map[target] = f"{C_INPUTS}/{slot}/{fv.basename}"
+            container_map[target] = f"{C_INPUTS}/{name}"
         return replace(fv, path=staged_inputs[fv.path])
 
     staged_bindings = {k: map_files(bindings[k], place)
@@ -431,29 +459,18 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
                                       recursive=True))
         matches = [m for m in matches if os.path.isfile(m)]
-        if out.type.base == "File":
-            if out.type.array:
-                outputs[out.id] = [FileValue.from_path(m, format=out.format)
-                                   for m in matches]
-            elif not matches:
-                if out.type.optional:
-                    outputs[out.id] = None
-                else:
-                    raise OutputMissingError(
-                        f"output {out.id!r}: glob {out.glob!r} matched nothing")
-            elif len(matches) > 1:
-                raise OutputAmbiguousError(
-                    f"output {out.id!r}: glob {out.glob!r} matched "
-                    f"{len(matches)} files")
-            else:
-                outputs[out.id] = FileValue.from_path(matches[0],
-                                                      format=out.format)
+        if out.type.base == "File" and out.type.array:
+            outputs[out.id] = [FileValue.from_path(m, format=out.format)
+                               for m in matches]
         else:
-            outputs[out.id] = _parse_primitive_output(out, matches)
+            outputs[out.id] = _single_output(out, matches)
     return outputs
 
 
-def _parse_primitive_output(out, matches):
+def _single_output(out, matches):
+    """A non-array output's value from its glob's matches: None when
+    nothing matched and the output is optional, else the one match, as a
+    File or parsed as JSON."""
     if not matches:
         if out.type.optional:
             return None
@@ -462,6 +479,8 @@ def _parse_primitive_output(out, matches):
     if len(matches) > 1:
         raise OutputAmbiguousError(
             f"output {out.id!r}: glob {out.glob!r} matched {len(matches)} files")
+    if out.type.base == "File":
+        return FileValue.from_path(matches[0], format=out.format)
     with open(matches[0], "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     try:

@@ -439,8 +439,10 @@ class _Coordinator:
             self._finish(unit, SUCCEEDED, unit.attempt, result.outputs)
             return
 
+        # a retried shard of a failed scatter would run for nothing
         if (classify_failure(result.attempt) == TEMPORARY
-                and unit.attempt <= self.cfg.retries):
+                and unit.attempt <= self.cfg.retries
+                and unit.node.state != FAILED):
             unit.attempt += 1
             heapq.heappush(self.admissible, unit)
             return

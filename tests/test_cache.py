@@ -35,6 +35,16 @@ def _fv(tmp_path, name="in.txt", content="stuff\n"):
     return FileValue.from_path(str(p))
 
 
+def _entry_path(cache_dir, key):
+    return os.path.join(cache_dir, "ac", f"{key.key}.json")
+
+
+def _entry_payload(cache_dir, key):
+    with open(_entry_path(cache_dir, key)) as fh:
+        (stored,) = json.load(fh)["outputs"].values()
+    return os.path.join(cache_dir, "cas", stored["checksum"])
+
+
 def test_key_ignores_file_location_and_name(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -108,12 +118,12 @@ def test_layout_is_sharded_and_inspectable(tmp_path):
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_dir = os.path.join(str(tmp_path / "cache"), key.key[:2], key.key)
-    assert os.path.isfile(os.path.join(entry_dir, "entry.json"))
-    with open(os.path.join(entry_dir, "entry.json")) as fh:
+    entry_path = _entry_path(cache.cache_dir, key)
+    assert os.path.isfile(entry_path)
+    with open(entry_path) as fh:
         entry = json.load(fh)
     assert entry["outputs"]["out"]["checksum"] == fv.checksum
-    assert os.listdir(os.path.join(entry_dir, "files"))
+    assert os.listdir(os.path.join(cache.cache_dir, "cas")) == [fv.checksum]
 
 
 def test_corrupt_payload_is_evicted_as_miss(tmp_path):
@@ -121,13 +131,12 @@ def test_corrupt_payload_is_evicted_as_miss(tmp_path):
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_dir = os.path.join(str(tmp_path / "cache"), key.key[:2], key.key)
-    files_dir = os.path.join(entry_dir, "files")
-    stored = os.path.join(files_dir, os.listdir(files_dir)[0])
+    stored = _entry_payload(cache.cache_dir, key)
     with open(stored, "w") as fh:
         fh.write("bitrot")
     assert cache.lookup(key) is None
-    assert not os.path.exists(entry_dir)  # evicted
+    assert not os.path.exists(_entry_path(cache.cache_dir, key))  # evicted
+    assert not os.path.exists(stored)  # so a later store links a good copy
 
 
 def test_unreadable_entry_json_is_evicted(tmp_path):
@@ -135,11 +144,11 @@ def test_unreadable_entry_json_is_evicted(tmp_path):
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_dir = os.path.join(str(tmp_path / "cache"), key.key[:2], key.key)
-    with open(os.path.join(entry_dir, "entry.json"), "w") as fh:
+    entry_path = _entry_path(cache.cache_dir, key)
+    with open(entry_path, "w") as fh:
         fh.write("{not json")
     assert cache.lookup(key) is None
-    assert not os.path.exists(entry_dir)
+    assert not os.path.exists(entry_path)
 
 
 def test_first_writer_wins(tmp_path):
@@ -231,11 +240,6 @@ def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
     assert result.tasks["b"].cached is False
 
 
-def _entry_payload(cache_dir, key):
-    files_dir = os.path.join(cache_dir, key.key[:2], key.key, "files")
-    return os.path.join(files_dir, os.listdir(files_dir)[0])
-
-
 def test_payload_is_a_hard_link_to_the_output(tmp_path):
     fv = _fv(tmp_path)
     key = cache_key(_node(), {"f": fv})
@@ -244,13 +248,17 @@ def test_payload_is_a_hard_link_to_the_output(tmp_path):
     assert os.path.samefile(_entry_payload(cache.cache_dir, key), fv.path)
 
 
-def test_payload_is_copied_where_links_fail(tmp_path, monkeypatch):
+def _refuse_links(monkeypatch):
     import errno
 
     def cross_device(src, dst, **kwargs):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
 
     monkeypatch.setattr(os, "link", cross_device)
+
+
+def test_payload_is_copied_where_links_fail(tmp_path, monkeypatch):
+    _refuse_links(monkeypatch)
     fv = _fv(tmp_path)
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
@@ -258,6 +266,7 @@ def test_payload_is_copied_where_links_fail(tmp_path, monkeypatch):
     payload = _entry_payload(cache.cache_dir, key)
     assert not os.path.samefile(payload, fv.path)
     assert file_checksum(payload) == fv.checksum
+    assert os.listdir(os.path.dirname(payload)) == [fv.checksum]  # no .tmp
     assert cache.lookup(key)["out"].checksum == fv.checksum
 
 
@@ -274,8 +283,7 @@ def test_editing_the_run_output_evicts_the_linked_entry(tmp_path):
     with open(result.outputs["out"].path, "w") as fh:  # in place, same inode
         fh.write("edited under .work\n")
     assert cache.lookup(key) is None
-    assert not os.path.exists(os.path.join(cache.cache_dir, key.key[:2],
-                                           key.key))
+    assert not os.path.exists(_entry_path(cache.cache_dir, key))
 
 
 def test_scatter_keys_each_shard_once_and_stores_on_workers(tmp_path,
@@ -342,7 +350,97 @@ def test_concurrent_worker_stores_of_one_key_leave_one_entry(tmp_path):
     assert result.status == "Success"
     assert {open(fv.path).read() for fv in result.outputs["outs"]} \
         == {"same\n"}
-    (shard_dir,) = os.listdir(cache_dir)
-    entries = os.listdir(cache_dir / shard_dir)
-    assert len(entries) == 1  # one entry, no temporary directory left
-    assert os.path.isfile(cache_dir / shard_dir / entries[0] / "entry.json")
+    assert sorted(os.listdir(cache_dir)) == ["ac", "cas"]
+    (entry,) = os.listdir(cache_dir / "ac")  # one entry, no temporary file
+    assert entry.endswith(".json")
+    (blob,) = os.listdir(cache_dir / "cas")
+    assert blob == file_checksum(str(cache_dir / "cas" / blob))
+
+
+def _listing(cache_dir):
+    return {sub: set(os.listdir(os.path.join(cache_dir, sub)))
+            for sub in ("ac", "cas")}
+
+
+def test_store_adds_one_entry_file_and_only_absent_blobs(tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    shared = _fv(tmp_path, "shared.txt", "shared\n")
+    cache.store(cache_key(_node(), {"f": shared}), {"out": shared})
+    before = _listing(cache.cache_dir)
+    fresh = _fv(tmp_path, "fresh.txt", "fresh\n")
+    key = cache_key(_node(), {"f": fresh})
+    cache.store(key, {"a": shared, "b": [fresh, fresh]})
+    after = _listing(cache.cache_dir)
+    assert after["ac"] - before["ac"] == {f"{key.key}.json"}
+    assert after["cas"] - before["cas"] == {fresh.checksum}
+    assert before["ac"] <= after["ac"] and before["cas"] <= after["cas"]
+
+
+def _same_bytes_twice(tmp_path, monkeypatch=None):
+    """Store two keys whose outputs hold equal bytes; return the blob's
+    (inode, size, mtime) before and after the second store, which refuses
+    hard links when ``monkeypatch`` is given."""
+    cache = ResultCache(str(tmp_path / "cache"))
+    first = _fv(tmp_path, "first.txt", "same\n")
+    second = _fv(tmp_path, "second.txt", "same\n")
+    cache.store(cache_key(_node(), {"f": first}), {"out": first})
+    blob = os.path.join(cache.cache_dir, "cas", first.checksum)
+
+    def signature():
+        st = os.stat(blob)
+        return st.st_ino, st.st_size, st.st_mtime_ns
+
+    if monkeypatch is not None:
+        _refuse_links(monkeypatch)
+    os.utime(blob, ns=(0, 0))  # a rewrite would move the mtime off zero
+    seen = signature()
+    key = cache_key(_node(tool=parser.parse_raw(
+        dict(TOOL_RAW, baseCommand=["tac"])).body), {"f": second})
+    cache.store(key, {"out": second})
+    assert cache.lookup(key)["out"].checksum == second.checksum
+    return seen, signature()
+
+
+def test_equal_bytes_from_another_key_leave_the_blob_untouched(tmp_path):
+    before, after = _same_bytes_twice(tmp_path)
+    assert after == before
+
+
+def test_equal_bytes_are_not_copied_over_a_blob_where_links_fail(
+        tmp_path, monkeypatch):
+    before, after = _same_bytes_twice(tmp_path, monkeypatch)
+    assert after == before
+
+
+def test_evicted_blob_is_relinked_by_a_later_store(tmp_path):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    with open(fv.path, "w") as fh:  # the blob is a link to this file
+        fh.write("edited\n")
+    assert cache.lookup(key) is None
+    assert _listing(cache.cache_dir) == {"ac": set(), "cas": set()}
+    again = _fv(tmp_path, "again.txt")  # the original bytes, a new file
+    cache.store(key, {"out": again})
+    assert cache.lookup(key)["out"].checksum == fv.checksum
+    assert os.path.samefile(_entry_payload(cache.cache_dir, key), again.path)
+
+
+def test_first_store_makes_the_only_two_cache_directories(tmp_path,
+                                                          monkeypatch):
+    made = []
+    real_mkdir = os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(os.path.relpath(path, str(tmp_path)))
+        return real_mkdir(path, *args, **kwargs)
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    (tmp_path / "cache").mkdir()
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    for n in range(3):
+        fv = _fv(tmp_path, f"in{n}.txt", f"content {n}\n")
+        cache.store(cache_key(_node(), {"f": fv}), {"out": fv, "xs": [fv]})
+        assert sorted(made) == [os.path.join("cache", "ac"),
+                                os.path.join("cache", "cas")]

@@ -162,6 +162,60 @@ def test_stage_same_basename_from_different_dirs(tmp_path):
     assert bindings["x"].path != bindings["y"].path
     assert open(bindings["x"].path).read() == "one\n"
     assert open(bindings["y"].path).read() == "two\n"
+    # only the second of two equal basenames gets a slot directory
+    assert bindings["x"].path == os.path.join(staged.inputs_dir, "same.txt")
+    assert bindings["y"].path == os.path.join(staged.inputs_dir, "1",
+                                              "same.txt")
+    assert staged.container_map[bindings["y"].path] \
+        == "/miniwfl/inputs/1/same.txt"
+
+
+def test_stage_slot_directories_skip_names_already_taken(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    f1 = _fv(tmp_path / "a", "1", "one\n")
+    f2 = _fv(tmp_path / "b", "1", "two\n")
+    staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"))
+    assert bindings["x"].path == os.path.join(staged.inputs_dir, "1")
+    assert bindings["y"].path == os.path.join(staged.inputs_dir, "2", "1")
+    assert open(bindings["y"].path).read() == "two\n"
+
+
+def _count_mkdirs(monkeypatch):
+    made = []
+    real_mkdir = os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    return made
+
+
+def test_attempt_without_file_inputs_makes_three_directories(tmp_path,
+                                                             monkeypatch):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    made = _count_mkdirs(monkeypatch)
+    result = rt.run_task(TaskNode(id="say", tool=_tool(), bindings={}),
+                         {"msg": "hello"}, 1, {})
+    assert result.outputs is not None
+    root = os.path.dirname(result.attempt.stdout_path)
+    assert made == [root, os.path.join(root, "outdir"),
+                    os.path.join(root, "tmp")]
+
+
+def test_staging_distinct_basenames_makes_one_inputs_directory(tmp_path,
+                                                               monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    bindings = {f"f{n}": _fv(tmp_path, f"in{n}.txt") for n in range(4)}
+    made = _count_mkdirs(monkeypatch)
+    staged, _ = stage("t1", bindings, str(work))
+    assert made == [staged.root, staged.outdir, staged.tmpdir,
+                    staged.inputs_dir]
+    assert sorted(os.listdir(staged.inputs_dir)) \
+        == [f"in{n}.txt" for n in range(4)]
 
 
 def test_stage_materializes_literal_workdir_entries(tmp_path):
@@ -439,6 +493,23 @@ def test_collect_primitive_output_parses_json(tmp_path):
     assert outputs["n"] == 41
 
 
+def test_collect_primitive_output_without_match_raises(tmp_path):
+    from miniwfl.errors import OutputMissingError
+    tool = _tool(outputs=[{"id": "n", "type": "int", "glob": "n.json"}])
+    with pytest.raises(OutputMissingError, match="matched nothing"):
+        _run_and_collect(tmp_path, tool, "true")
+    optional = _tool(outputs=[{"id": "n", "type": "int?", "glob": "n.json"}])
+    outputs, _ = _run_and_collect(tmp_path, optional, "true")
+    assert outputs["n"] is None
+
+
+def test_collect_primitive_output_with_two_matches_raises(tmp_path):
+    from miniwfl.errors import OutputAmbiguousError
+    tool = _tool(outputs=[{"id": "n", "type": "int", "glob": "*.json"}])
+    with pytest.raises(OutputAmbiguousError, match="matched 2 files"):
+        _run_and_collect(tmp_path, tool, "echo 1 > a.json; echo 2 > b.json")
+
+
 # --- docker adapter ---------------------------------------------------------
 
 def test_docker_adapter_argv_contract(tmp_path):
@@ -466,6 +537,28 @@ def test_docker_adapter_argv_contract(tmp_path):
         "alpine:3.19", ["wc", "-l"], staged, {}, interactive=True)
     assert with_stdin[:6] == ["docker", "run", "--rm", "--workdir",
                               "/miniwfl/outdir", "-i"]
+
+
+def test_link_or_copy_never_writes_into_an_existing_target(tmp_path,
+                                                          monkeypatch):
+    import errno
+    source = _fv(tmp_path, "source.txt", "new\n").path
+    target = tmp_path / "target.txt"
+    target.write_text("kept\n")
+    other_name = tmp_path / "other.txt"  # a second link, as from a run
+    os.link(target, other_name)
+    runtime.link_or_copy(source, str(target))
+    assert _read(target) == "kept\n"
+
+    def cross_device(src, dst, **kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", cross_device)
+    runtime.link_or_copy(source, str(target))
+    assert _read(target) == "new\n"  # a copy renamed over the name
+    assert _read(other_name) == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["other.txt", "source.txt",
+                                            "target.txt"]
 
 
 # --- LocalRuntime end to end ------------------------------------------------
@@ -502,7 +595,7 @@ def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
 
     result, inputs_dir = attempt('cp "$0" copy.txt; exit 3', copied)
     assert result.outputs is None
-    assert os.listdir(inputs_dir) == ["0"]  # kept for debugging
+    assert os.listdir(inputs_dir) == ["in.txt"]  # kept for debugging
 
     linked = [{"id": "out", "type": "File", "glob": "link.txt"}]
     result, inputs_dir = attempt('ln -s "$0" link.txt', linked)

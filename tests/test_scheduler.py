@@ -323,6 +323,37 @@ def test_scatter_shard_failure_fails_the_node():
     assert result.tasks["fan"].state == planner.FAILED
 
 
+def test_shard_of_a_failed_scatter_is_not_retried(monkeypatch):
+    """fan[1] times out only after fan[0] has failed the scatter; its retry
+    would run for a result nobody reads."""
+    scatter_failed = threading.Event()
+    log = scheduler._Coordinator.log
+
+    def watching_log(self, task_id, transition, *args, **kwargs):
+        log(self, task_id, transition, *args, **kwargs)
+        if (task_id, transition) == ("fan", planner.FAILED):
+            scatter_failed.set()
+
+    class LateTimeout(StubRuntime):
+        def run_task(self, node, bindings, attempt_number, resources):
+            if node.id == "fan[1]":
+                assert scatter_failed.wait(timeout=10)
+            return super().run_task(node, bindings, attempt_number, resources)
+
+    monkeypatch.setattr(scheduler._Coordinator, "log", watching_log)
+    g = _graph(_node("fan", scatter=["xs"],
+                     bindings={"xs": ("lit", ["a", "b"])}))
+    rt = LateTimeout(fail={"fan[0]"}, temp_fail_counts={"fan[1]": 1})
+    result = _run(g, rt, parallelism=2, retries=1, on_error="continue")
+    assert result.status == "PermanentFail"
+    events = [f"{e['task']} {e['transition']} {e['attempt']}"
+              for e in result.event_log]
+    assert events[events.index("fan Failed 0"):] == ["fan Failed 0",
+                                                     "fan[1] Failed 1"]
+    assert sorted(rt.calls) == [("fan[0]", 1), ("fan[1]", 1)]
+    assert result.tasks["fan[1]"].state == planner.FAILED
+
+
 def test_scatter_length_mismatch_fails_at_readiness():
     g = _graph(_node("fan", scatter=["xs", "x"],
                      bindings={"xs": ("lit", ["a"]), "x": ("lit", [1, 2])}))
