@@ -1,8 +1,8 @@
 """Content-addressed result reuse.
 
-Keys are built from what an execution *is* — tool digest, input content
-digests, every effective requirement and hint (step-level overrides
-included) and the resolved resources — never from absolute paths,
+Keys are built from what an execution *is* — tool digest, input contents
+and basenames, every effective requirement and hint (step-level overrides
+included) and the resolved resources — never from directories,
 timestamps, or host names.  Layout on disk, two flat directories:
 ``ac/<key>.json`` is one entry, and ``cas/<sha256>`` one payload file,
 named by its checksum and shared by every entry holding those bytes.
@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import model, parser
@@ -33,26 +32,11 @@ from .runtime import link_or_copy, stage_out, write_atomically
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    tool_digest: str
-    input_digest: str
-    env_digest: str
-    reuse_enabled: bool = True
-
-    @property
-    def key(self) -> str:
-        return parser.digest_data({
-            "tool": self.tool_digest,
-            "inputs": self.input_digest,
-            "env": self.env_digest,
-        })
-
-
 def _value_fingerprint(value):
-    """Path-independent canonical form: Files by content, not location."""
-    return map_files(value, lambda fv: {
-        "file": {"checksum": fv.checksum, "size": fv.size}})
+    """Location-independent canonical form: Files by content and basename,
+    which a tool sees through ``inputs.x.basename`` and its staged path."""
+    return map_files(value, lambda fv: {"file": {
+        "checksum": fv.checksum, "size": fv.size, "basename": fv.basename}})
 
 
 def digest_tool(tool) -> str:
@@ -62,31 +46,28 @@ def digest_tool(tool) -> str:
 
 def cache_key(node: TaskNode, bindings: dict,
               tool_digest: Optional[str] = None,
-              resources: Optional[dict] = None) -> CacheKey:
-    """Key for one concrete execution; WorkReuse(enableReuse: false) yields
-    a key that never matches.
+              resources: Optional[dict] = None) -> Optional[str]:
+    """Key for one concrete execution, or None where
+    WorkReuse(enableReuse: false) turns reuse off.
 
     ``tool_digest`` is ``digest_tool(node.tool)``, computed when not given;
     ``resources`` are the unit's resolved resource values, which reach the
     command line through ``runtime.cores`` and ``runtime.ram``.
     """
-    reuse = True
     clause = node.clause(model.CLAUSE_WORK_REUSE)
     if clause is not None and clause.payload.get("enableReuse", True) is False:
-        reuse = False
-
+        return None
     # requirements before hints, step overrides before tool clauses: the
     # order node.clause() resolves them in
     clauses = [{"kind": c.kind, "payload": c.payload}
                for c in node.requirements + node.hints]
-    return CacheKey(
-        tool_digest=tool_digest or digest_tool(node.tool),
-        input_digest=parser.digest_data(
+    return parser.digest_data({
+        "tool": tool_digest or digest_tool(node.tool),
+        "inputs": parser.digest_data(
             {k: _value_fingerprint(v) for k, v in bindings.items()}),
-        env_digest=parser.digest_data(
+        "env": parser.digest_data(
             {"clauses": clauses, "resources": resources}),
-        reuse_enabled=reuse,
-    )
+    })
 
 
 def _entry_to_value(value, cas_dir):
@@ -112,16 +93,16 @@ class ResultCache:
         self.ac_dir = os.path.join(self.cache_dir, "ac")
         self.cas_dir = os.path.join(self.cache_dir, "cas")
 
-    def _entry_path(self, key: CacheKey) -> str:
-        return os.path.join(self.ac_dir, f"{key.key}.json")
+    def _entry_path(self, key: str) -> str:
+        return os.path.join(self.ac_dir, f"{key}.json")
 
-    def lookup(self, key: CacheKey):
-        """Verified outputs for a key, or None.
+    def lookup(self, key: Optional[str]):
+        """Verified outputs for a key, or None; always None without a key.
 
         Entries whose stored files are missing or corrupt are evicted and
         reported as misses.
         """
-        if not key.reuse_enabled:
+        if key is None:
             return None
         entry_path = self._entry_path(key)
         try:
@@ -146,16 +127,18 @@ class ResultCache:
                 return None
         return outputs
 
-    def store(self, key: CacheKey, outputs: dict, source_run_id: str = ""):
-        """Atomically persist outputs; failures degrade to a warning."""
-        if not key.reuse_enabled:
+    def store(self, key: Optional[str], outputs: dict,
+              source_run_id: str = ""):
+        """Atomically persist outputs under a key, if there is one; failures
+        degrade to a warning."""
+        if key is None:
             return
         try:
             self._store(key, outputs, source_run_id)
         except OSError as exc:
             log.warning("cache store failed (continuing): %s", exc)
 
-    def _store(self, key: CacheKey, outputs: dict, source_run_id: str):
+    def _store(self, key: str, outputs: dict, source_run_id: str):
         entry_path = self._entry_path(key)
         if os.path.exists(entry_path):
             return  # equal keys imply identical results; first writer wins
@@ -170,11 +153,7 @@ class ResultCache:
             return fv.to_json(include_path=False)
 
         entry = {
-            "key": {
-                "tool": key.tool_digest,
-                "inputs": key.input_digest,
-                "env": key.env_digest,
-            },
+            "key": key,
             "outputs": {k: map_files(v, persist) for k, v in outputs.items()},
             "createdAt": time.time(),
             "sourceRunId": source_run_id,

@@ -2,7 +2,7 @@
 
 Static-class errors (parse/validate/plan time) and runtime-class errors
 (staging, output collection) are kept in separate branches so the
-scheduler can classify failures without string matching.
+runtime can map each to a failure kind without string matching.
 """
 
 
@@ -34,7 +34,11 @@ class IncludeCycleError(MiniwflError):
 
 # --- expressions ------------------------------------------------------------
 
-class ExprSyntaxError(MiniwflError):
+class ExpressionError(MiniwflError):
+    """An expression could not be evaluated."""
+
+
+class ExprSyntaxError(ExpressionError):
     """Expression source is outside the grammar."""
 
     def __init__(self, message, column=None):
@@ -42,11 +46,11 @@ class ExprSyntaxError(MiniwflError):
         self.column = column
 
 
-class ExprTypeError(MiniwflError):
+class ExprTypeError(ExpressionError):
     """Operand types invalid for an operator, or a guard was non-boolean."""
 
 
-class UnknownReferenceError(MiniwflError):
+class UnknownReferenceError(ExpressionError):
     """Expression referenced an id absent from the evaluation context."""
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Optional
 
 import yaml
 

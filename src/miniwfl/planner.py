@@ -12,11 +12,10 @@ import hashlib
 import heapq
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Optional
 
 import yaml
 
-from . import model
 from .errors import (
     GraphCycleError,
     JobOrderError,

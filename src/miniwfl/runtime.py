@@ -24,12 +24,11 @@ from typing import Optional
 
 from . import model
 from .errors import (
-    ExprSyntaxError,
+    ExpressionError,
     ExprTypeError,
     OutputAmbiguousError,
     OutputMissingError,
     StagingError,
-    UnknownReferenceError,
 )
 from .expression import EvalContext, interpolate
 from .model import ToolDescription
@@ -72,12 +71,29 @@ class TaskAttempt:
     outcome: str = PERMANENT_FAILURE
     failure_kind: Optional[str] = None
     error: Optional[str] = None
+    outputs: Optional[dict] = None  # set when the attempt succeeded
+
+    def settle(self, kind: Optional[str],
+               error: Optional[str]) -> "TaskAttempt":
+        """Record how the attempt ended: a success without a failure
+        ``kind``; of the failures, only a timeout or a launch race is worth
+        another attempt."""
+        self.failure_kind, self.error = kind, error
+        self.outcome = (
+            SUCCESS if kind is None
+            else TEMPORARY_FAILURE if kind in ("Timeout", "LaunchRace")
+            else PERMANENT_FAILURE)
+        return self
 
 
-@dataclass
-class AttemptResult:
-    attempt: TaskAttempt
-    outputs: Optional[dict] = None
+# the failure kind of each error that ends an attempt before or after its
+# process runs
+_FAILURE_KINDS = {
+    StagingError: "StagingError",
+    ExpressionError: "ExprError",
+    OutputMissingError: "OutputMissing",
+    OutputAmbiguousError: "OutputAmbiguous",
+}
 
 
 # a file changed within the timestamp tick of a check can keep its stat
@@ -214,7 +230,7 @@ def _materialize_initial_workdir(clause, staged, bindings):
         if isinstance(entry, str):
             try:
                 value = interpolate(entry, ctx)
-            except (ExprSyntaxError, ExprTypeError, UnknownReferenceError) as exc:
+            except ExpressionError as exc:
                 raise StagingError(f"bad working-directory entry: {exc}") from exc
         if isinstance(value, FileValue):
             name = entryname or value.basename
@@ -365,30 +381,26 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             wall_time_max: Optional[float] = None,
             container_image: Optional[str] = None,
             adapter: Optional[DockerAdapter] = None,
-            stdin_path: Optional[str] = None,
-            spawn_hook=None) -> TaskAttempt:
+            stdin_path: Optional[str] = None) -> TaskAttempt:
     """Run one attempt; never raises for tool failure, only reports it."""
     attempt = TaskAttempt(task_id=task_id, attempt_number=attempt_number,
-                          argv=list(argv), env=dict(env))
-    attempt.stdout_path = os.path.join(staged.root, "stdout.log")
-    attempt.stderr_path = os.path.join(staged.root, "stderr.log")
-
+                          argv=list(argv), env=dict(env),
+                          stdout_path=os.path.join(staged.root, "stdout.log"),
+                          stderr_path=os.path.join(staged.root, "stderr.log"))
     launch_argv = argv
     launch_env = env
     if container_image is not None:
         adapter = adapter or DockerAdapter()
         if not adapter.available():
-            attempt.outcome = PERMANENT_FAILURE
-            attempt.failure_kind = "LaunchError"
-            attempt.error = f"container runtime {adapter.command!r} not found"
-            return attempt
+            return attempt.settle(
+                "LaunchError",
+                f"container runtime {adapter.command!r} not found")
         launch_argv = adapter.build_argv(container_image, argv, staged, env,
                                          interactive=stdin_path is not None)
         launch_env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
 
     attempt.start_time = time.time()
-    if spawn_hook is not None:
-        spawn_hook(launch_argv)
+    kind = error = None
     in_fh = None
     try:
         if stdin_path is not None:
@@ -403,36 +415,21 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-                attempt.end_time = time.time()
-                attempt.outcome = TEMPORARY_FAILURE
-                attempt.failure_kind = "Timeout"
-                attempt.error = (f"wall time limit of {wall_time_max}s "
-                                 f"exceeded")
-                return attempt
+                kind = "Timeout"
+                error = f"wall time limit of {wall_time_max}s exceeded"
     except FileNotFoundError as exc:
-        attempt.end_time = time.time()
-        attempt.outcome = PERMANENT_FAILURE
-        attempt.failure_kind = "LaunchError"
-        attempt.error = f"cannot launch: {exc}"
-        return attempt
+        kind, error = "LaunchError", f"cannot launch: {exc}"
     except OSError as exc:
-        attempt.end_time = time.time()
-        attempt.outcome = TEMPORARY_FAILURE
-        attempt.failure_kind = "LaunchRace"
-        attempt.error = f"launch failed: {exc}"
-        return attempt
+        kind, error = "LaunchRace", f"launch failed: {exc}"
     finally:
         if in_fh is not None:
             in_fh.close()
 
     attempt.end_time = time.time()
-    if attempt.exit_code in success_codes:
-        attempt.outcome = SUCCESS
-    else:
-        attempt.outcome = PERMANENT_FAILURE
-        attempt.failure_kind = "ExitCode"
-        attempt.error = f"exit code {attempt.exit_code} not in success codes"
-    return attempt
+    if kind is None and attempt.exit_code not in success_codes:
+        kind = "ExitCode"
+        error = f"exit code {attempt.exit_code} not in success codes"
+    return attempt.settle(kind, error)
 
 
 def _capture_path(tool: ToolDescription, staged: StagedDirectory,
@@ -503,10 +500,6 @@ class LocalRuntime:
         self.spawn_count = 0
         self._lock = threading.Lock()
 
-    def _count_spawn(self, argv):
-        with self._lock:
-            self.spawn_count += 1
-
     def container_image(self, node: TaskNode) -> Optional[str]:
         clause = node.clause(model.CLAUSE_CONTAINER)
         if clause is None or not self.use_containers:
@@ -514,8 +507,9 @@ class LocalRuntime:
         return clause.payload["image"]
 
     def run_task(self, node: TaskNode, bindings: dict, attempt_number: int,
-                 resources: dict) -> AttemptResult:
-        """One full attempt: stage, build argv, run, collect."""
+                 resources: dict) -> TaskAttempt:
+        """One full attempt: stage, build argv, run, collect.  The attempt's
+        ``outputs`` are set when it succeeded."""
         attempt = TaskAttempt(task_id=node.id, attempt_number=attempt_number)
         image = self.container_image(node)
         try:
@@ -523,41 +517,29 @@ class LocalRuntime:
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 initial_workdir=node.clause(model.CLAUSE_INITIAL_WORKDIR),
                 verified=self.verified)
-        except StagingError as exc:
-            attempt.failure_kind = "StagingError"
-            attempt.error = str(exc)
-            return AttemptResult(attempt=attempt)
+            # argv and env see container paths when running containerized;
+            # stdin is redirected host-side and keeps the host staged path
+            host_ctx = EvalContext(inputs=staged_bindings, runtime={
+                "cores": resources.get("coresMin", 1),
+                "ram": resources.get("ramMin", 256),
+                "outdir": staged.outdir,
+            })
+            ctx = host_ctx
+            if image is not None:
+                def to_container(fv: FileValue) -> FileValue:
+                    return replace(fv, path=staged.container_map[fv.path])
+                ctx = EvalContext(
+                    inputs={k: map_files(v, to_container)
+                            for k, v in staged_bindings.items()},
+                    runtime=dict(host_ctx.runtime, outdir=C_OUTDIR))
 
-        # argv and env see container paths when running containerized;
-        # stdin is redirected host-side and keeps the host staged path
-        if image is not None:
-            def to_container(fv: FileValue) -> FileValue:
-                return replace(fv, path=staged.container_map[fv.path])
-            ctx_bindings = {k: map_files(v, to_container)
-                            for k, v in staged_bindings.items()}
-            outdir_for_tool = C_OUTDIR
-        else:
-            ctx_bindings = staged_bindings
-            outdir_for_tool = staged.outdir
-
-        runtime_vars = {
-            "cores": resources.get("coresMin", 1),
-            "ram": resources.get("ramMin", 256),
-            "outdir": outdir_for_tool,
-        }
-        ctx = EvalContext(inputs=ctx_bindings, runtime=runtime_vars)
-
-        env = base_environment(staged, container=image is not None)
-        env_clause = node.clause(model.CLAUSE_ENV)
-        stdin_path = None
-        try:
+            env = base_environment(staged, container=image is not None)
+            env_clause = node.clause(model.CLAUSE_ENV)
             if env_clause is not None:
                 for key, value in env_clause.payload["envDef"].items():
                     env[key] = _scalar_str(interpolate(value, ctx))
+            stdin_path = None
             if node.tool.stdin is not None:
-                host_ctx = EvalContext(inputs=staged_bindings,
-                                       runtime=dict(runtime_vars,
-                                                    outdir=staged.outdir))
                 stdin_value = interpolate(node.tool.stdin, host_ctx)
                 if isinstance(stdin_value, FileValue):
                     stdin_path = stdin_value.path
@@ -566,44 +548,29 @@ class LocalRuntime:
                 else:
                     raise ExprTypeError(
                         f"stdin must resolve to a file, got {stdin_value!r}")
-            argv = build_command_line(node.tool, ctx_bindings, ctx)
-        except (ExprSyntaxError, ExprTypeError, UnknownReferenceError) as exc:
-            attempt.failure_kind = "ExprError"
-            attempt.error = str(exc)
-            return AttemptResult(attempt=attempt)
+            argv = build_command_line(node.tool, ctx.inputs, ctx)
+            if not argv:
+                return attempt.settle("LaunchError", "empty command line")
 
-        if not argv:
-            attempt.failure_kind = "LaunchError"
-            attempt.error = "empty command line"
-            return AttemptResult(attempt=attempt)
-
-        wall = resources.get("wallTimeMax")
-        attempt = execute(
-            node.id, attempt_number, argv, env, staged,
-            success_codes=node.tool.success_codes,
-            wall_time_max=wall,
-            container_image=image,
-            adapter=self.adapter,
-            stdin_path=stdin_path,
-            spawn_hook=self._count_spawn,
-        )
-        if attempt.outcome != SUCCESS:
-            return AttemptResult(attempt=attempt)
-
-        try:
-            outputs = collect_outputs(node.tool, staged, attempt)
-        except OutputMissingError as exc:
-            attempt.outcome = PERMANENT_FAILURE
-            attempt.failure_kind = "OutputMissing"
-            attempt.error = str(exc)
-            return AttemptResult(attempt=attempt)
-        except OutputAmbiguousError as exc:
-            attempt.outcome = PERMANENT_FAILURE
-            attempt.failure_kind = "OutputAmbiguous"
-            attempt.error = str(exc)
-            return AttemptResult(attempt=attempt)
-        _drop_spent_inputs(staged, outputs)
-        return AttemptResult(attempt=attempt, outputs=outputs)
+            attempt = execute(
+                node.id, attempt_number, argv, env, staged,
+                success_codes=node.tool.success_codes,
+                wall_time_max=resources.get("wallTimeMax"),
+                container_image=image,
+                adapter=self.adapter,
+                stdin_path=stdin_path,
+            )
+            if attempt.start_time:
+                with self._lock:
+                    self.spawn_count += 1
+            if attempt.outcome == SUCCESS:
+                outputs = collect_outputs(node.tool, staged, attempt)
+                _drop_spent_inputs(staged, outputs)
+                attempt.outputs = outputs
+        except tuple(_FAILURE_KINDS) as exc:
+            attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
+                                if isinstance(exc, cls)), str(exc))
+        return attempt
 
 
 def _drop_spent_inputs(staged: StagedDirectory, outputs: dict):

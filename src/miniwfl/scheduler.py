@@ -5,13 +5,15 @@ One coordinator thread owns all graph state; attempts run in worker threads
 
 Readiness is incremental: publishing an output makes only the nodes that
 read it candidates, and only candidates are checked, in id order.  A ready
-node becomes work units (one for a plain node, one per shard for a
-scattered node, which stays a single graph node) that all take the same
-path: guard, resources, a heap ordered by (layer, task id), admission,
-cache lookup or a worker, and one completion routine.  Admission pops the
-first-fit units under both a parallelism bound and the machine's resource
-capacity, so runs are reproducible regardless of completion interleaving,
-and the coordinator's cost grows linearly with tasks and shards.
+node becomes task records that run (the node's own for a plain node, one
+per shard for a scattered node, which stays a single graph node) and that
+all take the same path: guard, resources, cache key, a heap ordered by
+(layer, task id), admission, cache lookup or a worker, and one completion
+routine.  Admission pops the first-fit records under both a parallelism
+bound and the machine's resource capacity, so runs are reproducible
+regardless of completion interleaving, and the coordinator's cost grows
+linearly with tasks and shards.  A failed attempt is retried when the
+runtime reports it as a ``TemporaryFailure``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import planner
-from .cache import CacheKey, ResultCache, cache_key, digest_tool
-from .errors import (
-    ExprSyntaxError,
-    ExprTypeError,
-    ScatterLengthMismatchError,
-    UnknownReferenceError,
-)
+from .cache import ResultCache, cache_key, digest_tool
+from .errors import ExpressionError, ExprTypeError, ScatterLengthMismatchError
 from .expression import EvalContext, interpolate
 from .model import CLAUSE_RESOURCE, Machine
 from .planner import (
@@ -50,11 +47,7 @@ from .planner import (
     resolved_bindings,
 )
 from .provenance import iso_time
-
-TEMPORARY = "Temporary"
-PERMANENT = "Permanent"
-
-_TEMPORARY_KINDS = {"Timeout", "LaunchRace"}
+from .runtime import TEMPORARY_FAILURE, TaskAttempt
 
 RESOURCE_DEFAULTS = {"coresMin": 1, "ramMin": 256, "diskMin": 0}
 
@@ -81,17 +74,34 @@ class Services:
     cache: Optional[ResultCache] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskRecord:
-    """What a run recorded about one task or scatter shard."""
+    """One task or scatter shard: what runs, and what the run recorded.
 
-    state: str = PENDING
-    cached: bool = False
-    attempts: list = field(default_factory=list)
-    inputs: dict = field(default_factory=dict)
-    outputs: Optional[dict] = None
+    A plain node's record runs the node itself; a scattered node has a
+    record of its own, which never runs, and one per shard.  Records wait
+    for admission in a heap ordered by (layer, task id).
+    """
+
+    node: TaskNode        # the graph node, which owns completion
+    task: TaskNode        # what runs: the node itself, or one shard
+    inputs: dict
     tool_digest: Optional[str] = None
+    shard_index: Optional[int] = None
+    resources: Optional[dict] = None
+    key: Optional[str] = None  # set only when a cache is in use
+    state: str = PENDING
+    attempts: list = field(default_factory=list)
+    outputs: Optional[dict] = None
     error: Optional[str] = None
+
+    @property
+    def cached(self) -> bool:
+        return self.state == CACHED
+
+    def __lt__(self, other: "TaskRecord") -> bool:
+        return ((self.node.layer, self.task.id)
+                < (other.node.layer, other.task.id))
 
 
 @dataclass
@@ -100,13 +110,6 @@ class RunResult:
     outputs: dict
     event_log: list
     tasks: dict  # task or shard id -> TaskRecord
-
-
-def classify_failure(attempt) -> str:
-    """Temporary (retryable infrastructure-class) vs permanent failure."""
-    if attempt.failure_kind in _TEMPORARY_KINDS:
-        return TEMPORARY
-    return PERMANENT
 
 
 def resolve_resources(node: TaskNode, bindings: dict, machine: Machine) -> dict:
@@ -177,39 +180,21 @@ class _Scatter:
     skipped: int = 0
 
 
-@dataclass(eq=False)
-class _Unit:
-    """One admissible execution, ordered by (layer, exec id): a plain node,
-    whose ``exec_node`` is the node itself, or a single scatter shard."""
-
-    node: TaskNode        # graph node (completion owner)
-    exec_node: TaskNode   # what actually runs (shard for scatters)
-    bindings: dict
-    resources: Optional[dict] = None
-    shard_index: Optional[int] = None
-    attempt: int = 1
-    key: Optional[CacheKey] = None  # set by the cache lookup, reused by store
-
-    def __lt__(self, other: "_Unit") -> bool:
-        return ((self.node.layer, self.exec_node.id)
-                < (other.node.layer, other.exec_node.id))
-
-
 def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
-    """Pop the deterministic first-fit prefix of the ``heap`` of units that
-    fits the parallelism and capacity budget; units passed over go back on
-    the heap.  Does not mutate the ledger."""
+    """Pop the deterministic first-fit prefix of the ``heap`` of records that
+    fits the parallelism and capacity budget; records passed over go back
+    on the heap.  Does not mutate the ledger."""
     budget = replace(ledger)
     admitted, passed = [], []
     while heap and budget.running < cfg.parallelism:
-        unit = heapq.heappop(heap)
-        if fits_machine(unit.resources, cfg.machine, budget):
-            budget.admitting(unit.resources)
-            admitted.append(unit)
+        record = heapq.heappop(heap)
+        if fits_machine(record.resources, cfg.machine, budget):
+            budget.admitting(record.resources)
+            admitted.append(record)
         else:
-            passed.append(unit)
-    for unit in passed:
-        heapq.heappush(heap, unit)
+            passed.append(record)
+    for record in passed:
+        heapq.heappush(heap, record)
     return admitted
 
 
@@ -221,7 +206,7 @@ class _Coordinator:
         self.published = {}
         self.events = []
         self.tasks = {}  # task or shard id -> TaskRecord
-        self.admissible = []  # heap of _Unit
+        self.admissible = []  # heap of TaskRecord
         self.ledger = _Ledger()
         self.completions = queue.Queue()
         self.stop_admission = False
@@ -252,17 +237,11 @@ class _Coordinator:
             self._tool_digests[node.id] = digest_tool(node.tool)
         return self._tool_digests[node.id]
 
-    def set_state(self, node: TaskNode, state: str, attempt: int = 0):
-        node.transition(state)
-        self.tasks[node.id].state = state
-        self.log(node.id, state, attempt)
-
-    def mark(self, unit: _Unit, state: str, attempt: int = 0):
-        if unit.exec_node is unit.node:
-            self.set_state(unit.node, state, attempt)
-        else:
-            self.tasks[unit.exec_node.id].state = state
-            self.log(unit.exec_node.id, state, attempt)
+    def mark(self, record: TaskRecord, state: str, attempt: int = 0):
+        if record.task is record.node:
+            record.node.transition(state)
+        record.state = state
+        self.log(record.task.id, state, attempt)
 
     def publish(self, node: TaskNode, outputs: dict):
         for out in node.tool.outputs:
@@ -283,85 +262,85 @@ class _Coordinator:
                 node = self.graph.nodes[tid]
                 try:
                     self._make_ready(node)
-                except (ExprSyntaxError, ExprTypeError, UnknownReferenceError,
-                        ScatterLengthMismatchError) as exc:
+                except (ExpressionError, ScatterLengthMismatchError) as exc:
                     self._fail_node(node, str(exc))
 
     def _make_ready(self, node: TaskNode):
         bindings = resolved_bindings(node, self.published)
-        self.tasks[node.id] = TaskRecord(inputs=bindings,
-                                         tool_digest=self.tool_digest(node))
-        if not node.scatter:
-            units = [_Unit(node, node, bindings)]
-        else:
+        digest = self.tool_digest(node)
+        record = self.tasks[node.id] = TaskRecord(node, node, bindings, digest)
+        records = [record]
+        if node.scatter:
             shards, width = expand_scatter(node, bindings)
-            self.set_state(node, READY)
-            self.set_state(node, RUNNING)
+            self.mark(record, READY)
+            self.mark(record, RUNNING)
             self.scatters[node.id] = _Scatter(width, [None] * width)
             if width == 0:
-                self._finish_scatter(node)
-            units = [_Unit(node, shard,
-                           {k: b[1] for k, b in shard.bindings.items()},
-                           shard_index=i)
-                     for i, shard in enumerate(shards)]
+                self._finish_scatter(record)
+            records = [TaskRecord(node, shard,
+                                  {k: b[1] for k, b in shard.bindings.items()},
+                                  digest, shard_index=i)
+                       for i, shard in enumerate(shards)]
 
-        for unit in units:
-            task = unit.exec_node
-            if task is not node:
-                self.tasks[task.id] = TaskRecord(
-                    inputs=unit.bindings, tool_digest=self.tool_digest(node))
-            ctx = EvalContext(inputs=unit.bindings, runtime={})
+        for record in records:
+            task = record.task
+            self.tasks[task.id] = record
+            ctx = EvalContext(inputs=record.inputs, runtime={})
             if apply_guard(task, ctx) == planner.SKIP:
-                self._finish(unit, SKIPPED, 0,
+                self._finish(record, SKIPPED, 0,
                              {out.id: None for out in node.tool.outputs})
                 continue
             if task is node:
-                self.set_state(node, READY)
-            unit.resources = resolve_resources(task, unit.bindings,
-                                               self.cfg.machine)
-            if not fits_machine(unit.resources, self.cfg.machine):
-                what = (f"declared resource minima {unit.resources} exceed"
+                self.mark(record, READY)
+            record.resources = resolve_resources(task, record.inputs,
+                                                 self.cfg.machine)
+            if not fits_machine(record.resources, self.cfg.machine):
+                what = (f"declared resource minima {record.resources} exceed"
                         if task is node else
                         f"shard {task.id}: resource minima exceed")
                 self._fail_node(node, f"{what} machine capacity")
                 return
-            heapq.heappush(self.admissible, unit)
+            if self.services.cache is not None:
+                record.key = cache_key(task, record.inputs, digest,
+                                       record.resources)
+            heapq.heappush(self.admissible, record)
 
-    def _finish(self, unit: _Unit, state: str, attempt: int, outputs: dict):
-        """Record a unit that ended with outputs (skipped, cached or
+    def _finish(self, record: TaskRecord, state: str, attempt: int,
+                outputs: dict):
+        """Record a task that ended with outputs (skipped, cached or
         succeeded) and publish them, or fill in its scatter."""
-        record = self.tasks[unit.exec_node.id]
         record.outputs = outputs
-        record.cached = state == CACHED
-        self.mark(unit, state, attempt)
-        if unit.exec_node is unit.node:
-            self.publish(unit.node, outputs)
+        self.mark(record, state, attempt)
+        node = record.node
+        if record.task is node:
+            self.publish(node, outputs)
             return
-        scatter = self.scatters[unit.node.id]
-        scatter.results[unit.shard_index] = outputs
+        scatter = self.scatters[node.id]
+        scatter.results[record.shard_index] = outputs
         scatter.done += 1
         scatter.cached += state == CACHED
         scatter.skipped += state == SKIPPED
-        if scatter.done == scatter.width and unit.node.state != FAILED:
-            self._finish_scatter(unit.node)
+        if scatter.done == scatter.width and node.state != FAILED:
+            self._finish_scatter(self.tasks[node.id])
 
-    def _finish_scatter(self, node: TaskNode):
+    def _finish_scatter(self, record: TaskRecord):
+        node = record.node
         scatter = self.scatters[node.id]
         outputs = {out.id: [(r or {}).get(out.id) for r in scatter.results]
                    for out in node.tool.outputs}
         executed = scatter.width - scatter.skipped
         state = (CACHED if executed > 0 and scatter.cached == executed
                  else SUCCEEDED)
-        # the scatter node finishes as a unit of its own
-        self._finish(_Unit(node, node, {}), state, 0, outputs)
+        self._finish(record, state, 0, outputs)
 
     def _fail_node(self, node: TaskNode, error: str):
         if node.state != FAILED:
-            self.tasks[node.id].error = error
-            self.set_state(node, FAILED)
+            record = self.tasks[node.id]
+            record.error = error
+            self.mark(record, FAILED)
             if self.cfg.on_error == "stop":
                 self.stop_admission = True
-        self.admissible = [u for u in self.admissible if u.node is not node]
+        self.admissible = [r for r in self.admissible if r.node is not node]
         heapq.heapify(self.admissible)
 
     # -- admission / completion --------------------------------------------
@@ -374,11 +353,11 @@ class _Coordinator:
             if not admitted:
                 return
             cache_hit = False
-            for unit in admitted:
-                if self._try_cache(unit):
+            for record in admitted:
+                if self._try_cache(record):
                     cache_hit = True
                 else:
-                    self._start(unit, pool)
+                    self._start(record, pool)
             if not cache_hit:
                 return
             # cache hits published outputs without occupying a worker;
@@ -387,72 +366,62 @@ class _Coordinator:
             if self.stop_admission:
                 return
 
-    def _try_cache(self, unit: _Unit) -> bool:
-        cache = self.services.cache
-        if cache is None:
+    def _try_cache(self, record: TaskRecord) -> bool:
+        if record.key is None:
             return False
-        if unit.key is None:
-            unit.key = cache_key(unit.exec_node, unit.bindings,
-                                 self.tool_digest(unit.node), unit.resources)
-        hit = cache.lookup(unit.key)
+        cache = self.services.cache
+        hit = cache.lookup(record.key)
         if hit is None:
             return False
         dest = os.path.join(getattr(self.services.runtime, "work_root", "."),
-                            "cached",
-                            unit.exec_node.id.replace("/", "_"))
-        self._finish(unit, CACHED, 0, cache.republish(hit, dest))
+                            "cached", record.task.id.replace("/", "_"))
+        self._finish(record, CACHED, 0, cache.republish(hit, dest))
         return True
 
-    def _start(self, unit: _Unit, pool):
-        self.mark(unit, RUNNING, unit.attempt)
-        self.ledger.admitting(unit.resources)
+    def _start(self, record: TaskRecord, pool):
+        number = len(record.attempts) + 1
+        self.mark(record, RUNNING, number)
+        self.ledger.admitting(record.resources)
         self.in_flight += 1
 
         def work():
             try:
-                result = self.services.runtime.run_task(
-                    unit.exec_node, unit.bindings, unit.attempt,
-                    unit.resources)
-                # stored here, off the coordinator; unit.key is set only
-                # when the cache is in use
-                if result.outputs is not None and unit.key is not None:
-                    self.services.cache.store(unit.key, result.outputs,
+                attempt = self.services.runtime.run_task(
+                    record.task, record.inputs, number, record.resources)
+                # stored here, off the coordinator
+                if attempt.outputs is not None and record.key is not None:
+                    self.services.cache.store(record.key, attempt.outputs,
                                               source_run_id=self.run_id)
             except Exception as exc:  # defensive: worker must always report
-                from .runtime import AttemptResult, TaskAttempt
-                attempt = TaskAttempt(task_id=unit.exec_node.id,
-                                      attempt_number=unit.attempt,
-                                      failure_kind="Internal",
-                                      error=repr(exc))
-                result = AttemptResult(attempt=attempt)
-            self.completions.put((unit, result))
+                attempt = TaskAttempt(task_id=record.task.id,
+                                      attempt_number=number)
+                attempt.settle("Internal", repr(exc))
+            self.completions.put((record, attempt))
 
         pool.submit(work)
 
-    def handle_completion(self, unit: _Unit, result):
-        self.ledger.releasing(unit.resources)
+    def handle_completion(self, record: TaskRecord, attempt: TaskAttempt):
+        self.ledger.releasing(record.resources)
         self.in_flight -= 1
-        record = self.tasks[unit.exec_node.id]
-        record.attempts.append(result.attempt)
-
-        if result.outputs is not None:
-            self._finish(unit, SUCCEEDED, unit.attempt, result.outputs)
+        record.attempts.append(attempt)
+        number = attempt.attempt_number
+        if attempt.outputs is not None:
+            self._finish(record, SUCCEEDED, number, attempt.outputs)
             return
 
         # a retried shard of a failed scatter would run for nothing
-        if (classify_failure(result.attempt) == TEMPORARY
-                and unit.attempt <= self.cfg.retries
-                and unit.node.state != FAILED):
-            unit.attempt += 1
-            heapq.heappush(self.admissible, unit)
+        if (attempt.outcome == TEMPORARY_FAILURE
+                and number <= self.cfg.retries
+                and record.node.state != FAILED):
+            heapq.heappush(self.admissible, record)
             return
 
-        error = record.error = result.attempt.error
-        if unit.exec_node is not unit.node:
+        error = record.error = attempt.error
+        if record.task is not record.node:
             # a failed plain node is logged by _fail_node, with attempt 0
-            self.mark(unit, FAILED, unit.attempt)
-            error = f"shard {unit.exec_node.id} failed: {error}"
-        self._fail_node(unit.node, error or "task failed")
+            self.mark(record, FAILED, number)
+            error = f"shard {record.task.id} failed: {error}"
+        self._fail_node(record.node, error or "task failed")
 
     # -- main loop ----------------------------------------------------------
 
@@ -463,8 +432,7 @@ class _Coordinator:
                 self.admit(pool)
                 if self.in_flight == 0:
                     break
-                unit, result = self.completions.get()
-                self.handle_completion(unit, result)
+                self.handle_completion(*self.completions.get())
                 self.process_readiness()
         return self._result()
 

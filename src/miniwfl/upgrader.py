@@ -1,38 +1,17 @@
 """Version migration between dialect minor versions.
 
-The migration table is data-driven: each entry rewrites the plain-data form
-of a document from one version to the next, and chains compose.  The dialect
-deltas are deliberately small — newer minor versions gate features at parse
-time (conditional steps at v1.2, WorkReuse at v1.1) rather than changing the
-meaning of older documents, so upgrading preserves run semantics.
+The dialect deltas are deliberately small: newer minor versions gate
+features at parse time (conditional steps at v1.2, WorkReuse at v1.1)
+rather than changing the meaning of older documents.  An upgrade therefore
+rewrites ``cwlVersion`` in the plain-data form of a document and of the
+documents inlined in it, and preserves run semantics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
-
 from .errors import DowngradeError, UnknownVersionError
 from .model import SUPPORTED_VERSIONS, Document
 from . import parser
-
-
-def _identity(plain: dict) -> dict:
-    return plain
-
-
-@dataclass(frozen=True)
-class Migration:
-    from_version: str
-    to_version: str
-    rewrite: Callable[[dict], dict] = _identity
-
-
-# Consecutive-version migrations; rules are additive.
-MIGRATIONS = (
-    Migration("v1.0", "v1.1"),
-    Migration("v1.1", "v1.2"),
-)
 
 
 def _index(version: str) -> int:
@@ -44,33 +23,22 @@ def _index(version: str) -> int:
 
 def upgrade(doc: Document, target: str) -> Document:
     """Migrate a document to `target`; identity when already there."""
-    src = _index(doc.version)
-    dst = _index(target)
-    if dst < src:
-        raise DowngradeError(
-            f"cannot downgrade {doc.version} document to {target}")
-    if dst == src:
-        return doc
     plain = parser.to_plain(doc)
-    for migration in MIGRATIONS[src:dst]:
-        plain = migration.rewrite(dict(plain))
-        plain["cwlVersion"] = migration.to_version
-    upgraded = parser.parse_raw(plain)
-    return _upgrade_nested(upgraded, target)
+    if not _restamp(plain, target):
+        return doc
+    return parser.parse_raw(plain)
 
 
-def _upgrade_nested(doc: Document, target: str) -> Document:
-    """Inlined sub-documents carry the parent's new version."""
-    if not doc.is_workflow:
-        return doc
-    steps = []
-    changed = False
-    for step in doc.body.steps:
-        if isinstance(step.run, Document) and step.run.version != target:
-            steps.append(replace(step, run=upgrade(step.run, target)))
-            changed = True
-        else:
-            steps.append(step)
-    if not changed:
-        return doc
-    return replace(doc, body=replace(doc.body, steps=tuple(steps)))
+def _restamp(plain: dict, target: str) -> bool:
+    """Stamp `target` on a plain document and on the documents inlined in
+    it; False when the document is already at `target`."""
+    version = plain["cwlVersion"]
+    if _index(target) < _index(version):
+        raise DowngradeError(f"cannot downgrade {version} document to {target}")
+    if version == target:
+        return False
+    plain["cwlVersion"] = target
+    for step in plain.get("steps", ()):
+        if isinstance(step["run"], dict):
+            _restamp(step["run"], target)
+    return True

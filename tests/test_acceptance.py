@@ -18,7 +18,7 @@ from conftest import corpus_cases, load_expected, run_case, strip_paths
 
 from miniwfl import parser, planner, scheduler, upgrader, validator
 from miniwfl.planner import DataflowGraph, TaskNode
-from miniwfl.runtime import AttemptResult, LocalRuntime, TaskAttempt
+from miniwfl.runtime import TEMPORARY_FAILURE, LocalRuntime, TaskAttempt
 from miniwfl.scheduler import Machine, RunConfig, Services
 
 
@@ -116,9 +116,9 @@ class InstantRuntime:
     spawn_count = 0
 
     def run_task(self, node, bindings, attempt_number, resources):
-        attempt = TaskAttempt(task_id=node.id, attempt_number=attempt_number,
-                              outcome="Success", exit_code=0)
-        return AttemptResult(attempt=attempt, outputs={"out": node.id})
+        return TaskAttempt(task_id=node.id, attempt_number=attempt_number,
+                           outcome="Success", exit_code=0,
+                           outputs={"out": node.id})
 
 
 def _random_edges(rng, n):
@@ -315,8 +315,7 @@ def test_failure_semantics_attempt_budget(tmp_path, k, retries):
     assert (result.status == "Success") == expect_success
     for failed_attempt in attempts[:-1] if expect_success else attempts:
         assert failed_attempt.failure_kind == "Timeout"
-        assert scheduler.classify_failure(failed_attempt) \
-            == scheduler.TEMPORARY
+        assert failed_attempt.outcome == TEMPORARY_FAILURE
     if expect_success:
         assert open(result.outputs["out"].path).read() == "done\n"
     print(f"PASS failure semantics: k={k} retries={retries} -> "

@@ -36,7 +36,7 @@ def _fv(tmp_path, name="in.txt", content="stuff\n"):
 
 
 def _entry_path(cache_dir, key):
-    return os.path.join(cache_dir, "ac", f"{key.key}.json")
+    return os.path.join(cache_dir, "ac", f"{key}.json")
 
 
 def _entry_payload(cache_dir, key):
@@ -45,20 +45,25 @@ def _entry_payload(cache_dir, key):
     return os.path.join(cache_dir, "cas", stored["checksum"])
 
 
-def test_key_ignores_file_location_and_name(tmp_path):
+def test_key_ignores_file_directory(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    f1 = _fv(tmp_path / "a", "original.txt")
-    f2 = _fv(tmp_path / "b", "renamed.txt")  # same bytes elsewhere
-    k1 = cache_key(_node(), {"f": f1})
-    k2 = cache_key(_node(), {"f": f2})
-    assert k1.key == k2.key
+    f1 = _fv(tmp_path / "a", "same.txt")
+    f2 = _fv(tmp_path / "b", "same.txt")  # same name and bytes elsewhere
+    assert cache_key(_node(), {"f": f1}) == cache_key(_node(), {"f": f2})
+
+
+def test_key_changes_with_file_basename(tmp_path):
+    # a tool sees the basename through inputs.f.basename and its staged path
+    f1 = _fv(tmp_path, "original.txt")
+    f2 = _fv(tmp_path, "renamed.txt")  # same bytes, another name
+    assert cache_key(_node(), {"f": f1}) != cache_key(_node(), {"f": f2})
 
 
 def test_key_changes_with_file_content(tmp_path):
     k1 = cache_key(_node(), {"f": _fv(tmp_path, "a.txt", "one\n")})
     k2 = cache_key(_node(), {"f": _fv(tmp_path, "b.txt", "two\n")})
-    assert k1.key != k2.key
+    assert k1 != k2
 
 
 def test_key_changes_with_tool(tmp_path):
@@ -66,7 +71,7 @@ def test_key_changes_with_tool(tmp_path):
     other = dict(TOOL_RAW, baseCommand=["tac"])
     k1 = cache_key(_node(), {"f": fv})
     k2 = cache_key(_node(tool=parser.parse_raw(other).body), {"f": fv})
-    assert k1.key != k2.key
+    assert k1 != k2
 
 
 def test_key_changes_with_env_and_image(tmp_path):
@@ -76,7 +81,7 @@ def test_key_changes_with_env_and_image(tmp_path):
                                        {"envDef": {"A": "1"}})]), {"f": fv})
     with_image = cache_key(_node([Clause(CLAUSE_CONTAINER,
                                          {"image": "alpine"})]), {"f": fv})
-    assert len({plain.key, with_env.key, with_image.key}) == 3
+    assert len({plain, with_env, with_image}) == 3
 
 
 def test_key_is_stable_across_processes(tmp_path):
@@ -84,15 +89,15 @@ def test_key_is_stable_across_processes(tmp_path):
     p.write_text("fixed\n")
     fv = FileValue.from_path(str(p))
     k = cache_key(_node(), {"f": fv})
-    assert k.key == cache_key(_node(), {"f": fv}).key
-    assert len(k.key) == 64
+    assert k == cache_key(_node(), {"f": fv})
+    assert len(k) == 64
 
 
 def test_work_reuse_disabled_never_matches(tmp_path):
     fv = _fv(tmp_path)
     node = _node([Clause(CLAUSE_WORK_REUSE, {"enableReuse": False})])
     key = cache_key(node, {"f": fv})
-    assert key.reuse_enabled is False
+    assert key is None
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
     assert cache.lookup(key) is None
@@ -196,16 +201,16 @@ def test_key_changes_with_step_clauses_and_resources(tmp_path):
             {"entryname": "cfg.txt", "entry": text}]})]
 
     keys = {
-        cache_key(_node(workdir("alpha")), {"f": fv}).key,
-        cache_key(_node(workdir("beta")), {"f": fv}).key,
-        cache_key(_node(), {"f": fv}, resources={"coresMin": 1}).key,
-        cache_key(_node(), {"f": fv}, resources={"coresMin": 2}).key,
+        cache_key(_node(workdir("alpha")), {"f": fv}),
+        cache_key(_node(workdir("beta")), {"f": fv}),
+        cache_key(_node(), {"f": fv}, resources={"coresMin": 1}),
+        cache_key(_node(), {"f": fv}, resources={"coresMin": 2}),
     }
     assert len(keys) == 4
     # the digest the scheduler memoizes is the one computed by default
     from miniwfl.cache import digest_tool
-    assert cache_key(_node(), {"f": fv}, digest_tool(TOOL)).key \
-        == cache_key(_node(), {"f": fv}).key
+    assert cache_key(_node(), {"f": fv}, digest_tool(TOOL)) \
+        == cache_key(_node(), {"f": fv})
 
 
 def _run_workflow(raw, job, tmp_path, cache, parallelism=1):
@@ -371,7 +376,7 @@ def test_store_adds_one_entry_file_and_only_absent_blobs(tmp_path):
     key = cache_key(_node(), {"f": fresh})
     cache.store(key, {"a": shared, "b": [fresh, fresh]})
     after = _listing(cache.cache_dir)
-    assert after["ac"] - before["ac"] == {f"{key.key}.json"}
+    assert after["ac"] - before["ac"] == {f"{key}.json"}
     assert after["cas"] - before["cas"] == {fresh.checksum}
     assert before["ac"] <= after["ac"] and before["cas"] <= after["cas"]
 

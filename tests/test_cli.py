@@ -201,3 +201,47 @@ def test_shard_writing_its_input_leaves_siblings_intact(tmp_path):
     seen = [Path(fv["path"]).read_text() for fv in json.loads(stdout)["seen"]]
     assert seen == [original + "appended\n"] + [original] * 5
     assert (tmp_path / "data.txt").read_text() == original
+
+
+NAME_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [echo, $(inputs.f.basename)]
+inputs:
+  f: File
+outputs:
+  out: {type: File, capture: stdout}
+stdout: name.txt
+"""
+
+NAME_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  f: File
+outputs:
+  out: {type: File, outputSource: name/out}
+steps:
+  name:
+    run: name.cwl
+    in: {f: f}
+"""
+
+
+def test_reuse_tells_inputs_apart_by_basename(tmp_path):
+    """a.txt and b.txt hold the same bytes, and the tool prints the name of
+    its input: the second run must not reuse the first run's result."""
+    (tmp_path / "name.cwl").write_text(NAME_TOOL)
+    (tmp_path / "wf.cwl").write_text(NAME_WF)
+    printed = []
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("same bytes\n")
+        job = tmp_path / f"job-{name}.yml"
+        job.write_text(f"f: {{class: File, path: {name}}}\n")
+        code, stdout = run_cli(["run", str(tmp_path / "wf.cwl"), str(job),
+                                "--outdir", str(tmp_path / f"out-{name}"),
+                                "--cache-dir", str(tmp_path / "cache"),
+                                "--no-container", "--quiet"])
+        assert code == 0
+        printed.append(Path(json.loads(stdout)["out"]["path"]).read_text())
+    assert printed == ["a.txt\n", "b.txt\n"]

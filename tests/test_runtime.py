@@ -200,7 +200,7 @@ def test_attempt_without_file_inputs_makes_three_directories(tmp_path,
     result = rt.run_task(TaskNode(id="say", tool=_tool(), bindings={}),
                          {"msg": "hello"}, 1, {})
     assert result.outputs is not None
-    root = os.path.dirname(result.attempt.stdout_path)
+    root = os.path.dirname(result.stdout_path)
     assert made == [root, os.path.join(root, "outdir"),
                     os.path.join(root, "tmp")]
 
@@ -405,6 +405,16 @@ def test_execute_missing_binary_is_launch_error(tmp_path):
     assert attempt.failure_kind == "LaunchError"
 
 
+def test_execute_non_executable_file_is_a_launch_race(tmp_path):
+    script = tmp_path / "script.sh"
+    script.write_text("#!/bin/sh\necho hi\n")
+    script.chmod(0o644)  # no execute bit for anyone, root included
+    attempt = execute("t", 1, [str(script)], {}, _staged(tmp_path))
+    assert attempt.failure_kind == "LaunchRace"
+    assert attempt.outcome == runtime.TEMPORARY_FAILURE
+    assert attempt.start_time and attempt.end_time
+
+
 def test_execute_runs_in_outdir_with_explicit_env(tmp_path):
     staged = _staged(tmp_path)
     env = runtime.base_environment(staged, container=False)
@@ -571,7 +581,7 @@ def test_run_task_counts_spawns_and_collects(tmp_path):
     assert result.outputs is not None
     assert open(result.outputs["out"].path).read() == "hello\n"
     assert rt.spawn_count == 1
-    assert result.attempt.argv == ["echo", "hello"]
+    assert result.argv == ["echo", "hello"]
 
 
 def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
@@ -585,7 +595,7 @@ def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
         result = rt.run_task(TaskNode(id="t", tool=tool, bindings={}),
                              {"f": fv}, 1, {})
         inputs_dir = os.path.join(
-            os.path.dirname(result.attempt.stdout_path), "inputs")
+            os.path.dirname(result.stdout_path), "inputs")
         return result, inputs_dir
 
     copied = [{"id": "out", "type": "File", "glob": "copy.txt"}]
@@ -620,7 +630,51 @@ def test_run_task_expression_failure_is_permanent(tmp_path):
     node = TaskNode(id="t", tool=tool, bindings={})
     result = rt.run_task(node, {"s": "$(inputs.nope)"}, 1, {})
     assert result.outputs is None
-    assert result.attempt.failure_kind == "ExprError"
+    assert result.failure_kind == "ExprError"
+
+
+def _missing_input(tmp_path):
+    fv = _fv(tmp_path)
+    os.remove(fv.path)  # gone after the job order was loaded
+    return fv
+
+
+# one case per failure kind: (tool overrides, input values, resources)
+FAILURES = {
+    "StagingError": (
+        {"inputs": [{"id": "f", "type": "File", "position": 1}]},
+        lambda tmp_path: {"f": _missing_input(tmp_path)}, {}),
+    "ExprError": ({}, lambda tmp_path: {"msg": "$(inputs.nope)"}, {}),
+    "LaunchError/empty argv": (
+        {"baseCommand": [], "inputs": []}, lambda tmp_path: {}, {}),
+    "LaunchError/missing binary": (
+        {"baseCommand": ["definitely-not-a-binary-xyz"]},
+        lambda tmp_path: {"msg": "x"}, {}),
+    "ExitCode": ({"baseCommand": ["false"], "inputs": []},
+                 lambda tmp_path: {}, {}),
+    "OutputMissing": (
+        {"outputs": [{"id": "out", "type": "File", "glob": "none.txt"}]},
+        lambda tmp_path: {"msg": "x"}, {}),
+    "OutputAmbiguous": (
+        {"baseCommand": ["sh", "-c", "touch a.txt b.txt"], "inputs": [],
+         "outputs": [{"id": "out", "type": "File", "glob": "*.txt"}]},
+        lambda tmp_path: {}, {}),
+    "Timeout": ({"baseCommand": ["sleep", "5"], "inputs": []},
+                lambda tmp_path: {}, {"wallTimeMax": 0.3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_run_task_reports_each_failure_kind(tmp_path, case):
+    overrides, values, resources = FAILURES[case]
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    node = TaskNode(id="t", tool=_tool(**overrides), bindings={})
+    attempt = rt.run_task(node, values(tmp_path), 1, resources)
+    kind = case.split("/")[0]
+    assert attempt.failure_kind == kind
+    assert attempt.outcome == (runtime.TEMPORARY_FAILURE if kind == "Timeout"
+                               else runtime.PERMANENT_FAILURE)
+    assert attempt.outputs is None
 
 
 @pytest.mark.skipif(os.geteuid() == 0,
