@@ -92,6 +92,7 @@ class ResultCache:
         self.cache_dir = os.path.abspath(cache_dir)
         self.ac_dir = os.path.join(self.cache_dir, "ac")
         self.cas_dir = os.path.join(self.cache_dir, "cas")
+        self._made = False  # ac/ and cas/, on the first store
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.ac_dir, f"{key}.json")
@@ -142,14 +143,14 @@ class ResultCache:
         entry_path = self._entry_path(key)
         if os.path.exists(entry_path):
             return  # equal keys imply identical results; first writer wins
-        for directory in (self.ac_dir, self.cas_dir):
-            if not os.path.isdir(directory):
+        if not self._made:
+            for directory in (self.ac_dir, self.cas_dir):
                 os.makedirs(directory, exist_ok=True)
+            self._made = True
 
         def persist(fv):
-            blob = os.path.join(self.cas_dir, fv.checksum)
-            if not os.path.exists(blob):  # else it holds these bytes already
-                link_or_copy(fv.path, blob)
+            # an existing blob holds these bytes already, and is kept
+            link_or_copy(fv.path, os.path.join(self.cas_dir, fv.checksum))
             return fv.to_json(include_path=False)
 
         entry = {

@@ -315,6 +315,12 @@ def _parse_tool(raw: dict, version: str) -> ToolDescription:
         value = raw.get(name)
         if value is not None and not isinstance(value, str):
             raise SchemaError(f"{name} must be a string")
+        # a capture is written in place in the output directory
+        if name != "stdin" and value is not None and (
+                "/" in value or "\0" in value or value in ("", ".", "..")):
+            raise SchemaError(
+                f"{name} must name a file in the output directory, "
+                f"not {value!r}")
 
     return ToolDescription(
         base_command=tuple(base),

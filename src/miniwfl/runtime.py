@@ -1,19 +1,27 @@
 """Task execution: staging, command-line building, process launch, outputs.
 
-Every attempt gets a fresh working directory and read-only copies of its
-inputs that match the job-order checksums, each source hashed once per run
-while its stat signature holds (see _copy_verified); the tool runs
-with a minimal explicit environment, and stdout/stderr are always captured
-to files for provenance.  A successful attempt's input copies are deleted
-once its outputs are collected, unless an output resolves into them.
+An attempt allocates only what it keeps.  Its directory is the tool's
+working directory (the outdir).  Beside it go ``<attempt>.inputs/``, made
+only for File inputs and holding read-only copies that match the job-order
+checksums, each source hashed once per run while its stat signature holds
+(see _copy_verified), and ``<attempt>.stdout.log``/``.stderr.log``, kept
+only for a stream that nothing captures and that was not empty.  A named or
+captured stream is written in place in the outdir.  Each worker thread
+reuses one TMPDIR while it stays the empty directory it was made as, and
+one spare log per stream (see WorkerScratch).  The tool runs in a session of
+its own with a minimal explicit environment, and the whole session is
+killed when it exits or times out.  A successful attempt's input copies are
+deleted once its outputs are collected, unless an output resolves into them.
 """
 
 from __future__ import annotations
 
 import glob as globlib
+import contextlib
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import threading
@@ -43,18 +51,76 @@ C_INPUTS = "/miniwfl/inputs"
 C_TMPDIR = "/tmp"
 
 
+STREAMS = ("stdout", "stderr")
+
+
 @dataclass
 class StagedDirectory:
-    root: str
-    staged_inputs: dict  # original path -> in-sandbox path
-    outdir: str
+    outdir: str  # the attempt directory, where the tool runs
     tmpdir: str
+    staged_inputs: dict  # original path -> in-sandbox path
     container_map: dict = field(default_factory=dict)  # host -> container path
 
     @property
     def inputs_dir(self) -> str:
         """Where input copies go; created when the first one is staged."""
-        return os.path.join(self.root, "inputs")
+        return f"{self.outdir}.inputs"
+
+    def log_path(self, which: str) -> str:
+        """Where an uncaptured, non-empty stream is kept."""
+        return f"{self.outdir}.{which}.log"
+
+
+class WorkerScratch:
+    """What one worker thread reuses from one attempt to the next, so that
+    an attempt allocates only what it keeps: a TMPDIR, and one spare log
+    per stream for output that nothing captures.  Every name is fresh, so
+    that a TMPDIR left behind never blocks the next one."""
+
+    def __init__(self, work_root: str):
+        self.work_root = work_root
+        self.pid = None      # the running attempt's process (and group)
+        self._tmpdir = None  # (path, inode, mode) as made
+        self._spares = {}    # stream -> path of its spare log
+
+    def _fresh(self, suffix: str) -> str:
+        return os.path.join(self.work_root,
+                            f".spare-{uuid.uuid4().hex[:8]}.{suffix}")
+
+    def tmpdir(self) -> str:
+        if self._tmpdir is None:
+            path = self._fresh("tmp")
+            os.mkdir(path)
+            st = os.lstat(path)
+            self._tmpdir = (path, st.st_ino, st.st_mode)
+        return self._tmpdir[0]
+
+    def release_tmpdir(self, attempt_dir: str, failed: bool):
+        """Keep the TMPDIR for the next attempt while it is the empty
+        directory it was made as, with its mode; after a failed attempt, or
+        once the tool left anything in it, it moves to ``<attempt>.tmp``
+        and the next attempt gets a new one."""
+        if self._tmpdir is None:
+            return
+        path, ino, mode = self._tmpdir
+        try:
+            st = os.lstat(path)
+            if (not failed and (st.st_ino, st.st_mode) == (ino, mode)
+                    and not os.listdir(path)):
+                return
+            os.rename(path, f"{attempt_dir}.tmp")
+        except OSError:
+            pass  # gone, or left where it is
+        self._tmpdir = None
+
+    def spare_log(self, which: str) -> str:
+        if which not in self._spares:
+            self._spares[which] = self._fresh(which)
+        return self._spares[which]
+
+    def keep_log(self, which: str, target: str):
+        """Move a stream's spare log, which holds output, to ``target``."""
+        os.replace(self._spares.pop(which), target)
 
 
 @dataclass
@@ -66,7 +132,7 @@ class TaskAttempt:
     start_time: float = 0.0
     end_time: float = 0.0
     exit_code: Optional[int] = None
-    stdout_path: Optional[str] = None
+    stdout_path: Optional[str] = None  # None: uncaptured, and empty
     stderr_path: Optional[str] = None
     outcome: str = PERMANENT_FAILURE
     failure_kind: Optional[str] = None
@@ -138,14 +204,16 @@ def _copy_verified(fv: FileValue, target: str, verified: dict):
 def link_or_copy(source: str, target: str):
     """Make ``target`` a hard link to ``source``, or a copy where the
     filesystem refuses the link (another device, no hard links).  An
-    existing ``target``, perhaps another run's file, is never written to:
-    it is kept, or replaced by renaming a copy over it."""
+    existing ``target``, perhaps another run's file, is kept and never
+    written to."""
     try:
         os.link(source, target)
     except FileExistsError:
         pass
     except OSError:
-        write_atomically(target, lambda path: shutil.copyfile(source, path))
+        if not os.path.exists(target):
+            write_atomically(target,
+                             lambda path: shutil.copyfile(source, path))
 
 
 def write_atomically(target: str, write):
@@ -162,7 +230,8 @@ def write_atomically(target: str, write):
 
 def stage(node_id: str, bindings: dict, work_root: str,
           initial_workdir: Optional[model.Clause] = None,
-          verified: Optional[dict] = None) -> tuple:
+          verified: Optional[dict] = None,
+          tmpdir: Optional[str] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
@@ -170,27 +239,28 @@ def stage(node_id: str, bindings: dict, work_root: str,
     equivalents are recorded in the directory's container_map.
     ``verified`` is the run's record of checked sources (see
     _copy_verified); without it every input copy is hashed.
-    Inputs go to ``inputs/<basename>``, or to ``inputs/<n>/<basename>``
-    when the basename is taken.  ``tmp/`` is always made: TMPDIR must name
-    a private directory that exists, and containers mount it at /tmp.
+    The attempt directory is the outdir.  Inputs go to
+    ``<attempt>.inputs/<basename>``, or to ``<attempt>.inputs/<n>/<basename>``
+    when the basename is taken.  ``tmpdir`` is the private directory that
+    TMPDIR names and containers mount at /tmp, usually a worker's reused
+    one (see WorkerScratch); without it ``<attempt>.tmp/`` is made.
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
-    root = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
-    os.makedirs(root)
-    outdir = os.path.join(root, "outdir")
-    tmpdir = os.path.join(root, "tmp")
-    os.mkdir(outdir)
-    os.mkdir(tmpdir)
+    outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
+    os.makedirs(outdir)
+    if tmpdir is None:
+        tmpdir = f"{outdir}.tmp"
+        os.mkdir(tmpdir)
     if verified is None:
         verified = {}
 
     staged_inputs = {}
     container_map = {}
-    staged = StagedDirectory(root=root, staged_inputs=staged_inputs,
-                             outdir=outdir, tmpdir=tmpdir,
+    staged = StagedDirectory(outdir=outdir, tmpdir=tmpdir,
+                             staged_inputs=staged_inputs,
                              container_map=container_map)
 
-    taken = set()  # names directly under inputs/
+    taken = set()  # names directly under the inputs directory
 
     def place(fv: FileValue) -> FileValue:
         if fv.path not in staged_inputs:
@@ -376,17 +446,42 @@ def base_environment(staged: StagedDirectory, container: bool) -> dict:
     }
 
 
+def stream_names(tool: ToolDescription) -> dict:
+    """The file in the outdir that each named or captured stream is
+    written to; a captured stream without a name goes to ``stdout.log`` or
+    ``stderr.log``."""
+    captured = {out.capture for out in tool.outputs}
+    names = {"stdout": tool.stdout, "stderr": tool.stderr}
+    return {which: names[which] or f"{which}.log" for which in STREAMS
+            if names[which] or which in captured}
+
+
+def _kill_session(pid: int):
+    """Kill whatever is left of the session an attempt started in."""
+    with contextlib.suppress(ProcessLookupError, PermissionError):
+        os.killpg(pid, signal.SIGKILL)
+
+
 def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             staged: StagedDirectory, success_codes=frozenset({0}),
             wall_time_max: Optional[float] = None,
             container_image: Optional[str] = None,
             adapter: Optional[DockerAdapter] = None,
-            stdin_path: Optional[str] = None) -> TaskAttempt:
-    """Run one attempt; never raises for tool failure, only reports it."""
+            stdin_path: Optional[str] = None,
+            streams: Optional[dict] = None,
+            scratch: Optional[WorkerScratch] = None) -> TaskAttempt:
+    """Run one attempt; never raises for tool failure, only reports it.
+
+    ``streams`` (see stream_names) maps a stream to the file in the outdir
+    it is written to in place.  Any other stream goes to a spare log of
+    ``scratch`` (a private one when not given), kept as
+    ``<attempt>.<stream>.log`` only when the stream was not empty; the
+    attempt's ``stdout_path``/``stderr_path`` is None for an empty one.
+    The tool starts a session of its own, killed as a whole once the tool
+    exits or times out, so that nothing it started outlives the attempt.
+    """
     attempt = TaskAttempt(task_id=task_id, attempt_number=attempt_number,
-                          argv=list(argv), env=dict(env),
-                          stdout_path=os.path.join(staged.root, "stdout.log"),
-                          stderr_path=os.path.join(staged.root, "stderr.log"))
+                          argv=list(argv), env=dict(env))
     launch_argv = argv
     launch_env = env
     if container_image is not None:
@@ -399,58 +494,70 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
                                          interactive=stdin_path is not None)
         launch_env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
 
+    streams = streams or {}
+    scratch = scratch or WorkerScratch(os.path.dirname(staged.outdir))
+    targets = {which: os.path.join(staged.outdir, streams[which])
+               if which in streams else scratch.spare_log(which)
+               for which in STREAMS}
+    written = {}  # target -> bytes in it after the run
+
     attempt.start_time = time.time()
     kind = error = None
-    in_fh = None
     try:
-        if stdin_path is not None:
-            in_fh = open(stdin_path, "rb")
-        with open(attempt.stdout_path, "wb") as out_fh, \
-                open(attempt.stderr_path, "wb") as err_fh:
+        with contextlib.ExitStack() as files:
+            in_fh = (files.enter_context(open(stdin_path, "rb"))
+                     if stdin_path is not None else None)
+            handles = {}  # one handle per file, shared by both streams
+            for target in targets.values():
+                if target not in handles:
+                    handles[target] = files.enter_context(open(target, "wb"))
             proc = subprocess.Popen(launch_argv, cwd=staged.outdir,
-                                    env=launch_env, stdout=out_fh,
-                                    stderr=err_fh, stdin=in_fh)
+                                    env=launch_env,
+                                    stdout=handles[targets["stdout"]],
+                                    stderr=handles[targets["stderr"]],
+                                    stdin=in_fh, start_new_session=True)
+            scratch.pid = proc.pid
             try:
                 attempt.exit_code = proc.wait(timeout=wall_time_max)
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
                 kind = "Timeout"
                 error = f"wall time limit of {wall_time_max}s exceeded"
+            # after a timeout the tool itself, else whatever it left running
+            _kill_session(proc.pid)
+            proc.wait()
+            scratch.pid = None
+            written = {target: os.fstat(fh.fileno()).st_size
+                       for target, fh in handles.items()}
     except FileNotFoundError as exc:
         kind, error = "LaunchError", f"cannot launch: {exc}"
     except OSError as exc:
         kind, error = "LaunchRace", f"launch failed: {exc}"
-    finally:
-        if in_fh is not None:
-            in_fh.close()
 
     attempt.end_time = time.time()
+    for which in STREAMS:
+        path = targets[which]
+        if which not in streams:  # a spare log, kept only with output in it
+            path = staged.log_path(which) if written.get(path) else None
+            if path is not None:
+                scratch.keep_log(which, path)
+        setattr(attempt, f"{which}_path", path)
     if kind is None and attempt.exit_code not in success_codes:
         kind = "ExitCode"
         error = f"exit code {attempt.exit_code} not in success codes"
     return attempt.settle(kind, error)
 
 
-def _capture_path(tool: ToolDescription, staged: StagedDirectory,
-                  attempt: TaskAttempt, which: str) -> str:
-    name = tool.stdout if which == "stdout" else tool.stderr
-    source = attempt.stdout_path if which == "stdout" else attempt.stderr_path
-    if name is None:
-        return source
-    target = os.path.join(staged.outdir, name)
-    if not os.path.exists(target):
-        link_or_copy(source, target)
-    return target
-
-
-def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
-                    attempt: TaskAttempt) -> dict:
+def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
     """Locate and checksum every declared output of a successful attempt."""
     outputs = {}
     for out in tool.outputs:
         if out.capture is not None:
-            path = _capture_path(tool, staged, attempt, out.capture)
+            path = os.path.join(staged.outdir,
+                                stream_names(tool)[out.capture])
+            if not os.path.isfile(path):
+                raise OutputMissingError(
+                    f"output {out.id!r}: captured {out.capture} file "
+                    f"{path} is gone")
             outputs[out.id] = FileValue.from_path(path, format=out.format)
             continue
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
@@ -499,6 +606,24 @@ class LocalRuntime:
         self.verified = {}  # source path -> signature of checked bytes
         self.spawn_count = 0
         self._lock = threading.Lock()
+        self._local = threading.local()
+        self._scratches = []  # every worker's, for cancel()
+
+    def _scratch(self) -> WorkerScratch:
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = WorkerScratch(self.work_root)
+            with self._lock:
+                self._scratches.append(scratch)
+        return scratch
+
+    def cancel(self):
+        """Kill every attempt running now.  Tools run in sessions of their
+        own, which an interrupt of the engine does not reach."""
+        with self._lock:
+            pids = [s.pid for s in self._scratches if s.pid is not None]
+        for pid in pids:
+            _kill_session(pid)
 
     def container_image(self, node: TaskNode) -> Optional[str]:
         clause = node.clause(model.CLAUSE_CONTAINER)
@@ -512,11 +637,13 @@ class LocalRuntime:
         ``outputs`` are set when it succeeded."""
         attempt = TaskAttempt(task_id=node.id, attempt_number=attempt_number)
         image = self.container_image(node)
+        scratch = self._scratch()
+        staged = None
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 initial_workdir=node.clause(model.CLAUSE_INITIAL_WORKDIR),
-                verified=self.verified)
+                verified=self.verified, tmpdir=scratch.tmpdir())
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             host_ctx = EvalContext(inputs=staged_bindings, runtime={
@@ -559,17 +686,24 @@ class LocalRuntime:
                 container_image=image,
                 adapter=self.adapter,
                 stdin_path=stdin_path,
+                streams=stream_names(node.tool),
+                scratch=scratch,
             )
             if attempt.start_time:
                 with self._lock:
                     self.spawn_count += 1
             if attempt.outcome == SUCCESS:
-                outputs = collect_outputs(node.tool, staged, attempt)
+                outputs = collect_outputs(node.tool, staged)
                 _drop_spent_inputs(staged, outputs)
                 attempt.outputs = outputs
         except tuple(_FAILURE_KINDS) as exc:
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
+        finally:
+            if staged is not None:
+                scratch.release_tmpdir(
+                    staged.outdir,
+                    failed=bool(attempt.start_time) and attempt.outputs is None)
         return attempt
 
 

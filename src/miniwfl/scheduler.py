@@ -427,13 +427,19 @@ class _Coordinator:
 
     def run(self) -> RunResult:
         with ThreadPoolExecutor(max_workers=self.cfg.parallelism) as pool:
-            self.process_readiness()
-            while True:
-                self.admit(pool)
-                if self.in_flight == 0:
-                    break
-                self.handle_completion(*self.completions.get())
+            try:
                 self.process_readiness()
+                while True:
+                    self.admit(pool)
+                    if self.in_flight == 0:
+                        break
+                    self.handle_completion(*self.completions.get())
+                    self.process_readiness()
+            except BaseException:
+                # an interrupt does not reach tools that run in sessions of
+                # their own, and the pool would wait for them to end
+                getattr(self.services.runtime, "cancel", lambda: None)()
+                raise
         return self._result()
 
     def _result(self) -> RunResult:

@@ -101,6 +101,16 @@ def _check_resources(clause: Clause, matrix: SupportMatrix, location: str):
     return out
 
 
+def _check_types(body, location: str):
+    """Directory parses, but nothing runs it: the planner loads no
+    Directory value and the runtime collects none."""
+    return [_err("UnsupportedType", f"{location}/{side}s/{p.id}",
+                 f"{side} {p.id!r}: unsupported base type {p.type.base}")
+            for side, params in (("input", body.inputs),
+                                 ("output", body.outputs))
+            for p in params if p.type.base == "Directory"]
+
+
 def _assignable(src: DataType, sink: DataType) -> bool:
     """T -> T; T -> T?; optionality never drops silently."""
     if src.base != sink.base or src.array != sink.array:
@@ -239,6 +249,7 @@ def validate(doc: Document, matrix: SupportMatrix = None, location: str = "$"):
                           f"version {doc.version} is not supported"))
 
     body = doc.body
+    diags.extend(_check_types(body, location))
     if isinstance(body, ToolDescription):
         diags.extend(_check_clauses(body.requirements, body.hints, matrix,
                                     location))
@@ -264,6 +275,7 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
                 requirements = requirements + getattr(body, "requirements", ())
                 hints = hints + getattr(body, "hints", ())
             diags.extend(_check_clauses(requirements, hints, matrix, step_loc))
+            diags.extend(_check_types(body, f"{step_loc}/run"))
         if step.when is not None:
             try:
                 parse_expr(step.when)

@@ -245,3 +245,23 @@ def test_reuse_tells_inputs_apart_by_basename(tmp_path):
         assert code == 0
         printed.append(Path(json.loads(stdout)["out"]["path"]).read_text())
     assert printed == ["a.txt\n", "b.txt\n"]
+
+
+def test_capture_name_cannot_leave_the_outdir(project):
+    (project / "tool.cwl").write_text(
+        TOOL.replace("stdout: out.txt", "stdout: ../../../../escaped.txt"))
+    code, out = run_cli(["validate", str(project / "wf.cwl")])
+    assert code == 1 and out == ""
+    code, out = run_cli(_run_args(project))
+    assert code == 1 and out == ""
+    assert not list(project.rglob("escaped.txt"))
+
+
+def test_validate_rejects_directory_parameters(project):
+    (project / "wf.cwl").write_text(
+        WF.replace("  msg: string", "  msg: string\n  d: Directory"))
+    code, out = run_cli(["validate", str(project / "wf.cwl")])
+    assert code == 1
+    (diag,) = [json.loads(l) for l in out.splitlines()]
+    assert diag["code"] == "UnsupportedType"
+    assert diag["message"] == "input 'd': unsupported base type Directory"

@@ -116,6 +116,17 @@ outputs: []
 """)
 
 
+@pytest.mark.parametrize("name", [
+    "../../../../escaped.txt", "sub/out.txt", "/tmp/out.txt", ".", "..", ""])
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_capture_names_stay_in_the_output_directory(stream, name):
+    text = TOOL_YAML.replace("stdout: out.txt\n", "")
+    with pytest.raises(SchemaError, match=f"{stream} must name a file"):
+        parser.parse_document(text + f"{stream}: {json.dumps(name)}\n")
+    doc = parser.parse_document(text + f"{stream}: ..out.txt\n")
+    assert getattr(doc.body, stream) == "..out.txt"
+
+
 def test_unknown_key_rejected_unless_namespaced():
     with pytest.raises(SchemaError, match="unknown key"):
         parser.parse_document(TOOL_YAML + "mystery: 1\n")

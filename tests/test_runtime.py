@@ -2,10 +2,12 @@
 
 import os
 import stat
+import time
 
 import pytest
 
 from miniwfl import parser, runtime
+from miniwfl.cache import ResultCache
 from miniwfl.errors import StagingError
 from miniwfl.expression import EvalContext
 from miniwfl.model import CLAUSE_INITIAL_WORKDIR, Clause
@@ -18,6 +20,7 @@ from miniwfl.runtime import (
     collect_outputs,
     execute,
     stage,
+    stream_names,
 )
 
 
@@ -126,7 +129,7 @@ def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
     staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"))
     staged_fv = bindings["f"]
     assert staged_fv.path != fv.path
-    assert staged_fv.path.startswith(staged.root)
+    assert staged_fv.path.startswith(staged.inputs_dir + os.sep)
     assert open(staged_fv.path).read() == "payload\n"
     mode = stat.S_IMODE(os.stat(staged_fv.path).st_mode)
     assert mode == 0o444
@@ -136,14 +139,18 @@ def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
 
 def test_stage_without_file_inputs_makes_no_inputs_dir(tmp_path):
     staged, _ = stage("t1", {"msg": "hi"}, str(tmp_path / "work"))
-    assert sorted(os.listdir(staged.root)) == ["outdir", "tmp"]
+    name = os.path.basename(staged.outdir)
+    # without a worker's TMPDIR, the attempt makes its own beside it
+    assert sorted(os.listdir(tmp_path / "work")) == [name, f"{name}.tmp"]
+    assert staged.tmpdir == f"{staged.outdir}.tmp"
+    assert os.listdir(staged.outdir) == []
 
 
 def test_stage_fresh_directory_per_attempt(tmp_path):
     fv = _fv(tmp_path)
     s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"))
     s2, _ = stage("t1", {"f": fv}, str(tmp_path / "work"))
-    assert s1.root != s2.root
+    assert s1.outdir != s2.outdir
 
 
 def test_stage_detects_source_drift(tmp_path):
@@ -193,29 +200,185 @@ def _count_mkdirs(monkeypatch):
     return made
 
 
-def test_attempt_without_file_inputs_makes_three_directories(tmp_path,
-                                                             monkeypatch):
-    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+def _inodes(*roots):
+    """The inode of every entry under ``roots``."""
+    found = set()
+    for root in roots:
+        for directory, dirs, files in os.walk(root):
+            for name in dirs + files:
+                found.add(os.lstat(os.path.join(directory, name)).st_ino)
+    return found
+
+
+def test_echo_attempt_and_its_store_allocate_three_inodes(tmp_path,
+                                                          monkeypatch):
+    work, cache_dir = str(tmp_path / "work"), str(tmp_path / "cache")
+    rt = LocalRuntime(work, use_containers=False)
+    cache = ResultCache(cache_dir)
+    node = TaskNode(id="say", tool=_tool(), bindings={})
+
+    def attempt(n):
+        result = rt.run_task(node, {"msg": f"hello {n}"}, 1, {})
+        assert result.outputs is not None
+        cache.store(f"key{n}", result.outputs)
+        return result
+
+    first = attempt(0)  # also makes the worker's TMPDIR, ac/ and cas/
+    before = _inodes(work, cache_dir)
     made = _count_mkdirs(monkeypatch)
-    result = rt.run_task(TaskNode(id="say", tool=_tool(), bindings={}),
-                         {"msg": "hello"}, 1, {})
-    assert result.outputs is not None
-    root = os.path.dirname(result.stdout_path)
-    assert made == [root, os.path.join(root, "outdir"),
-                    os.path.join(root, "tmp")]
+    second = attempt(1)
+    out = second.outputs["out"].path
+    outdir = os.path.dirname(out)
+    kept = {os.lstat(p).st_ino for p in (
+        outdir, out, os.path.join(cache_dir, "ac", "key1.json"))}
+    assert _inodes(work, cache_dir) - before == kept
+    # the attempt directory is the outdir; the blob is a link to out.txt
+    assert out == second.stdout_path == os.path.join(outdir, "out.txt")
+    assert os.path.samefile(
+        os.path.join(cache_dir, "cas", second.outputs["out"].checksum), out)
+    # the same worker: no TMPDIR made, and the empty stderr left no log
+    assert made == [outdir]
+    assert second.env["TMPDIR"] == first.env["TMPDIR"]
+    assert os.listdir(second.env["TMPDIR"]) == []
+    assert first.stderr_path is None and second.stderr_path is None
+    assert not [n for n in os.listdir(work) if n.endswith(".log")]
 
 
 def test_staging_distinct_basenames_makes_one_inputs_directory(tmp_path,
                                                                monkeypatch):
     work = tmp_path / "work"
-    work.mkdir()
+    (work / "tmp").mkdir(parents=True)
     bindings = {f"f{n}": _fv(tmp_path, f"in{n}.txt") for n in range(4)}
     made = _count_mkdirs(monkeypatch)
-    staged, _ = stage("t1", bindings, str(work))
-    assert made == [staged.root, staged.outdir, staged.tmpdir,
-                    staged.inputs_dir]
+    staged, _ = stage("t1", bindings, str(work), tmpdir=str(work / "tmp"))
+    assert made == [staged.outdir, staged.inputs_dir]
+    assert staged.inputs_dir == f"{staged.outdir}.inputs"
     assert sorted(os.listdir(staged.inputs_dir)) \
         == [f"in{n}.txt" for n in range(4)]
+
+
+def _sh(script, **overrides):
+    return TaskNode(id="t", tool=_tool(baseCommand=["sh", "-c", script],
+                                       inputs=[], **overrides), bindings={})
+
+
+def test_uncaptured_stream_is_kept_only_when_not_empty(tmp_path):
+    work = str(tmp_path / "work")
+    rt = LocalRuntime(work, use_containers=False)
+    loud = rt.run_task(_sh("echo out; echo warning >&2"), {}, 1, {})
+    quiet = rt.run_task(_sh("echo out"), {}, 1, {})
+    outdir = os.path.dirname(loud.stdout_path)
+    assert loud.stderr_path == f"{outdir}.stderr.log"
+    assert _read(loud.stderr_path) == "warning\n"
+    assert quiet.stderr_path is None
+    assert [n for n in os.listdir(work) if n.endswith(".log")] \
+        == [os.path.basename(loud.stderr_path)]
+
+
+def test_captured_stream_without_a_name_is_written_in_the_outdir(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    node = _sh("echo out; echo err >&2", stdout=None, outputs=[
+        {"id": "o", "type": "File", "capture": "stdout"},
+        {"id": "e", "type": "File", "capture": "stderr"}])
+    result = rt.run_task(node, {}, 1, {})
+    assert [fv.basename for fv in (result.outputs["o"], result.outputs["e"])] \
+        == ["stdout.log", "stderr.log"]
+    assert result.stderr_path == result.outputs["e"].path
+    assert _read(result.outputs["e"].path) == "err\n"
+    assert os.path.dirname(result.stdout_path) \
+        == os.path.dirname(result.outputs["o"].path)
+
+
+def test_streams_naming_one_file_share_it(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    result = rt.run_task(_sh("echo a; echo b >&2; echo c", stderr="out.txt"),
+                         {}, 1, {})
+    assert _read(result.outputs["out"].path) == "a\nb\nc\n"
+
+
+def test_tmpdir_left_changed_is_not_reused(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+
+    def run(script):
+        result = rt.run_task(_sh(script), {}, 1, {})
+        return result.env["TMPDIR"], os.path.dirname(result.stdout_path)
+
+    tmpdir, _ = run("echo")
+    left = {'touch "$TMPDIR/left"': ["left"], 'chmod 1777 "$TMPDIR"': [],
+            "exit 3": [], 'rmdir "$TMPDIR"': None}
+    for script, entries in left.items():
+        used, outdir = run(script)
+        assert used == tmpdir, script
+        tmpdir, _ = run("echo")
+        assert tmpdir != used and not os.path.exists(used), script
+        # kept beside the attempt that changed it or failed, for debugging
+        kept = f"{outdir}.tmp"
+        assert (os.listdir(kept) if os.path.exists(kept) else None) \
+            == entries, script
+    # emptied again by the tool: still clean, so reused
+    assert run('mkdir "$TMPDIR/d" && rmdir "$TMPDIR/d"')[0] == tmpdir
+    assert run("echo")[0] == tmpdir
+
+
+def test_each_worker_thread_reuses_its_own_tmpdir(tmp_path):
+    import sys
+    import threading
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    used = {}  # thread -> TMPDIRs its attempts ran with
+
+    def worker(n):
+        for _ in range(5):
+            result = rt.run_task(_sh("echo"), {}, 1, {})
+            assert result.outputs is not None
+            used.setdefault(n, set()).add(result.env["TMPDIR"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(len(dirs) for dirs in used.values()) == [1, 1, 1, 1]
+    assert len(set.union(*used.values())) == 4 == len(rt._scratches)
+
+
+def test_timeout_kills_what_the_tool_started(tmp_path):
+    from miniwfl.model import CLAUSE_RESOURCE
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    node = _sh("sleep 7.77 & echo $! > pid; wait", outputs=[])
+    result = rt.run_task(node, {}, 1, {"wallTimeMax": 1})
+    assert result.failure_kind == "Timeout"
+    pid_file = os.path.join(os.path.dirname(result.stdout_path), "pid")
+    grandchild = int(_read(pid_file))
+    deadline = time.monotonic() + 5  # an orphan is reaped by init
+    with pytest.raises(ProcessLookupError):
+        while time.monotonic() < deadline:
+            os.kill(grandchild, 0)
+            time.sleep(0.05)
+
+
+def test_cancel_kills_the_running_attempts(tmp_path):
+    import threading
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    results = []
+    worker = threading.Thread(target=lambda: results.append(
+        rt.run_task(_sh("sleep 30", outputs=[]), {}, 1, {})))
+    worker.start()
+    deadline = time.monotonic() + 10
+    while not any(s.pid for s in rt._scratches):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    rt.cancel()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert results[0].failure_kind == "ExitCode"
+    assert results[0].exit_code == -9
 
 
 def test_stage_materializes_literal_workdir_entries(tmp_path):
@@ -449,19 +612,20 @@ def _run_and_collect(tmp_path, tool, script):
     staged = _staged(tmp_path)
     attempt = execute("t", 1, ["sh", "-c", script], {}, staged)
     assert attempt.outcome == runtime.SUCCESS
-    return collect_outputs(tool, staged, attempt), staged
+    return collect_outputs(tool, staged), staged
 
 
 def test_collect_stdout_capture_named_file(tmp_path):
     tool = _tool()
     staged = _staged(tmp_path)
-    attempt = execute("t", 1, ["echo", "hi"], {}, staged)
-    outputs = collect_outputs(tool, staged, attempt)
+    attempt = execute("t", 1, ["echo", "hi"], {}, staged,
+                      streams=stream_names(tool))
+    outputs = collect_outputs(tool, staged)
     fv = outputs["out"]
     assert fv.basename == "out.txt"
     assert open(fv.path).read() == "hi\n"
     assert fv.checksum == file_checksum(fv.path)
-    assert os.path.samefile(fv.path, attempt.stdout_path)  # a link, no copy
+    assert fv.path == attempt.stdout_path  # written in place, no link
 
 
 def test_collect_glob_single_file(tmp_path):
@@ -524,7 +688,7 @@ def test_collect_primitive_output_with_two_matches_raises(tmp_path):
 
 def test_docker_adapter_argv_contract(tmp_path):
     staged = StagedDirectory(
-        root="/w/t-1", staged_inputs={"/orig/a.txt": "/w/t-1/inputs/0/a.txt"},
+        staged_inputs={"/orig/a.txt": "/w/t-1/inputs/0/a.txt"},
         outdir="/w/t-1/outdir", tmpdir="/w/t-1/tmp",
         container_map={
             "/w/t-1/inputs/0/a.txt": "/miniwfl/inputs/0/a.txt",
@@ -565,8 +729,13 @@ def test_link_or_copy_never_writes_into_an_existing_target(tmp_path,
 
     monkeypatch.setattr(os, "link", cross_device)
     runtime.link_or_copy(source, str(target))
-    assert _read(target) == "new\n"  # a copy renamed over the name
+    assert _read(target) == "kept\n"  # not even a copy renamed over it
     assert _read(other_name) == "kept\n"
+    fresh = tmp_path / "fresh.txt"
+    runtime.link_or_copy(source, str(fresh))
+    assert _read(fresh) == "new\n"  # a copy where there is no target
+    assert not os.path.samefile(fresh, source)
+    os.remove(fresh)
     assert sorted(os.listdir(tmp_path)) == ["other.txt", "source.txt",
                                             "target.txt"]
 
@@ -594,8 +763,7 @@ def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
                      outputs=outputs)
         result = rt.run_task(TaskNode(id="t", tool=tool, bindings={}),
                              {"f": fv}, 1, {})
-        inputs_dir = os.path.join(
-            os.path.dirname(result.stdout_path), "inputs")
+        inputs_dir = os.path.dirname(result.stdout_path) + ".inputs"
         return result, inputs_dir
 
     copied = [{"id": "out", "type": "File", "glob": "copy.txt"}]
@@ -655,6 +823,9 @@ FAILURES = {
     "OutputMissing": (
         {"outputs": [{"id": "out", "type": "File", "glob": "none.txt"}]},
         lambda tmp_path: {"msg": "x"}, {}),
+    "OutputMissing/capture removed by the tool": (
+        {"baseCommand": ["sh", "-c", "echo hi; rm out.txt"], "inputs": []},
+        lambda tmp_path: {}, {}),
     "OutputAmbiguous": (
         {"baseCommand": ["sh", "-c", "touch a.txt b.txt"], "inputs": [],
          "outputs": [{"id": "out", "type": "File", "glob": "*.txt"}]},

@@ -1,6 +1,8 @@
 """Scheduling: admission, retries, failure policy, scatter completion."""
 
 import heapq
+import os
+import signal
 import threading
 import time
 
@@ -624,3 +626,27 @@ def test_coordinator_cost_grows_linearly(build, small, large):
     # 4x the units: about 4x the time when linear, 16x when quadratic
     ratio = _best_of_5(build, large) / _best_of_5(build, small)
     assert ratio < 7, f"{large} units took {ratio:.1f}x the time of {small}"
+
+
+def test_interrupt_cancels_the_attempts_in_flight():
+    class BlockedRuntime:
+        def __init__(self):
+            self.started = threading.Event()
+            self.cancelled = threading.Event()
+
+        def run_task(self, node, bindings, attempt_number, resources):
+            self.started.set()
+            self.cancelled.wait(10)
+            return TaskAttempt(task_id=node.id, attempt_number=attempt_number)
+
+        def cancel(self):
+            self.cancelled.set()
+
+    rt = BlockedRuntime()
+    threading.Thread(target=lambda: rt.started.wait(10) and os.kill(
+        os.getpid(), signal.SIGINT), daemon=True).start()
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run(_graph(_node("a")), runtime=rt)
+    # the pool did not wait out the blocked attempt
+    assert rt.cancelled.is_set() and time.monotonic() - began < 5

@@ -2,6 +2,7 @@
 
 import json
 import random
+import textwrap
 
 import pytest
 from conftest import deep_chain
@@ -176,6 +177,32 @@ def test_format_mismatch_only_when_both_declared():
     assert "FormatMismatch" in _codes(validator.validate(parser.parse_raw(raw)))
     del raw["outputs"][0]["format"]
     assert validator.validate(parser.parse_raw(raw)) == []
+
+
+def test_directory_parameters_are_rejected():
+    tool_dir = wf_with_inline_tool(inputs="  msg: string\n  d: Directory[]?")
+    diags = validator.validate(tool_dir)
+    assert [(d.code, d.location, d.message) for d in diags] == [
+        ("UnsupportedType", "$/inputs/d",
+         "input 'd': unsupported base type Directory")]
+    doc = parser.parse_document(TOOL.replace("msg: {type: string",
+                                             "msg: {type: Directory"))
+    assert [d.location for d in validator.validate(doc)] == ["$/inputs/msg"]
+    step = parser.parse_document(f"""\
+cwlVersion: v1.2
+class: Workflow
+inputs: {{}}
+outputs: {{}}
+steps:
+  say:
+    run:
+{textwrap.indent(TOOL.replace("File, capture: stdout", "Directory, glob: d"),
+                 "      ")}
+    in: {{}}
+""")
+    assert [d.message for d in validator.validate(step)
+            if d.code == "UnsupportedType"] \
+        == ["output 'out': unsupported base type Directory"]
 
 
 def test_diagnostic_json_line_shape():
