@@ -182,6 +182,10 @@ class Document:
         return isinstance(self.body, WorkflowDescription)
 
 
+# The minimum of each Resource key that a machine bounds, when not declared.
+RESOURCE_DEFAULTS = {"coresMin": 1, "ramMin": 256, "diskMin": 0}
+
+
 @dataclass(frozen=True)
 class Machine:
     """The capacity that validation checks and scheduling admits against."""
@@ -191,8 +195,14 @@ class Machine:
     disk_mib: int = 65536
 
     def __post_init__(self):
-        if self.cores <= 0 or self.ram_mib <= 0 or self.disk_mib <= 0:
+        if min(self.capacity.values()) <= 0:
             raise ValueError("machine capacities must be positive")
+
+    @property
+    def capacity(self) -> dict:
+        """The capacity under each Resource key of RESOURCE_DEFAULTS."""
+        return {"coresMin": self.cores, "ramMin": self.ram_mib,
+                "diskMin": self.disk_mib}
 
 
 def is_identifier(s: str) -> bool:

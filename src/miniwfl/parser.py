@@ -203,6 +203,9 @@ def _parse_output(spec: dict, where: str, tool: bool) -> OutputParameter:
         if (glob is None) == (capture is None):
             raise SchemaError(
                 f"tool output {spec['id']!r} needs exactly one of glob/capture")
+        if glob is not None:
+            _check_outdir_name(f"output {spec['id']!r}: glob", glob,
+                               pattern=True)
     else:
         if spec.get("outputSource") is None:
             raise SchemaError(
@@ -215,6 +218,22 @@ def _parse_output(spec: dict, where: str, tool: bool) -> OutputParameter:
         capture=capture,
         format=spec.get("format"),
     )
+
+
+def _check_outdir_name(what: str, value, pattern: bool = False):
+    """Refuse a name that could leave the output directory.  A name is one
+    entry of it: no ``/`` and not ``""``, ``.`` or ``..``.  A glob
+    ``pattern`` is a relative path with no ``..`` component.  Neither
+    holds NUL."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string")
+    if pattern:
+        escapes = value.startswith("/") or ".." in value.split("/")
+    else:
+        escapes = "/" in value or value in ("", ".", "..")
+    if escapes or "\0" in value:
+        raise SchemaError(
+            f"{what} must name a file in the output directory, not {value!r}")
 
 
 def _normalize_clauses(block, where: str, version: str):
@@ -252,7 +271,7 @@ def _normalize_clauses(block, where: str, version: str):
     return tuple(clauses)
 
 
-_RESOURCE_KEYS = ("coresMin", "ramMin", "diskMin", "wallTimeMax")
+_RESOURCE_KEYS = (*model.RESOURCE_DEFAULTS, "wallTimeMax")
 
 
 def _validate_clause_payload(kind: str, payload: dict, where: str):
@@ -284,6 +303,8 @@ def _validate_clause_payload(kind: str, payload: dict, where: str):
         for item in listing:
             if not isinstance(item, dict) or "entry" not in item:
                 raise SchemaError(f"bad InitialWorkDir entry in {where}")
+            if item.get("entryname") is not None:
+                _check_outdir_name(f"entryname in {where}", item["entryname"])
     elif kind == model.CLAUSE_WORK_REUSE:
         if not isinstance(payload.get("enableReuse", True), bool):
             raise SchemaError(f"WorkReuse enableReuse must be boolean in {where}")
@@ -311,16 +332,11 @@ def _parse_tool(raw: dict, version: str) -> ToolDescription:
             raise SchemaError("successCodes must be a list of integers")
         success = frozenset(codes)
 
-    for name in ("stdin", "stdout", "stderr"):
-        value = raw.get(name)
-        if value is not None and not isinstance(value, str):
-            raise SchemaError(f"{name} must be a string")
-        # a capture is written in place in the output directory
-        if name != "stdin" and value is not None and (
-                "/" in value or "\0" in value or value in ("", ".", "..")):
-            raise SchemaError(
-                f"{name} must name a file in the output directory, "
-                f"not {value!r}")
+    if raw.get("stdin") is not None and not isinstance(raw["stdin"], str):
+        raise SchemaError("stdin must be a string")
+    for name in ("stdout", "stderr"):  # written in the output directory
+        if raw.get(name) is not None:
+            _check_outdir_name(name, raw[name])
 
     return ToolDescription(
         base_command=tuple(base),
@@ -470,18 +486,6 @@ def resolve_references(doc: Document, loader=None, base_uri: str = "",
                                steps=tuple(steps))
     return Document(version=doc.version, body=body, extensions=doc.extensions,
                     metadata=doc.metadata)
-
-
-def unresolved_run_references(doc: Document):
-    """External run references still recorded as strings."""
-    refs = []
-    if doc.is_workflow:
-        for step in doc.body.steps:
-            if isinstance(step.run, str):
-                refs.append(step.run)
-            else:
-                refs.extend(unresolved_run_references(step.run))
-    return refs
 
 
 # --- canonical serialization ------------------------------------------------

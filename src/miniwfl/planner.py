@@ -1,9 +1,9 @@
 """Planning: job order loading, sub-workflow inlining, scatter, readiness.
 
-The planned graph is static: node and edge sets are fixed here and never
-change during execution.  A scattered step stays one graph node; its
-run-time expansion into shards happens inside the scheduler and is invisible
-to the graph shape.
+The planned graph is static: node and edge sets are fixed here, and a run
+only reads them.  A scattered step stays one graph node; its run-time
+expansion into shards happens inside the scheduler and is invisible to the
+graph shape.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .model import (
     WorkflowDescription,
 )
 
+# Task states.  The scheduler's records hold them, and a plain node's record
+# moves only along _TRANSITIONS.
 PENDING = "Pending"
 READY = "Ready"
 RUNNING = "Running"
@@ -204,9 +206,10 @@ def load_job_order_file(path: str, wf) -> dict:
     return load_job_order(raw, wf, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskNode:
-    """One executable unit in the planned graph.
+    """One executable unit in the planned graph, which a run only reads:
+    the state of each task is on the scheduler's records.
 
     ``bindings`` maps each tool input to either ``("lit", value)`` or
     ``("edge", (producer task id, output id))``.
@@ -219,15 +222,7 @@ class TaskNode:
     guard: Optional[str] = None
     requirements: tuple = ()
     hints: tuple = ()
-    state: str = PENDING
     layer: int = 0
-
-    def transition(self, new_state: str):
-        if new_state not in _TRANSITIONS[self.state]:
-            raise PlanError(
-                f"illegal state transition {self.state} -> {new_state} "
-                f"for task {self.id}")
-        self.state = new_state
 
     def clause(self, kind: str) -> Optional[Clause]:
         """Effective clause of a kind; step overrides win over tool clauses,
@@ -392,26 +387,21 @@ def _assign_layers(graph: DataflowGraph):
         producers[ctid].append(ptid)
     order, _ = toposort(graph.nodes, edges)
     for tid in order:
-        graph.nodes[tid].layer = 1 + max(
-            (graph.nodes[p].layer for p in producers[tid]), default=-1)
+        graph.nodes[tid] = replace(graph.nodes[tid], layer=1 + max(
+            (graph.nodes[p].layer for p in producers[tid]), default=-1))
 
 
-def resolved_bindings(node: TaskNode, published: dict) -> dict:
-    """Concrete input values for a node whose producers have published."""
-    out = {}
-    for input_id, binding in node.bindings.items():
-        if binding[0] == "lit":
-            out[input_id] = binding[1]
-        else:
-            out[input_id] = published[binding[1]]
-    return out
+def resolved_bindings(bindings: dict, published: dict) -> dict:
+    """The value of each ``("lit", value)`` or ``("edge", key)`` binding; an
+    edge whose producer has not published resolves to None."""
+    return {k: b[1] if b[0] == "lit" else published.get(b[1])
+            for k, b in bindings.items()}
 
 
-def expand_scatter(node: TaskNode, bound: dict):
-    """Shard a scattered node over its bound arrays (dot-product semantics).
-
-    Returns (shards, width); shard ids carry an index suffix.  Width 0 is
-    legal and yields no shards.
+def expand_scatter(node: TaskNode, bound: dict) -> list:
+    """The inputs of each shard of a scattered node (dot-product
+    semantics): ``bound`` with every scattered array replaced by its i-th
+    element.  Width 0 is legal and yields no shards.
     """
     lengths = []
     for input_id in node.scatter:
@@ -424,22 +414,8 @@ def expand_scatter(node: TaskNode, bound: dict):
         detail = ", ".join(f"{i}={n}" for i, n in zip(node.scatter, lengths))
         raise ScatterLengthMismatchError(
             f"dot scatter over unequal lengths on {node.id}: {detail}")
-    width = lengths[0] if lengths else 0
-    shards = []
-    for i in range(width):
-        shard_bound = dict(bound)
-        for input_id in node.scatter:
-            shard_bound[input_id] = bound[input_id][i]
-        shards.append(TaskNode(
-            id=f"{node.id}[{i}]",
-            tool=node.tool,
-            bindings={k: ("lit", v) for k, v in shard_bound.items()},
-            guard=node.guard,
-            requirements=node.requirements,
-            hints=node.hints,
-            layer=node.layer,
-        ))
-    return shards, width
+    return [dict(bound, **dict(zip(node.scatter, values)))
+            for values in zip(*(bound[k] for k in node.scatter))]
 
 
 PROCEED = "proceed"
@@ -454,24 +430,19 @@ def apply_guard(node: TaskNode, ctx: EvalContext) -> str:
 
 
 def ready_set(graph: DataflowGraph, published: dict, candidates) -> set:
-    """The candidate ids whose nodes are pending and whose incoming edges
-    all carry published values."""
-    ready = set()
-    for tid in candidates:
-        node = graph.nodes[tid]
-        if node.state == PENDING and all(
-                b[1] in published for b in node.bindings.values()
-                if b[0] == "edge"):
-            ready.add(tid)
-    return ready
+    """The ids among ``candidates``, nodes that have not started, whose
+    incoming edges all carry published values."""
+    return {tid for tid in candidates
+            if all(b[1] in published for b in graph.nodes[tid].bindings.values()
+                   if b[0] == "edge")}
 
 
 def to_dot(graph: DataflowGraph) -> str:
-    """DOT export: node labels carry task id and state, edges the port pair."""
+    """DOT export: node labels carry the task id, edges the port pair."""
     lines = ["digraph workflow {"]
     for tid in sorted(graph.nodes):
         node = graph.nodes[tid]
-        label = f"{tid}\\n{node.state}"
+        label = tid
         if node.scatter:
             label += "\\nscatter"
         lines.append(f'  "{tid}" [label="{label}"];')

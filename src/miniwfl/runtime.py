@@ -604,7 +604,6 @@ class LocalRuntime:
         self.use_containers = use_containers
         self.adapter = adapter or DockerAdapter()
         self.verified = {}  # source path -> signature of checked bytes
-        self.spawn_count = 0
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
@@ -646,9 +645,10 @@ class LocalRuntime:
                 verified=self.verified, tmpdir=scratch.tmpdir())
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
+            minima = {**model.RESOURCE_DEFAULTS, **resources}
             host_ctx = EvalContext(inputs=staged_bindings, runtime={
-                "cores": resources.get("coresMin", 1),
-                "ram": resources.get("ramMin", 256),
+                "cores": minima["coresMin"],
+                "ram": minima["ramMin"],
                 "outdir": staged.outdir,
             })
             ctx = host_ctx
@@ -689,9 +689,6 @@ class LocalRuntime:
                 streams=stream_names(node.tool),
                 scratch=scratch,
             )
-            if attempt.start_time:
-                with self._lock:
-                    self.spawn_count += 1
             if attempt.outcome == SUCCESS:
                 outputs = collect_outputs(node.tool, staged)
                 _drop_spent_inputs(staged, outputs)

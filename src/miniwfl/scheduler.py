@@ -1,6 +1,6 @@
 """Drive a planned graph to completion.
 
-One coordinator thread owns all graph state; attempts run in worker threads
+One coordinator thread owns all run state; attempts run in worker threads
 (each blocking on its own subprocess) and report back through a queue.
 
 Readiness is incremental: publishing an output makes only the nodes that
@@ -9,11 +9,12 @@ node becomes task records that run (the node's own for a plain node, one
 per shard for a scattered node, which stays a single graph node) and that
 all take the same path: guard, resources, cache key, a heap ordered by
 (layer, task id), admission, cache lookup or a worker, and one completion
-routine.  Admission pops the first-fit records under both a parallelism
-bound and the machine's resource capacity, so runs are reproducible
-regardless of completion interleaving, and the coordinator's cost grows
-linearly with tasks and shards.  A failed attempt is retried when the
-runtime reports it as a ``TemporaryFailure``.
+routine.  The graph is only read: a task's state is on its record, and
+only ``mark`` changes it.  Admission pops the first-fit records under both a
+parallelism bound and the machine's resource capacity, so runs are
+reproducible regardless of completion interleaving, and the coordinator's
+cost grows linearly with tasks and shards.  A failed attempt is retried
+when the runtime reports it as a ``TemporaryFailure``.
 """
 
 from __future__ import annotations
@@ -22,16 +23,23 @@ import heapq
 import os
 import queue
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import planner
 from .cache import ResultCache, cache_key, digest_tool
-from .errors import ExpressionError, ExprTypeError, ScatterLengthMismatchError
+from .errors import (
+    ExpressionError,
+    ExprTypeError,
+    PlanError,
+    ScatterLengthMismatchError,
+)
 from .expression import EvalContext, interpolate
-from .model import CLAUSE_RESOURCE, Machine
+from .model import CLAUSE_RESOURCE, RESOURCE_DEFAULTS, Machine
 from .planner import (
+    _TRANSITIONS,
     CACHED,
     FAILED,
     PENDING,
@@ -48,8 +56,6 @@ from .planner import (
 )
 from .provenance import iso_time
 from .runtime import TEMPORARY_FAILURE, TaskAttempt
-
-RESOURCE_DEFAULTS = {"coresMin": 1, "ramMin": 256, "diskMin": 0}
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,15 @@ class TaskRecord:
     """One task or scatter shard: what runs, and what the run recorded.
 
     A plain node's record runs the node itself; a scattered node has a
-    record of its own, which never runs, and one per shard.  Records wait
-    for admission in a heap ordered by (layer, task id).
+    record of its own, which never runs, and one per shard, which runs the
+    node under the shard's id.  Records wait for admission in a heap
+    ordered by (layer, task id).
     """
 
     node: TaskNode        # the graph node, which owns completion
-    task: TaskNode        # what runs: the node itself, or one shard
+    task: TaskNode        # what runs: the node itself, or it as one shard
     inputs: dict
     tool_digest: Optional[str] = None
-    shard_index: Optional[int] = None
     resources: Optional[dict] = None
     key: Optional[str] = None  # set only when a cache is in use
     state: str = PENDING
@@ -136,26 +142,17 @@ def resolve_resources(node: TaskNode, bindings: dict, machine: Machine) -> dict:
     return resources
 
 
-@dataclass
-class _Ledger:
-    """Work admitted and not yet finished."""
+class _Ledger(Counter):
+    """Work admitted and not yet finished: how many records are
+    ``running``, and the sum of their minima under each Resource key."""
 
-    running: int = 0
-    cores: int = 0
-    ram: int = 0
-    disk: int = 0
-
-    def admitting(self, res):
-        self.running += 1
-        self.cores += res["coresMin"]
-        self.ram += res["ramMin"]
-        self.disk += res["diskMin"]
+    def admitting(self, res, sign: int = 1):
+        self["running"] += sign
+        for key in RESOURCE_DEFAULTS:
+            self[key] += sign * res[key]
 
     def releasing(self, res):
-        self.running -= 1
-        self.cores -= res["coresMin"]
-        self.ram -= res["ramMin"]
-        self.disk -= res["diskMin"]
+        self.admitting(res, -1)
 
 
 _IDLE = _Ledger()
@@ -164,29 +161,17 @@ _IDLE = _Ledger()
 def fits_machine(resources: dict, machine: Machine,
                  used: _Ledger = _IDLE) -> bool:
     """Whether ``resources`` fit on ``machine`` next to the ``used`` work."""
-    return (used.cores + resources["coresMin"] <= machine.cores
-            and used.ram + resources["ramMin"] <= machine.ram_mib
-            and used.disk + resources["diskMin"] <= machine.disk_mib)
-
-
-@dataclass
-class _Scatter:
-    """Progress of a scattered node's shards."""
-
-    width: int
-    results: list  # per shard: its outputs, or None until it finishes
-    done: int = 0
-    cached: int = 0
-    skipped: int = 0
+    return all(used[key] + resources[key] <= cap
+               for key, cap in machine.capacity.items())
 
 
 def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
     """Pop the deterministic first-fit prefix of the ``heap`` of records that
     fits the parallelism and capacity budget; records passed over go back
     on the heap.  Does not mutate the ledger."""
-    budget = replace(ledger)
+    budget = _Ledger(ledger)
     admitted, passed = [], []
-    while heap and budget.running < cfg.parallelism:
+    while heap and budget["running"] < cfg.parallelism:
         record = heapq.heappop(heap)
         if fits_machine(record.resources, cfg.machine, budget):
             budget.admitting(record.resources)
@@ -199,10 +184,12 @@ def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
 
 
 class _Coordinator:
-    def __init__(self, graph: DataflowGraph, cfg: RunConfig, services: Services):
+    def __init__(self, graph: DataflowGraph, cfg: RunConfig, services: Services,
+                 run_id: str = ""):
         self.graph = graph
         self.cfg = cfg
         self.services = services
+        self.run_id = run_id
         self.published = {}
         self.events = []
         self.tasks = {}  # task or shard id -> TaskRecord
@@ -210,10 +197,8 @@ class _Coordinator:
         self.ledger = _Ledger()
         self.completions = queue.Queue()
         self.stop_admission = False
-        self.in_flight = 0
-        self.scatters = {}  # node id -> _Scatter
-        self.run_id = ""
-        self._tool_digests = {}
+        self.shards = {}  # scattered node id -> its shard records, in order
+        self.unfinished = {}  # scattered node id -> its shards not finished
         # (producer id, output id) -> ids of the nodes that read it
         self.readers = {}
         for node in graph.nodes.values():
@@ -232,14 +217,12 @@ class _Coordinator:
             "attempt": attempt,
         })
 
-    def tool_digest(self, node: TaskNode) -> str:
-        if node.id not in self._tool_digests:
-            self._tool_digests[node.id] = digest_tool(node.tool)
-        return self._tool_digests[node.id]
-
     def mark(self, record: TaskRecord, state: str, attempt: int = 0):
-        if record.task is record.node:
-            record.node.transition(state)
+        """The one writer of a task's state."""
+        if (record.task is record.node
+                and state not in _TRANSITIONS[record.state]):
+            raise PlanError(f"illegal state transition {record.state} -> "
+                            f"{state} for task {record.task.id}")
         record.state = state
         self.log(record.task.id, state, attempt)
 
@@ -256,7 +239,9 @@ class _Coordinator:
         # width-0 scatters publish outputs immediately, which can make their
         # readers ready in turn.
         while self.candidates:
-            candidates, self.candidates = self.candidates, set()
+            candidates = [tid for tid in self.candidates
+                          if tid not in self.tasks]
+            self.candidates = set()
             for tid in sorted(ready_set(self.graph, self.published,
                                         candidates)):
                 node = self.graph.nodes[tid]
@@ -266,21 +251,21 @@ class _Coordinator:
                     self._fail_node(node, str(exc))
 
     def _make_ready(self, node: TaskNode):
-        bindings = resolved_bindings(node, self.published)
-        digest = self.tool_digest(node)
+        bindings = resolved_bindings(node.bindings, self.published)
+        digest = digest_tool(node.tool)
         record = self.tasks[node.id] = TaskRecord(node, node, bindings, digest)
         records = [record]
         if node.scatter:
-            shards, width = expand_scatter(node, bindings)
+            shard_inputs = expand_scatter(node, bindings)
             self.mark(record, READY)
             self.mark(record, RUNNING)
-            self.scatters[node.id] = _Scatter(width, [None] * width)
-            if width == 0:
+            records = self.shards[node.id] = [
+                TaskRecord(node, replace(node, id=f"{node.id}[{i}]"), inputs,
+                           digest)
+                for i, inputs in enumerate(shard_inputs)]
+            self.unfinished[node.id] = len(records)
+            if not records:
                 self._finish_scatter(record)
-            records = [TaskRecord(node, shard,
-                                  {k: b[1] for k, b in shard.bindings.items()},
-                                  digest, shard_index=i)
-                       for i, shard in enumerate(shards)]
 
         for record in records:
             task = record.task
@@ -315,27 +300,24 @@ class _Coordinator:
         if record.task is node:
             self.publish(node, outputs)
             return
-        scatter = self.scatters[node.id]
-        scatter.results[record.shard_index] = outputs
-        scatter.done += 1
-        scatter.cached += state == CACHED
-        scatter.skipped += state == SKIPPED
-        if scatter.done == scatter.width and node.state != FAILED:
-            self._finish_scatter(self.tasks[node.id])
+        self.unfinished[node.id] -= 1
+        scatter = self.tasks[node.id]
+        if not self.unfinished[node.id] and scatter.state != FAILED:
+            self._finish_scatter(scatter)
 
     def _finish_scatter(self, record: TaskRecord):
-        node = record.node
-        scatter = self.scatters[node.id]
-        outputs = {out.id: [(r or {}).get(out.id) for r in scatter.results]
-                   for out in node.tool.outputs}
-        executed = scatter.width - scatter.skipped
-        state = (CACHED if executed > 0 and scatter.cached == executed
-                 else SUCCEEDED)
-        self._finish(record, state, 0, outputs)
+        """Finish a scattered node from its shard records: Cached when every
+        shard that was not skipped was cached, and at least one was."""
+        shards = self.shards[record.node.id]
+        outputs = {out.id: [shard.outputs.get(out.id) for shard in shards]
+                   for out in record.node.tool.outputs}
+        ran = {shard.state for shard in shards} - {SKIPPED}
+        self._finish(record, CACHED if ran == {CACHED} else SUCCEEDED, 0,
+                     outputs)
 
     def _fail_node(self, node: TaskNode, error: str):
-        if node.state != FAILED:
-            record = self.tasks[node.id]
+        record = self.tasks[node.id]
+        if record.state != FAILED:
             record.error = error
             self.mark(record, FAILED)
             if self.cfg.on_error == "stop":
@@ -382,7 +364,6 @@ class _Coordinator:
         number = len(record.attempts) + 1
         self.mark(record, RUNNING, number)
         self.ledger.admitting(record.resources)
-        self.in_flight += 1
 
         def work():
             try:
@@ -402,7 +383,6 @@ class _Coordinator:
 
     def handle_completion(self, record: TaskRecord, attempt: TaskAttempt):
         self.ledger.releasing(record.resources)
-        self.in_flight -= 1
         record.attempts.append(attempt)
         number = attempt.attempt_number
         if attempt.outputs is not None:
@@ -412,7 +392,7 @@ class _Coordinator:
         # a retried shard of a failed scatter would run for nothing
         if (attempt.outcome == TEMPORARY_FAILURE
                 and number <= self.cfg.retries
-                and record.node.state != FAILED):
+                and self.tasks[record.node.id].state != FAILED):
             heapq.heappush(self.admissible, record)
             return
 
@@ -431,7 +411,7 @@ class _Coordinator:
                 self.process_readiness()
                 while True:
                     self.admit(pool)
-                    if self.in_flight == 0:
+                    if not self.ledger["running"]:
                         break
                     self.handle_completion(*self.completions.get())
                     self.process_readiness()
@@ -443,16 +423,12 @@ class _Coordinator:
         return self._result()
 
     def _result(self) -> RunResult:
-        failed = any(n.state == FAILED for n in self.graph.nodes.values())
-        incomplete = any(n.state in (PENDING, READY, RUNNING)
-                         for n in self.graph.nodes.values())
-        status = "Success" if not failed and not incomplete else "PermanentFail"
-        outputs = {}
-        for out_id, binding in self.graph.workflow_outputs.items():
-            if binding[0] == "lit":
-                outputs[out_id] = binding[1]
-            else:
-                outputs[out_id] = self.published.get(binding[1])
+        states = {self.tasks[tid].state if tid in self.tasks else PENDING
+                  for tid in self.graph.nodes}
+        status = ("Success" if states <= {SUCCEEDED, SKIPPED, CACHED}
+                  else "PermanentFail")
+        outputs = resolved_bindings(self.graph.workflow_outputs,
+                                    self.published)
         return RunResult(status=status, outputs=outputs,
                          event_log=self.events, tasks=self.tasks)
 
@@ -461,6 +437,4 @@ def run(graph: DataflowGraph, cfg: RunConfig, services: Services,
         run_id: str = "") -> RunResult:
     """Execute a planned graph to completion; failures land in the result,
     never as exceptions."""
-    coordinator = _Coordinator(graph, cfg, services)
-    coordinator.run_id = run_id
-    return coordinator.run()
+    return _Coordinator(graph, cfg, services, run_id).run()

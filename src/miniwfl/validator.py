@@ -87,12 +87,7 @@ def _check_resources(clause: Clause, matrix: SupportMatrix, location: str):
     if clause.kind != model.CLAUSE_RESOURCE:
         return []
     out = []
-    limits = {
-        "coresMin": matrix.machine.cores,
-        "ramMin": matrix.machine.ram_mib,
-        "diskMin": matrix.machine.disk_mib,
-    }
-    for key, cap in limits.items():
+    for key, cap in matrix.machine.capacity.items():
         value = clause.payload.get(key)
         if isinstance(value, int) and value > cap:
             out.append(_err(
@@ -269,11 +264,8 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
         step_loc = f"{location}/steps/{step.id}"
         body = _run_body(step)
         if body is not None:
-            requirements = step.requirements
-            hints = step.hints
-            if isinstance(step.run, Document):
-                requirements = requirements + getattr(body, "requirements", ())
-                hints = hints + getattr(body, "hints", ())
+            requirements = step.requirements + getattr(body, "requirements", ())
+            hints = step.hints + getattr(body, "hints", ())
             diags.extend(_check_clauses(requirements, hints, matrix, step_loc))
             diags.extend(_check_types(body, f"{step_loc}/run"))
         if step.when is not None:
@@ -284,10 +276,12 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
                                   str(exc)))
         _check_step_connections(step, steps, inputs, diags, conditional_steps,
                                 step_loc)
-        if isinstance(step.run, Document) and step.run.is_workflow:
-            if step.scatter:
-                diags.append(_err("UnsupportedFeature", step_loc,
-                                  "scatter over a sub-workflow step is not supported"))
+        if isinstance(body, WorkflowDescription):
+            for what in ("scatter", "when"):  # as the planner refuses them
+                if getattr(step, what):
+                    diags.append(_err(
+                        "UnsupportedFeature", step_loc,
+                        f"{what} on a sub-workflow step is not supported"))
             diags.extend(_validate_workflow(step.run.body, matrix,
                                             f"{step_loc}/run"))
 

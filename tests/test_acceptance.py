@@ -5,11 +5,13 @@ as a quick health report.
 """
 
 import hashlib
+import json
 import os
 import random
 import resource
 import shutil
 import subprocess
+import sys
 import time
 
 import pytest
@@ -365,9 +367,8 @@ def _docker_usable():
     return probe.returncode == 0
 
 
-def test_container_host_equivalence(tmp_path):
-    if not _docker_usable():
-        pytest.skip("no usable container runtime on this host")
+def _upper_case_on_host_and_boxed(tmp_path):
+    """The `tr a-z A-Z` stdin scenario, run on the host and containerized."""
     data = tmp_path / "in.txt"
     data.write_text("mixed Case line\nanother ONE\n")
     tool = {
@@ -392,7 +393,78 @@ def test_container_host_equivalence(tmp_path):
                         use_containers=True)
     assert host.status == boxed.status == "Success"
     assert host.outputs["out"].checksum == boxed.outputs["out"].checksum
+    return host, boxed
+
+
+def test_container_host_equivalence(tmp_path):
+    if not _docker_usable():
+        pytest.skip("no usable container runtime on this host")
+    _upper_case_on_host_and_boxed(tmp_path)
     print("PASS container equivalence: identical checksums")
+
+
+# Stands in for `docker run`: records its arguments in calls.jsonl beside
+# itself, maps each `-v host:ctr` mount and the workdir back to host paths,
+# and runs the command on the host.
+FAKE_DOCKER = """\
+#!{python}
+import json, os, sys
+
+args = sys.argv[1:]
+here = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(here, "calls.jsonl"), "a") as fh:
+    fh.write(json.dumps(args) + "\\n")
+assert args[:2] == ["run", "--rm"], args
+mounts, env, i = {{}}, {{}}, 2
+while args[i].startswith("-"):
+    flag, value = args[i], args[i + 1]
+    if flag == "-i":
+        i += 1
+        continue
+    i += 2
+    if flag == "-v":
+        host, ctr = value.split(":")[:2]
+        mounts[ctr] = host
+    elif flag == "--workdir":
+        workdir = value
+    elif flag == "--env":
+        key, _, env[key] = value.partition("=")
+
+
+def to_host(text):
+    for ctr in sorted(mounts, key=len, reverse=True):
+        if text == ctr or text.startswith(ctr + "/"):
+            return mounts[ctr] + text[len(ctr):]
+    return text
+
+
+command = [to_host(a) for a in args[i + 1:]]
+os.chdir(to_host(workdir))
+env = {{k: to_host(v) for k, v in env.items()}}
+os.execvpe(command[0], command, dict(env, PATH=os.environ["PATH"]))
+"""
+
+
+def test_container_branch_through_a_stand_in_docker(tmp_path, monkeypatch):
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "docker").write_text(FAKE_DOCKER.format(python=sys.executable))
+    (bindir / "docker").chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+    host, boxed = _upper_case_on_host_and_boxed(tmp_path)
+
+    (attempt,) = boxed.tasks["up"].attempts
+    assert attempt.argv == host.tasks["up"].attempts[0].argv == [
+        "tr", "a-z", "A-Z"]
+    assert attempt.env == {"HOME": "/miniwfl/outdir", "TMPDIR": "/tmp"}
+    (call,) = [json.loads(line)
+               for line in (bindir / "calls.jsonl").read_text().splitlines()]
+    assert call[:5] == ["run", "--rm", "--workdir", "/miniwfl/outdir", "-i"]
+    mounts = [call[i + 1] for i, arg in enumerate(call) if arg == "-v"]
+    assert [m.split(":", 1)[1] for m in mounts] == [
+        "/miniwfl/inputs/in.txt:ro", "/miniwfl/outdir:rw", "/tmp:rw"]
+    assert call[-4:] == ["busybox", "tr", "a-z", "A-Z"]
+    print("PASS stand-in container: identical checksums, /miniwfl mounts")
 
 
 # -- 8. upgrade preservation --------------------------------------------------

@@ -257,6 +257,27 @@ def test_capture_name_cannot_leave_the_outdir(project):
     assert not list(project.rglob("escaped.txt"))
 
 
+@pytest.mark.parametrize("escape", ["glob", "entryname"])
+def test_output_names_cannot_leave_the_outdir(project, escape):
+    secret = project / "secret.txt"
+    secret.write_text("outside\n")
+    if escape == "glob":
+        tool = TOOL.replace("{type: File, capture: stdout}",
+                            f"{{type: File, glob: {secret}}}")
+    else:  # three levels above the attempt directory is the project
+        tool = TOOL + (
+            "requirements:\n  InitialWorkDirRequirement:\n    listing:\n"
+            "      - {entryname: ../../../escaped-iwd.txt, entry: text}\n")
+    (project / "tool.cwl").write_text(tool)
+    code, out = run_cli(["validate", str(project / "wf.cwl")])
+    assert code == 1 and out == ""
+    code, out = run_cli(_run_args(project))
+    assert code == 1 and out == ""
+    assert sorted(p.name for p in project.iterdir()) == [
+        "job.yml", "secret.txt", "tool.cwl", "wf.cwl"]
+    assert os.stat(secret).st_nlink == 1
+
+
 def test_validate_rejects_directory_parameters(project):
     (project / "wf.cwl").write_text(
         WF.replace("  msg: string", "  msg: string\n  d: Directory"))

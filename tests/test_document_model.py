@@ -14,7 +14,7 @@ from miniwfl.errors import (
     SchemaError,
     TypeSyntaxError,
 )
-from miniwfl.model import DataType
+from miniwfl.model import DataType, Document
 
 TOOL_YAML = """\
 cwlVersion: v1.2
@@ -127,6 +127,33 @@ def test_capture_names_stay_in_the_output_directory(stream, name):
     assert getattr(doc.body, stream) == "..out.txt"
 
 
+@pytest.mark.parametrize("glob", [
+    "/etc/hostname", "../out.txt", "sub/../../out.txt", "..", "sub/..",
+    "o\0.txt", 7])
+def test_globs_stay_in_the_output_directory(glob):
+    raw = yaml.safe_load(TOOL_YAML)
+    raw["outputs"]["out"] = {"type": "File", "glob": glob}
+    with pytest.raises(SchemaError, match="glob must"):
+        parser.parse_raw(raw)
+    for fine in ("sub/*.txt", "..out.txt", "**/o.txt", "./o.txt"):
+        raw["outputs"]["out"]["glob"] = fine
+        assert parser.parse_raw(raw).body.outputs[0].glob == fine
+
+
+@pytest.mark.parametrize("name", [
+    "../../../escaped-iwd.txt", "sub/x.txt", "/tmp/x.txt", ".", "..", "",
+    "x\0y", 7])
+@pytest.mark.parametrize("where", ["requirements", "hints"])
+def test_working_directory_names_stay_in_the_output_directory(where, name):
+    raw = yaml.safe_load(TOOL_YAML)
+    raw[where] = [{"class": "InitialWorkDirRequirement",
+                   "listing": [{"entryname": name, "entry": "text"}]}]
+    with pytest.raises(SchemaError, match=f"entryname in tool {where} must"):
+        parser.parse_raw(raw)
+    raw[where][0]["listing"][0]["entryname"] = "..x.txt"
+    assert parser.parse_raw(raw)
+
+
 def test_unknown_key_rejected_unless_namespaced():
     with pytest.raises(SchemaError, match="unknown key"):
         parser.parse_document(TOOL_YAML + "mystery: 1\n")
@@ -180,9 +207,9 @@ def test_resolve_references_loads_and_inlines(tmp_path):
     wf_path = tmp_path / "wf.cwl"
     wf_path.write_text(WF_YAML)
     doc = parser.parse_document(WF_YAML, base_uri=str(wf_path))
-    assert parser.unresolved_run_references(doc) == ["tool.cwl"]
+    assert [step.run for step in doc.body.steps] == ["tool.cwl"]
     resolved = parser.resolve_references(doc, base_uri=str(wf_path))
-    assert parser.unresolved_run_references(resolved) == []
+    assert [type(step.run) for step in resolved.body.steps] == [Document]
     assert resolved.body.steps[0].run.is_tool
 
 

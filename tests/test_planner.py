@@ -3,7 +3,7 @@
 import pytest
 from conftest import deep_chain
 
-from miniwfl import parser, planner
+from miniwfl import parser, planner, scheduler
 from miniwfl.errors import (
     JobOrderError,
     PlanError,
@@ -225,24 +225,19 @@ def _scatter_node(scatter=("s",), guard=None):
 
 def test_expand_scatter_width_three():
     node = _scatter_node()
-    shards, width = expand_scatter(node, {"s": ["a", "b", "c"], "x": None})
-    assert width == 3
-    assert [s.id for s in shards] == ["fan[0]", "fan[1]", "fan[2]"]
-    assert shards[1].bindings["s"] == ("lit", "b")
-    assert shards[1].bindings["x"] == ("lit", None)
+    shards = expand_scatter(node, {"s": ["a", "b", "c"], "x": None})
+    assert shards == [{"s": "a", "x": None}, {"s": "b", "x": None},
+                      {"s": "c", "x": None}]
 
 
 def test_expand_scatter_width_zero():
-    shards, width = expand_scatter(_scatter_node(), {"s": []})
-    assert (shards, width) == ([], 0)
+    assert expand_scatter(_scatter_node(), {"s": []}) == []
 
 
 def test_expand_scatter_dot_product_pairs():
     node = _scatter_node(scatter=("s", "x"))
-    shards, width = expand_scatter(node, {"s": ["a", "b"], "x": [1, 2]})
-    assert width == 2
-    assert shards[0].bindings == {"s": ("lit", "a"), "x": ("lit", 1)}
-    assert shards[1].bindings == {"s": ("lit", "b"), "x": ("lit", 2)}
+    shards = expand_scatter(node, {"s": ["a", "b"], "x": [1, 2]})
+    assert shards == [{"s": "a", "x": 1}, {"s": "b", "x": 2}]
 
 
 def test_expand_scatter_length_mismatch():
@@ -278,23 +273,27 @@ def test_ready_set_tracks_published_values(tmp_path):
     assert ready_set(graph, {("a", "out"): "v"}, graph.nodes) == {"a", "b"}
     # only the candidates are checked
     assert ready_set(graph, {}, ["b", "c"]) == {"b"}
-    graph.nodes["a"].state = planner.SUCCEEDED
-    graph.nodes["b"].state = planner.SUCCEEDED
+    # the scheduler passes only the nodes that have not started
     assert ready_set(graph, {("a", "out"): "v", ("b", "out"): "w"},
-                     graph.nodes) == {"c"}
+                     ["c"]) == {"c"}
     assert doc_steps  # silence lint: parsed steps remain immutable
 
 
 def test_state_transitions_enforced():
     node = _scatter_node(scatter=())
-    node.transition(planner.READY)
-    node.transition(planner.RUNNING)
-    node.transition(planner.SUCCEEDED)
+    coordinator = scheduler._Coordinator(
+        DataflowGraph(nodes={node.id: node}), scheduler.RunConfig(),
+        scheduler.Services(runtime=None))
+    record = scheduler.TaskRecord(node, node, {})
+    coordinator.mark(record, planner.READY)
+    coordinator.mark(record, planner.RUNNING)
+    coordinator.mark(record, planner.SUCCEEDED)
     with pytest.raises(PlanError):
-        node.transition(planner.RUNNING)
-    fresh = _scatter_node(scatter=())
+        coordinator.mark(record, planner.RUNNING)
+    fresh = scheduler.TaskRecord(node, node, {})
     with pytest.raises(PlanError):
-        fresh.transition(planner.SUCCEEDED)
+        coordinator.mark(fresh, planner.SUCCEEDED)
+    assert (record.state, fresh.state) == (planner.SUCCEEDED, planner.PENDING)
 
 
 def test_clause_precedence_step_overrides_tool():
@@ -326,5 +325,5 @@ def test_resolved_bindings_mixes_literals_and_edges():
     tool = parser.parse_raw(dict(TOOL_RAW)).body
     node = TaskNode(id="t", tool=tool,
                     bindings={"s": ("lit", "hi"), "x": ("edge", ("p", "out"))})
-    resolved = resolved_bindings(node, {("p", "out"): "file-value"})
+    resolved = resolved_bindings(node.bindings, {("p", "out"): "file-value"})
     assert resolved == {"s": "hi", "x": "file-value"}

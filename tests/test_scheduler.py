@@ -154,7 +154,7 @@ def test_admission_orders_by_layer_then_id():
 def test_admission_accounts_for_running_work():
     units = _units([("t1", 0, 2)])
     cfg = RunConfig(parallelism=4, machine=Machine(cores=3))
-    ledger = _Ledger(running=1, cores=2, ram=1, disk=0)
+    ledger = _Ledger(running=1, coresMin=2, ramMin=1, diskMin=0)
     assert admission(units, ledger, cfg) == []
 
 

@@ -5,11 +5,12 @@ import random
 import textwrap
 
 import pytest
+import yaml
 from conftest import deep_chain
 from hypothesis import given, settings, strategies as st
 
 from miniwfl import parser, planner, validator
-from miniwfl.errors import GraphCycleError
+from miniwfl.errors import GraphCycleError, PlanError
 from miniwfl.model import Document, Machine
 from miniwfl.validator import Diagnostic, SupportMatrix
 
@@ -88,6 +89,32 @@ def test_resource_unsatisfiable():
     diags = validator.validate(doc, matrix)
     assert _codes(diags) == ["ResourceUnsatisfiable"]
     assert validator.validate(doc, SupportMatrix(machine=Machine(cores=4))) == []
+
+
+@pytest.mark.parametrize("feature", ["scatter", "when"])
+def test_sub_workflow_step_features_are_refused_as_by_the_planner(feature):
+    inner = {
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {"msg": "string"},
+        "outputs": {"out": {"type": "File", "outputSource": "say/out"}},
+        "steps": {"say": {"run": yaml.safe_load(TOOL), "in": {"msg": "msg"}}},
+    }
+    scatter = feature == "scatter"
+    step = {"run": inner, "in": {"msg": "msg"},
+            **({"scatter": "msg"} if scatter else {"when": "$(true)"})}
+    doc = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": {"msg": "string[]" if scatter else "string"},
+        "outputs": {"out": {"type": "File[]" if scatter else "File?",
+                            "outputSource": "inner/out"}},
+        "steps": {"inner": step},
+    })
+    (diag,) = validator.validate(doc)
+    assert (diag.code, diag.location, diag.message) == (
+        "UnsupportedFeature", "$/steps/inner",
+        f"{feature} on a sub-workflow step is not supported")
+    with pytest.raises(PlanError, match="not supported"):
+        planner.plan(doc, {"msg": ["a"] if scatter else "a"})
 
 
 def test_dangling_source_reference():
