@@ -71,11 +71,12 @@ def _build_parser() -> _ArgumentParser:
     return ap
 
 
-def _load_resolved(path: str):
+def _load(path: str):
+    """The resolved document at ``path``; a MiniwflError on the way ends the
+    command in ``main``."""
     path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = parser.parse_document(text, base_uri=path)
+        doc = parser.parse_document(fh.read(), base_uri=path)
     return parser.resolve_references(doc, base_uri=path)
 
 
@@ -90,11 +91,7 @@ def _stage_workflow_outputs(outputs: dict, outdir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        doc = _load_resolved(args.workflow)
-    except MiniwflError as exc:
-        print(f"miniwfl: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    doc = _load(args.workflow)
 
     diags = validator.validate(doc, SupportMatrix())
     if not args.quiet or validator.has_errors(diags):
@@ -105,12 +102,8 @@ def cmd_run(args) -> int:
         print("miniwfl: run requires a Workflow document", file=sys.stderr)
         return EXIT_INVALID
 
-    try:
-        job = planner.load_job_order_file(args.job, doc.body)
-        graph = planner.plan(doc, job)
-    except MiniwflError as exc:
-        print(f"miniwfl: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    job = planner.load_job_order_file(args.job, doc.body)
+    graph = planner.plan(doc, job)
 
     outdir = os.path.abspath(args.outdir)
     os.makedirs(outdir, exist_ok=True)
@@ -146,22 +139,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        doc = _load_resolved(args.workflow)
-    except MiniwflError as exc:
-        print(f"miniwfl: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    doc = _load(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     _print_diags(diags, sys.stdout)
     return EXIT_INVALID if validator.has_errors(diags) else EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    try:
-        doc = _load_resolved(args.workflow)
-    except MiniwflError as exc:
-        print(f"miniwfl: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    doc = _load(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     if validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
@@ -169,20 +154,14 @@ def cmd_graph(args) -> int:
     if not doc.is_workflow:
         print("miniwfl: graph requires a Workflow document", file=sys.stderr)
         return EXIT_INVALID
-    inputs = {}
-    for p in doc.body.inputs:
-        inputs[p.id] = p.default  # values are irrelevant to the shape
-    graph = planner.plan(doc, inputs)
+    # input values are irrelevant to the shape
+    graph = planner.plan(doc, {p.id: p.default for p in doc.body.inputs})
     sys.stdout.write(planner.to_dot(graph))
     return EXIT_OK
 
 
 def cmd_upgrade(args) -> int:
-    try:
-        doc = _load_resolved(args.workflow)
-    except MiniwflError as exc:
-        print(f"miniwfl: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    doc = _load(args.workflow)
     try:
         upgraded = upgrader.upgrade(doc, args.target)
     except (DowngradeError, UnknownVersionError) as exc:
@@ -207,7 +186,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except MiniwflError as exc:  # a document, job order or plan refused
+        print(f"miniwfl: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

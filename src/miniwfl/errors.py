@@ -61,7 +61,8 @@ class JobOrderError(MiniwflError):
 
 
 class PlanError(MiniwflError):
-    """Internal planning failure (should be unreachable post-validation)."""
+    """A structural validation finding, or a job lacking an input that a
+    source names: there is no graph to run."""
 
 
 class ScatterLengthMismatchError(MiniwflError):

@@ -1,9 +1,11 @@
-"""Planning: job order loading, sub-workflow inlining, scatter, readiness.
+"""Planning: job order loading, the planned graph, scatter, readiness.
 
-The planned graph is static: node and edge sets are fixed here, and a run
-only reads them.  A scattered step stays one graph node; its run-time
-expansion into shards happens inside the scheduler and is invisible to the
-graph shape.
+The walk that inlines sub-workflows and binds each step's inputs is
+``validator.walk``, which checks the document in the same pass; ``plan``
+adds only the check that needs the job order.  The planned graph is
+static: node and edge sets are fixed here, and a run only reads them.  A
+scattered step stays one graph node; its run-time expansion into shards
+happens inside the scheduler and is invisible to the graph shape.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .model import (
     Clause,
     DataType,
     Document,
-    Step,
     ToolDescription,
     WorkflowDescription,
 )
@@ -175,8 +176,7 @@ def load_job_order(values: dict, wf, base_dir: str = ".") -> dict:
     """
     if not isinstance(values, dict):
         raise JobOrderError("job order must be a mapping")
-    params = wf.input_map() if isinstance(wf, WorkflowDescription) else {
-        p.id: p for p in wf.inputs}
+    params = wf.input_map()
     unknown = set(values) - set(params)
     if unknown:
         raise JobOrderError(f"unknown job inputs: {sorted(unknown)}")
@@ -242,13 +242,27 @@ class DataflowGraph:
 
 
 def plan(doc: Document, job: dict) -> DataflowGraph:
-    """Inline sub-workflows, bind inputs, and produce the static graph."""
+    """Inline sub-workflows, bind inputs, and produce the static graph.
+
+    Raises the walk's first structural finding: a cycle as GraphCycleError,
+    any other as PlanError."""
+    from .validator import STRUCTURAL, SupportMatrix, walk  # imports us
     if not doc.is_workflow:
         raise PlanError("plan requires a workflow document")
-    graph = DataflowGraph()
-    input_bindings = {k: ("lit", v) for k, v in job.items()}
-    outputs = _plan_workflow(doc.body, "", input_bindings, graph)
-    graph.workflow_outputs = outputs
+    input_bindings = {p.id: ("lit", job[p.id]) if p.id in job else
+                      ("job", p.id) for p in doc.body.inputs}
+    graph, diags = DataflowGraph(), []
+    graph.workflow_outputs = walk(doc.body, SupportMatrix(), input_bindings,
+                                  graph, diags)
+    for d in diags:
+        if d.code in STRUCTURAL:
+            error = GraphCycleError if d.code == "CycleDetected" else PlanError
+            raise error(f"{d.location}: {d.message}")
+    for kind, ref in [*graph.workflow_outputs.values(),
+                      *(b for node in graph.nodes.values()
+                        for b in node.bindings.values())]:
+        if kind == "job":
+            raise PlanError(f"unresolvable source {ref!r}: not in the job")
     _assign_layers(graph)
     return graph
 
@@ -291,91 +305,6 @@ def step_dependency_edges(wf: WorkflowDescription):
             if producer in step_ids:
                 edges.add((producer, step.id))
     return edges
-
-
-def _plan_workflow(wf: WorkflowDescription, prefix: str, input_bindings: dict,
-                   graph: DataflowGraph) -> dict:
-    # published: (scoped step id, output id) -> binding
-    published = {}
-    steps = wf.step_map()
-    order, rest = toposort(steps, step_dependency_edges(wf))
-    if rest:
-        raise GraphCycleError(
-            f"workflow step graph is cyclic through {', '.join(rest)}")
-    for step_id in order:
-        _plan_step(steps[step_id], wf, prefix, input_bindings, published,
-                   graph)
-
-    outputs = {}
-    for out in wf.outputs:
-        outputs[out.id] = _resolve_source(out.output_source, wf, input_bindings,
-                                          published)
-    return outputs
-
-
-def _resolve_source(ref: str, wf, input_bindings, published):
-    if "/" in ref:
-        key = tuple(ref.split("/", 1))
-        if key not in published:
-            raise PlanError(f"unresolvable source {ref!r}")
-        return published[key]
-    if ref not in input_bindings:
-        raise PlanError(f"unresolvable source {ref!r}")
-    return input_bindings[ref]
-
-
-def _plan_step(step: Step, wf, prefix, input_bindings, published, graph):
-    task_id = prefix + step.id
-    if not isinstance(step.run, Document):
-        raise PlanError(f"step {step.id!r} has an unresolved run reference")
-
-    bound = {}
-    for input_id, binding in step.in_map:
-        if binding.is_literal:
-            bound[input_id] = ("lit", binding.value)
-        else:
-            bound[input_id] = _resolve_source(binding.source, wf,
-                                              input_bindings, published)
-
-    if step.run.is_workflow:
-        if step.scatter or step.when:
-            raise PlanError(
-                f"step {step.id!r}: scatter/when on sub-workflow steps is "
-                f"not supported")
-        sub_outputs = _plan_workflow(step.run.body, task_id + "/", bound, graph)
-        for out_id, value in sub_outputs.items():
-            published[(step.id, out_id)] = value
-        return
-
-    tool = step.run.body
-    for param in tool.inputs:
-        if param.id in bound:
-            continue
-        if param.has_default:
-            bound[param.id] = ("lit", param.default)
-        elif param.type.optional:
-            bound[param.id] = ("lit", None)
-        else:
-            raise PlanError(
-                f"step {step.id!r}: required input {param.id!r} unbound")
-
-    requirements = step.requirements + tool.requirements
-    hints = step.hints + tool.hints
-    node = TaskNode(
-        id=task_id,
-        tool=tool,
-        bindings=bound,
-        scatter=step.scatter,
-        guard=step.when,
-        requirements=requirements,
-        hints=hints,
-    )
-    graph.nodes[task_id] = node
-    for input_id, binding in bound.items():
-        if binding[0] == "edge":
-            graph.edges.add((binding[1], (task_id, input_id)))
-    for out in tool.outputs:
-        published[(step.id, out.id)] = ("edge", (task_id, out.id))
 
 
 def _assign_layers(graph: DataflowGraph):

@@ -558,17 +558,27 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
                 raise OutputMissingError(
                     f"output {out.id!r}: captured {out.capture} file "
                     f"{path} is gone")
-            outputs[out.id] = FileValue.from_path(path, format=out.format)
+            outputs[out.id] = FileValue.from_path(_regular(path),
+                                                  format=out.format)
             continue
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
                                       recursive=True))
-        matches = [m for m in matches if os.path.isfile(m)]
+        matches = [_regular(m) for m in matches if os.path.isfile(m)]
         if out.type.base == "File" and out.type.array:
             outputs[out.id] = [FileValue.from_path(m, format=out.format)
                                for m in matches]
         else:
             outputs[out.id] = _single_output(out, matches)
     return outputs
+
+
+def _regular(path: str) -> str:
+    """``path``, made a regular file holding its target's bytes if it is a
+    symlink, so that an output (and the cache blob linked to it) holds the
+    bytes and not a pointer that can change after the run."""
+    if os.path.islink(path):
+        write_atomically(path, lambda partial: shutil.copyfile(path, partial))
+    return path
 
 
 def _single_output(out, matches):
@@ -690,9 +700,9 @@ class LocalRuntime:
                 scratch=scratch,
             )
             if attempt.outcome == SUCCESS:
-                outputs = collect_outputs(node.tool, staged)
-                _drop_spent_inputs(staged, outputs)
-                attempt.outputs = outputs
+                attempt.outputs = collect_outputs(node.tool, staged)
+                if staged.staged_inputs:  # read by nothing from now on
+                    shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
@@ -702,16 +712,3 @@ class LocalRuntime:
                     staged.outdir,
                     failed=bool(attempt.start_time) and attempt.outputs is None)
         return attempt
-
-
-def _drop_spent_inputs(staged: StagedDirectory, outputs: dict):
-    """Delete a successful attempt's input copies, which nothing reads again,
-    unless an output resolves to a path under them (a symlink, say)."""
-    if not staged.staged_inputs:
-        return
-    files = []
-    map_files(list(outputs.values()), files.append)
-    inputs_dir = os.path.realpath(staged.inputs_dir) + os.sep
-    if not any(os.path.realpath(fv.path).startswith(inputs_dir)
-               for fv in files):
-        shutil.rmtree(staged.inputs_dir, ignore_errors=True)

@@ -1,14 +1,18 @@
-"""Static checks over resolved documents.
+"""Static checks over resolved documents, and the one walk over a workflow.
 
 All problems are reported as diagnostics; validation never stops at the
 first finding.  Unsupported requirements are errors, unsupported hints only
 warnings — an engine may ignore advice but must refuse what it cannot honor.
+
+This module owns the walk over a workflow's steps: ``walk`` emits the
+diagnostics and builds the planned graph in the same pass, so ``validate``
+and ``planner.plan`` accept the same documents.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import model
 from .errors import ExprSyntaxError
@@ -18,14 +22,21 @@ from .model import (
     DataType,
     Document,
     Machine,
-    Step,
     ToolDescription,
     WorkflowDescription,
 )
-from .planner import step_dependency_edges, toposort
+from .planner import DataflowGraph, TaskNode, step_dependency_edges, toposort
 
 ERROR = "error"
 WARNING = "warning"
+
+# The findings that leave no graph to run; planner.plan raises the first.
+STRUCTURAL = frozenset({"DanglingReference", "MissingBinding",
+                        "UnsupportedFeature", "CycleDetected"})
+
+# The binding of a value that a finding already explains, or that
+# validation has no job for.
+_UNRESOLVED = ("lit", None)
 
 
 @dataclass(frozen=True)
@@ -36,12 +47,7 @@ class Diagnostic:
     message: str
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "severity": self.severity,
-            "code": self.code,
-            "location": self.location,
-            "message": self.message,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -108,106 +114,8 @@ def _check_types(body, location: str):
 
 def _assignable(src: DataType, sink: DataType) -> bool:
     """T -> T; T -> T?; optionality never drops silently."""
-    if src.base != sink.base or src.array != sink.array:
-        return False
-    if src.optional and not sink.optional:
-        return False
-    return True
-
-
-def _run_body(step: Step):
-    if isinstance(step.run, Document):
-        return step.run.body
-    return None
-
-
-def _source_type(ref: str, steps: dict, inputs: dict, conditional_steps,
-                 location: str, diags):
-    """Type of a source reference, or None after emitting a diagnostic.
-
-    ``steps`` and ``inputs`` are the workflow's step and input maps."""
-    if "/" in ref:
-        step_id, out_id = ref.split("/", 1)
-        step = steps.get(step_id)
-        if step is None:
-            diags.append(_err("DanglingReference", location,
-                              f"source {ref!r}: no step named {step_id!r}"))
-            return None, None
-        body = _run_body(step)
-        if body is None:
-            return None, None  # unresolved run reported separately
-        out_param = body.output_map().get(out_id)
-        if out_param is None:
-            diags.append(_err("DanglingReference", location,
-                              f"source {ref!r}: step {step_id!r} has no output {out_id!r}"))
-            return None, None
-        dtype = out_param.type
-        if step.scatter:
-            dtype = DataType(dtype.base, True, False)
-        if step.id in conditional_steps:
-            dtype = DataType(dtype.base, dtype.array, True)
-        return dtype, out_param.format
-    param = inputs.get(ref)
-    if param is None:
-        diags.append(_err("DanglingReference", location,
-                          f"source {ref!r} names no workflow input or step output"))
-        return None, None
-    return param.type, param.format
-
-
-def _check_step_connections(step: Step, steps: dict, inputs: dict, diags,
-                            conditional_steps, location):
-    body = _run_body(step)
-    if body is None:
-        diags.append(_err("DanglingReference", location,
-                          f"step {step.id!r} has an unresolved run reference"))
-        return
-    sink_params = body.input_map()
-
-    bound = set()
-    for input_id, binding in step.in_map:
-        bound.add(input_id)
-        sink = sink_params.get(input_id)
-        loc = f"{location}/in/{input_id}"
-        if sink is None:
-            diags.append(_err("DanglingReference", loc,
-                              f"step {step.id!r} binds unknown input {input_id!r}"))
-            continue
-        if binding.is_literal:
-            continue
-        src_type, src_format = _source_type(binding.source, steps, inputs,
-                                            conditional_steps, loc, diags)
-        if src_type is None:
-            continue
-        sink_type = sink.type
-        if input_id in step.scatter:
-            if not (src_type.array and _assignable(src_type.element(),
-                                                   sink_type)):
-                diags.append(_err(
-                    "TypeMismatch", loc,
-                    f"scattered input needs array of {sink_type.to_string()}, "
-                    f"got {src_type.to_string()}"))
-            continue
-        if not _assignable(src_type, sink_type):
-            diags.append(_err(
-                "TypeMismatch", loc,
-                f"{src_type.to_string()} is not assignable to "
-                f"{sink_type.to_string()}"))
-            continue
-        if (src_format is not None and sink.format is not None
-                and src_format != sink.format):
-            diags.append(_err(
-                "FormatMismatch", loc,
-                f"source format {src_format!r} != sink format {sink.format!r}"))
-
-    for param in sink_params.values():
-        if param.id in bound:
-            continue
-        if param.type.optional or param.has_default:
-            continue
-        diags.append(_err("MissingBinding", f"{location}/in",
-                          f"required input {param.id!r} of step {step.id!r} "
-                          f"is unbound"))
+    return ((src.base, src.array) == (sink.base, sink.array)
+            and (sink.optional or not src.optional))
 
 
 def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
@@ -234,35 +142,87 @@ def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
                  "dependency cycle: " + " -> ".join(cycle))]
 
 
-def validate(doc: Document, matrix: SupportMatrix = None, location: str = "$"):
+def validate(doc: Document, matrix: SupportMatrix = None):
     """All diagnostics for a resolved document; never raises on findings."""
-    if matrix is None:
-        matrix = SupportMatrix()
+    matrix = matrix or SupportMatrix()
     diags = []
     if doc.version not in matrix.supported_versions:
-        diags.append(_err("UnsupportedVersion", location,
+        diags.append(_err("UnsupportedVersion", "$",
                           f"version {doc.version} is not supported"))
 
     body = doc.body
-    diags.extend(_check_types(body, location))
+    diags.extend(_check_types(body, "$"))
     if isinstance(body, ToolDescription):
         diags.extend(_check_clauses(body.requirements, body.hints, matrix,
-                                    location))
+                                    "$"))
         return diags
 
-    diags.extend(_validate_workflow(body, matrix, location))
+    walk(body, matrix, {p.id: _UNRESOLVED for p in body.inputs},
+         DataflowGraph(), diags)
     return diags
 
 
-def _validate_workflow(wf: WorkflowDescription, matrix, location):
-    diags = []
+def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
+         graph: DataflowGraph, diags: list, location="$", prefix="") -> dict:
+    """Check and plan each step of ``wf`` once, in dependency order (steps
+    on a cycle last), inlining sub-workflows under ``prefix``: findings go
+    to ``diags``, task nodes and edges to ``graph``.  Returns the binding of
+    each workflow output.
+
+    ``input_bindings`` maps each workflow input id to its binding.  The
+    graph is sound only when no diagnostic is STRUCTURAL."""
     steps = wf.step_map()
     inputs = wf.input_map()
     conditional_steps = {s.id for s in wf.steps if s.when is not None}
+    published = {}  # (step id, output id) -> binding
 
-    for step in wf.steps:
-        step_loc = f"{location}/steps/{step.id}"
-        body = _run_body(step)
+    def source(ref, loc):
+        """``(type, format, binding)`` of a source reference, or None after
+        a diagnostic (or for a step whose unresolved run is reported)."""
+        if "/" not in ref:
+            param = inputs.get(ref)
+            if param is None:
+                diags.append(_err(
+                    "DanglingReference", loc,
+                    f"source {ref!r} names no workflow input or step output"))
+                return None
+            return param.type, param.format, input_bindings[ref]
+        step_id, out_id = ref.split("/", 1)
+        step = steps.get(step_id)
+        if step is None:
+            diags.append(_err("DanglingReference", loc,
+                              f"source {ref!r}: no step named {step_id!r}"))
+            return None
+        if not isinstance(step.run, Document):
+            return None
+        out_param = step.run.body.output_map().get(out_id)
+        if out_param is None:
+            diags.append(_err(
+                "DanglingReference", loc,
+                f"source {ref!r}: step {step_id!r} has no output {out_id!r}"))
+            return None
+        dtype = out_param.type
+        if step.scatter:
+            dtype = DataType(dtype.base, True, False)
+        if step_id in conditional_steps:
+            dtype = DataType(dtype.base, dtype.array, True)
+        # a producer on a cycle may come later; the cycle is reported
+        return (dtype, out_param.format,
+                published.get((step_id, out_id), _UNRESOLVED))
+
+    def literal(value, sink, loc):
+        if sink.type.base == "File" and value not in (None, []):
+            diags.append(_err(
+                "UnsupportedFeature", loc,
+                f"File literal for input {sink.id!r} is not supported; "
+                f"bind it from a workflow input"))
+        return ("lit", value)
+
+    order, rest = toposort(steps, step_dependency_edges(wf))
+    for step_id in order + rest:
+        step = steps[step_id]
+        step_loc = f"{location}/steps/{step_id}"
+        body = step.run.body if isinstance(step.run, Document) else None
         if body is not None:
             requirements = step.requirements + getattr(body, "requirements", ())
             hints = step.hints + getattr(body, "hints", ())
@@ -274,22 +234,98 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
             except ExprSyntaxError as exc:
                 diags.append(_err("InvalidExpression", f"{step_loc}/when",
                                   str(exc)))
-        _check_step_connections(step, steps, inputs, diags, conditional_steps,
-                                step_loc)
+        if body is None:
+            diags.append(_err("DanglingReference", step_loc,
+                              f"step {step_id!r} has an unresolved run "
+                              f"reference"))
+            continue
+
+        sink_params = body.input_map()
+        bound = {}
+        for input_id, binding in step.in_map:
+            sink = sink_params.get(input_id)
+            loc = f"{step_loc}/in/{input_id}"
+            if sink is None:
+                diags.append(_err("DanglingReference", loc,
+                                  f"step {step_id!r} binds unknown input "
+                                  f"{input_id!r}"))
+                continue
+            if binding.is_literal:
+                bound[input_id] = literal(binding.value, sink, loc)
+                continue
+            found = source(binding.source, loc)
+            if found is None:
+                bound[input_id] = _UNRESOLVED
+                continue
+            src_type, src_format, bound[input_id] = found
+            sink_type = sink.type
+            if input_id in step.scatter:
+                if not (src_type.array and _assignable(src_type.element(),
+                                                       sink_type)):
+                    diags.append(_err(
+                        "TypeMismatch", loc,
+                        f"scattered input needs array of "
+                        f"{sink_type.to_string()}, got {src_type.to_string()}"))
+                continue
+            if not _assignable(src_type, sink_type):
+                diags.append(_err(
+                    "TypeMismatch", loc,
+                    f"{src_type.to_string()} is not assignable to "
+                    f"{sink_type.to_string()}"))
+                continue
+            if (src_format is not None and sink.format is not None
+                    and src_format != sink.format):
+                diags.append(_err(
+                    "FormatMismatch", loc,
+                    f"source format {src_format!r} != sink format "
+                    f"{sink.format!r}"))
+
+        # an unbound input of a tool or a sub-workflow: its default, else
+        # None when optional, else a finding
+        for param in body.inputs:
+            if param.id in bound:
+                continue
+            if param.has_default:
+                bound[param.id] = literal(param.default, param,
+                                          f"{step_loc}/in/{param.id}")
+            elif param.type.optional:
+                bound[param.id] = ("lit", None)
+            else:
+                diags.append(_err("MissingBinding", f"{step_loc}/in",
+                                  f"required input {param.id!r} of step "
+                                  f"{step_id!r} is unbound"))
+                bound[param.id] = _UNRESOLVED
+
+        task_id = prefix + step_id
         if isinstance(body, WorkflowDescription):
-            for what in ("scatter", "when"):  # as the planner refuses them
+            for what in ("scatter", "when"):
                 if getattr(step, what):
                     diags.append(_err(
                         "UnsupportedFeature", step_loc,
                         f"{what} on a sub-workflow step is not supported"))
-            diags.extend(_validate_workflow(step.run.body, matrix,
-                                            f"{step_loc}/run"))
+            sub_outputs = walk(body, matrix, bound, graph, diags,
+                               f"{step_loc}/run", task_id + "/")
+            published.update(((step_id, out_id), binding)
+                             for out_id, binding in sub_outputs.items())
+            continue
+        graph.nodes[task_id] = TaskNode(
+            id=task_id, tool=body, bindings=bound, scatter=step.scatter,
+            guard=step.when, requirements=requirements, hints=hints)
+        graph.edges.update((binding[1], (task_id, input_id))
+                           for input_id, binding in bound.items()
+                           if binding[0] == "edge")
+        published.update(((step_id, out.id), ("edge", (task_id, out.id)))
+                         for out in body.outputs)
 
+    outputs = {}
     for out in wf.outputs:
         loc = f"{location}/outputs/{out.id}"
-        src_type, src_format = _source_type(out.output_source, steps, inputs,
-                                            conditional_steps, loc, diags)
-        if src_type is not None and not _assignable(src_type, out.type):
+        found = source(out.output_source, loc)
+        if found is None:
+            outputs[out.id] = _UNRESOLVED
+            continue
+        src_type, src_format, outputs[out.id] = found
+        if not _assignable(src_type, out.type):
             diags.append(_err(
                 "TypeMismatch", loc,
                 f"{src_type.to_string()} is not assignable to "
@@ -300,8 +336,9 @@ def _validate_workflow(wf: WorkflowDescription, matrix, location):
                               f"source format {src_format!r} != output format "
                               f"{out.format!r}"))
 
-    diags.extend(check_acyclic(wf, f"{location}/steps"))
-    return diags
+    if rest:
+        diags.extend(check_acyclic(wf, f"{location}/steps"))
+    return outputs
 
 
 def has_errors(diags) -> bool:

@@ -286,3 +286,113 @@ def test_validate_rejects_directory_parameters(project):
     (diag,) = [json.loads(l) for l in out.splitlines()]
     assert diag["code"] == "UnsupportedType"
     assert diag["message"] == "input 'd': unsupported base type Directory"
+
+
+SUB_DEFAULT_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs: {}
+outputs:
+  out: {type: File, outputSource: sub/out}
+steps:
+  sub:
+    in: {}
+    run:
+      cwlVersion: v1.2
+      class: Workflow
+      inputs:
+        greeting: {type: string, default: hello}
+      outputs:
+        out: {type: File, outputSource: say/out}
+      steps:
+        say:
+          run: tool.cwl
+          in: {msg: greeting}
+"""
+
+
+def test_unbound_sub_workflow_input_runs_with_its_default(project):
+    (project / "wf.cwl").write_text(SUB_DEFAULT_WF)
+    (project / "job.yml").write_text("{}\n")
+    code, out = run_cli(["validate", str(project / "wf.cwl")])
+    assert (code, out) == (0, "")
+    code, out = run_cli(_run_args(project))
+    assert code == 0
+    assert Path(json.loads(out)["out"]["path"]).read_text() == "hello\n"
+
+
+CAT_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [cat]
+inputs:
+  f: {type: File, position: 1%s}
+outputs:
+  out: {type: File, capture: stdout}
+stdout: out.txt
+"""
+
+CAT_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs: {}
+outputs:
+  out: {type: File, outputSource: show/out}
+steps:
+  show:
+    run: cat.cwl
+    in: %s
+"""
+
+
+@pytest.mark.parametrize("where", ["tool default", "step literal"])
+def test_file_literal_is_refused_before_anything_runs(project, monkeypatch,
+                                                      where):
+    from miniwfl import runtime
+    literal = "{class: File, path: data.txt}"
+    (project / "data.txt").write_text("data\n")
+    if where == "tool default":
+        (project / "cat.cwl").write_text(CAT_TOOL % f", default: {literal}")
+        (project / "wf.cwl").write_text(CAT_WF % "{}")
+    else:
+        (project / "cat.cwl").write_text(CAT_TOOL % "")
+        (project / "wf.cwl").write_text(CAT_WF % f"{{f: {{default: {literal}}}}}")
+    (project / "job.yml").write_text("{}\n")
+    spawned = []
+    monkeypatch.setattr(runtime, "execute",
+                        lambda *args, **kwargs: spawned.append(args))
+    code, out = run_cli(["validate", str(project / "wf.cwl")])
+    assert code == 1
+    (diag,) = [json.loads(line) for line in out.splitlines()]
+    assert (diag["code"], diag["location"]) == ("UnsupportedFeature",
+                                                "$/steps/show/in/f")
+    code, out = run_cli(_run_args(project))
+    assert (code, out) == (1, "")
+    assert spawned == [] and not (project / "out").exists()
+
+
+def test_symlinked_output_is_cached_as_its_bytes(project):
+    outside = project / "outside.txt"
+    outside.write_text("original\n")
+    (project / "tool.cwl").write_text(
+        TOOL.replace("[echo]", "[sh, -c, 'ln -s \"$0\" link.txt']")
+            .replace("{type: File, capture: stdout}",
+                     "{type: File, glob: link.txt}"))
+    (project / "job.yml").write_text(f"msg: {outside}\n")
+
+    def run_once():
+        code, out = run_cli(_run_args(project))
+        assert code == 0
+        (record,) = (project / "out" / "provenance").iterdir()
+        state = json.loads(record.read_text())["tasks"]["say"]["state"]
+        record.unlink()
+        return json.loads(out)["out"], state
+
+    out, state = run_once()
+    assert state == "Succeeded"
+    (blob,) = (project / "cache" / "cas").iterdir()
+    assert not blob.is_symlink() and blob.read_text() == "original\n"
+    outside.write_text("edited\n")
+    out, state = run_once()
+    assert state == "Cached"
+    assert Path(out["path"]).read_text() == "original\n"

@@ -152,7 +152,8 @@ def test_scatter_and_when_rejected_on_subworkflow_steps():
     doc = _wf([{"id": "sub", "run": inner, "in": {"x": "f"},
                 "scatter": ["x"]}],
               inputs=[{"id": "f", "type": "File[]"}])
-    with pytest.raises(PlanError, match="scatter/when"):
+    with pytest.raises(PlanError,
+                       match="on a sub-workflow step is not supported"):
         plan(doc, {"f": []})
 
 
@@ -168,6 +169,16 @@ def test_unbound_required_tool_input_fails_planning():
     doc = _wf([{"id": "a", "run": tool, "in": {}}])
     with pytest.raises(PlanError, match="required input"):
         plan(doc, {})
+
+
+def test_source_naming_an_input_missing_from_the_job_fails_planning(
+        tmp_path):
+    doc = _wf([{"id": "a", "run": dict(TOOL_RAW), "in": {"x": "f"}}],
+              inputs=[{"id": "f", "type": "File"},
+                      {"id": "unused", "type": "string"}])
+    with pytest.raises(PlanError, match="unresolvable source 'f'"):
+        plan(doc, {"unused": "u"})
+    assert sorted(plan(doc, {"f": _fv(tmp_path)}).nodes) == ["a"]
 
 
 def test_tool_defaults_fill_unbound_inputs():

@@ -628,6 +628,35 @@ def test_coordinator_cost_grows_linearly(build, small, large):
     assert ratio < 7, f"{large} units took {ratio:.1f}x the time of {small}"
 
 
+@pytest.mark.parametrize("build, small, large",
+                         [(_scatter, 1000, 4000), (_chain, 500, 2000)])
+def test_coordinator_work_per_unit_stays_flat(build, small, large,
+                                              monkeypatch):
+    """The timed gate above in counts, which host noise cannot move: the
+    candidates checked for readiness and the admission calls, per unit."""
+    counts = {}
+    admit = scheduler.admission
+
+    def counting_ready_set(graph, published, candidates):
+        candidates = list(candidates)
+        counts["candidates"] += len(candidates)
+        return planner.ready_set(graph, published, candidates)
+
+    def counting_admission(*args):
+        counts["admissions"] += 1
+        return admit(*args)
+
+    monkeypatch.setattr(scheduler, "ready_set", counting_ready_set)
+    monkeypatch.setattr(scheduler, "admission", counting_admission)
+    per_unit = {}
+    for size in (small, large):
+        counts.update(candidates=0, admissions=0)
+        assert _run(build(size)).status == "Success"
+        per_unit[size] = {k: n / size for k, n in counts.items()}
+    for key, at_small in per_unit[small].items():
+        assert per_unit[large][key] <= 1.1 * at_small, (key, per_unit)
+
+
 def test_interrupt_cancels_the_attempts_in_flight():
     class BlockedRuntime:
         def __init__(self):

@@ -370,3 +370,183 @@ def test_validation_is_deterministic(n, data):
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
     wf = _chain_workflow(sorted(edges), n)
     assert validator.check_acyclic(wf) == validator.check_acyclic(wf)
+
+
+# --- validate and plan agree -------------------------------------------------
+
+# the codes after which there is no graph to run, spelled out here so that the
+# agreement below does not lean on the module it checks
+_STRUCTURAL = {"DanglingReference", "MissingBinding", "UnsupportedFeature",
+               "CycleDetected"}
+
+
+def _random_inputs(rng, n):
+    """``n`` string inputs, each required, optional or defaulted."""
+    kinds = ("string", "string?", {"type": "string", "default": "d"})
+    return {f"i{k}": rng.choice(kinds) for k in range(n)}
+
+
+def _random_in_block(rng, params, sources):
+    """Each of ``params`` bound to one of ``sources``, given a literal, left
+    unbound or bound to a source that does not exist."""
+    block = {}
+    for param in params:
+        how = rng.choice(("bound", "bound", "literal", "unbound", "dangling"))
+        if how == "bound" and sources:
+            block[param] = rng.choice(sources)
+        elif how == "literal":
+            block[param] = {"default": "lit"}
+        elif how == "dangling":
+            block[param] = rng.choice(("ghost", "ghost/out", "s0/nope"))
+    return block
+
+
+def _random_tool(rng):
+    return {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["true"],
+            "inputs": _random_inputs(rng, rng.randint(0, 3)),
+            "outputs": {"out": {"type": "string", "glob": "o.json"}}}
+
+
+def _random_workflow(rng):
+    """A raw workflow of tool steps and sub-workflow steps one level deep,
+    with, now and then, a back edge that closes a cycle; and the id of each
+    tool node that a plan of it has."""
+    wf_inputs = _random_inputs(rng, rng.randint(0, 3))
+    steps, tool_ids = {}, []
+    n = rng.randint(1, 4)
+    for i in range(n):
+        sid = f"s{i}"
+        earlier = list(wf_inputs) + [f"s{j}/out" for j in range(i)]
+        if rng.random() < 0.4:
+            sub_inputs = _random_inputs(rng, rng.randint(0, 3))
+            inner = {}
+            for k in range(rng.randint(1, 2)):
+                tool = _random_tool(rng)
+                inner[f"t{k}"] = {"run": tool, "in": _random_in_block(
+                    rng, tool["inputs"],
+                    list(sub_inputs) + [f"t{j}/out" for j in range(k)])}
+                tool_ids.append(f"{sid}/t{k}")
+            run = {"cwlVersion": "v1.2", "class": "Workflow",
+                   "inputs": sub_inputs, "steps": inner,
+                   "outputs": {"out": {"type": "string",
+                                       "outputSource": f"t{len(inner) - 1}/out"}}}
+        else:
+            run = _random_tool(rng)
+            tool_ids.append(sid)
+        steps[sid] = {"run": run,
+                      "in": _random_in_block(rng, run["inputs"], earlier)}
+    if n > 1 and rng.random() < 0.3:  # a back edge from the last step
+        params = list(steps["s0"]["run"]["inputs"])
+        if params:
+            steps["s0"]["in"][params[0]] = f"s{n - 1}/out"
+    raw = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": wf_inputs,
+           "steps": steps,
+           "outputs": {"out": {"type": "string",
+                               "outputSource": f"s{n - 1}/out"}}}
+    return raw, tool_ids
+
+
+def test_validate_and_plan_agree_on_random_workflows():
+    rng = random.Random(11)
+    planned = refused = 0
+    for _ in range(400):
+        raw, tool_ids = _random_workflow(rng)
+        doc = parser.parse_raw(raw)
+        structural = [d for d in validator.validate(doc)
+                      if d.code in _STRUCTURAL]
+        job = {p.id: "job" for p in doc.body.inputs}
+        try:
+            graph = planner.plan(doc, job)
+        except (PlanError, GraphCycleError) as exc:
+            assert structural, (str(exc), raw)
+            refused += 1
+            continue
+        assert not structural, (structural, raw)
+        assert sorted(graph.nodes) == sorted(tool_ids)
+        planned += 1
+    assert planned > 50 and refused > 50  # both sides are exercised
+
+
+SUB_DEFAULT = """\
+cwlVersion: v1.2
+class: Workflow
+inputs: {}
+outputs:
+  out: {type: string, outputSource: sub/out}
+steps:
+  sub:
+    in: {}
+    run:
+      cwlVersion: v1.2
+      class: Workflow
+      inputs:
+        greeting: {type: string, default: hello}
+        extra: string?
+      outputs:
+        out: {type: string, outputSource: say/out}
+      steps:
+        say:
+          in: {msg: greeting, tail: extra}
+          run:
+            cwlVersion: v1.2
+            class: CommandLineTool
+            baseCommand: [echo]
+            inputs:
+              msg: {type: string, position: 1}
+              tail: {type: "string?", position: 2}
+            outputs:
+              out: {type: string, glob: o.json}
+"""
+
+
+def test_unbound_sub_workflow_inputs_take_their_defaults():
+    doc = _doc(SUB_DEFAULT)
+    assert validator.validate(doc) == []
+    graph = planner.plan(doc, {})
+    assert graph.nodes["sub/say"].bindings == {"msg": ("lit", "hello"),
+                                              "tail": ("lit", None)}
+    required = _doc(SUB_DEFAULT.replace("{type: string, default: hello}",
+                                        "string"))
+    (diag,) = validator.validate(required)
+    assert (diag.code, diag.location) == ("MissingBinding", "$/steps/sub/in")
+    with pytest.raises(PlanError, match="required input 'greeting'"):
+        planner.plan(required, {})
+
+
+FILE_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [cat]
+inputs:
+  f: {type: File, position: 1%s}
+outputs:
+  out: {type: File, capture: stdout}
+stdout: out.txt
+"""
+
+
+@pytest.mark.parametrize("where", ["tool default", "step literal"])
+def test_file_literals_are_refused(where):
+    default = ", default: {class: File, path: data.txt}"
+    tool = FILE_TOOL % (default if where == "tool default" else "")
+    step_in = "{}" if where == "tool default" else \
+        "{f: {default: {class: File, path: data.txt}}}"
+    doc = _doc(f"""\
+cwlVersion: v1.2
+class: Workflow
+inputs: {{}}
+outputs:
+  out: {{type: File, outputSource: show/out}}
+steps:
+  show:
+    in: {step_in}
+    run:
+{textwrap.indent(tool, "      ")}
+""")
+    (diag,) = validator.validate(doc)
+    assert (diag.code, diag.location) == ("UnsupportedFeature",
+                                          "$/steps/show/in/f")
+    assert "File literal" in diag.message
+    with pytest.raises(PlanError, match="File literal"):
+        planner.plan(doc, {})
