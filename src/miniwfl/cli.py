@@ -71,12 +71,12 @@ def _build_parser() -> _ArgumentParser:
     return ap
 
 
-def _load(path: str):
-    """The resolved document at ``path``; a MiniwflError on the way ends the
-    command in ``main``."""
+def _load_resolved(path: str):
+    """A MiniwflError raised here ends the command in ``main``."""
     path = os.path.abspath(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = parser.parse_document(fh.read(), base_uri=path)
+        text = fh.read()
+    doc = parser.parse_document(text, base_uri=path)
     return parser.resolve_references(doc, base_uri=path)
 
 
@@ -91,7 +91,7 @@ def _stage_workflow_outputs(outputs: dict, outdir: str) -> dict:
 
 
 def cmd_run(args) -> int:
-    doc = _load(args.workflow)
+    doc = _load_resolved(args.workflow)
 
     diags = validator.validate(doc, SupportMatrix())
     if not args.quiet or validator.has_errors(diags):
@@ -139,14 +139,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.workflow)
+    doc = _load_resolved(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     _print_diags(diags, sys.stdout)
     return EXIT_INVALID if validator.has_errors(diags) else EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    doc = _load(args.workflow)
+    doc = _load_resolved(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     if validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
@@ -154,14 +154,16 @@ def cmd_graph(args) -> int:
     if not doc.is_workflow:
         print("miniwfl: graph requires a Workflow document", file=sys.stderr)
         return EXIT_INVALID
-    # input values are irrelevant to the shape
-    graph = planner.plan(doc, {p.id: p.default for p in doc.body.inputs})
+    inputs = {}
+    for p in doc.body.inputs:
+        inputs[p.id] = p.default  # values are irrelevant to the shape
+    graph = planner.plan(doc, inputs)
     sys.stdout.write(planner.to_dot(graph))
     return EXIT_OK
 
 
 def cmd_upgrade(args) -> int:
-    doc = _load(args.workflow)
+    doc = _load_resolved(args.workflow)
     try:
         upgraded = upgrader.upgrade(doc, args.target)
     except (DowngradeError, UnknownVersionError) as exc:

@@ -176,7 +176,8 @@ def load_job_order(values: dict, wf, base_dir: str = ".") -> dict:
     """
     if not isinstance(values, dict):
         raise JobOrderError("job order must be a mapping")
-    params = wf.input_map()
+    params = wf.input_map() if isinstance(wf, WorkflowDescription) else {
+        p.id: p for p in wf.inputs}
     unknown = set(values) - set(params)
     if unknown:
         raise JobOrderError(f"unknown job inputs: {sorted(unknown)}")

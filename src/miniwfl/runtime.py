@@ -558,12 +558,13 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
                 raise OutputMissingError(
                     f"output {out.id!r}: captured {out.capture} file "
                     f"{path} is gone")
-            outputs[out.id] = FileValue.from_path(_regular(path),
-                                                  format=out.format)
+            outputs[out.id] = FileValue.from_path(
+                _regular(path, staged.outdir), format=out.format)
             continue
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
                                       recursive=True))
-        matches = [_regular(m) for m in matches if os.path.isfile(m)]
+        matches = [_regular(m, staged.outdir) for m in matches
+                   if os.path.isfile(m)]
         if out.type.base == "File" and out.type.array:
             outputs[out.id] = [FileValue.from_path(m, format=out.format)
                                for m in matches]
@@ -572,10 +573,22 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
     return outputs
 
 
-def _regular(path: str) -> str:
-    """``path``, made a regular file holding its target's bytes if it is a
-    symlink, so that an output (and the cache blob linked to it) holds the
-    bytes and not a pointer that can change after the run."""
+def _regular(path: str, outdir: str) -> str:
+    """``path`` with no symlink on it below ``outdir``: a linked directory
+    becomes a real one holding links to its target's entries, and a linked
+    file a regular file holding its target's bytes.  So an output (and the
+    cache blob linked to it) holds the bytes and not a pointer that can
+    change after the run, and nothing is ever written through a link."""
+    parts = os.path.relpath(path, outdir).split(os.sep)
+    for depth in range(1, len(parts)):
+        linked = os.path.join(outdir, *parts[:depth])
+        if os.path.islink(linked):
+            target = os.path.realpath(linked)
+            os.unlink(linked)
+            os.mkdir(linked)
+            for name in os.listdir(target):
+                os.symlink(os.path.join(target, name),
+                           os.path.join(linked, name))
     if os.path.islink(path):
         write_atomically(path, lambda partial: shutil.copyfile(path, partial))
     return path

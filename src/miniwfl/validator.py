@@ -12,7 +12,7 @@ and ``planner.plan`` accept the same documents.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import model
 from .errors import ExprSyntaxError
@@ -47,7 +47,12 @@ class Diagnostic:
     message: str
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps({
+            "severity": self.severity,
+            "code": self.code,
+            "location": self.location,
+            "message": self.message,
+        }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,11 @@ def _check_types(body, location: str):
 
 def _assignable(src: DataType, sink: DataType) -> bool:
     """T -> T; T -> T?; optionality never drops silently."""
-    return ((src.base, src.array) == (sink.base, sink.array)
-            and (sink.optional or not src.optional))
+    if src.base != sink.base or src.array != sink.array:
+        return False
+    if src.optional and not sink.optional:
+        return False
+    return True
 
 
 def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
@@ -144,7 +152,8 @@ def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
 
 def validate(doc: Document, matrix: SupportMatrix = None):
     """All diagnostics for a resolved document; never raises on findings."""
-    matrix = matrix or SupportMatrix()
+    if matrix is None:
+        matrix = SupportMatrix()
     diags = []
     if doc.version not in matrix.supported_versions:
         diags.append(_err("UnsupportedVersion", "$",
@@ -173,7 +182,6 @@ def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
     graph is sound only when no diagnostic is STRUCTURAL."""
     steps = wf.step_map()
     inputs = wf.input_map()
-    conditional_steps = {s.id for s in wf.steps if s.when is not None}
     published = {}  # (step id, output id) -> binding
 
     def source(ref, loc):
@@ -204,7 +212,7 @@ def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
         dtype = out_param.type
         if step.scatter:
             dtype = DataType(dtype.base, True, False)
-        if step_id in conditional_steps:
+        if step.when is not None:
             dtype = DataType(dtype.base, dtype.array, True)
         # a producer on a cycle may come later; the cycle is reported
         return (dtype, out_param.format,

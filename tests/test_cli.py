@@ -371,13 +371,17 @@ def test_file_literal_is_refused_before_anything_runs(project, monkeypatch,
     assert spawned == [] and not (project / "out").exists()
 
 
-def test_symlinked_output_is_cached_as_its_bytes(project):
+@pytest.mark.parametrize("script, glob", [
+    ('ln -s "$0" link.txt', "link.txt"),
+    ('ln -s "`dirname "$0"`" sub', "sub/outside.txt"),
+], ids=["file-link", "directory-link"])
+def test_symlinked_output_is_cached_as_its_bytes(project, script, glob):
     outside = project / "outside.txt"
     outside.write_text("original\n")
     (project / "tool.cwl").write_text(
-        TOOL.replace("[echo]", "[sh, -c, 'ln -s \"$0\" link.txt']")
+        TOOL.replace("[echo]", f"[sh, -c, '{script}']")
             .replace("{type: File, capture: stdout}",
-                     "{type: File, glob: link.txt}"))
+                     f"{{type: File, glob: {glob}}}"))
     (project / "job.yml").write_text(f"msg: {outside}\n")
 
     def run_once():
@@ -392,6 +396,7 @@ def test_symlinked_output_is_cached_as_its_bytes(project):
     assert state == "Succeeded"
     (blob,) = (project / "cache" / "cas").iterdir()
     assert not blob.is_symlink() and blob.read_text() == "original\n"
+    assert outside.stat().st_nlink == 1  # neither linked nor replaced
     outside.write_text("edited\n")
     out, state = run_once()
     assert state == "Cached"

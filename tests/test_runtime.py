@@ -780,6 +780,11 @@ def test_run_task_drops_spent_inputs_only_after_success(tmp_path):
     assert _read(result.outputs["out"].path) == "payload\n"
     assert not os.path.exists(inputs_dir)  # the output holds its own bytes
 
+    through_dir = [{"id": "out", "type": "File", "glob": "in/in.txt"}]
+    result, inputs_dir = attempt('ln -s "`dirname "$0"`" in', through_dir)
+    assert _read(result.outputs["out"].path) == "payload\n"
+    assert not os.path.exists(inputs_dir)
+
 
 def test_run_task_reports_env_clause(tmp_path):
     from miniwfl.model import CLAUSE_ENV
