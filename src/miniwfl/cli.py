@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation errors, 2 run ended in permanent
-failure, 3 usage error.  Diagnostics go to stderr; machine-readable output
+failure, 3 usage error, 143 (128 + SIGTERM) a run terminated after its
+tools were killed.  Diagnostics go to stderr; machine-readable output
 (the output object, DOT text, upgraded documents, validate's diagnostic
 lines) goes to stdout.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import uuid
 
@@ -116,8 +118,14 @@ def cmd_run(args) -> int:
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
-    result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
-                           run_id=run_id)
+    # SIGTERM, like Ctrl-C, makes the coordinator kill the attempts in flight
+    previous = signal.signal(signal.SIGTERM,
+                             lambda signum, frame: sys.exit(128 + signum))
+    try:
+        result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
+                               run_id=run_id)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     record = provenance.build_record(result, parser.canonical_digest(doc),
                                      job, run_id=run_id)

@@ -96,7 +96,6 @@ class InputParameter:
     position: Optional[int] = None
     prefix: Optional[str] = None
     default: Any = None
-    has_default: bool = False
     format: Optional[str] = None
     streamable: bool = False
 

@@ -3,13 +3,14 @@
 The surface syntax is YAML (JSON being an acceptable subset).  All shorthand
 forms are normalized at parse time — map-form parameter blocks become sorted
 lists, bare type strings become structured types — so downstream code sees a
-single shape.  The canonical serialization is JSON with lexicographically
-sorted keys and no insignificant whitespace; the document digest is SHA-256
-over that form.
+single shape.  The canonical form is every model field under its document
+key, with defaults left out; serialized as JSON with sorted keys and no
+insignificant whitespace, it is what the document digest hashes (SHA-256).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -171,14 +172,12 @@ def _parse_input(spec: dict, where: str, tool: bool) -> InputParameter:
     position = spec.get("position")
     if position is not None and not isinstance(position, int):
         raise SchemaError(f"position of {spec['id']!r} must be an integer")
-    default = spec.get("default")
     return InputParameter(
         id=spec["id"],
         type=dtype,
         position=position,
         prefix=spec.get("prefix"),
-        default=default,
-        has_default=default is not None,
+        default=spec.get("default"),
         format=spec.get("format"),
         streamable=streamable,
     )
@@ -479,115 +478,57 @@ def resolve_references(doc: Document, loader=None, base_uri: str = "",
                                      _chain=_chain + (resolved,))
         else:
             run = resolve_references(run, loader, base_uri, _chain=_chain)
-        steps.append(Step(id=step.id, run=run, in_map=step.in_map,
-                          scatter=step.scatter, when=step.when,
-                          requirements=step.requirements, hints=step.hints))
-    body = WorkflowDescription(inputs=doc.body.inputs, outputs=doc.body.outputs,
-                               steps=tuple(steps))
-    return Document(version=doc.version, body=body, extensions=doc.extensions,
-                    metadata=doc.metadata)
+        steps.append(dataclasses.replace(step, run=run))
+    body = dataclasses.replace(doc.body, steps=tuple(steps))
+    return dataclasses.replace(doc, body=body)
 
 
 # --- canonical serialization ------------------------------------------------
 
-def _plain_clause(clause: Clause) -> dict:
-    if clause.kind == model.CLAUSE_EXTENSION:
-        return dict(clause.payload)
-    out = dict(clause.payload)
-    out["class"] = _KIND_TO_CLASS[clause.kind]
-    return out
+def _camel(name: str) -> str:
+    """A field's document key: ``success_codes`` is ``successCodes``."""
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
 
 
-def _plain_input(p: InputParameter, tool: bool) -> dict:
-    out = {"id": p.id, "type": p.type.to_string()}
-    if tool and p.position is not None:
-        out["position"] = p.position
-    if tool and p.prefix is not None:
-        out["prefix"] = p.prefix
-    if p.has_default:
-        out["default"] = p.default
-    if p.format is not None:
-        out["format"] = p.format
-    if p.streamable:
-        out["streamable"] = True
-    return out
-
-
-def _plain_output(p: OutputParameter) -> dict:
-    out = {"id": p.id, "type": p.type.to_string()}
-    if p.glob is not None:
-        out["glob"] = p.glob
-    if p.capture is not None:
-        out["capture"] = p.capture
-    if p.output_source is not None:
-        out["outputSource"] = p.output_source
-    if p.format is not None:
-        out["format"] = p.format
-    return out
-
-
-def _plain_step(step: Step) -> dict:
-    out = {"id": step.id}
-    if isinstance(step.run, str):
-        out["run"] = step.run
-    else:
-        out["run"] = to_plain(step.run)
-    in_block = {}
-    for key, binding in step.in_map:
-        if binding.is_literal:
-            in_block[key] = {"default": binding.value}
+def _plain(value):
+    """The canonical plain form of a model value.  A model dataclass is a
+    mapping of its fields under their document keys, leaving out a field
+    that is None, an empty tuple or at its dataclass default."""
+    if isinstance(value, Document):
+        return {"cwlVersion": value.version,
+                "class": "CommandLineTool" if value.is_tool else "Workflow",
+                **_plain(value.body), **dict(value.metadata),
+                **dict(value.extensions)}
+    if isinstance(value, DataType):
+        return value.to_string()
+    if isinstance(value, Clause):
+        if value.kind == model.CLAUSE_EXTENSION:
+            return dict(value.payload)
+        return {**value.payload, "class": _KIND_TO_CLASS[value.kind]}
+    if isinstance(value, Binding):
+        return {"default": value.value} if value.is_literal else value.source
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    out = {}
+    for f in dataclasses.fields(value):
+        v = getattr(value, f.name)
+        if v is None or v == () or v == f.default:
+            continue
+        if f.name == "in_map":  # (input id, Binding) pairs
+            out["in"] = dict(_plain(v))
         else:
-            in_block[key] = binding.source
-    if in_block:
-        out["in"] = in_block
-    if step.scatter:
-        out["scatter"] = list(step.scatter)
-    if step.when is not None:
-        out["when"] = step.when
-    if step.requirements:
-        out["requirements"] = [_plain_clause(c) for c in step.requirements]
-    if step.hints:
-        out["hints"] = [_plain_clause(c) for c in step.hints]
+            out[_camel(f.name)] = _plain(v)
     return out
 
 
 def to_plain(doc: Document) -> dict:
     """Canonical plain-data form; reparsing it reproduces the Document."""
-    out = {"cwlVersion": doc.version}
-    body = doc.body
-    if doc.is_tool:
-        out["class"] = "CommandLineTool"
-        if body.base_command:
-            out["baseCommand"] = list(body.base_command)
-        if body.inputs:
-            out["inputs"] = [_plain_input(p, tool=True) for p in body.inputs]
-        if body.outputs:
-            out["outputs"] = [_plain_output(p) for p in body.outputs]
-        if body.requirements:
-            out["requirements"] = [_plain_clause(c) for c in body.requirements]
-        if body.hints:
-            out["hints"] = [_plain_clause(c) for c in body.hints]
-        if body.stdin is not None:
-            out["stdin"] = body.stdin
-        if body.stdout is not None:
-            out["stdout"] = body.stdout
-        if body.stderr is not None:
-            out["stderr"] = body.stderr
-        if body.success_codes != frozenset({0}):
-            out["successCodes"] = sorted(body.success_codes)
-    else:
-        out["class"] = "Workflow"
-        if body.inputs:
-            out["inputs"] = [_plain_input(p, tool=False) for p in body.inputs]
-        if body.outputs:
-            out["outputs"] = [_plain_output(p) for p in body.outputs]
-        if body.steps:
-            out["steps"] = [_plain_step(s) for s in body.steps]
-    for key, value in doc.metadata:
-        out[key] = value
-    for key, value in doc.extensions:
-        out[key] = value
-    return out
+    return _plain(doc)
 
 
 def _canonical_json(data) -> str:

@@ -191,7 +191,7 @@ def load_job_order(values: dict, wf, base_dir: str = ".") -> dict:
                 if fv.format is None and param.format is not None:
                     fv = replace(fv, format=param.format)
                 out[param.id] = fv
-        elif param.has_default:
+        elif param.default is not None:
             out[param.id] = _coerce_value(param.default, param.type,
                                           param.id, base_dir)
         elif param.type.optional:

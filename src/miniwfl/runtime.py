@@ -244,6 +244,7 @@ def stage(node_id: str, bindings: dict, work_root: str,
     when the basename is taken.  ``tmpdir`` is the private directory that
     TMPDIR names and containers mount at /tmp, usually a worker's reused
     one (see WorkerScratch); without it ``<attempt>.tmp/`` is made.
+    ``initial_workdir`` entries see staged host paths and ``runtime.outdir``.
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
@@ -285,13 +286,18 @@ def stage(node_id: str, bindings: dict, work_root: str,
                        for k in sorted(bindings)}
     container_map[outdir] = C_OUTDIR
     container_map[tmpdir] = C_TMPDIR
-    if initial_workdir is not None:
-        _materialize_initial_workdir(initial_workdir, staged, bindings)
+    _materialize_initial_workdir(initial_workdir, staged, EvalContext(
+        inputs=staged_bindings, runtime={"outdir": outdir}))
     return staged, staged_bindings
 
 
-def _materialize_initial_workdir(clause, staged, bindings):
-    ctx = EvalContext(inputs=bindings, runtime={"outdir": staged.outdir})
+def _materialize_initial_workdir(clause, staged, ctx):
+    """Write a working-directory listing, each entry evaluated in ``ctx``."""
+    if clause is None:
+        return
+    sources = {}  # staged host or container path -> original path
+    for source, host in staged.staged_inputs.items():
+        sources[host] = sources[staged.container_map[host]] = source
     seen = set()
     for item in clause.payload.get("listing", []):
         entry = item["entry"]
@@ -310,8 +316,9 @@ def _materialize_initial_workdir(clause, staged, bindings):
                     f"working-directory basename collision: {name!r}")
             seen.add(name)
             # the verified staged copy's bytes, the source's mode bits
-            shutil.copyfile(staged.staged_inputs[value.path], target)
-            shutil.copymode(value.path, target)
+            source = sources[value.path]
+            shutil.copyfile(staged.staged_inputs[source], target)
+            shutil.copymode(source, target)
         else:
             if entryname is None:
                 raise StagingError(
@@ -664,7 +671,6 @@ class LocalRuntime:
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
-                initial_workdir=node.clause(model.CLAUSE_INITIAL_WORKDIR),
                 verified=self.verified, tmpdir=scratch.tmpdir())
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
@@ -682,6 +688,8 @@ class LocalRuntime:
                     inputs={k: map_files(v, to_container)
                             for k, v in staged_bindings.items()},
                     runtime=dict(host_ctx.runtime, outdir=C_OUTDIR))
+            _materialize_initial_workdir(
+                node.clause(model.CLAUSE_INITIAL_WORKDIR), staged, ctx)
 
             env = base_environment(staged, container=image is not None)
             env_clause = node.clause(model.CLAUSE_ENV)

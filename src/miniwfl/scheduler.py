@@ -355,9 +355,11 @@ class _Coordinator:
         hit = cache.lookup(record.key)
         if hit is None:
             return False
-        dest = os.path.join(getattr(self.services.runtime, "work_root", "."),
-                            "cached", record.task.id.replace("/", "_"))
-        self._finish(record, CACHED, 0, cache.republish(hit, dest))
+        work_root = getattr(self.services.runtime, "work_root", None)
+        if work_root is not None:  # else the hit's verified cas/ paths
+            hit = cache.republish(hit, os.path.join(
+                work_root, "cached", record.task.id.replace("/", "_")))
+        self._finish(record, CACHED, 0, hit)
         return True
 
     def _start(self, record: TaskRecord, pool):

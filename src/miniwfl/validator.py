@@ -293,7 +293,7 @@ def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
         for param in body.inputs:
             if param.id in bound:
                 continue
-            if param.has_default:
+            if param.default is not None:
                 bound[param.id] = literal(param.default, param,
                                           f"{step_loc}/in/{param.id}")
             elif param.type.optional:

@@ -222,6 +222,38 @@ def _run_workflow(raw, job, tmp_path, cache, parallelism=1):
     return scheduler.run(graph, cfg, scheduler.Services(runtime, cache))
 
 
+def test_hit_through_a_runtime_without_work_root_writes_nothing(
+        tmp_path, monkeypatch):
+    from miniwfl import planner, scheduler
+    from miniwfl.runtime import LocalRuntime
+
+    class Wrapper:  # any object with run_task, as Services allows
+        def __init__(self):
+            self.inner = LocalRuntime(str(tmp_path / "work"),
+                                      use_containers=False)
+
+        def run_task(self, *args):
+            return self.inner.run_task(*args)
+
+    monkeypatch.chdir(tmp_path)
+    raw = {"cwlVersion": "v1.2", "class": "Workflow", "inputs": [],
+           "outputs": [{"id": "o", "type": "File", "outputSource": "s/out"}],
+           "steps": [{"id": "s", "in": {}, "run": {
+               "cwlVersion": "v1.2", "class": "CommandLineTool",
+               "baseCommand": ["echo", "hi"], "inputs": [],
+               "outputs": [{"id": "out", "type": "File",
+                            "capture": "stdout"}]}}]}
+    graph = planner.plan(parser.parse_raw(raw), {})
+    services = scheduler.Services(Wrapper(),
+                                  ResultCache(str(tmp_path / "cache")))
+    first = scheduler.run(graph, scheduler.RunConfig(), services)
+    second = scheduler.run(graph, scheduler.RunConfig(), services)
+    assert second.tasks["s"].cached
+    assert second.outputs["o"].path == os.path.join(
+        str(tmp_path / "cache"), "cas", first.outputs["o"].checksum)
+    assert sorted(os.listdir(tmp_path)) == ["cache", "work"]
+
+
 def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
     tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
             "baseCommand": ["cat", "cfg.txt"], "inputs": [],

@@ -1,11 +1,17 @@
 """CLI surface: exit codes, stdout purity, subcommand behavior."""
 
+import contextlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import miniwfl
 from conftest import run_cli
 
 TOOL = """\
@@ -117,6 +123,46 @@ def test_validate_subcommand(project):
     assert code == 1
     lines = [json.loads(l) for l in out.splitlines()]
     assert any(d["code"] == "DanglingReference" for d in lines)
+
+
+@pytest.mark.parametrize("command, tool, wf, code, location", [
+    ("validate", TOOL, WF.replace("{msg: msg}", "{msg: msg, ghost: msg}"),
+     "DanglingReference", "$/steps/say/in/ghost"),
+    ("validate", TOOL,
+     WF.replace("{msg: msg}", "{msg: msg}\n    scatter: msg")
+       .replace("{type: File,", '{type: "File[]",'),
+     "TypeMismatch", "$/steps/say/in/msg"),
+    ("validate",
+     TOOL.replace("position: 1}", 'position: 1, format: "iana:text/plain"}'),
+     WF.replace("msg: string", 'msg: {type: string, format: "iana:text/csv"}'),
+     "FormatMismatch", "$/steps/say/in/msg"),
+    ("graph", TOOL, WF.replace("say/out", "ghost/out"),
+     "DanglingReference", "$/outputs/out"),
+], ids=["unknown-input", "scattered-input", "step-format", "graph-invalid"])
+def test_findings_name_their_code_and_location(project, capsys, command,
+                                               tool, wf, code, location):
+    (project / "tool.cwl").write_text(tool)
+    (project / "wf.cwl").write_text(wf)
+    exit_code, out = run_cli([command, str(project / "wf.cwl")])
+    lines = out if command == "validate" else capsys.readouterr().err
+    assert exit_code == 1
+    assert [(d["code"], d["location"]) for d in map(json.loads,
+                                                   lines.splitlines())] \
+        == [(code, location)]
+    assert command == "validate" or out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "graph"])
+def test_commands_needing_a_workflow_refuse_a_tool(project, capsys, command):
+    argv = [command, str(project / "tool.cwl")]
+    if command == "run":
+        argv += [str(project / "job.yml"), "--outdir", str(project / "out"),
+                 "--no-container", "--quiet"]
+    code, out = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err \
+        == f"miniwfl: {command} requires a Workflow document\n"
+    assert not (project / "out").exists()
 
 
 def test_graph_subcommand_emits_dot(project):
@@ -401,3 +447,78 @@ def test_symlinked_output_is_cached_as_its_bytes(project, script, glob):
     out, state = run_once()
     assert state == "Cached"
     assert Path(out["path"]).read_text() == "original\n"
+
+
+SLEEP_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [sleep]
+inputs:
+  t: {type: string, position: 1}
+outputs: {}
+"""
+
+SLEEP_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  ts: string[]
+outputs: {}
+steps:
+  nap:
+    run: sleep.cwl
+    in: {t: ts}
+    scatter: t
+"""
+
+SLEEP_ARGV = ["sleep", "23.7105"]  # no other process runs this command line
+
+
+def _pids_running(argv):
+    """The processes whose command line is exactly ``argv``."""
+    wanted = "\0".join(argv) + "\0"
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/cmdline") as fh:
+                if fh.read() == wanted:
+                    pids.append(int(entry))
+        except OSError:  # the process ended
+            continue
+    return pids
+
+
+@pytest.fixture
+def kill_leftover_sleeps():
+    yield
+    for pid in _pids_running(SLEEP_ARGV):
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_sigterm_kills_the_running_tools(tmp_path, kill_leftover_sleeps):
+    (tmp_path / "sleep.cwl").write_text(SLEEP_TOOL)
+    (tmp_path / "wf.cwl").write_text(SLEEP_WF)
+    (tmp_path / "job.yml").write_text(f"ts: {[SLEEP_ARGV[1]] * 3}\n")
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from miniwfl import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
+         "--outdir", str(tmp_path / "out"), "--no-reuse", "--no-container",
+         "--quiet", "--parallel", "2"],
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 20
+        while len(_pids_running(SLEEP_ARGV)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(20) == 143, proc.stderr.read()
+        assert _pids_running(SLEEP_ARGV) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()

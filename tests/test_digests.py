@@ -4,27 +4,23 @@ digest of every tool it runs and one cache key must not drift.
 A refactor of the canonical form that changes a digest changes every
 ``workflowDigest`` in provenance and every cache key, so old cache entries
 all miss; none of the behavioural tests would notice.  Regenerate the pin
-with ``python tests/test_digests.py`` only after such a change is meant,
-and say so where the change is recorded.
+with ``PYTHONPATH=src python tests/test_digests.py`` only after such a
+change is meant, and say so where the change is recorded.
 """
 
 import json
 import os
-import sys
 
 import pytest
+from conftest import CORPUS_DIR, corpus_cases
 
-sys.path.insert(0, os.path.dirname(__file__))
-
-from conftest import CORPUS_DIR, corpus_cases  # noqa: E402
-
-from miniwfl import cli, parser  # noqa: E402
-from miniwfl.cache import cache_key, digest_tool  # noqa: E402
-from miniwfl.planner import FileValue, TaskNode  # noqa: E402
+from miniwfl import cli, parser
+from miniwfl.cache import cache_key, digest_tool
+from miniwfl.planner import FileValue, TaskNode
 
 PIN_PATH = os.path.join(os.path.dirname(__file__), "digests.json")
 
-# One tool that sets every field the model has, so that a field dropped
+# One tool that sets every field a tool can have, so that a field dropped
 # from the canonical form changes the key below.
 KEY_TOOL_RAW = {
     "cwlVersion": "v1.2", "class": "CommandLineTool",

@@ -434,6 +434,33 @@ def test_workdir_entry_holds_verified_bytes_when_source_changes_after_check(
         == "original\n"
 
 
+@pytest.mark.parametrize("container", [False, True],
+                         ids=["host", "container"])
+def test_workdir_entries_see_the_paths_and_runtime_of_the_command(
+        tmp_path, container):
+    adapter = DockerAdapter()
+    adapter.command = "true"  # a container runtime that runs nothing
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=container,
+                      adapter=adapter)
+    tool = _tool(
+        baseCommand=["cat", "where.txt", "cores.txt"],
+        inputs=[{"id": "f", "type": "File"}],
+        requirements=[{"class": "InitialWorkDirRequirement", "listing": [
+            {"entry": "$(inputs.f.path)", "entryname": "where.txt"},
+            {"entry": "$(runtime.cores)", "entryname": "cores.txt"}]}],
+        hints=[{"class": "DockerRequirement", "dockerPull": "busybox"}])
+    node = TaskNode(id="t", tool=tool, bindings={},
+                    requirements=tool.requirements, hints=tool.hints)
+    result = rt.run_task(node, {"f": _fv(tmp_path)}, 1, {"coresMin": 2})
+    assert result.outcome == "Success", result.error
+    outdir = os.path.dirname(result.outputs["out"].path)
+    staged = "/miniwfl/inputs/in.txt" if container else f"{outdir}.inputs/in.txt"
+    assert _read(os.path.join(outdir, "where.txt")) == staged
+    assert _read(os.path.join(outdir, "cores.txt")) == "2"
+    if not container:
+        assert _read(result.outputs["out"].path) == staged + "2"
+
+
 def _count_hashes(monkeypatch):
     calls = []
     checksum = runtime.file_checksum
