@@ -125,6 +125,7 @@ def cmd_run(args) -> int:
         result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
                                run_id=run_id)
     finally:
+        runtime.close()
         signal.signal(signal.SIGTERM, previous)
 
     record = provenance.build_record(result, parser.canonical_digest(doc),

@@ -2,16 +2,18 @@
 
 An attempt allocates only what it keeps.  Its directory is the tool's
 working directory (the outdir).  Beside it go ``<attempt>.inputs/``, made
-only for File inputs and holding read-only copies that match the job-order
-checksums, each source hashed once per run while its stat signature holds
-(see _copy_verified), and ``<attempt>.stdout.log``/``.stderr.log``, kept
-only for a stream that nothing captures and that was not empty.  A named or
-captured stream is written in place in the outdir.  Each worker thread
-reuses one TMPDIR while it stays the empty directory it was made as, and
-one spare log per stream (see WorkerScratch).  The tool runs in a session of
-its own with a minimal explicit environment, and the whole session is
-killed when it exits or times out.  A successful attempt's input copies are
-deleted once its outputs are collected, unless an output resolves into them.
+only for File inputs and holding hard links into the run's input store
+(see InputStore), and ``<attempt>.stdout.log``/``.stderr.log``, kept only
+for a stream that nothing captures and that was not empty.  The store holds
+one read-only copy of each distinct input, checked against its job-order
+checksum and made once per run; a tool that writes through its link fails
+its attempt.  A named or captured stream is written in place in the outdir.
+Each worker thread reuses one TMPDIR while it stays the empty directory it
+was made as, and one spare log per stream (see WorkerScratch).  The tool
+runs in a session of its own with a minimal explicit environment, and the
+whole session is killed when it exits or times out.  A successful attempt's
+input links are deleted once its outputs are collected; no output shares an
+inode with them (see _regular).
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ class StagedDirectory:
     tmpdir: str
     staged_inputs: dict  # original path -> in-sandbox path
     container_map: dict = field(default_factory=dict)  # host -> container path
+    # checksum -> (original path, signature of the store entry linked)
+    linked: dict = field(default_factory=dict)
 
     @property
     def inputs_dir(self) -> str:
-        """Where input copies go; created when the first one is staged."""
+        """Where input links go; created when the first one is staged."""
         return f"{self.outdir}.inputs"
 
     def log_path(self, which: str) -> str:
@@ -228,23 +232,97 @@ def write_atomically(target: str, write):
             os.remove(partial)
 
 
-def stage(node_id: str, bindings: dict, work_root: str,
-          initial_workdir: Optional[model.Clause] = None,
-          verified: Optional[dict] = None,
+def _entry_signature(path: str):
+    """(inode, size, mtime, mode) of a store entry, or None when its name is
+    gone.  Not ctime or the link count, which every new link moves."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)
+
+
+class InputStore:
+    """The run's one verified, read-only copy of each distinct input,
+    ``<root>/<sha256>``, which attempts hard-link their inputs to.
+
+    The first attempt that needs an entry makes it, under a lock of its
+    checksum, so that a second one waits instead of copying and hashing
+    too.  The entry is then made read-only and its mtime pinned to the
+    epoch.  Tools may run as root, so a write through a link is detected
+    rather than refused: any write moves the mtime, so an entry whose
+    signature moved was written to.  A deliberate ``utime`` back to the
+    epoch is the one write this misses.  ``verified`` is the run's record
+    of checked sources (see _copy_verified).
+    """
+
+    def __init__(self, root: str, verified: Optional[dict] = None):
+        self.root = root
+        os.makedirs(root, exist_ok=True)
+        self.verified = {} if verified is None else verified
+        self._lock = threading.Lock()
+        self._locks = {}  # checksum -> lock of its entry
+        self._made = {}   # checksum -> signature of its entry as made
+
+    def _locked(self, checksum: str) -> threading.Lock:
+        with self._lock:
+            return self._locks.setdefault(checksum, threading.Lock())
+
+    def _fill(self, fv: FileValue, partial: str):
+        _copy_verified(fv, partial, self.verified)
+        os.chmod(partial, 0o444)
+        os.utime(partial, ns=(0, 0))
+
+    def link(self, fv: FileValue, target: str):
+        """Make ``target`` a link to ``fv``'s entry, first making the entry
+        where it is missing or has changed; returns the entry's signature."""
+        path = os.path.join(self.root, fv.checksum)
+        with self._locked(fv.checksum):
+            signature = self._made.get(fv.checksum)
+            if signature is None or _entry_signature(path) != signature:
+                write_atomically(path, lambda partial: self._fill(fv, partial))
+                signature = self._made[fv.checksum] = _entry_signature(path)
+            link_or_copy(path, target)
+        return signature
+
+    def check(self, linked: dict):
+        """Raise StagingError when an entry in ``linked`` (see
+        StagedDirectory) no longer has the signature it was linked with.
+        Its name is dropped while it still names that inode, so that the
+        next attempt makes the entry again from the source."""
+        modified = []
+        for checksum, (source, signature) in sorted(linked.items()):
+            path = os.path.join(self.root, checksum)
+            if _entry_signature(path) == signature:
+                continue
+            modified.append(source)
+            with self._locked(checksum):
+                found = _entry_signature(path)
+                if found is not None and found[0] == signature[0]:
+                    os.remove(path)
+        if modified:
+            raise StagingError(
+                f"input modified by the tool: {', '.join(modified)}")
+
+    def close(self):
+        """Remove the store; the links attempts kept hold their bytes."""
+        shutil.rmtree(self.root, ignore_errors=True)
+
+
+def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
           tmpdir: Optional[str] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
     carry FileValues rewritten to their in-sandbox host paths; container
     equivalents are recorded in the directory's container_map.
-    ``verified`` is the run's record of checked sources (see
-    _copy_verified); without it every input copy is hashed.
-    The attempt directory is the outdir.  Inputs go to
-    ``<attempt>.inputs/<basename>``, or to ``<attempt>.inputs/<n>/<basename>``
-    when the basename is taken.  ``tmpdir`` is the private directory that
-    TMPDIR names and containers mount at /tmp, usually a worker's reused
-    one (see WorkerScratch); without it ``<attempt>.tmp/`` is made.
-    ``initial_workdir`` entries see staged host paths and ``runtime.outdir``.
+    The attempt directory is the outdir.  Inputs are linked from ``store``
+    to ``<attempt>.inputs/<basename>``, or to
+    ``<attempt>.inputs/<n>/<basename>`` when the basename is taken, and the
+    directory's ``linked`` records what InputStore.check compares.
+    ``tmpdir`` is the private directory that TMPDIR names and containers
+    mount at /tmp, usually a worker's reused one (see WorkerScratch);
+    without it ``<attempt>.tmp/`` is made.
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
@@ -252,8 +330,6 @@ def stage(node_id: str, bindings: dict, work_root: str,
     if tmpdir is None:
         tmpdir = f"{outdir}.tmp"
         os.mkdir(tmpdir)
-    if verified is None:
-        verified = {}
 
     staged_inputs = {}
     container_map = {}
@@ -276,8 +352,7 @@ def stage(node_id: str, bindings: dict, work_root: str,
                 name = f"{slot}/{name}"
             taken.add(name.split("/")[0])
             target = os.path.join(staged.inputs_dir, name)
-            _copy_verified(fv, target, verified)
-            os.chmod(target, 0o444)
+            staged.linked[fv.checksum] = (fv.path, store.link(fv, target))
             staged_inputs[fv.path] = target
             container_map[target] = f"{C_INPUTS}/{name}"
         return replace(fv, path=staged_inputs[fv.path])
@@ -286,8 +361,6 @@ def stage(node_id: str, bindings: dict, work_root: str,
                        for k in sorted(bindings)}
     container_map[outdir] = C_OUTDIR
     container_map[tmpdir] = C_TMPDIR
-    _materialize_initial_workdir(initial_workdir, staged, EvalContext(
-        inputs=staged_bindings, runtime={"outdir": outdir}))
     return staged, staged_bindings
 
 
@@ -583,9 +656,11 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
 def _regular(path: str, outdir: str) -> str:
     """``path`` with no symlink on it below ``outdir``: a linked directory
     becomes a real one holding links to its target's entries, and a linked
-    file a regular file holding its target's bytes.  So an output (and the
-    cache blob linked to it) holds the bytes and not a pointer that can
-    change after the run, and nothing is ever written through a link."""
+    file, or a file with another hard link, a regular file of its own
+    holding those bytes.  So an output (and the cache blob linked to it)
+    holds the bytes and not a pointer that can change after the run, shares
+    its inode with no file outside the attempt and no input-store entry,
+    and nothing is ever written through a link."""
     parts = os.path.relpath(path, outdir).split(os.sep)
     for depth in range(1, len(parts)):
         linked = os.path.join(outdir, *parts[:depth])
@@ -596,7 +671,8 @@ def _regular(path: str, outdir: str) -> str:
             for name in os.listdir(target):
                 os.symlink(os.path.join(target, name),
                            os.path.join(linked, name))
-    if os.path.islink(path):
+    st = os.lstat(path)
+    if stat.S_ISLNK(st.st_mode) or st.st_nlink > 1:
         write_atomically(path, lambda partial: shutil.copyfile(path, partial))
     return path
 
@@ -633,7 +709,10 @@ class LocalRuntime:
         os.makedirs(self.work_root, exist_ok=True)
         self.use_containers = use_containers
         self.adapter = adapter or DockerAdapter()
-        self.verified = {}  # source path -> signature of checked bytes
+        # a name of its own, so that runs sharing a work root never share
+        # entries or remove each other's
+        self.store = InputStore(os.path.join(
+            self.work_root, f".inputs-{uuid.uuid4().hex[:8]}"))
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
@@ -645,6 +724,10 @@ class LocalRuntime:
             with self._lock:
                 self._scratches.append(scratch)
         return scratch
+
+    def close(self):
+        """End the run: remove its input store."""
+        self.store.close()
 
     def cancel(self):
         """Kill every attempt running now.  Tools run in sessions of their
@@ -671,7 +754,7 @@ class LocalRuntime:
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
-                verified=self.verified, tmpdir=scratch.tmpdir())
+                self.store, tmpdir=scratch.tmpdir())
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             minima = {**model.RESOURCE_DEFAULTS, **resources}
@@ -720,11 +803,18 @@ class LocalRuntime:
                 streams=stream_names(node.tool),
                 scratch=scratch,
             )
-            if attempt.outcome == SUCCESS:
-                attempt.outputs = collect_outputs(node.tool, staged)
-                if staged.staged_inputs:  # read by nothing from now on
-                    shutil.rmtree(staged.inputs_dir, ignore_errors=True)
+            try:
+                if attempt.outcome == SUCCESS:
+                    attempt.outputs = collect_outputs(node.tool, staged)
+            finally:
+                # whatever the outcome: once collect has read the outputs,
+                # no attempt that saw a written input may succeed
+                self.store.check(staged.linked)
+            if attempt.outputs is not None and staged.staged_inputs:
+                # read by nothing from now on
+                shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
+            attempt.outputs = None
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
         finally:

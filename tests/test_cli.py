@@ -1,6 +1,7 @@
 """CLI surface: exit codes, stdout purity, subcommand behavior."""
 
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -239,14 +240,42 @@ def test_shard_writing_its_input_leaves_siblings_intact(tmp_path):
     (tmp_path / "job.yml").write_text(
         "f: {class: File, path: data.txt}\nshards: [0, 1, 2, 3, 4, 5]\n")
     out = tmp_path / "out"
-    code, stdout = run_cli(["run", str(tmp_path / "wf.cwl"),
-                            str(tmp_path / "job.yml"), "--outdir", str(out),
-                            "--no-reuse", "--no-container", "--quiet",
-                            "--parallel", "2"])
-    assert code == 0
-    seen = [Path(fv["path"]).read_text() for fv in json.loads(stdout)["seen"]]
-    assert seen == [original + "appended\n"] + [original] * 5
+    code, _ = run_cli(["run", str(tmp_path / "wf.cwl"),
+                       str(tmp_path / "job.yml"), "--outdir", str(out),
+                       "--no-reuse", "--no-container", "--quiet",
+                       "--parallel", "2"])
+    # the shards share one read-only copy of data.txt, which CWL forbids a
+    # tool to write unless the input is declared writable: the writer
+    # fails, and so may any sibling that read the copy while it changed
+    assert code == 2
+    (record,) = (out / "provenance").iterdir()
+    tasks = json.loads(record.read_text())["tasks"]
+    assert tasks["read[0]"]["state"] == "Failed"
+    assert "input modified by the tool" \
+        in tasks["read[0]"]["attempts"][-1]["error"]
+    want = hashlib.sha256(original.encode()).hexdigest()
+    for i in range(6):
+        task = tasks.get(f"read[{i}]", {})
+        if task.get("state") == "Succeeded":
+            assert task["outputs"]["out"]["checksum"] == want, i
     assert (tmp_path / "data.txt").read_text() == original
+
+
+@pytest.mark.parametrize("shards, code", [("[1, 2]", 0), ("[0, 1]", 2)],
+                         ids=["success", "failure"])
+def test_run_removes_its_input_store(tmp_path, shards, code):
+    (tmp_path / "append.cwl").write_text(  # shard 0 fails
+        APPEND_TOOL.replace('echo appended >> "$1"', "exit 3"))
+    (tmp_path / "wf.cwl").write_text(APPEND_WF)
+    (tmp_path / "data.txt").write_text("data\n")
+    (tmp_path / "job.yml").write_text(
+        f"f: {{class: File, path: data.txt}}\nshards: {shards}\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
+                    "--outdir", str(out), "--no-reuse", "--no-container",
+                    "--quiet"])[0] == code
+    assert (out / ".work").is_dir()
+    assert not list((out / ".work").glob(".inputs-*"))
 
 
 NAME_TOOL = """\
@@ -420,7 +449,8 @@ def test_file_literal_is_refused_before_anything_runs(project, monkeypatch,
 @pytest.mark.parametrize("script, glob", [
     ('ln -s "$0" link.txt', "link.txt"),
     ('ln -s "`dirname "$0"`" sub', "sub/outside.txt"),
-], ids=["file-link", "directory-link"])
+    ('ln "$0" link.txt', "link.txt"),
+], ids=["file-link", "directory-link", "hard-link"])
 def test_symlinked_output_is_cached_as_its_bytes(project, script, glob):
     outside = project / "outside.txt"
     outside.write_text("original\n")
@@ -517,6 +547,64 @@ def test_sigterm_kills_the_running_tools(tmp_path, kill_leftover_sleeps):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(20) == 143, proc.stderr.read()
         assert _pids_running(SLEEP_ARGV) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+STORE_SLEEP_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [sh, -c, 'exec sleep "$0"']
+inputs:
+  t: {type: string, position: 1}
+  f: {type: File, position: 2}
+outputs: {}
+"""
+
+STORE_SLEEP_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  ts: string[]
+  f: File
+outputs: {}
+steps:
+  nap:
+    run: sleep.cwl
+    in: {t: ts, f: f}
+    scatter: t
+"""
+
+
+def test_sigterm_leaves_no_input_store(tmp_path, kill_leftover_sleeps):
+    (tmp_path / "sleep.cwl").write_text(STORE_SLEEP_TOOL)
+    (tmp_path / "wf.cwl").write_text(STORE_SLEEP_WF)
+    (tmp_path / "data.txt").write_text("data\n")
+    (tmp_path / "job.yml").write_text(
+        f"ts: {[SLEEP_ARGV[1]] * 3}\nf: {{class: File, path: data.txt}}\n")
+    work = tmp_path / "out" / ".work"
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from miniwfl import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
+         "--outdir", str(tmp_path / "out"), "--no-reuse", "--no-container",
+         "--quiet", "--parallel", "2"],
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 20
+        while len(_pids_running(SLEEP_ARGV)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        (store,) = work.glob(".inputs-*")
+        assert len(os.listdir(store)) == 1  # one entry, linked by both
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(20) == 143, proc.stderr.read()
+        assert not store.exists()
     finally:
         if proc.poll() is None:
             proc.kill()

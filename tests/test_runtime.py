@@ -47,6 +47,10 @@ def _read(path):
         return fh.read()
 
 
+def _store(tmp_path, verified=None):
+    return runtime.InputStore(str(tmp_path / "store"), verified)
+
+
 CTX = EvalContext(inputs={}, runtime={"cores": 1, "ram": 256, "outdir": "/w"})
 
 
@@ -126,7 +130,8 @@ def test_numbers_stringify():
 
 def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
     fv = _fv(tmp_path)
-    staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"))
+    staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
+                             _store(tmp_path))
     staged_fv = bindings["f"]
     assert staged_fv.path != fv.path
     assert staged_fv.path.startswith(staged.inputs_dir + os.sep)
@@ -138,7 +143,8 @@ def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
 
 
 def test_stage_without_file_inputs_makes_no_inputs_dir(tmp_path):
-    staged, _ = stage("t1", {"msg": "hi"}, str(tmp_path / "work"))
+    staged, _ = stage("t1", {"msg": "hi"}, str(tmp_path / "work"),
+                      _store(tmp_path))
     name = os.path.basename(staged.outdir)
     # without a worker's TMPDIR, the attempt makes its own beside it
     assert sorted(os.listdir(tmp_path / "work")) == [name, f"{name}.tmp"]
@@ -148,8 +154,8 @@ def test_stage_without_file_inputs_makes_no_inputs_dir(tmp_path):
 
 def test_stage_fresh_directory_per_attempt(tmp_path):
     fv = _fv(tmp_path)
-    s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"))
-    s2, _ = stage("t1", {"f": fv}, str(tmp_path / "work"))
+    s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+    s2, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
     assert s1.outdir != s2.outdir
 
 
@@ -157,7 +163,7 @@ def test_stage_detects_source_drift(tmp_path):
     fv = _fv(tmp_path)
     (tmp_path / "in.txt").write_text("tampered!\n")
     with pytest.raises(StagingError, match="changed"):
-        stage("t1", {"f": fv}, str(tmp_path / "work"))
+        stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
 
 
 def test_stage_same_basename_from_different_dirs(tmp_path):
@@ -165,7 +171,8 @@ def test_stage_same_basename_from_different_dirs(tmp_path):
     (tmp_path / "b").mkdir()
     f1 = _fv(tmp_path / "a", "same.txt", "one\n")
     f2 = _fv(tmp_path / "b", "same.txt", "two\n")
-    staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"))
+    staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"),
+                             _store(tmp_path))
     assert bindings["x"].path != bindings["y"].path
     assert open(bindings["x"].path).read() == "one\n"
     assert open(bindings["y"].path).read() == "two\n"
@@ -182,7 +189,8 @@ def test_stage_slot_directories_skip_names_already_taken(tmp_path):
     (tmp_path / "b").mkdir()
     f1 = _fv(tmp_path / "a", "1", "one\n")
     f2 = _fv(tmp_path / "b", "1", "two\n")
-    staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"))
+    staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"),
+                             _store(tmp_path))
     assert bindings["x"].path == os.path.join(staged.inputs_dir, "1")
     assert bindings["y"].path == os.path.join(staged.inputs_dir, "2", "1")
     assert open(bindings["y"].path).read() == "two\n"
@@ -249,17 +257,23 @@ def test_staging_distinct_basenames_makes_one_inputs_directory(tmp_path,
     work = tmp_path / "work"
     (work / "tmp").mkdir(parents=True)
     bindings = {f"f{n}": _fv(tmp_path, f"in{n}.txt") for n in range(4)}
+    store = _store(tmp_path)  # made once per run
     made = _count_mkdirs(monkeypatch)
-    staged, _ = stage("t1", bindings, str(work), tmpdir=str(work / "tmp"))
+    staged, _ = stage("t1", bindings, str(work), store,
+                      tmpdir=str(work / "tmp"))
     assert made == [staged.outdir, staged.inputs_dir]
     assert staged.inputs_dir == f"{staged.outdir}.inputs"
     assert sorted(os.listdir(staged.inputs_dir)) \
         == [f"in{n}.txt" for n in range(4)]
 
 
-def _sh(script, **overrides):
+def _sh(script, inputs=(), **overrides):
     return TaskNode(id="t", tool=_tool(baseCommand=["sh", "-c", script],
-                                       inputs=[], **overrides), bindings={})
+                                       inputs=list(inputs), **overrides),
+                    bindings={})
+
+
+F_INPUT = [{"id": "f", "type": "File", "position": 1}]  # seen as $0
 
 
 def test_uncaptured_stream_is_kept_only_when_not_empty(tmp_path):
@@ -381,32 +395,40 @@ def test_cancel_kills_the_running_attempts(tmp_path):
     assert results[0].exit_code == -9
 
 
+def _in_workdir(tmp_path, listing, script, values=None):
+    """One attempt of ``sh -c script`` with ``listing`` as its
+    InitialWorkDir and its File input, if any, as ``$0``."""
+    node = TaskNode(id="t", tool=_tool(
+        baseCommand=["sh", "-c", script],
+        inputs=[{"id": "f", "type": "File?", "position": 1}]),
+        bindings={}, requirements=(
+            Clause(CLAUSE_INITIAL_WORKDIR, {"listing": listing}),))
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    return rt.run_task(node, values or {}, 1, {})
+
+
 def test_stage_materializes_literal_workdir_entries(tmp_path):
-    clause = Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+    result = _in_workdir(tmp_path, [
         {"entryname": "run.sh", "entry": "echo hi\n"},
-    ]})
-    staged, _ = stage("t1", {}, str(tmp_path / "work"), initial_workdir=clause)
-    assert open(os.path.join(staged.outdir, "run.sh")).read() == "echo hi\n"
+    ], "cat run.sh")
+    assert _read(result.outputs["out"].path) == "echo hi\n"
 
 
 def test_stage_workdir_entry_collision(tmp_path):
-    clause = Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+    result = _in_workdir(tmp_path, [
         {"entryname": "x", "entry": "1"},
         {"entryname": "x", "entry": "2"},
-    ]})
-    with pytest.raises(StagingError, match="collision"):
-        stage("t1", {}, str(tmp_path / "work"), initial_workdir=clause)
+    ], "true")
+    assert result.failure_kind == "StagingError"
+    assert "collision" in result.error
 
 
 def test_stage_workdir_entry_from_input_file(tmp_path):
     fv = _fv(tmp_path, content="original\n")
-    clause = Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+    result = _in_workdir(tmp_path, [
         {"entryname": "renamed.dat", "entry": "$(inputs.f)"},
-    ]})
-    staged, _ = stage("t1", {"f": fv}, str(tmp_path / "work"),
-                      initial_workdir=clause)
-    assert open(os.path.join(staged.outdir, "renamed.dat")).read() \
-        == "original\n"
+    ], "cat renamed.dat", {"f": fv})
+    assert _read(result.outputs["out"].path) == "original\n"
 
 
 def test_workdir_entry_holds_verified_bytes_when_source_changes_after_check(
@@ -423,15 +445,11 @@ def test_workdir_entry_holds_verified_bytes_when_source_changes_after_check(
         return result
 
     monkeypatch.setattr(runtime, "file_checksum", hash_then_edit_source)
-    clause = Clause(CLAUSE_INITIAL_WORKDIR, {"listing": [
+    result = _in_workdir(tmp_path, [
         {"entryname": "renamed.dat", "entry": "$(inputs.f)"},
-    ]})
-    staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
-                             initial_workdir=clause)
+    ], 'cat "$0" renamed.dat', {"f": fv})
     assert edits  # the source really changed after it was verified
-    assert _read(bindings["f"].path) == "original\n"
-    assert _read(os.path.join(staged.outdir, "renamed.dat")) \
-        == "original\n"
+    assert _read(result.outputs["out"].path) == "original\n" * 2
 
 
 @pytest.mark.parametrize("container", [False, True],
@@ -481,13 +499,13 @@ def test_stage_hashes_each_input_once_per_run(tmp_path, monkeypatch):
     verified = {}
     for _ in range(3):
         _, bindings = stage("t", {"f": fv, "g": fv, "h": other},
-                            str(tmp_path / "work"), verified=verified)
+                            str(tmp_path / "work"), _store(tmp_path, verified))
         assert _read(bindings["f"].path) == "payload\n"
         assert _read(bindings["h"].path) == "o\n"
     # the first attempt hashes its copies; later ones trust the signatures
     assert len(calls) == 2
     # without a run's record every copy is hashed
-    stage("t", {"f": fv}, str(tmp_path / "work"))
+    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
     assert len(calls) == 3
 
 
@@ -495,21 +513,24 @@ def test_source_edited_between_attempts_fails_the_later_one(tmp_path,
                                                             monkeypatch):
     fv = _fv(tmp_path)
     verified = {}
-    stage("t", {"f": fv}, str(tmp_path / "work"), verified=verified)
+    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path, verified))
     assert verified == {}  # a signature this fresh is not trusted
     (tmp_path / "in.txt").write_text("PAYLOAD\n")  # same size, right away
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": fv}, str(tmp_path / "work"), verified=verified)
+        stage("t", {"f": fv}, str(tmp_path / "work"),
+              _store(tmp_path, verified))
 
     # a trusted signature that moves is re-hashed too
     monkeypatch.setattr(runtime, "_RACY_NS", 0)
     other = _fv(tmp_path, "other.txt", "o\n")
-    stage("t", {"f": other}, str(tmp_path / "work"), verified=verified)
+    stage("t", {"f": other}, str(tmp_path / "work"),
+          _store(tmp_path, verified))
     assert other.path in verified
     with open(other.path, "a") as fh:
         fh.write("edited")
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": other}, str(tmp_path / "work"), verified=verified)
+        stage("t", {"f": other}, str(tmp_path / "work"),
+              _store(tmp_path, verified))
 
 
 def test_stage_out_names_collisions_without_hashing_its_own_copies(
@@ -552,7 +573,7 @@ def test_stage_out_names_collisions_without_hashing_its_own_copies(
 # --- execution --------------------------------------------------------------
 
 def _staged(tmp_path):
-    staged, _ = stage("t", {}, str(tmp_path / "work"))
+    staged, _ = stage("t", {}, str(tmp_path / "work"), _store(tmp_path))
     return staged
 
 
@@ -884,6 +905,132 @@ def test_run_task_reports_each_failure_kind(tmp_path, case):
                     reason="root bypasses file permission bits")
 def test_staged_inputs_resist_modification(tmp_path):
     fv = _fv(tmp_path)
-    _, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"))
+    _, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
+                        _store(tmp_path))
     with pytest.raises(PermissionError):
         open(bindings["f"].path, "w")
+
+
+# --- the run's input store ----------------------------------------------------
+
+def test_attempts_on_one_input_copy_and_hash_it_once(tmp_path, monkeypatch):
+    import shutil
+    import sys
+    import threading
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+    hashed = _count_hashes(monkeypatch)
+    copied, linked = [], []
+    copyfile, link = shutil.copyfile, os.link
+    monkeypatch.setattr(shutil, "copyfile", lambda src, dst, **kwargs:
+                        copied.append(src) or copyfile(src, dst, **kwargs))
+    monkeypatch.setattr(os, "link", lambda src, dst, **kwargs:
+                        linked.append(dst) or link(src, dst, **kwargs))
+    node = _sh('cat "$0"', F_INPUT)
+    results = []
+
+    def worker():
+        for _ in range(4):
+            results.append(rt.run_task(node, {"f": fv}, 1, {}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [_read(r.outputs["out"].path) for r in results] == ["payload\n"] * 8
+    # the second worker waited for the entry the first one made
+    assert copied == [fv.path] and len(hashed) == 1
+    assert len(linked) == 8
+
+
+@pytest.mark.parametrize("script, resources", [
+    ('echo more >> "$0"; cat "$0"', {}),
+    ('echo more >> "$0"; exit 3', {}),
+    ('echo more >> "$0"; sleep 5', {"wallTimeMax": 0.3}),
+], ids=["success", "exit code", "timeout"])
+def test_tool_writing_its_input_fails_and_the_next_one_reads_it_anew(
+        tmp_path, script, resources):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+    writer = rt.run_task(_sh(script, F_INPUT), {"f": fv}, 1, resources)
+    assert (writer.failure_kind, writer.error) \
+        == ("StagingError", f"input modified by the tool: {fv.path}")
+    assert writer.outcome == runtime.PERMANENT_FAILURE
+    assert writer.outputs is None
+    entry = os.path.join(rt.store.root, fv.checksum)
+    assert not os.path.exists(entry)  # dropped, so made again when needed
+    kept = os.path.dirname(writer.stdout_path) + ".inputs/in.txt"
+    assert _read(kept) == "payload\nmore\n"  # kept for debugging
+    reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
+    assert _read(reader.outputs["out"].path) == "payload\n"
+    assert os.stat(entry).st_ino != os.stat(kept).st_ino
+
+
+@pytest.mark.parametrize("script", [
+    'cat "$0"', 'mv "$0" "$0.moved" && cat "$0.moved"',
+], ids=["read", "rename"])
+def test_tool_reading_or_renaming_its_input_passes_the_check(tmp_path,
+                                                             script):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    result = rt.run_task(_sh(script, F_INPUT), {"f": _fv(tmp_path)}, 1, {})
+    assert result.outcome == runtime.SUCCESS, result.error
+    assert _read(result.outputs["out"].path) == "payload\n"
+
+
+def test_source_edited_after_its_entry_is_made_reaches_no_attempt(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+    node = _sh('cat "$0"', F_INPUT)
+    first = rt.run_task(node, {"f": fv}, 1, {})
+    (tmp_path / "in.txt").write_text("PAYLOAD\n")
+    second = rt.run_task(node, {"f": fv}, 1, {})
+    assert [_read(r.outputs["out"].path) for r in (first, second)] \
+        == ["payload\n"] * 2
+
+
+@pytest.mark.parametrize("script", [
+    'ln "$0" linked.txt', 'mv "$0" linked.txt',
+], ids=["hard link", "rename"])
+def test_output_that_is_its_input_gets_an_inode_of_its_own(tmp_path, script):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _fv(tmp_path)
+    result = rt.run_task(_sh(script, F_INPUT, outputs=[
+        {"id": "out", "type": "File", "glob": "linked.txt"}]), {"f": fv}, 1, {})
+    assert result.outcome == runtime.SUCCESS, result.error
+    out = result.outputs["out"].path
+    assert _read(out) == "payload\n"
+    assert not os.path.samefile(out, os.path.join(rt.store.root, fv.checksum))
+    assert os.stat(out).st_nlink == 1
+
+
+def test_close_removes_the_store(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    failed = rt.run_task(_sh('cat "$0"; exit 3', F_INPUT),
+                         {"f": _fv(tmp_path)}, 1, {})
+    assert os.listdir(rt.store.root)
+    rt.close()
+    assert not os.path.exists(rt.store.root)
+    kept = os.path.dirname(failed.stdout_path) + ".inputs/in.txt"
+    assert _read(kept) == "payload\n"  # a failed attempt's link keeps its bytes
+
+
+def test_runtimes_sharing_a_work_root_keep_their_own_stores(tmp_path):
+    work = str(tmp_path / "work")
+    first, second = (LocalRuntime(work, use_containers=False)
+                     for _ in range(2))
+    fv = _fv(tmp_path)
+    node = _sh('cat "$0"', F_INPUT)
+    assert second.run_task(node, {"f": fv}, 1, {}).outputs is not None
+    first.run_task(node, {"f": fv}, 1, {})
+    first.close()
+    # the second run's entry is neither replaced nor removed by the first
+    (entry,) = os.listdir(second.store.root)
+    assert second.run_task(node, {"f": fv}, 1, {}).outputs is not None
+    assert os.listdir(second.store.root) == [entry]
