@@ -11,15 +11,13 @@ import os
 import time
 import uuid
 
-from .planner import map_files
+from .planner import value_to_json
 
 ENGINE_VERSION = "miniwfl 0.1.0"
 
 
 def _value_record(value):
-    return map_files(value, lambda fv: {
-        "class": "File", "basename": fv.basename,
-        "checksum": fv.checksum, "size": fv.size})
+    return value_to_json(value, include_path=False)
 
 
 def iso_time(ts: float) -> str:

@@ -61,7 +61,6 @@ class StagedDirectory:
     outdir: str  # the attempt directory, where the tool runs
     tmpdir: str
     staged_inputs: dict  # original path -> in-sandbox path
-    container_map: dict = field(default_factory=dict)  # host -> container path
     # checksum -> (original path, signature of the store entry linked)
     linked: dict = field(default_factory=dict)
 
@@ -69,6 +68,10 @@ class StagedDirectory:
     def inputs_dir(self) -> str:
         """Where input links go; created when the first one is staged."""
         return f"{self.outdir}.inputs"
+
+    def in_container(self, host: str) -> str:
+        """The path that the staged input ``host`` has in a container."""
+        return f"{C_INPUTS}/{os.path.relpath(host, self.inputs_dir)}"
 
     def log_path(self, which: str) -> str:
         """Where an uncaptured, non-empty stream is kept."""
@@ -166,45 +169,6 @@ _FAILURE_KINDS = {
 }
 
 
-# a file changed within the timestamp tick of a check can keep its stat
-# signature, so a signature this recent is not trusted (git's "racily clean")
-_RACY_NS = 1_000_000_000
-
-
-def _signature(path: str):
-    """(inode, size, mtime, ctime) of a regular file, or None."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    if not stat.S_ISREG(st.st_mode):
-        return None
-    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-
-
-def _copy_verified(fv: FileValue, target: str, verified: dict):
-    """Copy ``fv``'s source to ``target`` holding the job-order bytes.
-
-    ``verified`` maps a source path to its stat signature when its bytes
-    were last checked.  A copy taken while the source kept that signature is
-    trusted; any other copy is hashed and must match the job-order checksum.
-    """
-    before = _signature(fv.path)
-    if before is None:
-        raise StagingError(f"input file missing: {fv.path}")
-    shutil.copyfile(fv.path, target)
-    steady = _signature(fv.path) == before
-    if steady and verified.get(fv.path) == before:
-        return
-    found = file_checksum(target)
-    if found != fv.checksum:
-        raise StagingError(
-            f"input changed during run: {fv.path} "
-            f"(expected {fv.checksum[:12]}, found {found[:12]})")
-    if steady and time.time_ns() - max(before[2], before[3]) >= _RACY_NS:
-        verified[fv.path] = before
-
-
 def link_or_copy(source: str, target: str):
     """Make ``target`` a hard link to ``source``, or a copy where the
     filesystem refuses the link (another device, no hard links).  An
@@ -248,18 +212,18 @@ class InputStore:
 
     The first attempt that needs an entry makes it, under a lock of its
     checksum, so that a second one waits instead of copying and hashing
-    too.  The entry is then made read-only and its mtime pinned to the
+    too.  Every entry made, including one made again after a tool wrote
+    through it, is a copy of the source hashed against the job-order
+    checksum.  The entry is then made read-only and its mtime pinned to the
     epoch.  Tools may run as root, so a write through a link is detected
     rather than refused: any write moves the mtime, so an entry whose
     signature moved was written to.  A deliberate ``utime`` back to the
-    epoch is the one write this misses.  ``verified`` is the run's record
-    of checked sources (see _copy_verified).
+    epoch is the one write this misses.
     """
 
-    def __init__(self, root: str, verified: Optional[dict] = None):
+    def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self.verified = {} if verified is None else verified
         self._lock = threading.Lock()
         self._locks = {}  # checksum -> lock of its entry
         self._made = {}   # checksum -> signature of its entry as made
@@ -269,7 +233,14 @@ class InputStore:
             return self._locks.setdefault(checksum, threading.Lock())
 
     def _fill(self, fv: FileValue, partial: str):
-        _copy_verified(fv, partial, self.verified)
+        if not os.path.isfile(fv.path):
+            raise StagingError(f"input file missing: {fv.path}")
+        shutil.copyfile(fv.path, partial)
+        found = file_checksum(partial)
+        if found != fv.checksum:
+            raise StagingError(
+                f"input changed during run: {fv.path} "
+                f"(expected {fv.checksum[:12]}, found {found[:12]})")
         os.chmod(partial, 0o444)
         os.utime(partial, ns=(0, 0))
 
@@ -314,12 +285,14 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
-    carry FileValues rewritten to their in-sandbox host paths; container
-    equivalents are recorded in the directory's container_map.
+    carry FileValues rewritten to their in-sandbox host paths;
+    StagedDirectory.in_container gives their paths in a container.
     The attempt directory is the outdir.  Inputs are linked from ``store``
     to ``<attempt>.inputs/<basename>``, or to
     ``<attempt>.inputs/<n>/<basename>`` when the basename is taken, and the
-    directory's ``linked`` records what InputStore.check compares.
+    directory's ``linked`` records what InputStore.check compares.  The
+    store hashes a source only when it makes that source's entry, once per
+    run unless a tool wrote through the entry.
     ``tmpdir`` is the private directory that TMPDIR names and containers
     mount at /tmp, usually a worker's reused one (see WorkerScratch);
     without it ``<attempt>.tmp/`` is made.
@@ -332,10 +305,8 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
         os.mkdir(tmpdir)
 
     staged_inputs = {}
-    container_map = {}
     staged = StagedDirectory(outdir=outdir, tmpdir=tmpdir,
-                             staged_inputs=staged_inputs,
-                             container_map=container_map)
+                             staged_inputs=staged_inputs)
 
     taken = set()  # names directly under the inputs directory
 
@@ -354,13 +325,10 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
             target = os.path.join(staged.inputs_dir, name)
             staged.linked[fv.checksum] = (fv.path, store.link(fv, target))
             staged_inputs[fv.path] = target
-            container_map[target] = f"{C_INPUTS}/{name}"
         return replace(fv, path=staged_inputs[fv.path])
 
     staged_bindings = {k: map_files(bindings[k], place)
                        for k in sorted(bindings)}
-    container_map[outdir] = C_OUTDIR
-    container_map[tmpdir] = C_TMPDIR
     return staged, staged_bindings
 
 
@@ -370,7 +338,7 @@ def _materialize_initial_workdir(clause, staged, ctx):
         return
     sources = {}  # staged host or container path -> original path
     for source, host in staged.staged_inputs.items():
-        sources[host] = sources[staged.container_map[host]] = source
+        sources[host] = sources[staged.in_container(host)] = source
     seen = set()
     for item in clause.payload.get("listing", []):
         entry = item["entry"]
@@ -506,7 +474,7 @@ class DockerAdapter:
         if interactive:  # stdin redirection needs the stream kept open
             out.append("-i")
         for host in sorted(staged.staged_inputs.values()):
-            out += ["-v", f"{host}:{staged.container_map[host]}:ro"]
+            out += ["-v", f"{host}:{staged.in_container(host)}:ro"]
         out += ["-v", f"{staged.outdir}:{C_OUTDIR}:rw"]
         out += ["-v", f"{staged.tmpdir}:/tmp:rw"]
         for key in sorted(env):
@@ -766,7 +734,7 @@ class LocalRuntime:
             ctx = host_ctx
             if image is not None:
                 def to_container(fv: FileValue) -> FileValue:
-                    return replace(fv, path=staged.container_map[fv.path])
+                    return replace(fv, path=staged.in_container(fv.path))
                 ctx = EvalContext(
                     inputs={k: map_files(v, to_container)
                             for k, v in staged_bindings.items()},

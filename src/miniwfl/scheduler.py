@@ -57,6 +57,12 @@ from .planner import (
 from .provenance import iso_time
 from .runtime import TEMPORARY_FAILURE, TaskAttempt
 
+# CPython runs a signal's handler on the main thread, once that thread runs
+# Python code, and the kernel may deliver a SIGINT or SIGTERM to any thread:
+# the coordinator waits for completions in slices this long, so that it acts
+# on a signal that a worker thread received without waiting for an attempt
+_WAIT_SLICE_S = 0.2
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -407,6 +413,13 @@ class _Coordinator:
 
     # -- main loop ----------------------------------------------------------
 
+    def _next_completion(self):
+        while True:
+            try:
+                return self.completions.get(timeout=_WAIT_SLICE_S)
+            except queue.Empty:
+                pass
+
     def run(self) -> RunResult:
         with ThreadPoolExecutor(max_workers=self.cfg.parallelism) as pool:
             try:
@@ -415,7 +428,7 @@ class _Coordinator:
                     self.admit(pool)
                     if not self.ledger["running"]:
                         break
-                    self.handle_completion(*self.completions.get())
+                    self.handle_completion(*self._next_completion())
                     self.process_readiness()
             except BaseException:
                 # an interrupt does not reach tools that run in sessions of

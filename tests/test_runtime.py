@@ -47,8 +47,8 @@ def _read(path):
         return fh.read()
 
 
-def _store(tmp_path, verified=None):
-    return runtime.InputStore(str(tmp_path / "store"), verified)
+def _store(tmp_path):
+    return runtime.InputStore(str(tmp_path / "store"))
 
 
 CTX = EvalContext(inputs={}, runtime={"cores": 1, "ram": 256, "outdir": "/w"})
@@ -159,10 +159,14 @@ def test_stage_fresh_directory_per_attempt(tmp_path):
     assert s1.outdir != s2.outdir
 
 
-def test_stage_detects_source_drift(tmp_path):
+@pytest.mark.parametrize("drift, error", [
+    (lambda path: path.write_text("tampered!\n"), "input changed during run"),
+    (lambda path: path.unlink(), "input file missing"),
+], ids=["edited", "deleted"])
+def test_stage_detects_source_drift(tmp_path, drift, error):
     fv = _fv(tmp_path)
-    (tmp_path / "in.txt").write_text("tampered!\n")
-    with pytest.raises(StagingError, match="changed"):
+    drift(tmp_path / "in.txt")
+    with pytest.raises(StagingError, match=error):
         stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
 
 
@@ -180,7 +184,7 @@ def test_stage_same_basename_from_different_dirs(tmp_path):
     assert bindings["x"].path == os.path.join(staged.inputs_dir, "same.txt")
     assert bindings["y"].path == os.path.join(staged.inputs_dir, "1",
                                               "same.txt")
-    assert staged.container_map[bindings["y"].path] \
+    assert staged.in_container(bindings["y"].path) \
         == "/miniwfl/inputs/1/same.txt"
 
 
@@ -492,45 +496,28 @@ def _count_hashes(monkeypatch):
 
 
 def test_stage_hashes_each_input_once_per_run(tmp_path, monkeypatch):
-    monkeypatch.setattr(runtime, "_RACY_NS", 0)  # trust fresh signatures
     fv = _fv(tmp_path)
     other = _fv(tmp_path, "other.txt", "o\n")
     calls = _count_hashes(monkeypatch)
-    verified = {}
+    store = _store(tmp_path)
     for _ in range(3):
         _, bindings = stage("t", {"f": fv, "g": fv, "h": other},
-                            str(tmp_path / "work"), _store(tmp_path, verified))
+                            str(tmp_path / "work"), store)
         assert _read(bindings["f"].path) == "payload\n"
         assert _read(bindings["h"].path) == "o\n"
-    # the first attempt hashes its copies; later ones trust the signatures
+    # the first attempt makes and hashes the entries; later ones link them
     assert len(calls) == 2
-    # without a run's record every copy is hashed
+    # another run's store hashes its copy again
     stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
     assert len(calls) == 3
 
 
-def test_source_edited_between_attempts_fails_the_later_one(tmp_path,
-                                                            monkeypatch):
+def test_source_edited_between_attempts_fails_the_later_one(tmp_path):
     fv = _fv(tmp_path)
-    verified = {}
-    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path, verified))
-    assert verified == {}  # a signature this fresh is not trusted
+    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
     (tmp_path / "in.txt").write_text("PAYLOAD\n")  # same size, right away
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": fv}, str(tmp_path / "work"),
-              _store(tmp_path, verified))
-
-    # a trusted signature that moves is re-hashed too
-    monkeypatch.setattr(runtime, "_RACY_NS", 0)
-    other = _fv(tmp_path, "other.txt", "o\n")
-    stage("t", {"f": other}, str(tmp_path / "work"),
-          _store(tmp_path, verified))
-    assert other.path in verified
-    with open(other.path, "a") as fh:
-        fh.write("edited")
-    with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": other}, str(tmp_path / "work"),
-              _store(tmp_path, verified))
+        stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
 
 
 def test_stage_out_names_collisions_without_hashing_its_own_copies(
@@ -736,21 +723,16 @@ def test_collect_primitive_output_with_two_matches_raises(tmp_path):
 
 def test_docker_adapter_argv_contract(tmp_path):
     staged = StagedDirectory(
-        staged_inputs={"/orig/a.txt": "/w/t-1/inputs/0/a.txt"},
-        outdir="/w/t-1/outdir", tmpdir="/w/t-1/tmp",
-        container_map={
-            "/w/t-1/inputs/0/a.txt": "/miniwfl/inputs/0/a.txt",
-            "/w/t-1/outdir": "/miniwfl/outdir",
-            "/w/t-1/tmp": "/tmp",
-        })
+        staged_inputs={"/orig/a.txt": "/w/t-1.inputs/0/a.txt"},
+        outdir="/w/t-1", tmpdir="/w/t-1.tmp")
     argv = DockerAdapter().build_argv(
         "alpine:3.19", ["cat", "/miniwfl/inputs/0/a.txt"], staged,
         {"HOME": "/miniwfl/outdir"})
     assert argv == [
         "docker", "run", "--rm", "--workdir", "/miniwfl/outdir",
-        "-v", "/w/t-1/inputs/0/a.txt:/miniwfl/inputs/0/a.txt:ro",
-        "-v", "/w/t-1/outdir:/miniwfl/outdir:rw",
-        "-v", "/w/t-1/tmp:/tmp:rw",
+        "-v", "/w/t-1.inputs/0/a.txt:/miniwfl/inputs/0/a.txt:ro",
+        "-v", "/w/t-1:/miniwfl/outdir:rw",
+        "-v", "/w/t-1.tmp:/tmp:rw",
         "--env", "HOME=/miniwfl/outdir",
         "alpine:3.19",
         "cat", "/miniwfl/inputs/0/a.txt",
@@ -956,9 +938,10 @@ def test_attempts_on_one_input_copy_and_hash_it_once(tmp_path, monkeypatch):
     ('echo more >> "$0"; sleep 5', {"wallTimeMax": 0.3}),
 ], ids=["success", "exit code", "timeout"])
 def test_tool_writing_its_input_fails_and_the_next_one_reads_it_anew(
-        tmp_path, script, resources):
+        tmp_path, monkeypatch, script, resources):
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     fv = _fv(tmp_path)
+    hashed = _count_hashes(monkeypatch)
     writer = rt.run_task(_sh(script, F_INPUT), {"f": fv}, 1, resources)
     assert (writer.failure_kind, writer.error) \
         == ("StagingError", f"input modified by the tool: {fv.path}")
@@ -968,8 +951,10 @@ def test_tool_writing_its_input_fails_and_the_next_one_reads_it_anew(
     assert not os.path.exists(entry)  # dropped, so made again when needed
     kept = os.path.dirname(writer.stdout_path) + ".inputs/in.txt"
     assert _read(kept) == "payload\nmore\n"  # kept for debugging
+    hashes_before = len(hashed)
     reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
     assert _read(reader.outputs["out"].path) == "payload\n"
+    assert len(hashed) == hashes_before + 1  # the entry made again
     assert os.stat(entry).st_ino != os.stat(kept).st_ino
 
 

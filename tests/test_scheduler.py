@@ -679,3 +679,25 @@ def test_interrupt_cancels_the_attempts_in_flight():
         _run(_graph(_node("a")), runtime=rt)
     # the pool did not wait out the blocked attempt
     assert rt.cancelled.is_set() and time.monotonic() - began < 5
+
+
+def test_interrupt_delivered_to_a_worker_thread_is_handled_at_once():
+    # the kernel may deliver a process-directed signal to any thread
+    class SelfSignallingRuntime:
+        def __init__(self):
+            self.cancelled = threading.Event()
+
+        def run_task(self, node, bindings, attempt_number, resources):
+            time.sleep(0.5)  # till the coordinator waits for this attempt
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+            self.cancelled.wait(6)
+            return TaskAttempt(task_id=node.id, attempt_number=attempt_number)
+
+        def cancel(self):
+            self.cancelled.set()
+
+    rt = SelfSignallingRuntime()
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run(_graph(_node("a")), runtime=rt)
+    assert rt.cancelled.is_set() and time.monotonic() - began < 2
