@@ -10,10 +10,14 @@ Entries of the older ``<first-2-hex>/<key>/`` layout are never read: they
 miss, and can be deleted by hand.
 
 Payload files are hard links to the outputs the run collected under its
-``.work`` directory (copies where the cache sits on another filesystem),
-so an edit to either name changes both.  ``lookup`` therefore re-hashes
-every payload file on each hit, and evicts an entry that no longer
-matches along with the payload file that failed.
+``.work`` directory (copies where the cache sits on another filesystem).
+A hit is published by link too, as ``.work/cached/<sha256>``, and stage-out
+links both kinds into ``--outdir``: one output is one inode across
+``.work``, ``cas/`` and ``--outdir``, so an edit to any of those names
+changes them all.  ``lookup`` therefore re-hashes every payload file on
+each hit, and evicts an entry that no longer matches along with the
+payload file that failed; an entry that is not JSON of the shape ``store``
+writes is evicted as well.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ import json
 import logging
 import os
 import time
+from dataclasses import replace
 from typing import Optional
 
 from . import model, parser
 from .planner import FileValue, TaskNode, file_checksum, map_files
-from .runtime import link_or_copy, stage_out, write_atomically
+from .runtime import link_or_copy, write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +90,14 @@ def _entry_to_value(value, cas_dir):
     return value
 
 
+def _same_inode(blob: str, name: str) -> bool:
+    """Whether ``name`` itself, not a symlink's target, is ``blob``'s inode."""
+    try:
+        return os.path.samestat(os.stat(blob), os.lstat(name))
+    except OSError:
+        return False
+
+
 class ResultCache:
     """Filesystem-backed store of successful task outputs."""
 
@@ -93,6 +106,7 @@ class ResultCache:
         self.ac_dir = os.path.join(self.cache_dir, "ac")
         self.cas_dir = os.path.join(self.cache_dir, "cas")
         self._made = False  # ac/ and cas/, on the first store
+        self._published = set()  # directories republish has made
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.ac_dir, f"{key}.json")
@@ -100,7 +114,8 @@ class ResultCache:
     def lookup(self, key: Optional[str]):
         """Verified outputs for a key, or None; always None without a key.
 
-        Entries whose stored files are missing or corrupt are evicted and
+        Entries that cannot be read, are not of the shape ``store`` writes,
+        or whose stored files are missing or corrupt are evicted and
         reported as misses.
         """
         if key is None:
@@ -109,15 +124,17 @@ class ResultCache:
         try:
             with open(entry_path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
+            outputs = {out_id: _entry_to_value(stored, self.cas_dir)
+                       for out_id, stored in entry["outputs"].items()}
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            log.warning("cache entry unreadable, evicting: %s", exc)
+        except (OSError, ValueError, AttributeError, KeyError,
+                TypeError) as exc:
+            log.warning("cache entry unreadable, evicting: %s: %r",
+                        entry_path, exc)
             self._evict(entry_path)
             return None
 
-        outputs = {out_id: _entry_to_value(stored, self.cas_dir)
-                   for out_id, stored in entry["outputs"].items()}
         files = []
         map_files(list(outputs.values()), files.append)
         for fv in files:
@@ -166,9 +183,25 @@ class ResultCache:
         write_atomically(entry_path, write)
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
-        """Copy cached files into the run's own directory so the run stays
-        self-contained even if the cache is pruned later."""
-        return stage_out(outputs, dest_dir)
+        """Publish a hit's verified payload files as ``<dest_dir>/<sha256>``,
+        so that the run stays self-contained even if the cache is pruned
+        later.  Each is a hard link to its blob (a copy where the cache is
+        on another filesystem); a name that is already a link to the blob is
+        kept, and any other file there is replaced.  Only each File's
+        ``path`` changes, and ``dest_dir`` is made once, on its first use."""
+        if dest_dir not in self._published:
+            os.makedirs(dest_dir, exist_ok=True)
+            self._published.add(dest_dir)
+
+        def place(fv):
+            target = os.path.join(dest_dir, fv.checksum)
+            if not _same_inode(fv.path, target):
+                # a run before this one may have left other bytes here
+                write_atomically(target,
+                                 lambda partial: link_or_copy(fv.path, partial))
+            return replace(fv, path=target)
+
+        return {k: map_files(v, place) for k, v in outputs.items()}
 
     def _evict(self, *paths: str):
         """Remove an entry, and a blob whose bytes no longer match its

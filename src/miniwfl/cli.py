@@ -87,9 +87,11 @@ def _print_diags(diags, stream):
         print(d.to_json_line(), file=stream)
 
 
-def _stage_workflow_outputs(outputs: dict, outdir: str) -> dict:
-    """Copy output files into the run's --outdir and rewrite paths."""
-    return stage_out(outputs, outdir)
+def _stage_workflow_outputs(outputs: dict, outdir: str,
+                            work_root: str) -> dict:
+    """Publish output files into the run's --outdir and rewrite paths:
+    files the run made under ``work_root`` are linked, others copied."""
+    return stage_out(outputs, outdir, work_root)
 
 
 def cmd_run(args) -> int:
@@ -135,7 +137,8 @@ def cmd_run(args) -> int:
     if not args.quiet:
         print(f"miniwfl: provenance written to {prov_path}", file=sys.stderr)
 
-    outputs = _stage_workflow_outputs(result.outputs, outdir)
+    outputs = _stage_workflow_outputs(result.outputs, outdir,
+                                      runtime.work_root)
     obj = {k: planner.value_to_json(v) for k, v in sorted(outputs.items())}
     print(json.dumps(obj, indent=2, sort_keys=True))
     if result.status != "Success":

@@ -373,16 +373,57 @@ def _materialize_initial_workdir(clause, staged, ctx):
                 fh.write(value if isinstance(value, str) else json.dumps(value))
 
 
-def stage_out(outputs: dict, dest_dir: str) -> dict:
-    """Copy the files in ``outputs`` into ``dest_dir`` and rewrite their paths.
+def _publish(source: str, target: str, link: bool) -> bool:
+    """Make ``target`` hold ``source``'s bytes unless something is there
+    already, never following a link at ``target``; returns whether it was
+    made.  ``link`` makes a hard link where the filesystem allows one."""
+    if link:
+        try:
+            os.link(source, target)
+            return True
+        except FileExistsError:
+            return False
+        except OSError:
+            pass  # another filesystem, or no hard links: copy
+    try:
+        os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except FileExistsError:
+        return False
+    shutil.copyfile(source, target)
+    return True
 
-    A basename taken by other content moves on to ``name.1.ext``,
-    ``name.2.ext`` and so on; a target already holding the same content is
-    reused.  Each target is probed once per basename and hashed at most once
-    per call, and files copied here are never hashed.
+
+def _held(target: str) -> Optional[str]:
+    """Checksum of the regular file at ``target``, or None for anything
+    else there (a directory, a symlink, dangling or not), which no output
+    is published over."""
+    try:
+        if stat.S_ISREG(os.lstat(target).st_mode):
+            return file_checksum(target)
+    except FileNotFoundError:
+        pass
+    return None
+
+
+def stage_out(outputs: dict, dest_dir: str,
+              work_root: Optional[str] = None) -> dict:
+    """Publish the files in ``outputs`` into ``dest_dir`` and rewrite their
+    paths.
+
+    A file under ``work_root``, which the run made, becomes a hard link, so
+    it shares its inode with its ``.work`` output and its cache payload; any
+    other file, such as a job-order input passed through to an output, is
+    copied, so that no input shares an inode with a staged output.  A
+    basename taken by other content (another file, a directory, a symlink)
+    moves on to ``name.1.ext``, ``name.2.ext`` and so on; a regular file
+    already holding the same content is reused.  Each target is probed once
+    per basename and hashed at most once per call, and files linked or
+    copied here are never hashed.
     """
     dest_dir = os.path.abspath(dest_dir)
     os.makedirs(dest_dir, exist_ok=True)
+    owned = (None if work_root is None
+             else os.path.join(os.path.abspath(work_root), ""))
     sums = {}    # target -> checksum of every target written or hashed
     probed = {}  # basename -> how many of its candidate names are known
     chosen = {}  # (basename, checksum) -> first candidate holding it
@@ -394,11 +435,9 @@ def stage_out(outputs: dict, dest_dir: str) -> dict:
             n = probed.get(fv.basename, 0)
             target = f"{base}.{n}{ext}" if n else first
             if target not in sums:
-                if os.path.exists(target):
-                    sums[target] = file_checksum(target)
-                else:
-                    shutil.copyfile(fv.path, target)
-                    sums[target] = fv.checksum
+                link = owned is not None and fv.path.startswith(owned)
+                sums[target] = (fv.checksum if _publish(fv.path, target, link)
+                                else _held(target))
             chosen.setdefault((fv.basename, sums[target]), target)
             probed[fv.basename] = n + 1
         return replace(fv, path=chosen[fv.basename, fv.checksum])

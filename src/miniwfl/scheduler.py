@@ -363,8 +363,7 @@ class _Coordinator:
             return False
         work_root = getattr(self.services.runtime, "work_root", None)
         if work_root is not None:  # else the hit's verified cas/ paths
-            hit = cache.republish(hit, os.path.join(
-                work_root, "cached", record.task.id.replace("/", "_")))
+            hit = cache.republish(hit, os.path.join(work_root, "cached"))
         self._finish(record, CACHED, 0, hit)
         return True
 

@@ -3,6 +3,9 @@
 import json
 import os
 import shutil
+from dataclasses import replace
+
+import pytest
 
 from miniwfl import parser
 from miniwfl.cache import ResultCache, cache_key
@@ -37,6 +40,19 @@ def _fv(tmp_path, name="in.txt", content="stuff\n"):
 
 def _entry_path(cache_dir, key):
     return os.path.join(cache_dir, "ac", f"{key}.json")
+
+
+def _count(monkeypatch, module, name):
+    """Record the first argument of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _entry_payload(cache_dir, key):
@@ -166,7 +182,7 @@ def test_first_writer_wins(tmp_path):
     assert cache.lookup(key)["out"].checksum == f1.checksum
 
 
-def test_republish_copies_into_run_directory(tmp_path):
+def test_republish_links_into_run_directory(tmp_path):
     fv = _fv(tmp_path)
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
@@ -177,9 +193,81 @@ def test_republish_copies_into_run_directory(tmp_path):
     assert out["out"].path.startswith(dest)
     assert file_checksum(out["out"].path) == fv.checksum
     assert out["xs"][0].path.startswith(dest)
+    # one flat name per blob, a link to it; only the path changed
+    assert os.listdir(dest) == [fv.checksum]
+    assert os.path.samefile(out["out"].path, hit["out"].path)
+    assert out["out"] == replace(hit["out"], path=out["out"].path)
     # the run stays usable even if the cache is pruned afterwards
     shutil.rmtree(str(tmp_path / "cache"))
     assert open(out["out"].path).read() == "stuff\n"
+
+
+@pytest.mark.parametrize("left", ["other bytes", "symlink to the blob"])
+def test_republish_replaces_what_an_earlier_run_left(tmp_path, left):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    hit = cache.lookup(key)
+    dest = tmp_path / "cached"
+    dest.mkdir()
+    stale = dest / fv.checksum
+    if left == "other bytes":
+        stale.write_text("not the blob\n")
+    else:
+        stale.symlink_to(hit["out"].path)
+    out = cache.republish(hit, str(dest))
+    assert not os.path.islink(out["out"].path)
+    assert os.path.samefile(out["out"].path, hit["out"].path)
+    assert os.listdir(dest) == [fv.checksum]  # no temporary name left
+
+
+def test_republish_keeps_a_name_that_is_the_blob(tmp_path, monkeypatch):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv, "again": fv})
+    hit = cache.lookup(key)
+    dest = str(tmp_path / "cached")
+    cache.republish(hit, dest)
+    links = _count(monkeypatch, os, "link")
+    mkdirs = _count(monkeypatch, os, "mkdir")
+    out = cache.republish(hit, dest)  # a second hit of the same blob
+    assert (links, mkdirs) == ([], [])
+    assert os.listdir(dest) == [fv.checksum]
+    assert os.path.samefile(out["again"].path, hit["out"].path)
+
+
+def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    hit = cache.lookup(key)
+    _refuse_links(monkeypatch)
+    dest = tmp_path / "cached"
+    out = cache.republish(hit, str(dest))
+    assert not os.path.samefile(out["out"].path, hit["out"].path)
+    assert file_checksum(out["out"].path) == fv.checksum
+    assert os.listdir(dest) == [fv.checksum]
+
+
+@pytest.mark.parametrize("entry", [
+    None, [], {}, {"outputs": 5},
+    {"outputs": {"out": {"class": "File", "basename": "o.txt", "size": 1}}},
+], ids=["null", "list", "empty", "outputs-not-a-map", "file-without-checksum"])
+def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
+                                                       entry):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    entry_path = _entry_path(cache.cache_dir, key)
+    with open(entry_path, "w") as fh:
+        json.dump(entry, fh)
+    assert cache.lookup(key) is None
+    assert not os.path.exists(entry_path)
+    assert "evicting" in caplog.text
 
 
 def test_store_failure_degrades_to_warning(tmp_path, caplog):
@@ -481,3 +569,45 @@ def test_first_store_makes_the_only_two_cache_directories(tmp_path,
         cache.store(cache_key(_node(), {"f": fv}), {"out": fv, "xs": [fv]})
         assert sorted(made) == [os.path.join("cache", "ac"),
                                 os.path.join("cache", "cas")]
+
+
+def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
+    """Six hits over two distinct blobs: no copy, one directory for all
+    hits, and one link per blob."""
+    from miniwfl import planner, scheduler
+    from miniwfl.runtime import LocalRuntime
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["sh", "-c", "expr $0 % 2 || true"],
+            "inputs": [{"id": "x", "type": "int", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+    raw = {"cwlVersion": "v1.2", "class": "Workflow",
+           "inputs": [{"id": "xs", "type": "int[]"}],
+           "outputs": [{"id": "o", "type": "File[]",
+                        "outputSource": "mod/out"}],
+           "requirements": [{"class": "ScatterFeatureRequirement"}],
+           "steps": [{"id": "mod", "run": tool, "in": {"x": "xs"},
+                      "scatter": "x"}]}
+    graph = planner.plan(parser.parse_raw(raw), {"xs": [1, 2, 3, 4, 5, 6]})
+    cache = ResultCache(str(tmp_path / "cache"))
+
+    def run():
+        runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+        return runtime, lambda: scheduler.run(
+            graph, scheduler.RunConfig(parallelism=2),
+            scheduler.Services(runtime, cache))
+
+    cold = run()[1]()
+    assert cold.status == "Success"
+    runtime, warm = run()
+    copies = _count(monkeypatch, shutil, "copyfile")
+    mkdirs = _count(monkeypatch, os, "mkdir")
+    links = _count(monkeypatch, os, "link")
+    result = warm()
+    assert [result.tasks[f"mod[{i}]"].state for i in range(6)] \
+        == ["Cached"] * 6
+    assert [open(fv.path).read() for fv in result.outputs["o"]] \
+        == ["1\n", "0\n"] * 3
+    assert copies == []
+    assert mkdirs == [os.path.join(runtime.work_root, "cached")]
+    assert len(links) == len({fv.checksum for fv in result.outputs["o"]}) == 2

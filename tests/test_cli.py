@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import miniwfl
-from conftest import run_cli
+from conftest import prepare_case, run_case, run_cli
 
 TOOL = """\
 cwlVersion: v1.2
@@ -197,6 +198,103 @@ def test_warm_cache_run_produces_identical_output(project):
     assert code1 == code2 == 0
     o1, o2 = json.loads(out1), json.loads(out2)
     assert o1["out"]["checksum"] == o2["out"]["checksum"]
+
+
+def _run_once(project):
+    """One run: its output object and the state of ``say`` in its
+    provenance record, which is then removed for the next run."""
+    code, out = run_cli(_run_args(project))
+    assert code == 0
+    (record,) = (project / "out" / "provenance").iterdir()
+    state = json.loads(record.read_text())["tasks"]["say"]["state"]
+    record.unlink()
+    return json.loads(out)["out"], state
+
+
+def _copies(monkeypatch):
+    calls = []
+    copyfile = shutil.copyfile
+    monkeypatch.setattr(shutil, "copyfile", lambda src, dst, **kw:
+                        calls.append(dst) or copyfile(src, dst, **kw))
+    return calls
+
+
+def test_staged_output_is_one_inode_with_its_work_output_and_blob(
+        project, monkeypatch):
+    copies = _copies(monkeypatch)
+    for expected in ("Succeeded", "Cached"):
+        out, state = _run_once(project)
+        assert state == expected
+        (made,) = (project / "out" / ".work").glob("say-*/out.txt")
+        blob = project / "cache" / "cas" / out["checksum"]
+        assert os.path.samefile(out["path"], made)
+        assert os.path.samefile(out["path"], blob)
+        assert Path(out["path"]).read_text() == "cli test\n"
+    assert copies == []  # stage-out and the hit link; nothing is copied
+
+
+def test_passthrough_input_is_copied_not_linked(tmp_path, monkeypatch):
+    prepare_case("passthrough", str(tmp_path / "case"))
+    copies = _copies(monkeypatch)
+    code, outputs = run_case("passthrough", str(tmp_path),
+                             str(tmp_path / "cache"))
+    assert code == 0
+    data = tmp_path / "case" / "data.txt"
+    assert copies == [outputs["same"]["path"]]
+    assert not os.path.samefile(outputs["same"]["path"], data)
+    assert data.stat().st_nlink == 1
+
+
+def test_reused_outdir_publishes_the_blob_over_a_replaced_name(project):
+    _run_once(project)
+    out, state = _run_once(project)
+    assert state == "Cached"
+    published = project / "out" / ".work" / "cached" / out["checksum"]
+    blob = project / "cache" / "cas" / out["checksum"]
+    assert os.path.samefile(published, blob)
+    other = project / "other.txt"
+    other.write_text("other bytes\n")
+    os.replace(other, published)
+    out, state = _run_once(project)
+    assert state == "Cached"
+    assert os.path.samefile(published, blob)
+    assert published.read_text() == "cli test\n"
+    assert Path(out["path"]).read_text() == "cli test\n"
+
+
+def test_editing_a_staged_output_makes_the_task_run_again(project):
+    out, state = _run_once(project)
+    with open(out["path"], "w") as fh:  # in place: the blob's inode too
+        fh.write("edited in --outdir\n")
+    out, state = _run_once(project)
+    assert state == "Succeeded"
+    assert Path(out["path"]).read_text() == "cli test\n"
+    out, state = _run_once(project)
+    assert state == "Cached"
+
+
+def test_entry_of_the_wrong_shape_runs_the_task_again(project):
+    _run_once(project)
+    (entry,) = (project / "cache" / "ac").iterdir()
+    entry.write_text("{}")
+    out, state = _run_once(project)
+    assert state == "Succeeded"
+    assert json.loads(entry.read_text())["outputs"]["out"]["checksum"] \
+        == out["checksum"]
+    assert _run_once(project)[1] == "Cached"
+
+
+@pytest.mark.parametrize("name", ["provenance", ".work"])
+def test_output_named_like_a_directory_in_the_outdir_moves_on(project, name):
+    (project / "tool.cwl").write_text(
+        TOOL.replace("[echo]", f"[sh, -c, 'echo hi > {name}']")
+            .replace("{type: File, capture: stdout}",
+                     f"{{type: File, glob: {name}}}"))
+    code, out = run_cli(_run_args(project))
+    assert code == 0
+    staged = json.loads(out)["out"]
+    assert staged["path"] == str(project / "out" / f"{name}.1")
+    assert Path(staged["path"]).read_text() == "hi\n"
 
 
 def test_on_error_flag_validation(project):

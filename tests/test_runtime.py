@@ -557,6 +557,44 @@ def test_stage_out_names_collisions_without_hashing_its_own_copies(
         == ["out.txt", "out.1.txt", "out.2.txt"]
 
 
+def test_stage_out_links_what_the_run_made_and_copies_the_rest(tmp_path):
+    work = tmp_path / "work"
+    (work / "attempt").mkdir(parents=True)
+    made = _fv(work / "attempt", "made.txt", "made\n")
+    given = _fv(tmp_path, "given.txt", "given\n")
+    staged = runtime.stage_out({"made": made, "given": given},
+                               str(tmp_path / "outdir"), str(work))
+    assert os.path.samefile(staged["made"].path, made.path)
+    assert not os.path.samefile(staged["given"].path, given.path)
+    assert _read(staged["given"].path) == "given\n"
+    assert os.stat(given.path).st_nlink == 1
+
+
+@pytest.mark.parametrize("taken", ["dangling symlink", "symlink to the bytes",
+                                   "directory"])
+@pytest.mark.parametrize("linked", [False, True], ids=["copy", "link"])
+def test_stage_out_moves_on_from_a_name_that_is_not_a_file(tmp_path, taken,
+                                                           linked):
+    (tmp_path / "src").mkdir()
+    fv = _fv(tmp_path / "src", "out.txt", "a\n")
+    dest = tmp_path / "outdir"
+    dest.mkdir()
+    outside = tmp_path / "outside.txt"
+    if taken == "directory":
+        (dest / "out.txt").mkdir()
+    else:
+        if taken == "symlink to the bytes":
+            outside.write_text("a\n")
+        (dest / "out.txt").symlink_to(outside)
+    staged = runtime.stage_out({"o": fv}, str(dest),
+                               str(tmp_path / "src") if linked else None)
+    assert staged["o"].path == str(dest / "out.1.txt")
+    assert _read(staged["o"].path) == "a\n"
+    assert os.path.samefile(staged["o"].path, fv.path) is linked
+    # nothing was written through the link
+    assert outside.exists() is (taken == "symlink to the bytes")
+
+
 # --- execution --------------------------------------------------------------
 
 def _staged(tmp_path):
