@@ -203,6 +203,22 @@ class ResultCache:
 
         return {k: map_files(v, place) for k, v in outputs.items()}
 
+    def evict(self, key: str):
+        """Remove the entry of ``key``, as for a miss found at lookup."""
+        self._evict(self._entry_path(key))
+
+    def drop_damaged(self, damaged: list):
+        """Remove each blob that is the inode of a run-made file a later
+        task changed, given as (checksum, inode) (see
+        runtime.TaskAttempt.damaged), so that every entry naming it misses
+        and its task runs again.  A blob of those bytes from elsewhere, on
+        another inode, is kept."""
+        for checksum, inode in damaged:
+            blob = os.path.join(self.cas_dir, checksum)
+            with contextlib.suppress(OSError):
+                if os.lstat(blob).st_ino == inode:
+                    os.remove(blob)
+
     def _evict(self, *paths: str):
         """Remove an entry, and a blob whose bytes no longer match its
         name, so that a later store links a good copy."""

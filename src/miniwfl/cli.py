@@ -88,10 +88,13 @@ def _print_diags(diags, stream):
 
 
 def _stage_workflow_outputs(outputs: dict, outdir: str,
-                            work_root: str) -> dict:
+                            work_root: str) -> tuple:
     """Publish output files into the run's --outdir and rewrite paths:
-    files the run made under ``work_root`` are linked, others copied."""
-    return stage_out(outputs, outdir, work_root)
+    files the run made under ``work_root`` are linked, others copied.
+    Returns the outputs, with None for each file that is gone, and the
+    paths of those files."""
+    left_out = []
+    return stage_out(outputs, outdir, work_root, left_out), left_out
 
 
 def cmd_run(args) -> int:
@@ -137,15 +140,19 @@ def cmd_run(args) -> int:
     if not args.quiet:
         print(f"miniwfl: provenance written to {prov_path}", file=sys.stderr)
 
-    outputs = _stage_workflow_outputs(result.outputs, outdir,
-                                      runtime.work_root)
+    outputs, left_out = _stage_workflow_outputs(result.outputs, outdir,
+                                                runtime.work_root)
     obj = {k: planner.value_to_json(v) for k, v in sorted(outputs.items())}
     print(json.dumps(obj, indent=2, sort_keys=True))
+    for path in left_out:
+        print(f"miniwfl: warning: output file gone, left out: {path}",
+              file=sys.stderr)
     if result.status != "Success":
         for tid, task in sorted(result.tasks.items()):
             if task.error:
                 print(f"miniwfl: task {tid} failed: {task.error}",
                       file=sys.stderr)
+    if result.status != "Success" or left_out:
         return EXIT_RUN_FAILED
     return EXIT_OK
 

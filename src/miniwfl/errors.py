@@ -79,6 +79,16 @@ class StagingError(MiniwflError):
     """Input staging failed: missing file, checksum drift, or collision."""
 
 
+class InputChangedError(StagingError):
+    """An input no longer has the signature it was staged with: a store
+    entry written through its link, or a file the run made, read in place;
+    ``damaged`` holds (checksum, inode) as collected for each of those."""
+
+    def __init__(self, message, damaged=()):
+        super().__init__(message)
+        self.damaged = list(damaged)
+
+
 class OutputMissingError(MiniwflError):
     """Required File output matched nothing."""
 

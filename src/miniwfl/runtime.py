@@ -1,19 +1,28 @@
 """Task execution: staging, command-line building, process launch, outputs.
 
 An attempt allocates only what it keeps.  Its directory is the tool's
-working directory (the outdir).  Beside it go ``<attempt>.inputs/``, made
-only for File inputs and holding hard links into the run's input store
-(see InputStore), and ``<attempt>.stdout.log``/``.stderr.log``, kept only
-for a stream that nothing captures and that was not empty.  The store holds
-one read-only copy of each distinct input, checked against its job-order
-checksum and made once per run; a tool that writes through its link fails
-its attempt.  A named or captured stream is written in place in the outdir.
-Each worker thread reuses one TMPDIR while it stays the empty directory it
-was made as, and one spare log per stream (see WorkerScratch).  The tool
-runs in a session of its own with a minimal explicit environment, and the
-whole session is killed when it exits or times out.  A successful attempt's
-input links are deleted once its outputs are collected; no output shares an
-inode with them (see _regular).
+working directory (the outdir).  A File input that this run made, an
+output an earlier attempt collected, is staged in place: the tool reads the
+producer's own file under the work root, with no copy, link or directory
+made for it.  Collect sets each output's mtime to 2 s before hashing it and
+records its signature (see collect_outputs), and one ``lstat`` before and
+after each attempt that reads it finds any write, truncation, rename,
+removal, chmod or touch since: that attempt fails, and the changed file is
+set aside as ``<name>.modified``, so every later reader fails too (see
+_set_aside).  Beside the attempt directory go ``<attempt>.inputs/``, made
+only for job-order inputs and cache hits and holding hard links into the
+run's input store (see InputStore), and ``<attempt>.stdout.log``/
+``.stderr.log``, kept only for a stream that nothing captures and that was
+not empty.  The store holds one read-only copy of each distinct such
+input, checked against its checksum and made once per run; a tool that
+writes through its link fails its attempt.  A named or captured stream is
+written in place in the outdir.  Each worker thread reuses one TMPDIR while
+it stays the empty directory it was made as, and one spare log per stream
+(see WorkerScratch).  The tool runs in a session of its own with a minimal
+explicit environment, and the whole session is killed when it exits or
+times out.  A successful attempt's input links are deleted once its
+outputs are collected; no output shares an inode with an input (see
+_regular).
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from . import model
 from .errors import (
     ExpressionError,
     ExprTypeError,
+    InputChangedError,
     OutputAmbiguousError,
     OutputMissingError,
     StagingError,
@@ -50,7 +60,12 @@ PERMANENT_FAILURE = "PermanentFailure"
 
 C_OUTDIR = "/miniwfl/outdir"
 C_INPUTS = "/miniwfl/inputs"
+C_WORK = "/miniwfl/work"
 C_TMPDIR = "/tmp"
+
+# how far before its hash a collected output's mtime is set: any later
+# write then moves the mtime, even within the clock tick of the stamp
+_STAMP_LAG_NS = 2_000_000_000
 
 
 STREAMS = ("stdout", "stderr")
@@ -63,6 +78,8 @@ class StagedDirectory:
     staged_inputs: dict  # original path -> in-sandbox path
     # checksum -> (original path, signature of the store entry linked)
     linked: dict = field(default_factory=dict)
+    # path of a run-made input staged in place -> (checksum, signature)
+    in_place: dict = field(default_factory=dict)
 
     @property
     def inputs_dir(self) -> str:
@@ -70,7 +87,11 @@ class StagedDirectory:
         return f"{self.outdir}.inputs"
 
     def in_container(self, host: str) -> str:
-        """The path that the staged input ``host`` has in a container."""
+        """The path that the staged input ``host`` has in a container: a
+        run-made one where it sits below the work root, under C_WORK."""
+        if host in self.in_place:
+            work_root = os.path.dirname(self.outdir)
+            return f"{C_WORK}/{os.path.relpath(host, work_root)}"
         return f"{C_INPUTS}/{os.path.relpath(host, self.inputs_dir)}"
 
     def log_path(self, which: str) -> str:
@@ -145,6 +166,8 @@ class TaskAttempt:
     failure_kind: Optional[str] = None
     error: Optional[str] = None
     outputs: Optional[dict] = None  # set when the attempt succeeded
+    # (checksum, inode) as collected of each run-made input found changed
+    damaged: list = field(default_factory=list)
 
     def settle(self, kind: Optional[str],
                error: Optional[str]) -> "TaskAttempt":
@@ -256,11 +279,11 @@ class InputStore:
             link_or_copy(path, target)
         return signature
 
-    def check(self, linked: dict):
-        """Raise StagingError when an entry in ``linked`` (see
-        StagedDirectory) no longer has the signature it was linked with.
-        Its name is dropped while it still names that inode, so that the
-        next attempt makes the entry again from the source."""
+    def check(self, linked: dict) -> list:
+        """The sources of the entries in ``linked`` (see StagedDirectory)
+        that no longer have the signature they were linked with.  Each one's
+        name is dropped while it still names that inode, so that the next
+        attempt makes the entry again from the source."""
         modified = []
         for checksum, (source, signature) in sorted(linked.items()):
             path = os.path.join(self.root, checksum)
@@ -271,24 +294,50 @@ class InputStore:
                 found = _entry_signature(path)
                 if found is not None and found[0] == signature[0]:
                     os.remove(path)
-        if modified:
-            raise StagingError(
-                f"input modified by the tool: {', '.join(modified)}")
+        return modified
 
     def close(self):
         """Remove the store; the links attempts kept hold their bytes."""
         shutil.rmtree(self.root, ignore_errors=True)
 
 
+def _set_aside(in_place: dict) -> dict:
+    """The entries of ``in_place`` (see StagedDirectory) whose file no
+    longer has its signature.  Whatever is at each one's name moves to
+    ``<name>.modified``, so that no later reader and no stage-out gets its
+    bytes: a later reader finds the name gone, and fails too."""
+    moved = {path: made for path, made in in_place.items()
+             if _entry_signature(path) != made[1]}
+    for path in moved:
+        with contextlib.suppress(OSError):  # gone, or set aside already
+            os.rename(path, f"{path}.modified")
+    return moved
+
+
+def _check_unchanged(what: str, modified: list, moved: dict):
+    """Raise InputChangedError naming the ``modified`` store sources (see
+    InputStore.check) and the ``moved`` run-made inputs (see _set_aside),
+    if there are any."""
+    if modified or moved:
+        raise InputChangedError(
+            f"{what}: {', '.join(modified + sorted(moved))}",
+            [(checksum, signature[0])
+             for checksum, signature in moved.values()])
+
+
 def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
-          tmpdir: Optional[str] = None) -> tuple:
+          tmpdir: Optional[str] = None, made: Optional[dict] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
     carry FileValues rewritten to their in-sandbox host paths;
     StagedDirectory.in_container gives their paths in a container.
-    The attempt directory is the outdir.  Inputs are linked from ``store``
-    to ``<attempt>.inputs/<basename>``, or to
+    The attempt directory is the outdir.  An input in ``made``, the
+    outputs this run collected (path -> (checksum, signature)), is staged
+    in place: the tool reads the producer's own file, after one ``lstat``
+    finds it unchanged, and the directory's ``in_place`` records it for the
+    check after the attempt.  Any other input is linked from ``store`` to
+    ``<attempt>.inputs/<basename>``, or to
     ``<attempt>.inputs/<n>/<basename>`` when the basename is taken, and the
     directory's ``linked`` records what InputStore.check compares.  The
     store hashes a source only when it makes that source's entry, once per
@@ -297,6 +346,7 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     mount at /tmp, usually a worker's reused one (see WorkerScratch);
     without it ``<attempt>.tmp/`` is made.
     """
+    made = made or {}
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
     os.makedirs(outdir)
@@ -310,21 +360,31 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
 
     taken = set()  # names directly under the inputs directory
 
+    def read_in_place(fv: FileValue) -> str:
+        in_place = {fv.path: made[fv.path]}
+        _check_unchanged("input changed during run", [], _set_aside(in_place))
+        staged.in_place.update(in_place)
+        return fv.path
+
+    def link(fv: FileValue) -> str:
+        name = fv.basename
+        if not taken:
+            os.mkdir(staged.inputs_dir)
+        elif name in taken:
+            slot = len(taken)
+            while str(slot) in taken:
+                slot += 1
+            os.mkdir(os.path.join(staged.inputs_dir, str(slot)))
+            name = f"{slot}/{name}"
+        taken.add(name.split("/")[0])
+        target = os.path.join(staged.inputs_dir, name)
+        staged.linked[fv.checksum] = (fv.path, store.link(fv, target))
+        return target
+
     def place(fv: FileValue) -> FileValue:
         if fv.path not in staged_inputs:
-            name = fv.basename
-            if not staged_inputs:
-                os.mkdir(staged.inputs_dir)
-            elif name in taken:
-                slot = len(staged_inputs)
-                while str(slot) in taken:
-                    slot += 1
-                os.mkdir(os.path.join(staged.inputs_dir, str(slot)))
-                name = f"{slot}/{name}"
-            taken.add(name.split("/")[0])
-            target = os.path.join(staged.inputs_dir, name)
-            staged.linked[fv.checksum] = (fv.path, store.link(fv, target))
-            staged_inputs[fv.path] = target
+            staged_inputs[fv.path] = (read_in_place(fv) if fv.path in made
+                                      else link(fv))
         return replace(fv, path=staged_inputs[fv.path])
 
     staged_bindings = {k: map_files(bindings[k], place)
@@ -376,7 +436,9 @@ def _materialize_initial_workdir(clause, staged, ctx):
 def _publish(source: str, target: str, link: bool) -> bool:
     """Make ``target`` hold ``source``'s bytes unless something is there
     already, never following a link at ``target``; returns whether it was
-    made.  ``link`` makes a hard link where the filesystem allows one."""
+    made.  ``link`` makes a hard link where the filesystem allows one.
+    Raises FileNotFoundError, leaving nothing at ``target``, when
+    ``source`` is gone."""
     if link:
         try:
             os.link(source, target)
@@ -384,12 +446,16 @@ def _publish(source: str, target: str, link: bool) -> bool:
         except FileExistsError:
             return False
         except OSError:
-            pass  # another filesystem, or no hard links: copy
+            pass  # another filesystem, no hard links, or no source: copy
     try:
         os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     except FileExistsError:
         return False
-    shutil.copyfile(source, target)
+    try:
+        shutil.copyfile(source, target)
+    except BaseException:
+        os.remove(target)
+        raise
     return True
 
 
@@ -406,9 +472,12 @@ def _held(target: str) -> Optional[str]:
 
 
 def stage_out(outputs: dict, dest_dir: str,
-              work_root: Optional[str] = None) -> dict:
+              work_root: Optional[str] = None,
+              left_out: Optional[list] = None) -> dict:
     """Publish the files in ``outputs`` into ``dest_dir`` and rewrite their
-    paths.
+    paths.  A file that is gone by now, such as a job-order input deleted
+    during the run or a run-made file set aside as changed, becomes None,
+    and its path is appended to ``left_out``.
 
     A file under ``work_root``, which the run made, becomes a hard link, so
     it shares its inode with its ``.work`` output and its cache payload; any
@@ -436,8 +505,13 @@ def stage_out(outputs: dict, dest_dir: str,
             target = f"{base}.{n}{ext}" if n else first
             if target not in sums:
                 link = owned is not None and fv.path.startswith(owned)
-                sums[target] = (fv.checksum if _publish(fv.path, target, link)
-                                else _held(target))
+                try:
+                    published = _publish(fv.path, target, link)
+                except FileNotFoundError:
+                    if left_out is not None:
+                        left_out.append(fv.path)
+                    return None
+                sums[target] = fv.checksum if published else _held(target)
             chosen.setdefault((fv.basename, sums[target]), target)
             probed[fv.basename] = n + 1
         return replace(fv, path=chosen[fv.basename, fv.checksum])
@@ -634,8 +708,30 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
     return attempt.settle(kind, error)
 
 
-def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
-    """Locate and checksum every declared output of a successful attempt."""
+def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
+                    made: Optional[dict] = None) -> dict:
+    """Locate and checksum every declared output of a successful attempt.
+
+    Each output File's mtime is set to 2 s before its hash starts, and its
+    signature taken then, so that any later write moves the signature;
+    ``made`` records path -> (checksum, signature) for each.  A file the
+    engine may not stamp, such as one a container's root user left, is not
+    recorded, and a later reader gets a store copy of it instead.
+    """
+    made = {} if made is None else made
+
+    def collected(path: str, format: Optional[str]) -> FileValue:
+        stamp = time.time_ns() - _STAMP_LAG_NS
+        try:
+            os.utime(path, ns=(stamp, stamp))
+            signature = _entry_signature(path)
+        except PermissionError:
+            signature = None
+        fv = FileValue.from_path(path, format=format)
+        if signature is not None:
+            made[fv.path] = (fv.checksum, signature)
+        return fv
+
     outputs = {}
     for out in tool.outputs:
         if out.capture is not None:
@@ -645,18 +741,17 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory) -> dict:
                 raise OutputMissingError(
                     f"output {out.id!r}: captured {out.capture} file "
                     f"{path} is gone")
-            outputs[out.id] = FileValue.from_path(
-                _regular(path, staged.outdir), format=out.format)
+            outputs[out.id] = collected(_regular(path, staged.outdir),
+                                        out.format)
             continue
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
                                       recursive=True))
         matches = [_regular(m, staged.outdir) for m in matches
                    if os.path.isfile(m)]
         if out.type.base == "File" and out.type.array:
-            outputs[out.id] = [FileValue.from_path(m, format=out.format)
-                               for m in matches]
+            outputs[out.id] = [collected(m, out.format) for m in matches]
         else:
-            outputs[out.id] = _single_output(out, matches)
+            outputs[out.id] = _single_output(out, matches, collected)
     return outputs
 
 
@@ -684,10 +779,10 @@ def _regular(path: str, outdir: str) -> str:
     return path
 
 
-def _single_output(out, matches):
+def _single_output(out, matches, collected):
     """A non-array output's value from its glob's matches: None when
     nothing matched and the output is optional, else the one match, as a
-    File or parsed as JSON."""
+    File (see collect_outputs) or parsed as JSON."""
     if not matches:
         if out.type.optional:
             return None
@@ -697,7 +792,7 @@ def _single_output(out, matches):
         raise OutputAmbiguousError(
             f"output {out.id!r}: glob {out.glob!r} matched {len(matches)} files")
     if out.type.base == "File":
-        return FileValue.from_path(matches[0], format=out.format)
+        return collected(matches[0], out.format)
     with open(matches[0], "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     try:
@@ -720,6 +815,9 @@ class LocalRuntime:
         # entries or remove each other's
         self.store = InputStore(os.path.join(
             self.work_root, f".inputs-{uuid.uuid4().hex[:8]}"))
+        # path -> (checksum, signature) of each output collected in this
+        # run, which later attempts read in place
+        self.made = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
@@ -761,7 +859,7 @@ class LocalRuntime:
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
-                self.store, tmpdir=scratch.tmpdir())
+                self.store, tmpdir=scratch.tmpdir(), made=self.made)
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             minima = {**model.RESOURCE_DEFAULTS, **resources}
@@ -812,16 +910,21 @@ class LocalRuntime:
             )
             try:
                 if attempt.outcome == SUCCESS:
-                    attempt.outputs = collect_outputs(node.tool, staged)
+                    attempt.outputs = collect_outputs(node.tool, staged,
+                                                      self.made)
             finally:
                 # whatever the outcome: once collect has read the outputs,
                 # no attempt that saw a written input may succeed
-                self.store.check(staged.linked)
-            if attempt.outputs is not None and staged.staged_inputs:
+                _check_unchanged("input modified by the tool",
+                                 self.store.check(staged.linked),
+                                 _set_aside(staged.in_place))
+            if attempt.outputs is not None and staged.linked:
                 # read by nothing from now on
                 shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
             attempt.outputs = None
+            if isinstance(exc, InputChangedError):
+                attempt.damaged = exc.damaged
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
         finally:

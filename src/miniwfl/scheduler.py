@@ -363,7 +363,11 @@ class _Coordinator:
             return False
         work_root = getattr(self.services.runtime, "work_root", None)
         if work_root is not None:  # else the hit's verified cas/ paths
-            hit = cache.republish(hit, os.path.join(work_root, "cached"))
+            try:
+                hit = cache.republish(hit, os.path.join(work_root, "cached"))
+            except FileNotFoundError:  # a blob removed since lookup
+                cache.evict(record.key)
+                return False
         self._finish(record, CACHED, 0, hit)
         return True
 
@@ -377,9 +381,12 @@ class _Coordinator:
                 attempt = self.services.runtime.run_task(
                     record.task, record.inputs, number, record.resources)
                 # stored here, off the coordinator
+                cache = self.services.cache
                 if attempt.outputs is not None and record.key is not None:
-                    self.services.cache.store(record.key, attempt.outputs,
-                                              source_run_id=self.run_id)
+                    cache.store(record.key, attempt.outputs,
+                                source_run_id=self.run_id)
+                if attempt.damaged and cache is not None:
+                    cache.drop_damaged(attempt.damaged)
             except Exception as exc:  # defensive: worker must always report
                 attempt = TaskAttempt(task_id=record.task.id,
                                       attempt_number=number)

@@ -445,26 +445,71 @@ os.execvpe(command[0], command, dict(env, PATH=os.environ["PATH"]))
 """
 
 
-def test_container_branch_through_a_stand_in_docker(tmp_path, monkeypatch):
+def _stand_in_docker(tmp_path, monkeypatch):
+    """Put FAKE_DOCKER first on PATH; returns where it logs its calls."""
     bindir = tmp_path / "bin"
     bindir.mkdir()
     (bindir / "docker").write_text(FAKE_DOCKER.format(python=sys.executable))
     (bindir / "docker").chmod(0o755)
     monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+    return bindir / "calls.jsonl"
+
+
+def test_container_branch_through_a_stand_in_docker(tmp_path, monkeypatch):
+    calls = _stand_in_docker(tmp_path, monkeypatch)
     host, boxed = _upper_case_on_host_and_boxed(tmp_path)
 
     (attempt,) = boxed.tasks["up"].attempts
     assert attempt.argv == host.tasks["up"].attempts[0].argv == [
         "tr", "a-z", "A-Z"]
     assert attempt.env == {"HOME": "/miniwfl/outdir", "TMPDIR": "/tmp"}
-    (call,) = [json.loads(line)
-               for line in (bindir / "calls.jsonl").read_text().splitlines()]
+    (call,) = [json.loads(line) for line in calls.read_text().splitlines()]
     assert call[:5] == ["run", "--rm", "--workdir", "/miniwfl/outdir", "-i"]
     mounts = [call[i + 1] for i, arg in enumerate(call) if arg == "-v"]
     assert [m.split(":", 1)[1] for m in mounts] == [
         "/miniwfl/inputs/in.txt:ro", "/miniwfl/outdir:rw", "/tmp:rw"]
     assert call[-4:] == ["busybox", "tr", "a-z", "A-Z"]
     print("PASS stand-in container: identical checksums, /miniwfl mounts")
+
+
+def test_run_made_input_is_mounted_where_it_sits_below_the_work_root(
+        tmp_path, monkeypatch):
+    calls = _stand_in_docker(tmp_path, monkeypatch)
+    boxed = [{"class": "DockerRequirement", "dockerPull": "busybox"}]
+    make = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "msg", "type": "string", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt", "hints": boxed}
+    read = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["cat"],
+            "inputs": [{"id": "f", "type": "File", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "seen.txt", "hints": boxed}
+    doc = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": [{"id": "msg", "type": "string"}],
+        "outputs": [{"id": "out", "type": "File",
+                     "outputSource": "read/out"}],
+        "steps": [{"id": "make", "run": make, "in": {"msg": "msg"}},
+                  {"id": "read", "run": read, "in": {"f": "make/out"}}],
+    })
+    result, runtime = _api_run(doc, {"msg": "boxed"}, tmp_path / "work",
+                               use_containers=True)
+    assert result.status == "Success"
+    with open(result.outputs["out"].path) as fh:
+        assert fh.read() == "boxed\n"
+    made = result.tasks["make"].outputs["out"].path
+    in_container = f"/miniwfl/work/{os.path.relpath(made, runtime.work_root)}"
+    (attempt,) = result.tasks["read"].attempts
+    assert attempt.argv == ["cat", in_container]
+    _, call = [json.loads(line) for line in calls.read_text().splitlines()]
+    mounts = [call[i + 1] for i, arg in enumerate(call) if arg == "-v"]
+    assert mounts[0] == f"{made}:{in_container}:ro"
+    assert [m.split(":", 1)[1] for m in mounts[1:]] == [
+        "/miniwfl/outdir:rw", "/tmp:rw"]
+    assert call[-3:] == ["busybox", "cat", in_container]
+    print(f"PASS stand-in container: run-made input at {in_container}")
 
 
 # -- 8. upgrade preservation --------------------------------------------------

@@ -359,6 +359,118 @@ def test_shard_writing_its_input_leaves_siblings_intact(tmp_path):
     assert (tmp_path / "data.txt").read_text() == original
 
 
+def _sh_tool(script, stdout):
+    """A tool running ``sh -c script`` with its File input as ``$0``; JSON,
+    which is YAML too."""
+    return json.dumps({
+        "cwlVersion": "v1.2", "class": "CommandLineTool",
+        "baseCommand": ["sh", "-c", script],
+        "inputs": {"f": {"type": "File", "position": 1}},
+        "outputs": {"out": {"type": "File", "capture": "stdout"}},
+        "stdout": stdout})
+
+
+# `make` writes a file; `damage`, then `read` (admitted in id order at
+# --parallel 1) read it in place where make left it
+DAMAGE_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  msg: string
+outputs:
+  made: {type: File, outputSource: make/out}
+  seen: {type: File, outputSource: read/out}
+steps:
+  make: {run: tool.cwl, in: {msg: msg}}
+  damage: {run: damage.cwl, in: {f: make/out}}
+  read: {run: read.cwl, in: {f: make/out}}
+"""
+
+DAMAGE = {
+    "append": 'echo more >> "$0"',
+    "overwrite": 'printf J | dd of="$0" conv=notrunc 2>/dev/null',
+    "truncate": ': > "$0"',
+    "rm": 'rm "$0"',
+    "mv": 'mv "$0" moved.txt',
+    "chmod": 'chmod +x "$0"',
+    "touch": 'touch "$0"',
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_changed_run_made_input_fails_its_readers_and_reruns_its_producer(
+        project, capsys, damage):
+    (project / "damage.cwl").write_text(_sh_tool(DAMAGE[damage], "d.txt"))
+    (project / "read.cwl").write_text(_sh_tool('cat "$0"', "seen.txt"))
+    (project / "wf.cwl").write_text(DAMAGE_WF)
+
+    def run(outdir):
+        code, out = run_cli([
+            "run", str(project / "wf.cwl"), str(project / "job.yml"),
+            "--outdir", str(project / outdir),
+            "--cache-dir", str(project / "cache"), "--no-container",
+            "--quiet", "--parallel", "1", "--on-error", "continue"])
+        (record,) = (project / outdir / "provenance").iterdir()
+        return code, json.loads(out), json.loads(record.read_text())["tasks"]
+
+    code, outputs, tasks = run("out")
+    assert code == 2
+    (producer,) = (project / "out" / ".work").glob("make-*")
+    made = str(producer / "out.txt")
+    assert [(t["state"], t["attempts"][-1]["error"])
+            for t in (tasks["damage"], tasks["read"])] == [
+        ("Failed", f"input modified by the tool: {made}"),
+        ("Failed", f"input changed during run: {made}")]
+    # the changed file reached neither --outdir nor the output object
+    assert outputs == {"made": None, "seen": None}
+    assert sorted(os.listdir(project / "out")) == [".work", "provenance"]
+    assert f"output file gone, left out: {made}" in capsys.readouterr().err
+    # the producer's cache entry does not survive the change
+    assert tasks["make"]["state"] == "Succeeded"
+    assert run("again")[2]["make"]["state"] == "Succeeded"
+
+
+def test_passthrough_input_deleted_during_the_run_is_left_out(
+        tmp_path, monkeypatch, capsys):
+    from miniwfl import scheduler
+    prepare_case("passthrough", str(tmp_path / "case"))
+    data = tmp_path / "case" / "data.txt"
+    run = scheduler.run
+
+    def deleting(*args, **kwargs):
+        data.unlink()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "run", deleting)
+    code, outputs = run_case("passthrough", str(tmp_path),
+                             str(tmp_path / "cache"))
+    assert code == 2
+    assert outputs == {"same": None}
+    (outdir,) = tmp_path.glob("out-*")
+    assert sorted(os.listdir(outdir)) == [".work", "provenance"]
+    assert f"output file gone, left out: {data}" in capsys.readouterr().err
+
+
+def test_blob_removed_between_lookup_and_republish_is_a_miss(project,
+                                                             monkeypatch):
+    from miniwfl.cache import ResultCache
+    out, state = _run_once(project)
+    lookup = ResultCache.lookup
+
+    def then_prune(self, key):
+        hit = lookup(self, key)
+        for blob in (project / "cache" / "cas").iterdir():
+            blob.unlink()
+        return hit
+
+    monkeypatch.setattr(ResultCache, "lookup", then_prune)
+    again, state = _run_once(project)
+    assert state == "Succeeded"
+    assert Path(again["path"]).read_text() == "cli test\n"
+    monkeypatch.undo()
+    assert _run_once(project)[1] == "Cached"  # stored again
+
+
 @pytest.mark.parametrize("shards, code", [("[1, 2]", 0), ("[0, 1]", 2)],
                          ids=["success", "failure"])
 def test_run_removes_its_input_store(tmp_path, shards, code):

@@ -1057,3 +1057,207 @@ def test_runtimes_sharing_a_work_root_keep_their_own_stores(tmp_path):
     (entry,) = os.listdir(second.store.root)
     assert second.run_task(node, {"f": fv}, 1, {}).outputs is not None
     assert os.listdir(second.store.root) == [entry]
+
+
+# --- run-made inputs, staged in place ----------------------------------------
+
+def _made(rt, content="payload"):
+    """A file the run made: the captured stdout of one attempt of ``rt``."""
+    producer = rt.run_task(TaskNode(id="make", tool=_tool(), bindings={}),
+                           {"msg": content}, 1, {})
+    assert producer.outcome == runtime.SUCCESS, producer.error
+    return producer.outputs["out"]
+
+
+def test_collected_output_carries_a_stamped_mtime_and_is_recorded(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    before = time.time_ns()
+    fv = _made(rt)
+    after = time.time_ns()
+    st = os.lstat(fv.path)
+    # set while collecting, far enough back that any later write moves it
+    lag = runtime._STAMP_LAG_NS
+    assert before - lag <= st.st_mtime_ns <= after - lag
+    assert rt.made == {fv.path: (fv.checksum, (
+        st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode))}
+
+
+def test_output_the_engine_may_not_stamp_is_read_through_the_store(
+        tmp_path, monkeypatch):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+
+    def refused(path, *args, **kwargs):  # a file of another user
+        raise PermissionError(1, "Operation not permitted", path)
+
+    monkeypatch.setattr(os, "utime", refused)
+    fv = _made(rt)
+    assert rt.made == {}
+    monkeypatch.undo()
+    reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
+    assert reader.outcome == runtime.SUCCESS, reader.error
+    assert reader.argv[-1] == os.path.dirname(reader.stdout_path) \
+        + ".inputs/out.txt"
+
+
+@pytest.mark.parametrize("script, overrides", [
+    ('cat "$0"', {}),
+    ('ln "$0" linked.txt',
+     {"outputs": [{"id": "out", "type": "File", "glob": "linked.txt"}]}),
+], ids=["read", "hard link"])
+def test_tool_reading_or_linking_a_run_made_input_reads_it_in_place(
+        tmp_path, script, overrides):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _made(rt)
+    record = rt.made[fv.path]
+    result = rt.run_task(_sh(script, F_INPUT, **overrides), {"f": fv}, 1, {})
+    assert result.outcome == runtime.SUCCESS, result.error
+    assert result.argv[-1] == fv.path  # the producer's own file
+    out = result.outputs["out"].path
+    assert _read(out) == "payload\n"
+    assert not os.path.exists(os.path.dirname(out) + ".inputs")
+    # the producer's file is untouched; an output has an inode of its own
+    assert rt.made[fv.path] == record
+    assert runtime._entry_signature(fv.path) == record[1]
+    assert os.stat(out).st_nlink == 1
+
+
+DAMAGE = {
+    "append": 'echo more >> "$0"',
+    "overwrite": 'printf J | dd of="$0" conv=notrunc 2>/dev/null',
+    "truncate": ': > "$0"',
+    "rm": 'rm "$0"',
+    "mv": 'mv "$0" moved.txt',
+    "chmod": 'chmod +x "$0"',
+    "touch": 'touch "$0"',
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_tool_changing_a_run_made_input_fails_it_and_every_later_reader(
+        tmp_path, damage):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _made(rt)
+    inode = os.stat(fv.path).st_ino
+    writer = rt.run_task(_sh(DAMAGE[damage], F_INPUT), {"f": fv}, 1, {})
+    assert (writer.failure_kind, writer.error) \
+        == ("StagingError", f"input modified by the tool: {fv.path}")
+    assert writer.outcome == runtime.PERMANENT_FAILURE
+    assert writer.outputs is None
+    assert writer.damaged == [(fv.checksum, inode)]
+    # set aside, where no reader and no stage-out finds it
+    assert not os.path.exists(fv.path)
+    assert os.path.exists(f"{fv.path}.modified") \
+        is (damage not in ("rm", "mv"))
+    reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
+    assert (reader.failure_kind, reader.error) \
+        == ("StagingError", f"input changed during run: {fv.path}")
+    assert reader.start_time == 0  # never spawned
+    assert reader.damaged == [(fv.checksum, inode)]
+
+
+def test_run_made_input_changed_before_its_reader_stages_fails_it(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    fv = _made(rt)
+    with open(fv.path, "a") as fh:  # at once: the stamp is 2 s back
+        fh.write("x")
+    reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
+    assert reader.error == f"input changed during run: {fv.path}"
+    assert _read(f"{fv.path}.modified") == "payload\nx"
+
+
+def test_gather_of_same_named_run_made_inputs_makes_nothing_to_stage_them(
+        tmp_path, monkeypatch):
+    import shutil
+    from miniwfl import planner
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    parts = [_made(rt, str(n)) for n in range(120)]  # every one is out.txt
+    assert {fv.basename for fv in parts} == {"out.txt"}
+    gather = TaskNode(id="gather", tool=_tool(
+        baseCommand=["cat"],
+        inputs=[{"id": "parts", "type": "File[]", "position": 1}],
+        stdout="all.txt"), bindings={})
+    # the whole attempt, from its stage to its check; this worker thread
+    # made its TMPDIR for the producers
+    calls = {"mkdir": [], "copyfile": [], "link": [], "hash": []}
+
+    def counted(name, real):
+        return lambda *a, **k: calls[name].append(a[0]) or real(*a, **k)
+
+    monkeypatch.setattr(os, "mkdir", counted("mkdir", os.mkdir))
+    monkeypatch.setattr(os, "link", counted("link", os.link))
+    monkeypatch.setattr(shutil, "copyfile",
+                        counted("copyfile", shutil.copyfile))
+    for module in (runtime, planner):
+        monkeypatch.setattr(module, "file_checksum",
+                            counted("hash", module.file_checksum))
+    result = rt.run_task(gather, {"parts": parts}, 1, {})
+    assert result.outcome == runtime.SUCCESS, result.error
+    assert _read(result.outputs["out"].path) \
+        == "".join(f"{n}\n" for n in range(120))
+    outdir = os.path.dirname(result.outputs["out"].path)
+    assert calls == {"mkdir": [outdir], "copyfile": [], "link": [],
+                     "hash": [result.outputs["out"].path]}
+    assert result.argv[1:] == [fv.path for fv in parts]
+    assert not os.path.exists(f"{outdir}.inputs")
+
+
+@pytest.mark.parametrize("container", [False, True],
+                         ids=["host", "container"])
+def test_workdir_entry_names_a_run_made_file(tmp_path, container):
+    adapter = DockerAdapter()
+    adapter.command = "true"  # a container runtime that runs nothing
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=container,
+                      adapter=adapter)
+    fv = _made(rt)
+    tool = _tool(
+        baseCommand=["cat", "copy.dat"],
+        inputs=[{"id": "f", "type": "File"}],
+        requirements=[{"class": "InitialWorkDirRequirement", "listing": [
+            {"entry": "$(inputs.f)", "entryname": "copy.dat"},
+            {"entry": "$(inputs.f.path)", "entryname": "where.txt"}]}],
+        hints=[{"class": "DockerRequirement", "dockerPull": "busybox"}])
+    node = TaskNode(id="t", tool=tool, bindings={},
+                    requirements=tool.requirements, hints=tool.hints)
+    result = rt.run_task(node, {"f": fv}, 1, {})
+    assert result.outcome == "Success", result.error
+    outdir = os.path.dirname(result.outputs["out"].path)
+    where = (f"/miniwfl/work/{os.path.relpath(fv.path, rt.work_root)}"
+             if container else fv.path)
+    assert _read(os.path.join(outdir, "where.txt")) == where
+    copy = os.path.join(outdir, "copy.dat")
+    assert _read(copy) == "payload\n"
+    assert not os.path.samefile(copy, fv.path)
+    if not container:
+        assert _read(result.outputs["out"].path) == "payload\n"
+
+
+def test_workers_record_and_read_run_made_files_without_losing_one(tmp_path):
+    import sys
+    import threading
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    reader = _sh('cat "$0"', F_INPUT)
+    seen, read = [], []
+
+    def worker(n):
+        for i in range(4):
+            fv = _made(rt, f"{n}-{i}")
+            result = rt.run_task(reader, {"f": fv}, 1, {})
+            read.append(result.argv[-1] == fv.path
+                        and _read(result.outputs["out"].path) == f"{n}-{i}\n")
+            seen.append(fv.path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read == [True] * 16
+    # every producer's and every reader's output is on record
+    assert len(rt.made) == 32 and set(seen) <= set(rt.made)
