@@ -78,7 +78,7 @@ def cache_key(node: TaskNode, bindings: dict,
 def _entry_to_value(value, cas_dir):
     if isinstance(value, dict) and value.get("class") == "File":
         return FileValue(
-            # basename: a damaged entry cannot name a path outside cas/
+            # basename: a tampered entry cannot name a path outside cas/
             path=os.path.join(cas_dir, os.path.basename(value["checksum"])),
             basename=value["basename"],
             size=value["size"],
@@ -115,8 +115,8 @@ class ResultCache:
         """Verified outputs for a key, or None; always None without a key.
 
         Entries that cannot be read, are not of the shape ``store`` writes,
-        or whose stored files are missing or corrupt are evicted and
-        reported as misses.
+        or whose stored files are missing, unreadable or corrupt are
+        evicted and reported as misses.
         """
         if key is None:
             return None
@@ -138,8 +138,11 @@ class ResultCache:
         files = []
         map_files(list(outputs.values()), files.append)
         for fv in files:
-            if (not os.path.isfile(fv.path)
-                    or file_checksum(fv.path) != fv.checksum):
+            try:
+                intact = file_checksum(fv.path) == fv.checksum
+            except OSError:  # missing, not a file, or unreadable
+                intact = False
+            if not intact:
                 log.warning("cache entry corrupt, evicting: %s", entry_path)
                 self._evict(entry_path, fv.path)
                 return None
@@ -206,18 +209,6 @@ class ResultCache:
     def evict(self, key: str):
         """Remove the entry of ``key``, as for a miss found at lookup."""
         self._evict(self._entry_path(key))
-
-    def drop_damaged(self, damaged: list):
-        """Remove each blob that is the inode of a run-made file a later
-        task changed, given as (checksum, inode) (see
-        runtime.TaskAttempt.damaged), so that every entry naming it misses
-        and its task runs again.  A blob of those bytes from elsewhere, on
-        another inode, is kept."""
-        for checksum, inode in damaged:
-            blob = os.path.join(self.cas_dir, checksum)
-            with contextlib.suppress(OSError):
-                if os.lstat(blob).st_ino == inode:
-                    os.remove(blob)
 
     def _evict(self, *paths: str):
         """Remove an entry, and a blob whose bytes no longer match its

@@ -4,25 +4,23 @@ An attempt allocates only what it keeps.  Its directory is the tool's
 working directory (the outdir).  A File input that this run made, an
 output an earlier attempt collected, is staged in place: the tool reads the
 producer's own file under the work root, with no copy, link or directory
-made for it.  Collect sets each output's mtime to 2 s before hashing it and
-records its signature (see collect_outputs), and one ``lstat`` before and
-after each attempt that reads it finds any write, truncation, rename,
-removal, chmod or touch since: that attempt fails, and the changed file is
-set aside as ``<name>.modified``, so every later reader fails too (see
-_set_aside).  Beside the attempt directory go ``<attempt>.inputs/``, made
-only for job-order inputs and cache hits and holding hard links into the
-run's input store (see InputStore), and ``<attempt>.stdout.log``/
-``.stderr.log``, kept only for a stream that nothing captures and that was
-not empty.  The store holds one read-only copy of each distinct such
-input, checked against its checksum and made once per run; a tool that
-writes through its link fails its attempt.  A named or captured stream is
-written in place in the outdir.  Each worker thread reuses one TMPDIR while
-it stays the empty directory it was made as, and one spare log per stream
-(see WorkerScratch).  The tool runs in a session of its own with a minimal
-explicit environment, and the whole session is killed when it exits or
-times out.  A successful attempt's input links are deleted once its
-outputs are collected; no output shares an inode with an input (see
-_regular).
+made for it.  Any other File input, a job-order input or a file a cache hit
+published, is a hard link in ``<attempt>.inputs/`` to the run's one
+verified, read-only copy of it (see InputStore).  One record, the store's
+``made``, vouches for both kinds of file with the signature stamped on
+them (see _stamp), and one ``lstat`` of each file an attempt reads, at
+stage for a run-made input and after the attempt for all, finds any write,
+truncation, rename, removal, chmod or touch since: that attempt fails, and
+the changed file is set aside (see _set_aside).  Beside the attempt
+directory go ``<attempt>.stdout.log``/``.stderr.log``, kept only for a
+stream that nothing captures and that was not empty.  A named or captured
+stream is written in place in the outdir.  Each worker thread reuses one
+TMPDIR while it stays the empty directory it was made as, and one spare
+log per stream (see WorkerScratch).  The tool runs in a session of its own
+with a minimal explicit environment, and the whole session is killed when
+it exits or times out.  A successful attempt's input links are deleted
+once its outputs are collected; no output shares an inode with an input
+(see _regular).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from . import model
 from .errors import (
     ExpressionError,
     ExprTypeError,
-    InputChangedError,
     OutputAmbiguousError,
     OutputMissingError,
     StagingError,
@@ -63,8 +60,8 @@ C_INPUTS = "/miniwfl/inputs"
 C_WORK = "/miniwfl/work"
 C_TMPDIR = "/tmp"
 
-# how far before its hash a collected output's mtime is set: any later
-# write then moves the mtime, even within the clock tick of the stamp
+# how far back _stamp sets a file's mtime: any later write then moves the
+# mtime, even within the clock tick of the stamp
 _STAMP_LAG_NS = 2_000_000_000
 
 
@@ -76,10 +73,9 @@ class StagedDirectory:
     outdir: str  # the attempt directory, where the tool runs
     tmpdir: str
     staged_inputs: dict  # original path -> in-sandbox path
-    # checksum -> (original path, signature of the store entry linked)
-    linked: dict = field(default_factory=dict)
-    # path of a run-made input staged in place -> (checksum, signature)
-    in_place: dict = field(default_factory=dict)
+    # path of each file the tool reads, a store entry or a run-made file
+    # read in place -> (its input's name, its signature as read)
+    read: dict = field(default_factory=dict)
 
     @property
     def inputs_dir(self) -> str:
@@ -89,7 +85,7 @@ class StagedDirectory:
     def in_container(self, host: str) -> str:
         """The path that the staged input ``host`` has in a container: a
         run-made one where it sits below the work root, under C_WORK."""
-        if host in self.in_place:
+        if host in self.read:
             work_root = os.path.dirname(self.outdir)
             return f"{C_WORK}/{os.path.relpath(host, work_root)}"
         return f"{C_INPUTS}/{os.path.relpath(host, self.inputs_dir)}"
@@ -166,8 +162,6 @@ class TaskAttempt:
     failure_kind: Optional[str] = None
     error: Optional[str] = None
     outputs: Optional[dict] = None  # set when the attempt succeeded
-    # (checksum, inode) as collected of each run-made input found changed
-    damaged: list = field(default_factory=list)
 
     def settle(self, kind: Optional[str],
                error: Optional[str]) -> "TaskAttempt":
@@ -220,7 +214,7 @@ def write_atomically(target: str, write):
 
 
 def _entry_signature(path: str):
-    """(inode, size, mtime, mode) of a store entry, or None when its name is
+    """(inode, size, mtime, mode) at ``path``, or None when its name is
     gone.  Not ctime or the link count, which every new link moves."""
     try:
         st = os.lstat(path)
@@ -229,124 +223,104 @@ def _entry_signature(path: str):
     return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)
 
 
-class InputStore:
-    """The run's one verified, read-only copy of each distinct input,
-    ``<root>/<sha256>``, which attempts hard-link their inputs to.
+def _stamp(path: str):
+    """Set ``path``'s mtime 2 s back and return its signature (see
+    _entry_signature): any later write but a deliberate ``utime`` moves it,
+    so one ``lstat`` finds the write without a hash."""
+    stamp = time.time_ns() - _STAMP_LAG_NS
+    os.utime(path, ns=(stamp, stamp))
+    return _entry_signature(path)
 
-    The first attempt that needs an entry makes it, under a lock of its
-    checksum, so that a second one waits instead of copying and hashing
-    too.  Every entry made, including one made again after a tool wrote
-    through it, is a copy of the source hashed against the job-order
-    checksum.  The entry is then made read-only and its mtime pinned to the
-    epoch.  Tools may run as root, so a write through a link is detected
-    rather than refused: any write moves the mtime, so an entry whose
-    signature moved was written to.  A deliberate ``utime`` back to the
-    epoch is the one write this misses.
+
+class InputStore:
+    """The run's record of the files it vouches for, and its one verified,
+    read-only copy, ``<root>/<sha256>``, of each distinct input it did not
+    make, which attempts hard-link their inputs to.
+
+    ``made`` maps the path of each entry, and of each output collected in
+    this run (see collect_outputs), to (checksum, signature as stamped, see
+    _stamp), and a path to None once it is set aside (see _set_aside).  The
+    first attempt that needs an entry makes it (see stage) under its path's
+    lock, so that a second one waits instead of copying and hashing too.
+    Every entry made, also one made again after a tool wrote through it, is
+    a copy of the source hashed against the job-order checksum.  Tools may
+    run as root, so a write through a link is detected, not refused.
     """
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
+        self.made = {}
         self._lock = threading.Lock()
-        self._locks = {}  # checksum -> lock of its entry
-        self._made = {}   # checksum -> signature of its entry as made
+        self._locks = {}  # path -> its lock
 
-    def _locked(self, checksum: str) -> threading.Lock:
+    def locked(self, path: str) -> threading.Lock:
         with self._lock:
-            return self._locks.setdefault(checksum, threading.Lock())
-
-    def _fill(self, fv: FileValue, partial: str):
-        if not os.path.isfile(fv.path):
-            raise StagingError(f"input file missing: {fv.path}")
-        shutil.copyfile(fv.path, partial)
-        found = file_checksum(partial)
-        if found != fv.checksum:
-            raise StagingError(
-                f"input changed during run: {fv.path} "
-                f"(expected {fv.checksum[:12]}, found {found[:12]})")
-        os.chmod(partial, 0o444)
-        os.utime(partial, ns=(0, 0))
-
-    def link(self, fv: FileValue, target: str):
-        """Make ``target`` a link to ``fv``'s entry, first making the entry
-        where it is missing or has changed; returns the entry's signature."""
-        path = os.path.join(self.root, fv.checksum)
-        with self._locked(fv.checksum):
-            signature = self._made.get(fv.checksum)
-            if signature is None or _entry_signature(path) != signature:
-                write_atomically(path, lambda partial: self._fill(fv, partial))
-                signature = self._made[fv.checksum] = _entry_signature(path)
-            link_or_copy(path, target)
-        return signature
-
-    def check(self, linked: dict) -> list:
-        """The sources of the entries in ``linked`` (see StagedDirectory)
-        that no longer have the signature they were linked with.  Each one's
-        name is dropped while it still names that inode, so that the next
-        attempt makes the entry again from the source."""
-        modified = []
-        for checksum, (source, signature) in sorted(linked.items()):
-            path = os.path.join(self.root, checksum)
-            if _entry_signature(path) == signature:
-                continue
-            modified.append(source)
-            with self._locked(checksum):
-                found = _entry_signature(path)
-                if found is not None and found[0] == signature[0]:
-                    os.remove(path)
-        return modified
+            return self._locks.setdefault(path, threading.Lock())
 
     def close(self):
         """Remove the store; the links attempts kept hold their bytes."""
         shutil.rmtree(self.root, ignore_errors=True)
 
 
-def _set_aside(in_place: dict) -> dict:
-    """The entries of ``in_place`` (see StagedDirectory) whose file no
-    longer has its signature.  Whatever is at each one's name moves to
-    ``<name>.modified``, so that no later reader and no stage-out gets its
-    bytes: a later reader finds the name gone, and fails too."""
-    moved = {path: made for path, made in in_place.items()
-             if _entry_signature(path) != made[1]}
-    for path in moved:
-        with contextlib.suppress(OSError):  # gone, or set aside already
-            os.rename(path, f"{path}.modified")
+def _fill(fv: FileValue, partial: str):
+    """Copy ``fv``'s source to ``partial``, check it against the job-order
+    checksum, make it read-only and stamp it."""
+    if not os.path.isfile(fv.path):
+        raise StagingError(f"input file missing: {fv.path}")
+    shutil.copyfile(fv.path, partial)
+    found = file_checksum(partial)
+    if found != fv.checksum:
+        raise StagingError(
+            f"input changed during run: {fv.path} "
+            f"(expected {fv.checksum[:12]}, found {found[:12]})")
+    os.chmod(partial, 0o444)
+    _stamp(partial)
+
+
+def _set_aside(read: dict, store: InputStore) -> list:
+    """The names of the inputs in ``read`` (see StagedDirectory) whose file
+    no longer has the signature read.  The first attempt to notice a
+    change renames the file to ``<path>.modified`` and records it as set
+    aside, under the path's lock and only while the record still holds the
+    signature this attempt read, so that a store entry made again since is
+    kept.  A store entry set aside is made again from its source; a
+    run-made file set aside fails every later reader, and no stage-out
+    finds it."""
+    moved = []
+    for path, (name, signature) in sorted(read.items()):
+        if signature is not None and _entry_signature(path) == signature:
+            continue
+        moved.append(name)
+        with store.locked(path):
+            made = store.made.get(path)
+            if made is not None and made[1] == signature:
+                store.made[path] = None
+                with contextlib.suppress(OSError):  # gone already
+                    os.rename(path, f"{path}.modified")
     return moved
 
 
-def _check_unchanged(what: str, modified: list, moved: dict):
-    """Raise InputChangedError naming the ``modified`` store sources (see
-    InputStore.check) and the ``moved`` run-made inputs (see _set_aside),
-    if there are any."""
-    if modified or moved:
-        raise InputChangedError(
-            f"{what}: {', '.join(modified + sorted(moved))}",
-            [(checksum, signature[0])
-             for checksum, signature in moved.values()])
-
-
 def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
-          tmpdir: Optional[str] = None, made: Optional[dict] = None) -> tuple:
+          tmpdir: Optional[str] = None) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
     carry FileValues rewritten to their in-sandbox host paths;
     StagedDirectory.in_container gives their paths in a container.
-    The attempt directory is the outdir.  An input in ``made``, the
-    outputs this run collected (path -> (checksum, signature)), is staged
-    in place: the tool reads the producer's own file, after one ``lstat``
-    finds it unchanged, and the directory's ``in_place`` records it for the
-    check after the attempt.  Any other input is linked from ``store`` to
-    ``<attempt>.inputs/<basename>``, or to
-    ``<attempt>.inputs/<n>/<basename>`` when the basename is taken, and the
-    directory's ``linked`` records what InputStore.check compares.  The
-    store hashes a source only when it makes that source's entry, once per
-    run unless a tool wrote through the entry.
+    The attempt directory is the outdir.  An input that ``store.made``
+    holds, an output this run collected, is staged in place: the tool reads
+    the producer's own file, after one ``lstat`` finds it unchanged.  Any
+    other input is linked from ``store`` to ``<attempt>.inputs/<basename>``,
+    or to ``<attempt>.inputs/<n>/<basename>`` when the basename is taken.
+    The store hashes a source only when it makes that source's entry, once
+    per run unless the entry was set aside or changed.  The directory's
+    ``read`` records each file read, for the check after the attempt (see
+    _set_aside).
     ``tmpdir`` is the private directory that TMPDIR names and containers
     mount at /tmp, usually a worker's reused one (see WorkerScratch);
     without it ``<attempt>.tmp/`` is made.
     """
-    made = made or {}
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
     os.makedirs(outdir)
@@ -361,9 +335,10 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     taken = set()  # names directly under the inputs directory
 
     def read_in_place(fv: FileValue) -> str:
-        in_place = {fv.path: made[fv.path]}
-        _check_unchanged("input changed during run", [], _set_aside(in_place))
-        staged.in_place.update(in_place)
+        made = store.made[fv.path]
+        read = staged.read[fv.path] = (fv.path, made and made[1])
+        if _set_aside({fv.path: read}, store):
+            raise StagingError(f"input changed during run: {fv.path}")
         return fv.path
 
     def link(fv: FileValue) -> str:
@@ -378,13 +353,21 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
             name = f"{slot}/{name}"
         taken.add(name.split("/")[0])
         target = os.path.join(staged.inputs_dir, name)
-        staged.linked[fv.checksum] = (fv.path, store.link(fv, target))
+        entry = os.path.join(store.root, fv.checksum)
+        with store.locked(entry):
+            made = store.made.get(entry)
+            if made is None or _entry_signature(entry) != made[1]:
+                write_atomically(entry, lambda partial: _fill(fv, partial))
+                made = store.made[entry] = (fv.checksum,
+                                            _entry_signature(entry))
+            link_or_copy(entry, target)
+        staged.read[entry] = (fv.path, made[1])
         return target
 
     def place(fv: FileValue) -> FileValue:
         if fv.path not in staged_inputs:
-            staged_inputs[fv.path] = (read_in_place(fv) if fv.path in made
-                                      else link(fv))
+            staged_inputs[fv.path] = (read_in_place(fv)
+                                      if fv.path in store.made else link(fv))
         return replace(fv, path=staged_inputs[fv.path])
 
     staged_bindings = {k: map_files(bindings[k], place)
@@ -712,19 +695,17 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
                     made: Optional[dict] = None) -> dict:
     """Locate and checksum every declared output of a successful attempt.
 
-    Each output File's mtime is set to 2 s before its hash starts, and its
-    signature taken then, so that any later write moves the signature;
-    ``made`` records path -> (checksum, signature) for each.  A file the
-    engine may not stamp, such as one a container's root user left, is not
-    recorded, and a later reader gets a store copy of it instead.
+    Each output File is stamped (see _stamp) before its hash starts, so
+    that any later write moves its signature; ``made`` (see InputStore)
+    records path -> (checksum, signature) for each.  A file the engine may
+    not stamp, such as one a container's root user left, is not recorded,
+    and a later reader gets a store copy of it instead.
     """
     made = {} if made is None else made
 
     def collected(path: str, format: Optional[str]) -> FileValue:
-        stamp = time.time_ns() - _STAMP_LAG_NS
         try:
-            os.utime(path, ns=(stamp, stamp))
-            signature = _entry_signature(path)
+            signature = _stamp(path)
         except PermissionError:
             signature = None
         fv = FileValue.from_path(path, format=format)
@@ -815,9 +796,9 @@ class LocalRuntime:
         # entries or remove each other's
         self.store = InputStore(os.path.join(
             self.work_root, f".inputs-{uuid.uuid4().hex[:8]}"))
-        # path -> (checksum, signature) of each output collected in this
-        # run, which later attempts read in place
-        self.made = {}
+        # every file the run vouches for, which later attempts read in
+        # place when collected here (see InputStore)
+        self.made = self.store.made
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
@@ -859,7 +840,7 @@ class LocalRuntime:
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
-                self.store, tmpdir=scratch.tmpdir(), made=self.made)
+                self.store, tmpdir=scratch.tmpdir())
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             minima = {**model.RESOURCE_DEFAULTS, **resources}
@@ -915,16 +896,15 @@ class LocalRuntime:
             finally:
                 # whatever the outcome: once collect has read the outputs,
                 # no attempt that saw a written input may succeed
-                _check_unchanged("input modified by the tool",
-                                 self.store.check(staged.linked),
-                                 _set_aside(staged.in_place))
-            if attempt.outputs is not None and staged.linked:
-                # read by nothing from now on
+                moved = _set_aside(staged.read, self.store)
+                if moved:
+                    raise StagingError(
+                        f"input modified by the tool: {', '.join(moved)}")
+            if attempt.outputs is not None:
+                # read by nothing from now on, where there are any
                 shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
             attempt.outputs = None
-            if isinstance(exc, InputChangedError):
-                attempt.damaged = exc.damaged
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
         finally:

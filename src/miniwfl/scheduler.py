@@ -381,12 +381,9 @@ class _Coordinator:
                 attempt = self.services.runtime.run_task(
                     record.task, record.inputs, number, record.resources)
                 # stored here, off the coordinator
-                cache = self.services.cache
                 if attempt.outputs is not None and record.key is not None:
-                    cache.store(record.key, attempt.outputs,
-                                source_run_id=self.run_id)
-                if attempt.damaged and cache is not None:
-                    cache.drop_damaged(attempt.damaged)
+                    self.services.cache.store(record.key, attempt.outputs,
+                                              source_run_id=self.run_id)
             except Exception as exc:  # defensive: worker must always report
                 attempt = TaskAttempt(task_id=record.task.id,
                                       attempt_number=number)

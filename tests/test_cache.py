@@ -160,6 +160,30 @@ def test_corrupt_payload_is_evicted_as_miss(tmp_path):
     assert not os.path.exists(stored)  # so a later store links a good copy
 
 
+def test_unreadable_payload_is_evicted_as_miss(tmp_path, monkeypatch, caplog):
+    """A blob that cannot be read (mode 000 under a non-root engine, or
+    EIO) is a miss like a corrupt one; root ignores mode bits, so the read
+    error is raised by hand."""
+    from miniwfl import cache as cache_module
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    stored = _entry_payload(cache.cache_dir, key)
+    checksum = cache_module.file_checksum
+
+    def unreadable(path):
+        if path == stored:
+            raise PermissionError(13, "Permission denied", path)
+        return checksum(path)
+
+    monkeypatch.setattr(cache_module, "file_checksum", unreadable)
+    assert cache.lookup(key) is None
+    assert "cache entry corrupt, evicting" in caplog.text
+    assert not os.path.exists(_entry_path(cache.cache_dir, key))  # evicted
+    assert not os.path.exists(stored)
+
+
 def test_unreadable_entry_json_is_evicted(tmp_path):
     fv = _fv(tmp_path)
     key = cache_key(_node(), {"f": fv})

@@ -397,9 +397,10 @@ DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(DAMAGE))
-def test_changed_run_made_input_fails_its_readers_and_reruns_its_producer(
-        project, capsys, damage):
+def _run_damaged(project, capsys, damage):
+    """Run DAMAGE_WF, whose `damage` step changes make's output as
+    DAMAGE[damage] says, and check that run; returns a function that runs
+    it again into another --outdir, with the same cache."""
     (project / "damage.cwl").write_text(_sh_tool(DAMAGE[damage], "d.txt"))
     (project / "read.cwl").write_text(_sh_tool('cat "$0"', "seen.txt"))
     (project / "wf.cwl").write_text(DAMAGE_WF)
@@ -425,9 +426,31 @@ def test_changed_run_made_input_fails_its_readers_and_reruns_its_producer(
     assert outputs == {"made": None, "seen": None}
     assert sorted(os.listdir(project / "out")) == [".work", "provenance"]
     assert f"output file gone, left out: {made}" in capsys.readouterr().err
-    # the producer's cache entry does not survive the change
     assert tasks["make"]["state"] == "Succeeded"
+    return run
+
+
+@pytest.mark.parametrize("damage", ["append", "overwrite", "truncate"])
+def test_changed_run_made_input_fails_its_readers_and_reruns_its_producer(
+        project, capsys, damage):
+    run = _run_damaged(project, capsys, damage)
+    # the change reached the producer's cache payload, the same inode, so
+    # the next lookup evicts its entry
     assert run("again")[2]["make"]["state"] == "Succeeded"
+
+
+@pytest.mark.parametrize("damage", ["chmod", "mv", "rm", "touch"])
+def test_run_made_input_moved_or_retouched_fails_its_readers_and_is_reused(
+        project, capsys, damage):
+    run = _run_damaged(project, capsys, damage)
+    # the payload's bytes are intact, so the next run reuses the entry;
+    # mode bits a reader set stay on the payload
+    _, outputs, tasks = run("again")
+    assert tasks["make"]["state"] == "Cached"
+    made = outputs["made"]["path"]
+    assert made.startswith(str(project / "again"))
+    assert Path(made).read_text() == "cli test\n"
+    assert bool(os.stat(made).st_mode & 0o111) is (damage == "chmod")
 
 
 def test_passthrough_input_deleted_during_the_run_is_left_out(

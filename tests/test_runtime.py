@@ -1007,6 +1007,40 @@ def test_tool_reading_or_renaming_its_input_passes_the_check(tmp_path,
     assert _read(result.outputs["out"].path) == "payload\n"
 
 
+def test_entry_made_again_after_a_write_is_kept_by_an_earlier_reader(
+        tmp_path, monkeypatch):
+    import shutil
+    work, fv = str(tmp_path / "work"), _fv(tmp_path)
+    store = _store(tmp_path)
+    entry = os.path.join(store.root, fv.checksum)
+    hashed = _count_hashes(monkeypatch)
+    copied = []
+    copyfile = shutil.copyfile
+    monkeypatch.setattr(shutil, "copyfile", lambda src, dst, **kwargs:
+                        copied.append(src) or copyfile(src, dst, **kwargs))
+    a, a_bindings = stage("a", {"f": fv}, work, store)
+    b, b_bindings = stage("b", {"f": fv}, work, store)
+    assert os.path.samefile(a_bindings["f"].path, b_bindings["f"].path)
+    # A's tool writes through its link; A's check sets the entry aside
+    os.chmod(a_bindings["f"].path, 0o644)
+    with open(a_bindings["f"].path, "a") as fh:
+        fh.write("more\n")
+    assert runtime._set_aside(a.read, store) == [fv.path]
+    assert store.made[entry] is None
+    assert _read(f"{entry}.modified") == "payload\nmore\n"
+    # C, staged after that, gets an entry made again from the source
+    c, c_bindings = stage("c", {"f": fv}, work, store)
+    assert _read(c_bindings["f"].path) == "payload\n"
+    made = store.made[entry]
+    # B shared the written inode and fails, but keeps C's entry
+    assert runtime._set_aside(b.read, store) == [fv.path]
+    assert store.made[entry] == made
+    assert os.path.samefile(entry, c_bindings["f"].path)
+    assert _read(entry) == "payload\n"
+    assert runtime._set_aside(c.read, store) == []
+    assert copied == [fv.path] * 2 and len(hashed) == 2
+
+
 def test_source_edited_after_its_entry_is_made_reaches_no_attempt(tmp_path):
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     fv = _fv(tmp_path)
@@ -1137,13 +1171,11 @@ def test_tool_changing_a_run_made_input_fails_it_and_every_later_reader(
         tmp_path, damage):
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     fv = _made(rt)
-    inode = os.stat(fv.path).st_ino
     writer = rt.run_task(_sh(DAMAGE[damage], F_INPUT), {"f": fv}, 1, {})
     assert (writer.failure_kind, writer.error) \
         == ("StagingError", f"input modified by the tool: {fv.path}")
     assert writer.outcome == runtime.PERMANENT_FAILURE
     assert writer.outputs is None
-    assert writer.damaged == [(fv.checksum, inode)]
     # set aside, where no reader and no stage-out finds it
     assert not os.path.exists(fv.path)
     assert os.path.exists(f"{fv.path}.modified") \
@@ -1152,7 +1184,6 @@ def test_tool_changing_a_run_made_input_fails_it_and_every_later_reader(
     assert (reader.failure_kind, reader.error) \
         == ("StagingError", f"input changed during run: {fv.path}")
     assert reader.start_time == 0  # never spawned
-    assert reader.damaged == [(fv.checksum, inode)]
 
 
 def test_run_made_input_changed_before_its_reader_stages_fails_it(tmp_path):
