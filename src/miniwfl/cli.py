@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation errors, 2 run ended in permanent
-failure, 3 usage error, 143 (128 + SIGTERM) a run terminated after its
-tools were killed.  Diagnostics go to stderr; machine-readable output
+failure, 3 usage error, 130 (128 + SIGINT) a run interrupted and 143
+(128 + SIGTERM) a run terminated, each after its tools were killed.
+Diagnostics go to stderr; machine-readable output
 (the output object, DOT text, upgraded documents, validate's diagnostic
 lines) goes to stdout.
 """
@@ -30,6 +31,21 @@ EXIT_USAGE = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _Interrupted(BaseException):
+    """A SIGINT or SIGTERM, raised in the main thread while a run is on:
+    the coordinator kills the attempts in flight, and the run ends with
+    128 + the signal's number, keeping what it had not released."""
+
+    def __init__(self, signum: int):
+        super().__init__("interrupted" if signum == signal.SIGINT
+                         else "terminated")
+        self.code = 128 + signum
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted(signum)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -123,25 +139,27 @@ def cmd_run(args) -> int:
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
-    # SIGTERM, like Ctrl-C, makes the coordinator kill the attempts in flight
-    previous = signal.signal(signal.SIGTERM,
-                             lambda signum, frame: sys.exit(128 + signum))
+    previous = {signum: signal.signal(signum, _interrupt)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
                                run_id=run_id)
+        record = provenance.build_record(result, parser.canonical_digest(doc),
+                                         job, run_id=run_id)
+        prov_path = provenance.write_provenance(
+            record, os.path.join(outdir, "provenance"))
+        if not args.quiet:
+            print(f"miniwfl: provenance written to {prov_path}",
+                  file=sys.stderr)
+        outputs, left_out = _stage_workflow_outputs(result.outputs, outdir,
+                                                    runtime.work_root)
+        for path in result.held:  # read by nothing any more
+            runtime.release(path)
     finally:
         runtime.close()
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
-    record = provenance.build_record(result, parser.canonical_digest(doc),
-                                     job, run_id=run_id)
-    prov_path = provenance.write_provenance(
-        record, os.path.join(outdir, "provenance"))
-    if not args.quiet:
-        print(f"miniwfl: provenance written to {prov_path}", file=sys.stderr)
-
-    outputs, left_out = _stage_workflow_outputs(result.outputs, outdir,
-                                                runtime.work_root)
     obj = {k: planner.value_to_json(v) for k, v in sorted(outputs.items())}
     print(json.dumps(obj, indent=2, sort_keys=True))
     for path in left_out:
@@ -212,6 +230,9 @@ def main(argv=None) -> int:
     except MiniwflError as exc:  # a document, job order or plan refused
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except _Interrupted as exc:
+        print(f"miniwfl: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,9 @@ def _attempt_record(attempt):
         "exitCode": attempt.exit_code,
         "outcome": attempt.outcome,
         "error": attempt.error,
+        # where the attempt ran: kept when it failed, else deleted once
+        # nothing reads it (see scheduler)
+        "workdir": attempt.workdir,
     }
 
 

@@ -20,7 +20,8 @@ log per stream (see WorkerScratch).  The tool runs in a session of its own
 with a minimal explicit environment, and the whole session is killed when
 it exits or times out.  A successful attempt's input links are deleted
 once its outputs are collected; no output shares an inode with an input
-(see _regular).
+(see _regular).  Its directory is deleted once the run says nothing reads
+it any more (see LocalRuntime.release); a failed attempt keeps everything.
 """
 
 from __future__ import annotations
@@ -146,6 +147,18 @@ class WorkerScratch:
         """Move a stream's spare log, which holds output, to ``target``."""
         os.replace(self._spares.pop(which), target)
 
+    def close(self):
+        """Remove the TMPDIR and the spare logs kept for a next attempt,
+        which hold nothing: a TMPDIR is kept only while empty, and a spare
+        log only when its stream wrote nothing."""
+        for path in self._spares.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if self._tmpdir is not None:
+            with contextlib.suppress(OSError):
+                os.rmdir(self._tmpdir[0])
+        self._tmpdir, self._spares = None, {}
+
 
 @dataclass
 class TaskAttempt:
@@ -162,6 +175,7 @@ class TaskAttempt:
     failure_kind: Optional[str] = None
     error: Optional[str] = None
     outputs: Optional[dict] = None  # set when the attempt succeeded
+    workdir: Optional[str] = None  # the attempt directory, once staged
 
     def settle(self, kind: Optional[str],
                error: Optional[str]) -> "TaskAttempt":
@@ -625,7 +639,8 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
     exits or times out, so that nothing it started outlives the attempt.
     """
     attempt = TaskAttempt(task_id=task_id, attempt_number=attempt_number,
-                          argv=list(argv), env=dict(env))
+                          argv=list(argv), env=dict(env),
+                          workdir=staged.outdir)
     launch_argv = argv
     launch_env = env
     if container_image is not None:
@@ -812,8 +827,21 @@ class LocalRuntime:
         return scratch
 
     def close(self):
-        """End the run: remove its input store."""
+        """End the run: remove its input store, every worker's spare logs
+        and TMPDIR, and the work root itself once nothing is left in it."""
         self.store.close()
+        for scratch in self._scratches:
+            scratch.close()
+        with contextlib.suppress(OSError):  # not empty
+            os.rmdir(self.work_root)
+
+    def release(self, workdir: str):
+        """Delete a directory of the run that nothing reads any more: a
+        successful attempt's, with the TMPDIR its tool left anything in
+        (``<workdir>.tmp``), or ``cached/``.  Non-empty logs beside it are
+        kept."""
+        for path in (workdir, f"{workdir}.tmp"):
+            shutil.rmtree(path, ignore_errors=True)
 
     def cancel(self):
         """Kill every attempt running now.  Tools run in sessions of their
@@ -841,6 +869,7 @@ class LocalRuntime:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 self.store, tmpdir=scratch.tmpdir())
+            attempt.workdir = staged.outdir
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             minima = {**model.RESOURCE_DEFAULTS, **resources}

@@ -15,6 +15,14 @@ parallelism bound and the machine's resource capacity, so runs are
 reproducible regardless of completion interleaving, and the coordinator's
 cost grows linearly with tasks and shards.  A failed attempt is retried
 when the runtime reports it as a ``TemporaryFailure``.
+
+The dataflow also says when a successful attempt's directory can no longer
+be read: once every node that reads the producer's outputs (a scattered
+producer's shards counted together) has ended Succeeded, Cached or Skipped.
+The coordinator then has the runtime release it.  The directories behind
+workflow outputs, and ``cached/``, are left to the caller to release after
+stage-out (``RunResult.held``); a directory that a failed reader read, or
+that a reader never ran on, is kept.
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ from .runtime import TEMPORARY_FAILURE, TaskAttempt
 # the coordinator waits for completions in slices this long, so that it acts
 # on a signal that a worker thread received without waiting for an attempt
 _WAIT_SLICE_S = 0.2
+
+# the states of a task that ended with outputs, which its readers can read
+_DONE = frozenset({SUCCEEDED, CACHED, SKIPPED})
 
 
 @dataclass(frozen=True)
@@ -122,6 +133,9 @@ class RunResult:
     outputs: dict
     event_log: list
     tasks: dict  # task or shard id -> TaskRecord
+    # directories only stage-out still reads: successful attempts behind
+    # workflow outputs whose readers are done, and ``cached/``
+    held: list = field(default_factory=list)
 
 
 def resolve_resources(node: TaskNode, bindings: dict, machine: Machine) -> dict:
@@ -207,10 +221,22 @@ class _Coordinator:
         self.unfinished = {}  # scattered node id -> its shards not finished
         # (producer id, output id) -> ids of the nodes that read it
         self.readers = {}
+        # producer id -> ids of its readers that have not ended in _DONE
+        self.awaiting = {}
         for node in graph.nodes.values():
             for kind, source in node.bindings.values():
                 if kind == "edge":
                     self.readers.setdefault(source, []).append(node.id)
+                    self.awaiting.setdefault(source[0], set()).add(node.id)
+        # producers of workflow outputs, which stage-out reads after the run
+        self.staged = {source[0] for kind, source
+                       in graph.workflow_outputs.values() if kind == "edge"}
+        self.workdirs = {}  # node id -> its successful attempts' directories
+        # where cache hits are published, with a runtime that has a work root;
+        # else a hit's outputs are its verified cas/ paths
+        work_root = getattr(services.runtime, "work_root", None)
+        self.cached_dir = (None if work_root is None
+                           else os.path.join(work_root, "cached"))
         self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
@@ -305,6 +331,11 @@ class _Coordinator:
         node = record.node
         if record.task is node:
             self.publish(node, outputs)
+            for kind, source in node.bindings.values():
+                if kind == "edge":
+                    self.awaiting[source[0]].discard(node.id)
+                    self._release(source[0])
+            self._release(node.id)
             return
         self.unfinished[node.id] -= 1
         scatter = self.tasks[node.id]
@@ -320,6 +351,16 @@ class _Coordinator:
         ran = {shard.state for shard in shards} - {SKIPPED}
         self._finish(record, CACHED if ran == {CACHED} else SUCCEEDED, 0,
                      outputs)
+
+    def _release(self, node_id: str):
+        """Have the runtime delete the directories of a node's successful
+        attempts once every reader of its outputs is done, unless stage-out
+        still reads them."""
+        if self.awaiting.get(node_id) or node_id in self.staged:
+            return
+        release = getattr(self.services.runtime, "release", lambda path: None)
+        for workdir in self.workdirs.pop(node_id, ()):
+            release(workdir)
 
     def _fail_node(self, node: TaskNode, error: str):
         record = self.tasks[node.id]
@@ -361,10 +402,9 @@ class _Coordinator:
         hit = cache.lookup(record.key)
         if hit is None:
             return False
-        work_root = getattr(self.services.runtime, "work_root", None)
-        if work_root is not None:  # else the hit's verified cas/ paths
+        if self.cached_dir is not None:
             try:
-                hit = cache.republish(hit, os.path.join(work_root, "cached"))
+                hit = cache.republish(hit, self.cached_dir)
             except FileNotFoundError:  # a blob removed since lookup
                 cache.evict(record.key)
                 return False
@@ -397,6 +437,9 @@ class _Coordinator:
         record.attempts.append(attempt)
         number = attempt.attempt_number
         if attempt.outputs is not None:
+            if attempt.workdir is not None:
+                self.workdirs.setdefault(record.node.id, []).append(
+                    attempt.workdir)
             self._finish(record, SUCCEEDED, number, attempt.outputs)
             return
 
@@ -443,12 +486,17 @@ class _Coordinator:
     def _result(self) -> RunResult:
         states = {self.tasks[tid].state if tid in self.tasks else PENDING
                   for tid in self.graph.nodes}
-        status = ("Success" if states <= {SUCCEEDED, SKIPPED, CACHED}
-                  else "PermanentFail")
+        status = "Success" if states <= _DONE else "PermanentFail"
         outputs = resolved_bindings(self.graph.workflow_outputs,
                                     self.published)
+        held = [workdir for node_id, workdirs in sorted(self.workdirs.items())
+                if node_id in self.staged and not self.awaiting.get(node_id)
+                and self.tasks[node_id].state in _DONE
+                for workdir in workdirs]
+        if self.cached_dir is not None:
+            held.append(self.cached_dir)
         return RunResult(status=status, outputs=outputs,
-                         event_log=self.events, tasks=self.tasks)
+                         event_log=self.events, tasks=self.tasks, held=held)
 
 
 def run(graph: DataflowGraph, cfg: RunConfig, services: Services,

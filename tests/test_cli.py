@@ -77,8 +77,25 @@ def test_run_writes_provenance(project):
     (attempt,) = record["tasks"]["say"]["attempts"]
     assert attempt["argv"] == ["echo", "cli test"]
     assert attempt["exitCode"] == 0
+    # where it ran, deleted once stage-out linked its output
+    assert attempt["workdir"].startswith(str(project / "out" / ".work"))
+    assert not os.path.exists(attempt["workdir"])
     assert record["jobOrder"] == {"msg": "cli test"}
     assert len(record["workflowDigest"]) == 64
+
+
+def test_provenance_records_where_a_failed_attempt_is_kept(project):
+    (project / "tool.cwl").write_text(TOOL.replace(
+        "[echo]", "[sh, -c, 'echo partial > part.txt; exit 3']"))
+    code, _ = run_cli(_run_args(project))
+    assert code == 2
+    (record_path,) = (project / "out" / "provenance").iterdir()
+    (attempt,) = json.loads(record_path.read_text())["tasks"]["say"][
+        "attempts"]
+    assert attempt["exitCode"] == 3
+    workdir = Path(attempt["workdir"])
+    assert workdir.parent == project / "out" / ".work"
+    assert (workdir / "part.txt").read_text() == "partial\n"
 
 
 def test_validation_failure_exits_one(project):
@@ -219,16 +236,36 @@ def _copies(monkeypatch):
     return calls
 
 
+def _released(monkeypatch):
+    """The inode of each file under each directory the run releases, taken
+    just before the release deletes it."""
+    from miniwfl.runtime import LocalRuntime
+    inodes = []
+    release = LocalRuntime.release
+
+    def spy(self, path):
+        inodes.extend(os.stat(f).st_ino for f in Path(path).rglob("*")
+                      if f.is_file())
+        release(self, path)
+
+    monkeypatch.setattr(LocalRuntime, "release", spy)
+    return inodes
+
+
 def test_staged_output_is_one_inode_with_its_work_output_and_blob(
         project, monkeypatch):
     copies = _copies(monkeypatch)
     for expected in ("Succeeded", "Cached"):
+        released = _released(monkeypatch)
         out, state = _run_once(project)
         assert state == expected
-        (made,) = (project / "out" / ".work").glob("say-*/out.txt")
+        # the .work name (say's output, then cached/) was the same inode,
+        # and was released after stage-out, with .work itself
+        assert released == [os.stat(out["path"]).st_ino]
+        assert not (project / "out" / ".work").exists()
         blob = project / "cache" / "cas" / out["checksum"]
-        assert os.path.samefile(out["path"], made)
         assert os.path.samefile(out["path"], blob)
+        assert os.stat(blob).st_nlink == 2
         assert Path(out["path"]).read_text() == "cli test\n"
     assert copies == []  # stage-out and the hit link; nothing is copied
 
@@ -251,15 +288,15 @@ def test_reused_outdir_publishes_the_blob_over_a_replaced_name(project):
     assert state == "Cached"
     published = project / "out" / ".work" / "cached" / out["checksum"]
     blob = project / "cache" / "cas" / out["checksum"]
-    assert os.path.samefile(published, blob)
-    other = project / "other.txt"
-    other.write_text("other bytes\n")
-    os.replace(other, published)
+    assert not published.parent.exists()  # released after stage-out
+    # as a run ended by a signal, or a hand, may leave it
+    published.parent.mkdir(parents=True)
+    published.write_text("other bytes\n")
     out, state = _run_once(project)
     assert state == "Cached"
-    assert os.path.samefile(published, blob)
-    assert published.read_text() == "cli test\n"
+    assert os.path.samefile(out["path"], blob)
     assert Path(out["path"]).read_text() == "cli test\n"
+    assert blob.read_text() == "cli test\n"
 
 
 def test_editing_a_staged_output_makes_the_task_run_again(project):
@@ -470,7 +507,7 @@ def test_passthrough_input_deleted_during_the_run_is_left_out(
     assert code == 2
     assert outputs == {"same": None}
     (outdir,) = tmp_path.glob("out-*")
-    assert sorted(os.listdir(outdir)) == [".work", "provenance"]
+    assert sorted(os.listdir(outdir)) == ["provenance"]
     assert f"output file gone, left out: {data}" in capsys.readouterr().err
 
 
@@ -507,8 +544,58 @@ def test_run_removes_its_input_store(tmp_path, shards, code):
     assert run_cli(["run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
                     "--outdir", str(out), "--no-reuse", "--no-container",
                     "--quiet"])[0] == code
-    assert (out / ".work").is_dir()
+    # the failed shard's attempt is kept; a successful run leaves no .work
+    assert (out / ".work").is_dir() is (code != 0)
     assert not list((out / ".work").glob(".inputs-*"))
+
+
+CHAIN_TOOL = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [sh, -c, 'cat "$@" /dev/null > o.txt; echo link >> o.txt', sh]
+inputs:
+  x: {type: "File?", position: 1}
+outputs:
+  out: {type: File, glob: o.txt}
+"""
+
+
+def _chain_workflow(n):
+    steps = "".join(
+        f"  s{i:02d}:\n    run: link.cwl\n"
+        f"    in: {{{f'x: s{i - 1:02d}/out' if i else ''}}}\n"
+        for i in range(n))
+    return ("cwlVersion: v1.2\nclass: Workflow\ninputs: {}\n"
+            f"outputs:\n  out: {{type: File, outputSource: s{n - 1:02d}/out}}\n"
+            f"steps:\n{steps}")
+
+
+def test_chain_holds_at_most_two_attempt_directories(tmp_path, monkeypatch):
+    """Each step's directory is deleted once the next step, its one
+    reader, has succeeded: counted by a spy on every attempt's end."""
+    from miniwfl.runtime import LocalRuntime
+    (tmp_path / "link.cwl").write_text(CHAIN_TOOL)
+    (tmp_path / "wf.cwl").write_text(_chain_workflow(20))
+    (tmp_path / "job.yml").write_text("{}\n")
+    counts = []
+    run_task = LocalRuntime.run_task
+
+    def counting(self, *args, **kwargs):
+        attempt = run_task(self, *args, **kwargs)
+        counts.append(sum(1 for entry in os.scandir(self.work_root)
+                          if entry.is_dir() and "-a" in entry.name
+                          and not entry.name.endswith(".tmp")))
+        return attempt
+
+    monkeypatch.setattr(LocalRuntime, "run_task", counting)
+    code, out = run_cli(["run", str(tmp_path / "wf.cwl"),
+                         str(tmp_path / "job.yml"),
+                         "--outdir", str(tmp_path / "out"), "--no-reuse",
+                         "--no-container", "--quiet", "--parallel", "1"])
+    assert code == 0
+    assert Path(json.loads(out)["out"]["path"]).read_text() == "link\n" * 20
+    assert counts == [1] + [2] * 19
+    assert not (tmp_path / "out" / ".work").exists()
 
 
 NAME_TOOL = """\
@@ -759,10 +846,10 @@ def kill_leftover_sleeps():
             os.kill(pid, signal.SIGKILL)
 
 
-def test_sigterm_kills_the_running_tools(tmp_path, kill_leftover_sleeps):
-    (tmp_path / "sleep.cwl").write_text(SLEEP_TOOL)
-    (tmp_path / "wf.cwl").write_text(SLEEP_WF)
-    (tmp_path / "job.yml").write_text(f"ts: {[SLEEP_ARGV[1]] * 3}\n")
+@contextlib.contextmanager
+def _sleeping_run(tmp_path):
+    """Run tmp_path's wf.cwl and job.yml at --parallel 2 in a process of
+    its own; yields that process once two tools run SLEEP_ARGV."""
     src = os.path.dirname(os.path.dirname(miniwfl.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-c",
@@ -777,14 +864,65 @@ def test_sigterm_kills_the_running_tools(tmp_path, kill_leftover_sleeps):
         while len(_pids_running(SLEEP_ARGV)) < 2:
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(20) == 143, proc.stderr.read()
-        assert _pids_running(SLEEP_ARGV) == []
+        yield proc
     finally:
         if proc.poll() is None:
             proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_sigterm_kills_the_running_tools(tmp_path, kill_leftover_sleeps):
+    (tmp_path / "sleep.cwl").write_text(SLEEP_TOOL)
+    (tmp_path / "wf.cwl").write_text(SLEEP_WF)
+    (tmp_path / "job.yml").write_text(f"ts: {[SLEEP_ARGV[1]] * 3}\n")
+    with _sleeping_run(tmp_path) as proc:
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(20) == 143, proc.stderr.read()
+        assert _pids_running(SLEEP_ARGV) == []
+
+
+EARLY_SLEEP_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  ts: string[]
+  msg: string
+outputs:
+  out: {type: File, outputSource: early/out}
+steps:
+  early:
+    run: tool.cwl
+    in: {msg: msg}
+  nap:
+    run: sleep.cwl
+    in: {t: ts}
+    scatter: t
+"""
+
+
+def test_sigint_kills_the_running_tools_and_keeps_what_it_made(
+        tmp_path, kill_leftover_sleeps):
+    """``early`` succeeds first, and its directory waits for stage-out;
+    Ctrl-C ends the run before that, so nothing is released."""
+    (tmp_path / "tool.cwl").write_text(TOOL)
+    (tmp_path / "sleep.cwl").write_text(SLEEP_TOOL)
+    (tmp_path / "wf.cwl").write_text(EARLY_SLEEP_WF)
+    (tmp_path / "job.yml").write_text(
+        f"ts: {[SLEEP_ARGV[1]] * 3}\nmsg: early\n")
+    work = tmp_path / "out" / ".work"
+    with _sleeping_run(tmp_path) as proc:
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(20) == 130
+        err = proc.stderr.read().decode()
+        assert _pids_running(SLEEP_ARGV) == []
+    assert "miniwfl: interrupted" in err
+    assert "Traceback" not in err
+    (made,) = work.glob("early-*/out.txt")
+    assert made.read_text() == "early\n"
+    cancelled = [p for p in work.glob("nap_*") if not p.name.endswith(".tmp")]
+    assert len(cancelled) == 2
+    assert not list(work.glob(".inputs-*"))
 
 
 STORE_SLEEP_TOOL = """\
@@ -819,27 +957,9 @@ def test_sigterm_leaves_no_input_store(tmp_path, kill_leftover_sleeps):
     (tmp_path / "job.yml").write_text(
         f"ts: {[SLEEP_ARGV[1]] * 3}\nf: {{class: File, path: data.txt}}\n")
     work = tmp_path / "out" / ".work"
-    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
-    proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from miniwfl import cli; sys.exit(cli.main(sys.argv[1:]))",
-         "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
-         "--outdir", str(tmp_path / "out"), "--no-reuse", "--no-container",
-         "--quiet", "--parallel", "2"],
-        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    try:
-        deadline = time.monotonic() + 20
-        while len(_pids_running(SLEEP_ARGV)) < 2:
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.05)
+    with _sleeping_run(tmp_path) as proc:
         (store,) = work.glob(".inputs-*")
         assert len(os.listdir(store)) == 1  # one entry, linked by both
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(20) == 143, proc.stderr.read()
         assert not store.exists()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-        proc.stderr.close()

@@ -14,8 +14,7 @@ def test_corpus_has_at_least_25_cases():
 
 @pytest.mark.parametrize("name", corpus_cases())
 def test_corpus_case(name, tmp_path, cache_dir):
-    code, outputs = run_case(name, str(tmp_path), cache_dir)
-    assert code == 0
+    outputs, _ = _run_states(name, str(tmp_path), cache_dir)
     assert strip_paths(outputs) == load_expected(name)
 
 
@@ -24,24 +23,44 @@ def test_corpus_case(name, tmp_path, cache_dir):
 RUN_AGAIN = {("workreuse_off", "no_reuse"), ("scatter_empty", "fan")}
 
 
+def _left_in_work(outdir, tasks):
+    """What a run left in ``<outdir>/.work`` besides the logs of streams
+    that nothing captured and the directories of failed attempts, which
+    are kept: ``tasks`` is the provenance record's."""
+    work = os.path.join(outdir, ".work")
+    if not os.path.isdir(work):
+        return []
+    failed = {os.path.basename(attempt["workdir"]) + suffix
+              for task in tasks.values() for attempt in task["attempts"]
+              if attempt["outcome"] != "Success"
+              for suffix in ("", ".tmp")}
+    return sorted(name for name in set(os.listdir(work)) - failed
+                  if not name.endswith((".stdout.log", ".stderr.log")))
+
+
 def _run_states(name, workdir, cache_dir):
     """Run a case into a fresh --outdir; returns its outputs and the state
-    of each task in its provenance record."""
+    of each task in its provenance record.  The run must succeed, and
+    leave no successful attempt's directory, no ``cached/``, no TMPDIR and
+    no spare log."""
     before = set(os.listdir(workdir))
     code, outputs = run_case(name, workdir, cache_dir)
     assert code == 0
     (outdir,) = {d for d in os.listdir(workdir) if d.startswith("out-")} \
         - before
-    (record,) = os.listdir(os.path.join(workdir, outdir, "provenance"))
-    with open(os.path.join(workdir, outdir, "provenance", record)) as fh:
+    outdir = os.path.join(workdir, outdir)
+    (record,) = os.listdir(os.path.join(outdir, "provenance"))
+    with open(os.path.join(outdir, "provenance", record)) as fh:
         tasks = json.load(fh)["tasks"]
+    assert _left_in_work(outdir, tasks) == []
     return outputs, {tid: task["state"] for tid, task in tasks.items()}
 
 
 @pytest.mark.parametrize("name", corpus_cases())
 def test_corpus_case_warm(name, tmp_path, cache_dir):
     """A second run against the same cache gives the same outputs, and
-    every task that ran is served from the cache."""
+    every task that ran is served from the cache: the payloads outlive
+    the first run's ``.work`` names, which it deleted."""
     workdir = tmp_path / "runs"
     workdir.mkdir()
     _, cold = _run_states(name, str(workdir), cache_dir)

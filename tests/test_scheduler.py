@@ -407,6 +407,88 @@ def test_events_carry_millisecond_utc_timestamps():
     assert iso_time(86400.9999) == "1970-01-02T00:00:00.999Z"
 
 
+# --- retention of attempt directories ---------------------------------------
+
+class RetainingRuntime(StubRuntime):
+    """A stub whose attempts have a directory; logs each start and each
+    release in the order the coordinator makes them."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.log = []
+
+    def run_task(self, node, bindings, attempt_number, resources):
+        with self.lock:
+            self.log.append(("run", node.id))
+        attempt = super().run_task(node, bindings, attempt_number, resources)
+        attempt.workdir = f"{node.id}-a{attempt_number}"
+        return attempt
+
+    def release(self, workdir):
+        self.log.append(("release", workdir))
+
+
+def test_directory_is_released_once_its_readers_are_done():
+    g = _graph(_node("a"), _node("b", deps=["a"], layer=1),
+               _node("c", deps=["b"], layer=2), _node("d", deps=["a"]),
+               outputs={"out": ("edge", ("c", "out"))})
+    rt = RetainingRuntime()
+    result = _run(g, rt, parallelism=1)
+    assert result.status == "Success"
+    # d reads nothing read by anyone; a waits for b and d, and c's output
+    # waits for stage-out
+    assert rt.log == [("run", "a"), ("run", "d"), ("release", "d-a1"),
+                      ("run", "b"), ("release", "a-a1"),
+                      ("run", "c"), ("release", "b-a1")]
+    assert result.held == ["c-a1"]
+
+
+def test_scattered_producer_is_released_after_its_gather():
+    g = _graph(_node("fan", scatter=["xs"],
+                     bindings={"xs": ("lit", ["p", "q", "r"])}),
+               _node("gather", deps=["fan"], layer=1))
+    rt = RetainingRuntime()
+    _run(g, rt, parallelism=1)
+    assert rt.log == [("run", "fan[0]"), ("run", "fan[1]"), ("run", "fan[2]"),
+                      ("run", "gather"), ("release", "fan[0]-a1"),
+                      ("release", "fan[1]-a1"), ("release", "fan[2]-a1"),
+                      ("release", "gather-a1")]
+
+
+def test_failed_attempts_and_what_a_failed_reader_read_are_kept():
+    g = _graph(_node("a"), _node("ok", deps=["a"], layer=1),
+               _node("bad", deps=["a"], layer=1),
+               _node("flaky", deps=["ok"], layer=2),
+               outputs={"out": ("edge", ("a", "out"))})
+    rt = RetainingRuntime(fail={"bad"}, temp_fail_counts={"flaky": 1})
+    result = _run(g, rt, parallelism=1, on_error="continue", retries=1)
+    assert result.status == "PermanentFail"
+    # flaky's first attempt failed and is kept; ok is released once flaky
+    # succeeds; a, which bad read, is kept, also from stage-out
+    released = [entry[1] for entry in rt.log if entry[0] == "release"]
+    assert released == ["ok-a1", "flaky-a2"]
+    assert result.held == []
+
+
+def test_cache_hits_and_skips_release_what_they_read(tmp_path):
+    from miniwfl.cache import ResultCache
+    g = _graph(_node("a"), _node("hit", deps=["a"], layer=1),
+               _node("skip", deps=["a"], layer=1, guard="$(false)"))
+    cache = ResultCache(str(tmp_path / "cache"))
+    rt = StubRuntime()
+    run(g, RunConfig(parallelism=1), Services(rt, cache))  # fills the cache
+    (hit_key,) = [key.name for key in (tmp_path / "cache" / "ac").iterdir()
+                  if "hit" in key.read_text()]
+    for entry in (tmp_path / "cache" / "ac").iterdir():
+        if entry.name != hit_key:
+            entry.unlink()
+    rt = RetainingRuntime()
+    result = run(g, RunConfig(parallelism=1), Services(rt, cache))
+    assert result.tasks["hit"].state == planner.CACHED
+    assert result.tasks["skip"].state == planner.SKIPPED
+    assert rt.log == [("run", "a"), ("release", "a-a1")]
+
+
 # --- pinned event log --------------------------------------------------------
 
 class FakeCache:
