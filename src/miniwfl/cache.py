@@ -11,10 +11,10 @@ miss, and can be deleted by hand.
 
 Payload files are hard links to the outputs the run collected under its
 ``.work`` directory (copies where the cache sits on another filesystem).
-A hit is published by link too, as ``.work/cached/<sha256>``, and stage-out
-links both kinds into ``--outdir``: one output is one inode across
-``.work``, ``cas/`` and ``--outdir``, so an edit to any of those names
-changes them all.  ``lookup`` therefore re-hashes every payload file on
+A hit is published by link too, as ``.work/.run-<id>/cached/<sha256>``,
+and stage-out links both kinds into ``--outdir``: one output is one inode
+across ``.work``, ``cas/`` and ``--outdir``, so an edit to any of those
+names changes them all.  ``lookup`` therefore re-hashes every payload file on
 each hit, and evicts an entry that no longer matches along with the
 payload file that failed; an entry that is not JSON of the shape ``store``
 writes is evicted as well.
@@ -199,7 +199,8 @@ class ResultCache:
         def place(fv):
             target = os.path.join(dest_dir, fv.checksum)
             if not _same_inode(fv.path, target):
-                # a run before this one may have left other bytes here
+                # a blob published earlier in this run may have been
+                # edited, evicted and stored again as another inode
                 write_atomically(target,
                                  lambda partial: link_or_copy(fv.path, partial))
             return replace(fv, path=target)

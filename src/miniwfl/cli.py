@@ -36,7 +36,8 @@ class _UsageError(Exception):
 class _Interrupted(BaseException):
     """A SIGINT or SIGTERM, raised in the main thread while a run is on:
     the coordinator kills the attempts in flight, and the run ends with
-    128 + the signal's number, keeping what it had not released."""
+    128 + the signal's number, keeping the attempt directories it had not
+    released."""
 
     def __init__(self, signum: int):
         super().__init__("interrupted" if signum == signal.SIGINT
@@ -89,15 +90,6 @@ def _build_parser() -> _ArgumentParser:
     return ap
 
 
-def _load_resolved(path: str):
-    """A MiniwflError raised here ends the command in ``main``."""
-    path = os.path.abspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = parser.parse_document(text, base_uri=path)
-    return parser.resolve_references(doc, base_uri=path)
-
-
 def _print_diags(diags, stream):
     for d in diags:
         print(d.to_json_line(), file=stream)
@@ -114,7 +106,7 @@ def _stage_workflow_outputs(outputs: dict, outdir: str,
 
 
 def cmd_run(args) -> int:
-    doc = _load_resolved(args.workflow)
+    doc = parser.load(args.workflow)
 
     diags = validator.validate(doc, SupportMatrix())
     if not args.quiet or validator.has_errors(diags):
@@ -134,7 +126,7 @@ def cmd_run(args) -> int:
     runtime = LocalRuntime(work_root, use_containers=not args.no_container)
     cache = None if args.no_reuse else ResultCache(args.cache_dir)
     cfg = scheduler.RunConfig(
-        parallelism=max(1, args.parallel),
+        parallelism=args.parallel,
         retries=args.retries,
         on_error=args.on_error,
     )
@@ -176,14 +168,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_resolved(args.workflow)
+    doc = parser.load(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     _print_diags(diags, sys.stdout)
     return EXIT_INVALID if validator.has_errors(diags) else EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    doc = _load_resolved(args.workflow)
+    doc = parser.load(args.workflow)
     diags = validator.validate(doc, SupportMatrix())
     if validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
@@ -200,7 +192,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_upgrade(args) -> int:
-    doc = _load_resolved(args.workflow)
+    doc = parser.load(args.workflow)
     try:
         upgraded = upgrader.upgrade(doc, args.target)
     except (DowngradeError, UnknownVersionError) as exc:
@@ -222,6 +214,9 @@ def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
+        for flag, least in (("parallel", 1), ("retries", 0)):
+            if getattr(args, flag, least) < least:
+                ap.error(f"argument --{flag}: must be at least {least}")
     except _UsageError as exc:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return EXIT_USAGE

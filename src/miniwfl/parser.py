@@ -72,6 +72,12 @@ def _check_keys(mapping: dict, allowed: set, where: str):
     return extras
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a boolean, which YAML's
+    ``true`` loads as and Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_identifier(name, where):
     if not isinstance(name, str) or not model.is_identifier(name):
         raise SchemaError(f"invalid identifier {name!r} in {where}")
@@ -170,7 +176,7 @@ def _parse_input(spec: dict, where: str, tool: bool) -> InputParameter:
     if streamable and dtype.base != "File":
         raise SchemaError(f"streamable input {spec['id']!r} must be of File type")
     position = spec.get("position")
-    if position is not None and not isinstance(position, int):
+    if position is not None and not _is_int(position):
         raise SchemaError(f"position of {spec['id']!r} must be an integer")
     return InputParameter(
         id=spec["id"],
@@ -285,7 +291,7 @@ def _validate_clause_payload(kind: str, payload: dict, where: str):
             if key not in _RESOURCE_KEYS:
                 raise SchemaError(f"unknown resource field {key!r} in {where}")
             value = payload[key]
-            if isinstance(value, int):
+            if _is_int(value):
                 if value < 0:
                     raise SchemaError(f"negative resource {key} in {where}")
             elif not isinstance(value, str):
@@ -327,7 +333,7 @@ def _parse_tool(raw: dict, version: str) -> ToolDescription:
     if codes is None:
         success = frozenset({0})
     else:
-        if not isinstance(codes, list) or not all(isinstance(c, int) for c in codes):
+        if not isinstance(codes, list) or not all(map(_is_int, codes)):
             raise SchemaError("successCodes must be a list of integers")
         success = frozenset(codes)
 
@@ -436,48 +442,38 @@ def _parse_workflow(raw: dict, version: str, base_uri: str) -> WorkflowDescripti
 
 # --- reference resolution ---------------------------------------------------
 
-class FileLoader:
-    """Loads referenced documents from the local filesystem."""
+def load(path: str, _chain=()) -> Document:
+    """Read and parse the document at ``path``, with every external
+    step.run reference replaced by its loaded document.  A file that cannot
+    be read raises NotFoundError; one that is not UTF-8 YAML of a mapping,
+    DocumentSyntaxError.  A document may not include itself transitively."""
+    path = os.path.abspath(path)
+    if path in _chain:
+        raise IncludeCycleError(" -> ".join((*_chain, path)))
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except OSError as exc:
+        raise NotFoundError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(f"{path} is not UTF-8: {exc}") from exc
+    return resolve_references(parse_document(text, base_uri=path),
+                              base_uri=path, _chain=(*_chain, path))
 
-    def resolve(self, ref: str, base_uri: str) -> str:
-        if os.path.isabs(ref):
-            return os.path.normpath(ref)
-        base_dir = os.path.dirname(base_uri) if base_uri else "."
-        return os.path.normpath(os.path.join(base_dir, ref))
 
-    def load(self, resolved: str) -> str:
-        try:
-            with open(resolved, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise NotFoundError(f"cannot load referenced document: {resolved}") from exc
-
-
-def resolve_references(doc: Document, loader=None, base_uri: str = "",
+def resolve_references(doc: Document, base_uri: str = "",
                        _chain=()) -> Document:
-    """Replace every external step.run reference with its parsed document.
-
-    Resolution is cycle-checked: a document may not include itself
-    transitively.
-    """
-    if loader is None:
-        loader = FileLoader()
+    """Replace every external step.run reference, relative to ``base_uri``,
+    with its loaded document (see load)."""
     if not doc.is_workflow:
         return doc
     steps = []
     for step in doc.body.steps:
         run = step.run
         if isinstance(run, str):
-            resolved = loader.resolve(run, base_uri)
-            if resolved in _chain:
-                cycle = list(_chain) + [resolved]
-                raise IncludeCycleError(" -> ".join(cycle))
-            text = loader.load(resolved)
-            sub = parse_document(text, base_uri=resolved)
-            run = resolve_references(sub, loader, resolved,
-                                     _chain=_chain + (resolved,))
+            run = load(os.path.join(os.path.dirname(base_uri), run), _chain)
         else:
-            run = resolve_references(run, loader, base_uri, _chain=_chain)
+            run = resolve_references(run, base_uri, _chain=_chain)
         steps.append(dataclasses.replace(step, run=run))
     body = dataclasses.replace(doc.body, steps=tuple(steps))
     return dataclasses.replace(doc, body=body)

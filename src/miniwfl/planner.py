@@ -202,8 +202,16 @@ def load_job_order(values: dict, wf, base_dir: str = ".") -> dict:
 
 
 def load_job_order_file(path: str, wf) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    """load_job_order on the YAML file at ``path``; a file that cannot be
+    read or parsed raises JobOrderError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise JobOrderError(
+            f"cannot read job order {path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise JobOrderError(f"malformed job order {path}: {exc}") from exc
     return load_job_order(raw, wf, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -22,6 +22,9 @@ it exits or times out.  A successful attempt's input links are deleted
 once its outputs are collected; no output shares an inode with an input
 (see _regular).  Its directory is deleted once the run says nothing reads
 it any more (see LocalRuntime.release); a failed attempt keeps everything.
+What lives only as long as the run, the store's copies, the links that
+cache hits publish and each worker's TMPDIR and spare logs, sits in one run
+directory, ``<work root>/.run-<id>/``, which LocalRuntime.close removes.
 """
 
 from __future__ import annotations
@@ -99,17 +102,18 @@ class StagedDirectory:
 class WorkerScratch:
     """What one worker thread reuses from one attempt to the next, so that
     an attempt allocates only what it keeps: a TMPDIR, and one spare log
-    per stream for output that nothing captures.  Every name is fresh, so
-    that a TMPDIR left behind never blocks the next one."""
+    per stream for output that nothing captures, all under ``root``, the
+    run directory, which goes with them when the run ends.  Every name is
+    fresh, so that a TMPDIR left behind never blocks the next one."""
 
-    def __init__(self, work_root: str):
-        self.work_root = work_root
+    def __init__(self, root: str):
+        self.root = root
         self.pid = None      # the running attempt's process (and group)
         self._tmpdir = None  # (path, inode, mode) as made
         self._spares = {}    # stream -> path of its spare log
 
     def _fresh(self, suffix: str) -> str:
-        return os.path.join(self.work_root,
+        return os.path.join(self.root,
                             f".spare-{uuid.uuid4().hex[:8]}.{suffix}")
 
     def tmpdir(self) -> str:
@@ -146,18 +150,6 @@ class WorkerScratch:
     def keep_log(self, which: str, target: str):
         """Move a stream's spare log, which holds output, to ``target``."""
         os.replace(self._spares.pop(which), target)
-
-    def close(self):
-        """Remove the TMPDIR and the spare logs kept for a next attempt,
-        which hold nothing: a TMPDIR is kept only while empty, and a spare
-        log only when its stream wrote nothing."""
-        for path in self._spares.values():
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        if self._tmpdir is not None:
-            with contextlib.suppress(OSError):
-                os.rmdir(self._tmpdir[0])
-        self._tmpdir, self._spares = None, {}
 
 
 @dataclass
@@ -249,7 +241,9 @@ def _stamp(path: str):
 class InputStore:
     """The run's record of the files it vouches for, and its one verified,
     read-only copy, ``<root>/<sha256>``, of each distinct input it did not
-    make, which attempts hard-link their inputs to.
+    make, which attempts hard-link their inputs to.  ``root`` is the run
+    directory, which also holds what else lives only as long as the run
+    (see LocalRuntime).
 
     ``made`` maps the path of each entry, and of each output collected in
     this run (see collect_outputs), to (checksum, signature as stamped, see
@@ -271,10 +265,6 @@ class InputStore:
     def locked(self, path: str) -> threading.Lock:
         with self._lock:
             return self._locks.setdefault(path, threading.Lock())
-
-    def close(self):
-        """Remove the store; the links attempts kept hold their bytes."""
-        shutil.rmtree(self.root, ignore_errors=True)
 
 
 def _fill(fv: FileValue, partial: str):
@@ -519,8 +509,6 @@ def stage_out(outputs: dict, dest_dir: str,
 def _render_value(value, ctx):
     if isinstance(value, FileValue):
         return [value.path]
-    if isinstance(value, bool):
-        raise AssertionError("booleans are handled at the binding level")
     if isinstance(value, str):
         rendered = interpolate(value, ctx)
         if isinstance(rendered, FileValue):
@@ -807,13 +795,13 @@ class LocalRuntime:
         os.makedirs(self.work_root, exist_ok=True)
         self.use_containers = use_containers
         self.adapter = adapter or DockerAdapter()
-        # a name of its own, so that runs sharing a work root never share
+        # the run directory: the input store, the links that cache hits
+        # publish (cached/) and every worker's TMPDIR and spare logs; a
+        # name of its own, so that runs sharing a work root never share
         # entries or remove each other's
         self.store = InputStore(os.path.join(
-            self.work_root, f".inputs-{uuid.uuid4().hex[:8]}"))
-        # every file the run vouches for, which later attempts read in
-        # place when collected here (see InputStore)
-        self.made = self.store.made
+            self.work_root, f".run-{uuid.uuid4().hex[:8]}"))
+        self.cached_dir = os.path.join(self.store.root, "cached")
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
@@ -821,25 +809,23 @@ class LocalRuntime:
     def _scratch(self) -> WorkerScratch:
         scratch = getattr(self._local, "scratch", None)
         if scratch is None:
-            scratch = self._local.scratch = WorkerScratch(self.work_root)
+            scratch = self._local.scratch = WorkerScratch(self.store.root)
             with self._lock:
                 self._scratches.append(scratch)
         return scratch
 
     def close(self):
-        """End the run: remove its input store, every worker's spare logs
-        and TMPDIR, and the work root itself once nothing is left in it."""
-        self.store.close()
-        for scratch in self._scratches:
-            scratch.close()
+        """End the run: remove the run directory, and the work root itself
+        once nothing is left in it.  The links attempts kept to store
+        entries hold their bytes."""
+        shutil.rmtree(self.store.root, ignore_errors=True)
         with contextlib.suppress(OSError):  # not empty
             os.rmdir(self.work_root)
 
     def release(self, workdir: str):
-        """Delete a directory of the run that nothing reads any more: a
-        successful attempt's, with the TMPDIR its tool left anything in
-        (``<workdir>.tmp``), or ``cached/``.  Non-empty logs beside it are
-        kept."""
+        """Delete a successful attempt's directory, which nothing reads any
+        more, with the TMPDIR its tool left anything in (``<workdir>.tmp``).
+        Non-empty logs beside it are kept."""
         for path in (workdir, f"{workdir}.tmp"):
             shutil.rmtree(path, ignore_errors=True)
 
@@ -921,7 +907,7 @@ class LocalRuntime:
             try:
                 if attempt.outcome == SUCCESS:
                     attempt.outputs = collect_outputs(node.tool, staged,
-                                                      self.made)
+                                                      self.store.made)
             finally:
                 # whatever the outcome: once collect has read the outputs,
                 # no attempt that saw a written input may succeed

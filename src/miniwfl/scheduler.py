@@ -20,15 +20,14 @@ The dataflow also says when a successful attempt's directory can no longer
 be read: once every node that reads the producer's outputs (a scattered
 producer's shards counted together) has ended Succeeded, Cached or Skipped.
 The coordinator then has the runtime release it.  The directories behind
-workflow outputs, and ``cached/``, are left to the caller to release after
-stage-out (``RunResult.held``); a directory that a failed reader read, or
-that a reader never ran on, is kept.
+workflow outputs are left to the caller to release after stage-out
+(``RunResult.held``); a directory that a failed reader read, or that a
+reader never ran on, is kept.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import queue
 import time
 from collections import Counter
@@ -134,7 +133,7 @@ class RunResult:
     event_log: list
     tasks: dict  # task or shard id -> TaskRecord
     # directories only stage-out still reads: successful attempts behind
-    # workflow outputs whose readers are done, and ``cached/``
+    # workflow outputs whose readers are done
     held: list = field(default_factory=list)
 
 
@@ -232,11 +231,9 @@ class _Coordinator:
         self.staged = {source[0] for kind, source
                        in graph.workflow_outputs.values() if kind == "edge"}
         self.workdirs = {}  # node id -> its successful attempts' directories
-        # where cache hits are published, with a runtime that has a work root;
+        # where cache hits are published, with a runtime that names a place;
         # else a hit's outputs are its verified cas/ paths
-        work_root = getattr(services.runtime, "work_root", None)
-        self.cached_dir = (None if work_root is None
-                           else os.path.join(work_root, "cached"))
+        self.cached_dir = getattr(services.runtime, "cached_dir", None)
         self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
@@ -493,8 +490,6 @@ class _Coordinator:
                 if node_id in self.staged and not self.awaiting.get(node_id)
                 and self.tasks[node_id].state in _DONE
                 for workdir in workdirs]
-        if self.cached_dir is not None:
-            held.append(self.cached_dir)
         return RunResult(status=status, outputs=outputs,
                          event_log=self.events, tasks=self.tasks, held=held)
 

@@ -516,9 +516,7 @@ def test_run_made_input_is_mounted_where_it_sits_below_the_work_root(
 
 def _load_case_doc(case_dir):
     wf = os.path.join(case_dir, "workflow.cwl")
-    with open(wf) as fh:
-        doc = parser.parse_document(fh.read(), base_uri=wf)
-    return parser.resolve_references(doc, base_uri=wf), wf
+    return parser.load(wf), wf
 
 
 def test_upgrade_preserves_run_outputs(tmp_path):

@@ -262,6 +262,25 @@ def test_republish_keeps_a_name_that_is_the_blob(tmp_path, monkeypatch):
     assert os.path.samefile(out["again"].path, hit["out"].path)
 
 
+def test_republish_replaces_a_name_whose_blob_was_stored_again(tmp_path):
+    """Within one run: a published name is the blob's inode, so an edit
+    through it edits the blob; the next lookup evicts the blob, a new
+    store links another inode, and the next hit must not serve the edit."""
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": fv})
+    dest = str(tmp_path / "cached")
+    published = cache.republish(cache.lookup(key), dest)["out"].path
+    with open(published, "a") as fh:
+        fh.write("edited\n")
+    assert cache.lookup(key) is None
+    cache.store(key, {"out": _fv(tmp_path, "again.txt")})
+    out = cache.republish(cache.lookup(key), dest)
+    assert out["out"].path == published
+    assert open(published).read() == "stuff\n"
+
+
 def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
     fv = _fv(tmp_path)
     key = cache_key(_node(), {"f": fv})
@@ -633,5 +652,5 @@ def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
     assert [open(fv.path).read() for fv in result.outputs["o"]] \
         == ["1\n", "0\n"] * 3
     assert copies == []
-    assert mkdirs == [os.path.join(runtime.work_root, "cached")]
+    assert mkdirs == [runtime.cached_dir]
     assert len(links) == len({fv.checksum for fv in result.outputs["o"]}) == 2

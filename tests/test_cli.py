@@ -133,6 +133,48 @@ def test_bad_job_order_exits_one(project):
     assert code == 1
 
 
+MAIN = "import sys; from miniwfl import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+LATIN1_TOOL = TOOL.replace("baseCommand", "doc: caf\xe9\nbaseCommand") \
+    .encode("latin-1")
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["run", "nope.cwl", "job.yml"], {}, 1),
+    (["validate", "."], {}, 1),
+    (["validate", "tool.cwl"], {"tool.cwl": LATIN1_TOOL}, 1),
+    (["run", "wf.cwl", "job.yml"], {"tool.cwl": LATIN1_TOOL}, 1),
+    (["run", "wf.cwl", "nojob.yml"], {}, 1),
+    (["run", "wf.cwl", "job.yml"], {"job.yml": b"msg: [cli\n"}, 1),
+    (["run", "wf.cwl", "job.yml", "--parallel", "0"], {}, 3),
+    (["run", "wf.cwl", "job.yml", "--retries", "-1"], {}, 3),
+    (["validate", "tool.cwl"],
+     {"tool.cwl": TOOL.replace("position: 1", "position: true").encode()}, 1),
+    (["validate", "tool.cwl"],
+     {"tool.cwl": (TOOL + "successCodes: [true]\n").encode()}, 1),
+    (["validate", "tool.cwl"], {"tool.cwl": (
+        TOOL + "requirements: {ResourceRequirement: {coresMin: true}}\n")
+        .encode()}, 1),
+], ids=["missing-workflow", "directory", "latin-1-workflow",
+        "latin-1-step-tool", "missing-job-order", "malformed-job-order",
+        "parallel-0", "negative-retries", "boolean-position",
+        "boolean-success-code", "boolean-cores"])
+def test_unreadable_input_or_bad_option_is_refused_without_a_traceback(
+        project, argv, files, code):
+    for name, data in files.items():
+        (project / name).write_bytes(data)
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN, *argv], cwd=project,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("miniwfl: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (project / "out").exists()
+
+
 def test_validate_subcommand(project):
     code, out = run_cli(["validate", str(project / "wf.cwl")])
     assert code == 0
@@ -237,18 +279,27 @@ def _copies(monkeypatch):
 
 
 def _released(monkeypatch):
-    """The inode of each file under each directory the run releases, taken
-    just before the release deletes it."""
+    """The inode of each file under each directory the run releases, and
+    under ``cached/``, which the run's end removes, taken just before they
+    are deleted."""
     from miniwfl.runtime import LocalRuntime
     inodes = []
-    release = LocalRuntime.release
+    release, close = LocalRuntime.release, LocalRuntime.close
+
+    def files(path):
+        return [os.stat(f).st_ino for f in Path(path).rglob("*")
+                if f.is_file()]
 
     def spy(self, path):
-        inodes.extend(os.stat(f).st_ino for f in Path(path).rglob("*")
-                      if f.is_file())
+        inodes.extend(files(path))
         release(self, path)
 
+    def spy_close(self):
+        inodes.extend(files(self.cached_dir))
+        close(self)
+
     monkeypatch.setattr(LocalRuntime, "release", spy)
+    monkeypatch.setattr(LocalRuntime, "close", spy_close)
     return inodes
 
 
@@ -259,8 +310,9 @@ def test_staged_output_is_one_inode_with_its_work_output_and_blob(
         released = _released(monkeypatch)
         out, state = _run_once(project)
         assert state == expected
-        # the .work name (say's output, then cached/) was the same inode,
-        # and was released after stage-out, with .work itself
+        # the .work name (say's output, then the hit's link in cached/)
+        # was the same inode, and was deleted after stage-out, with .work
+        # itself: by its release, or with the run directory
         assert released == [os.stat(out["path"]).st_ino]
         assert not (project / "out" / ".work").exists()
         blob = project / "cache" / "cas" / out["checksum"]
@@ -546,7 +598,7 @@ def test_run_removes_its_input_store(tmp_path, shards, code):
                     "--quiet"])[0] == code
     # the failed shard's attempt is kept; a successful run leaves no .work
     assert (out / ".work").is_dir() is (code != 0)
-    assert not list((out / ".work").glob(".inputs-*"))
+    assert not list((out / ".work").glob(".run-*"))
 
 
 CHAIN_TOOL = """\
@@ -584,6 +636,7 @@ def test_chain_holds_at_most_two_attempt_directories(tmp_path, monkeypatch):
         attempt = run_task(self, *args, **kwargs)
         counts.append(sum(1 for entry in os.scandir(self.work_root)
                           if entry.is_dir() and "-a" in entry.name
+                          and not entry.name.startswith(".")
                           and not entry.name.endswith(".tmp")))
         return attempt
 
@@ -852,8 +905,7 @@ def _sleeping_run(tmp_path):
     its own; yields that process once two tools run SLEEP_ARGV."""
     src = os.path.dirname(os.path.dirname(miniwfl.__file__))
     proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from miniwfl import cli; sys.exit(cli.main(sys.argv[1:]))",
+        [sys.executable, "-c", MAIN,
          "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.yml"),
          "--outdir", str(tmp_path / "out"), "--no-reuse", "--no-container",
          "--quiet", "--parallel", "2"],
@@ -922,7 +974,7 @@ def test_sigint_kills_the_running_tools_and_keeps_what_it_made(
     assert made.read_text() == "early\n"
     cancelled = [p for p in work.glob("nap_*") if not p.name.endswith(".tmp")]
     assert len(cancelled) == 2
-    assert not list(work.glob(".inputs-*"))
+    assert not list(work.glob(".run-*"))
 
 
 STORE_SLEEP_TOOL = """\
@@ -958,8 +1010,12 @@ def test_sigterm_leaves_no_input_store(tmp_path, kill_leftover_sleeps):
         f"ts: {[SLEEP_ARGV[1]] * 3}\nf: {{class: File, path: data.txt}}\n")
     work = tmp_path / "out" / ".work"
     with _sleeping_run(tmp_path) as proc:
-        (store,) = work.glob(".inputs-*")
-        assert len(os.listdir(store)) == 1  # one entry, linked by both
+        (store,) = work.glob(".run-*")
+        # one entry, linked by both, beside the workers' spares
+        assert len([n for n in os.listdir(store)
+                    if not n.startswith(".spare-")]) == 1
+        assert not [n for n in os.listdir(work)
+                    if n.startswith(".spare-") or n == "cached"]
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(20) == 143, proc.stderr.read()
         assert not store.exists()

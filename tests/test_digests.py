@@ -14,7 +14,7 @@ import os
 import pytest
 from conftest import CORPUS_DIR, corpus_cases
 
-from miniwfl import cli, parser
+from miniwfl import parser
 from miniwfl.cache import cache_key, digest_tool
 from miniwfl.planner import FileValue, TaskNode
 
@@ -92,7 +92,7 @@ def compute(data_dir):
     workflows = {}
     for name in corpus_cases():
         path = os.path.join(CORPUS_DIR, name, "workflow.cwl")
-        doc = cli._load_resolved(path)
+        doc = parser.load(path)
         workflows[name] = {"canonical_digest": parser.canonical_digest(doc),
                            "tools": _tool_digests(doc)}
     return {"workflows": workflows, "cache_key": _pinned_key(data_dir)}
@@ -110,7 +110,7 @@ def test_pin_covers_every_corpus_case(pinned):
 
 @pytest.mark.parametrize("name", corpus_cases())
 def test_workflow_and_tool_digests_are_pinned(name, pinned):
-    doc = cli._load_resolved(os.path.join(CORPUS_DIR, name, "workflow.cwl"))
+    doc = parser.load(os.path.join(CORPUS_DIR, name, "workflow.cwl"))
     assert parser.canonical_digest(doc) == \
         pinned["workflows"][name]["canonical_digest"]
     assert _tool_digests(doc) == pinned["workflows"][name]["tools"]

@@ -238,6 +238,87 @@ steps:
         parser.resolve_references(doc, base_uri=str(tmp_path / "a.cwl"))
 
 
+# --- refusals ---------------------------------------------------------------
+
+def _tool_raw(**fields):
+    return {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": "echo", "inputs": {"x": "int"}, "outputs": {},
+            **fields}
+
+
+def _wf_raw(step=(), **fields):
+    return {"cwlVersion": "v1.2", "class": "Workflow",
+            "inputs": {"x": "int"}, "outputs": {},
+            "steps": {"s": {"run": _tool_raw(), "in": {"x": "x"}, "out": [],
+                            **dict(step)}},
+            **fields}
+
+
+def _reqs(cls, **payload):
+    return _tool_raw(requirements=[{"class": cls, **payload}])
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("[1, 2]", "document root must be a mapping"),
+    (_tool_raw(cwlVersion=1.2), "cwlVersion must be a string"),
+    (_tool_raw(inputs={"1x": "int"}), "invalid identifier '1x'"),
+    (_tool_raw(inputs={"x": {"type": ["int"]}}), "type must be a string"),
+    (_tool_raw(inputs={"x": 3}), "bad parameter spec for 'x'"),
+    (_tool_raw(inputs=[3]), "bad parameter entry in tool inputs"),
+    (_tool_raw(inputs=3), "tool inputs must be a map or a list"),
+    (_tool_raw(inputs={"x": {"position": 1}}), "input 'x' has no type"),
+    (_tool_raw(inputs={"x": {"type": "int", "streamable": True}}),
+     "streamable input 'x' must be of File type"),
+    (_tool_raw(inputs={"x": {"type": "int", "position": "1"}}),
+     "position of 'x' must be an integer"),
+    (_tool_raw(inputs={"x": {"type": "int", "position": True}}),
+     "position of 'x' must be an integer"),
+    (_tool_raw(outputs={"o": {"glob": "o.txt"}}), "output 'o' has no type"),
+    (_tool_raw(outputs={"o": {"type": "File", "capture": "stdin"}}),
+     "capture must be stdout or stderr"),
+    (_tool_raw(outputs={"o": {"type": "string", "capture": "stdout"}}),
+     "capture outputs must be File-typed"),
+    (_tool_raw(outputs={"o": "File"}), "needs exactly one of glob/capture"),
+    (_wf_raw(outputs={"o": "File"}), "workflow output 'o' needs an outputSource"),
+    (_tool_raw(requirements=[{}]), "clause without class in tool requirements"),
+    (_tool_raw(hints=3), "tool hints must be a map or a list"),
+    (_reqs("DockerRequirement"), "Container clause without image"),
+    (_reqs("ResourceRequirement", gpus=1), "unknown resource field 'gpus'"),
+    (_reqs("ResourceRequirement", coresMin=-1), "negative resource coresMin"),
+    (_reqs("ResourceRequirement", coresMin=True),
+     "resource coresMin must be int or expression"),
+    (_reqs("ResourceRequirement", ramMin=1.5),
+     "resource ramMin must be int or expression"),
+    (_reqs("EnvVarRequirement", envDef={"A": 1}),
+     "EnvVars clause needs envDef map"),
+    (_reqs("InitialWorkDirRequirement"),
+     "InitialWorkDir clause needs a listing"),
+    (_reqs("InitialWorkDirRequirement", listing=[{"entryname": "a"}]),
+     "bad InitialWorkDir entry"),
+    (_reqs("WorkReuse", enableReuse="no"),
+     "WorkReuse enableReuse must be boolean"),
+    (_tool_raw(baseCommand=["echo", 1]),
+     "baseCommand must be a string or list of strings"),
+    (_tool_raw(successCodes=[0, True]), "successCodes must be a list of integers"),
+    (_tool_raw(successCodes=0), "successCodes must be a list of integers"),
+    (_tool_raw(stdin=3), "stdin must be a string"),
+    (_wf_raw(step={"in": ["x"]}), "step 's': 'in' must be a map"),
+    (_wf_raw(step={"in": {"x": {"valueFrom": "x"}}}),
+     "step 's' input 'x': expected source or default"),
+    (_wf_raw(step={"run": 3}), "step 's' needs a run reference"),
+    (_wf_raw(step={"scatter": 3}), "step 's': scatter must name step inputs"),
+    (_wf_raw(step={"when": True}), "step 's': when must be an expression"),
+    (_wf_raw(step={"out": "o"}), "step 's': out must be a list"),
+])
+def test_parser_refusals(raw, message):
+    with pytest.raises(SchemaError, match=message) as caught:
+        if isinstance(raw, str):
+            parser.parse_document(raw)
+        else:
+            parser.parse_raw(raw)
+    assert type(caught.value) is SchemaError
+
+
 # --- data types -------------------------------------------------------------
 
 _BASES = ["File", "Directory", "string", "int", "float", "boolean", "null"]

@@ -90,6 +90,43 @@ def test_job_order_rejections(values, inputs):
         planner.load_job_order(values, wf)
 
 
+@pytest.mark.parametrize("values, dtype, message", [
+    ([1], "int", "job order must be a mapping"),
+    ({"x": None}, "int", "input 'x' is null but not optional"),
+    ({"x": 1}, "string", "input 'x' must be a string"),
+    ({"x": "1.5"}, "float", "input 'x' must be a float"),
+    ({"x": True}, "float", "input 'x' must be a float"),
+    ({"x": 1}, "boolean", "input 'x' must be a boolean"),
+    ({"x": 1}, "null", "input 'x' has type null; only null fits"),
+    ({"x": {"class": "Directory", "path": "d"}}, "Directory",
+     "input 'x': unsupported base type Directory"),
+    ({"x": {"path": "a.txt"}}, "File",
+     "input 'x': File values need class File and a path"),
+    ({"x": {"class": "File"}}, "File",
+     "input 'x': File values need class File and a path"),
+    ({"x": 3}, "File", "input 'x' must name a file"),
+])
+def test_job_order_refusals(tmp_path, values, dtype, message):
+    wf = _wf([], inputs=[{"id": "x", "type": dtype}]).body
+    with pytest.raises(JobOrderError, match=message):
+        planner.load_job_order(values, wf, base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read job order .*: No such file or directory"),
+    (b"x: [1\n", "malformed job order"),
+    (b"x: caf\xe9\n", "malformed job order"),
+], ids=["missing", "malformed", "latin-1"])
+def test_job_order_file_that_cannot_be_read_is_refused(tmp_path, content,
+                                                       message):
+    wf = _wf([], inputs=[{"id": "x", "type": "string"}]).body
+    path = tmp_path / "job.yml"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(JobOrderError, match=message):
+        planner.load_job_order_file(str(path), wf)
+
+
 def test_job_order_int_widens_to_float():
     wf = _wf([], inputs=[{"id": "x", "type": "float"}]).body
     assert planner.load_job_order({"x": 2}, wf) == {"x": 2.0}

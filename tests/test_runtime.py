@@ -87,6 +87,22 @@ def test_boolean_emits_prefix_only_when_true():
     assert build_command_line(tool, {"flag": False}, CTX) == ["echo"]
 
 
+def test_boolean_array_renders_each_element():
+    tool = _tool(inputs=[{"id": "bs", "type": "boolean[]", "position": 1,
+                          "prefix": "--bs"}])
+    assert build_command_line(tool, {"bs": [True, False]}, CTX) \
+        == ["echo", "--bs", "true", "false"]
+
+
+def test_boolean_array_input_runs(tmp_path):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    node = TaskNode(id="t", tool=_tool(inputs=[
+        {"id": "bs", "type": "boolean[]", "position": 1}]), bindings={})
+    attempt = rt.run_task(node, {"bs": [False, True]}, 1, {})
+    assert attempt.outcome == runtime.SUCCESS, attempt.error
+    assert _read(attempt.outputs["out"].path) == "false true\n"
+
+
 def test_null_and_unpositioned_inputs_are_omitted():
     tool = _tool(inputs=[
         {"id": "x", "type": "string?", "position": 1},
@@ -481,6 +497,32 @@ def test_workdir_entries_see_the_paths_and_runtime_of_the_command(
     assert _read(os.path.join(outdir, "cores.txt")) == "2"
     if not container:
         assert _read(result.outputs["out"].path) == staged + "2"
+
+
+@pytest.mark.parametrize("listing, overrides, kind, message", [
+    ([{"entryname": "a", "entry": "$(inputs.nope)"}], {}, "StagingError",
+     "bad working-directory entry"),
+    ([{"entry": "$(inputs.f)"}, {"entry": "$(inputs.f)"}], {}, "StagingError",
+     "working-directory basename collision: 'in.txt'"),
+    ([{"entry": "text"}], {}, "StagingError",
+     "literal working-directory entry needs an entryname"),
+    ([], {"stdin": "$(inputs.n)"}, "ExprError",
+     "stdin must resolve to a file, got 3"),
+    ([], {"baseCommand": ["sh", "-c", "echo abc > n.txt"],
+          "outputs": [{"id": "n", "type": "int", "glob": "n.txt"}]},
+     "OutputMissing", "n.txt is not JSON-valued"),
+], ids=["entry-expression", "entry-collision", "entry-without-name",
+        "stdin-not-a-file", "output-not-json"])
+def test_attempt_refusals(tmp_path, listing, overrides, kind, message):
+    tool = _tool(**{"baseCommand": ["true"],
+                    "inputs": [{"id": "f", "type": "File", "position": 1},
+                               {"id": "n", "type": "int"}], **overrides})
+    node = TaskNode(id="t", tool=tool, bindings={}, requirements=(
+        Clause(CLAUSE_INITIAL_WORKDIR, {"listing": listing}),))
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    attempt = rt.run_task(node, {"f": _fv(tmp_path), "n": 3}, 1, {})
+    assert (attempt.failure_kind, attempt.outputs) == (kind, None)
+    assert message in attempt.error
 
 
 def _count_hashes(monkeypatch):
@@ -1087,10 +1129,15 @@ def test_runtimes_sharing_a_work_root_keep_their_own_stores(tmp_path):
     assert second.run_task(node, {"f": fv}, 1, {}).outputs is not None
     first.run_task(node, {"f": fv}, 1, {})
     first.close()
+
+    def entries():  # beside the worker's spares
+        return [n for n in os.listdir(second.store.root)
+                if not n.startswith(".spare-")]
+
     # the second run's entry is neither replaced nor removed by the first
-    (entry,) = os.listdir(second.store.root)
+    (entry,) = entries()
     assert second.run_task(node, {"f": fv}, 1, {}).outputs is not None
-    assert os.listdir(second.store.root) == [entry]
+    assert entries() == [entry]
 
 
 # --- run-made inputs, staged in place ----------------------------------------
@@ -1112,7 +1159,7 @@ def test_collected_output_carries_a_stamped_mtime_and_is_recorded(tmp_path):
     # set while collecting, far enough back that any later write moves it
     lag = runtime._STAMP_LAG_NS
     assert before - lag <= st.st_mtime_ns <= after - lag
-    assert rt.made == {fv.path: (fv.checksum, (
+    assert rt.store.made == {fv.path: (fv.checksum, (
         st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode))}
 
 
@@ -1125,7 +1172,7 @@ def test_output_the_engine_may_not_stamp_is_read_through_the_store(
 
     monkeypatch.setattr(os, "utime", refused)
     fv = _made(rt)
-    assert rt.made == {}
+    assert rt.store.made == {}
     monkeypatch.undo()
     reader = rt.run_task(_sh('cat "$0"', F_INPUT), {"f": fv}, 1, {})
     assert reader.outcome == runtime.SUCCESS, reader.error
@@ -1142,7 +1189,7 @@ def test_tool_reading_or_linking_a_run_made_input_reads_it_in_place(
         tmp_path, script, overrides):
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     fv = _made(rt)
-    record = rt.made[fv.path]
+    record = rt.store.made[fv.path]
     result = rt.run_task(_sh(script, F_INPUT, **overrides), {"f": fv}, 1, {})
     assert result.outcome == runtime.SUCCESS, result.error
     assert result.argv[-1] == fv.path  # the producer's own file
@@ -1150,7 +1197,7 @@ def test_tool_reading_or_linking_a_run_made_input_reads_it_in_place(
     assert _read(out) == "payload\n"
     assert not os.path.exists(os.path.dirname(out) + ".inputs")
     # the producer's file is untouched; an output has an inode of its own
-    assert rt.made[fv.path] == record
+    assert rt.store.made[fv.path] == record
     assert runtime._entry_signature(fv.path) == record[1]
     assert os.stat(out).st_nlink == 1
 
@@ -1291,4 +1338,4 @@ def test_workers_record_and_read_run_made_files_without_losing_one(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert read == [True] * 16
     # every producer's and every reader's output is on record
-    assert len(rt.made) == 32 and set(seen) <= set(rt.made)
+    assert len(rt.store.made) == 32 and set(seen) <= set(rt.store.made)

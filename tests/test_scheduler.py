@@ -9,6 +9,7 @@ import time
 import pytest
 
 from miniwfl import parser, planner, scheduler
+from miniwfl.errors import ExprTypeError
 from miniwfl.model import CLAUSE_RESOURCE, Clause
 from miniwfl.planner import DataflowGraph, TaskNode
 from miniwfl.runtime import TEMPORARY_FAILURE, TaskAttempt
@@ -168,6 +169,27 @@ def test_resolve_resources_defaults_and_expressions():
     res = resolve_resources(node, {}, Machine(cores=8, ram_mib=512))
     assert res == {"coresMin": 2, "ramMin": 512, "diskMin": 0,
                    "wallTimeMax": 5.0}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"wallTimeMax": "$(inputs.x)"}, "wallTimeMax must be numeric, got 'a'"),
+    ({"coresMin": "$(inputs.go)"},
+     "resource coresMin must be a nonnegative integer, got True"),
+])
+def test_resolve_resources_refusals(payload, message):
+    node = _node("t", requirements=[Clause(CLAUSE_RESOURCE, payload)])
+    with pytest.raises(ExprTypeError, match=message):
+        resolve_resources(node, {"x": "a", "go": True}, Machine())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"parallelism": 0}, "parallelism must be >= 1"),
+    ({"retries": -1}, "retries must be >= 0"),
+    ({"on_error": "ignore"}, "onError must be stop or continue"),
+])
+def test_run_config_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**kwargs)
 
 
 def test_fits_machine():
