@@ -3,11 +3,20 @@
 Keys are built from what an execution *is* — tool digest, input contents
 and basenames, every effective requirement and hint (step-level overrides
 included) and the resolved resources — never from directories,
-timestamps, or host names.  Layout on disk, two flat directories:
-``ac/<key>.json`` is one entry, and ``cas/<sha256>`` one payload file,
-named by its checksum and shared by every entry holding those bytes.
-Entries of the older ``<first-2-hex>/<key>/`` layout are never read: they
-miss, and can be deleted by hand.
+timestamps, or host names.  Layout on disk: ``ac.sqlite`` is the index,
+one SQLite table ``ac`` with one row per entry, the key and the JSON
+description of its outputs; ``cas/<sha256>`` is one payload file, named
+by its checksum and shared by every entry holding those bytes.  Entries
+of the older ``ac/<key>.json`` and ``<first-2-hex>/<key>/`` layouts are
+never read: they miss, and can be deleted by hand.
+
+The index runs in WAL mode, so one process's readers never wait for
+another's writer, and a ``ResultCache`` holds one connection, opened on
+first use and shared by the coordinator and the workers under one lock.
+``close`` closes it; the last connection closed removes ``-wal`` and
+``-shm``.  The index never fails a run: an index that is not a database,
+or is malformed, is made again with a warning, and any other SQLite error
+makes a lookup a miss and a store a warning.
 
 Payload files are hard links to the outputs the run collected under its
 ``.work`` directory (copies where the cache sits on another filesystem).
@@ -26,6 +35,7 @@ import contextlib
 import json
 import logging
 import os
+import threading
 import time
 from dataclasses import replace
 from typing import Optional
@@ -35,6 +45,10 @@ from .planner import FileValue, TaskNode, file_checksum, map_files
 from .runtime import link_or_copy, write_atomically
 
 log = logging.getLogger(__name__)
+
+_BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
+_SCHEMA = ("CREATE TABLE IF NOT EXISTS ac"
+           " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
 
 
 def _value_fingerprint(value):
@@ -98,41 +112,99 @@ def _same_inode(blob: str, name: str) -> bool:
         return False
 
 
+def _damaged(exc) -> bool:
+    """Whether SQLite found the index file not a database, or malformed."""
+    code = getattr(exc, "sqlite_errorcode", None)  # Python 3.11 and later
+    if code is None:
+        return "malformed" in str(exc) or "not a database" in str(exc)
+    return code & 0xFF in (11, 26)  # SQLITE_CORRUPT, SQLITE_NOTADB
+
+
 class ResultCache:
     """Filesystem-backed store of successful task outputs."""
 
     def __init__(self, cache_dir: str):
         self.cache_dir = os.path.abspath(cache_dir)
-        self.ac_dir = os.path.join(self.cache_dir, "ac")
+        self.index_path = os.path.join(self.cache_dir, "ac.sqlite")
         self.cas_dir = os.path.join(self.cache_dir, "cas")
-        self._made = False  # ac/ and cas/, on the first store
+        self._db = None  # the index's connection, on first use
+        self._lock = threading.Lock()  # around every use of _db
+        self._made = False  # cas/, on the first store
         self._published = set()  # directories republish has made
 
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self.ac_dir, f"{key}.json")
+    def _execute(self, sql: str, params: tuple) -> Optional[list]:
+        """Run one statement on the index and return its rows; None, with
+        a warning, where the index cannot be used."""
+        import sqlite3  # here: runs without reuse never load it
+        with self._lock:
+            try:
+                try:
+                    return self._run(sqlite3, sql, params)
+                except sqlite3.DatabaseError as exc:
+                    if not _damaged(exc):
+                        raise
+                    log.warning("cache index damaged, making it again: "
+                                "%s: %s", self.index_path, exc)
+                    self._discard()
+                    return self._run(sqlite3, sql, params)
+            except (OSError, sqlite3.Error) as exc:
+                log.warning("cache index unusable (continuing): %s: %s",
+                            self.index_path, exc)
+                return None
+
+    def _run(self, sqlite3, sql: str, params: tuple) -> list:
+        """One statement, on the index opened first where it is not."""
+        if self._db is None:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            db = sqlite3.connect(self.index_path, timeout=_BUSY_TIMEOUT_S,
+                                 isolation_level=None,  # autocommit
+                                 check_same_thread=False)
+            try:
+                for statement in ("PRAGMA journal_mode=WAL",
+                                  "PRAGMA synchronous=NORMAL", _SCHEMA):
+                    db.execute(statement)
+            except BaseException:
+                db.close()
+                raise
+            self._db = db
+        return self._db.execute(sql, params).fetchall()
+
+    def _discard(self):
+        """Close the index and remove its files, to be made again."""
+        self._close()
+        for suffix in ("", "-wal", "-shm"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.index_path + suffix)
+
+    def _close(self):
+        db, self._db = self._db, None
+        if db is not None:
+            db.close()
+
+    def close(self):
+        """Close the index; a later use opens it again."""
+        with self._lock:
+            self._close()
 
     def lookup(self, key: Optional[str]):
         """Verified outputs for a key, or None; always None without a key.
 
-        Entries that cannot be read, are not of the shape ``store`` writes,
-        or whose stored files are missing, unreadable or corrupt are
-        evicted and reported as misses.
+        Entries that are not JSON of the shape ``store`` writes, or whose
+        stored files are missing, unreadable or corrupt, are evicted and
+        reported as misses.
         """
         if key is None:
             return None
-        entry_path = self._entry_path(key)
-        try:
-            with open(entry_path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            outputs = {out_id: _entry_to_value(stored, self.cas_dir)
-                       for out_id, stored in entry["outputs"].items()}
-        except FileNotFoundError:
+        rows = self._execute("SELECT entry FROM ac WHERE key = ?", (key,))
+        if not rows:
             return None
-        except (OSError, ValueError, AttributeError, KeyError,
-                TypeError) as exc:
-            log.warning("cache entry unreadable, evicting: %s: %r",
-                        entry_path, exc)
-            self._evict(entry_path)
+        try:
+            outputs = {out_id: _entry_to_value(stored, self.cas_dir)
+                       for out_id, stored
+                       in json.loads(rows[0][0])["outputs"].items()}
+        except (ValueError, AttributeError, KeyError, TypeError) as exc:
+            log.warning("cache entry unreadable, evicting: %s: %r", key, exc)
+            self.evict(key)
             return None
 
         files = []
@@ -143,15 +215,20 @@ class ResultCache:
             except OSError:  # missing, not a file, or unreadable
                 intact = False
             if not intact:
-                log.warning("cache entry corrupt, evicting: %s", entry_path)
-                self._evict(entry_path, fv.path)
+                log.warning("cache entry corrupt, evicting: %s", key)
+                self.evict(key)
+                with contextlib.suppress(OSError):
+                    # so that a later store links a good copy
+                    os.remove(fv.path)
                 return None
         return outputs
 
     def store(self, key: Optional[str], outputs: dict,
               source_run_id: str = ""):
-        """Atomically persist outputs under a key, if there is one; failures
-        degrade to a warning."""
+        """Persist outputs under a key, if there is one: the payload files
+        first, then the entry, so that an entry never names a missing
+        file.  The first entry stored for a key wins; failures degrade to
+        a warning."""
         if key is None:
             return
         try:
@@ -160,12 +237,8 @@ class ResultCache:
             log.warning("cache store failed (continuing): %s", exc)
 
     def _store(self, key: str, outputs: dict, source_run_id: str):
-        entry_path = self._entry_path(key)
-        if os.path.exists(entry_path):
-            return  # equal keys imply identical results; first writer wins
         if not self._made:
-            for directory in (self.ac_dir, self.cas_dir):
-                os.makedirs(directory, exist_ok=True)
+            os.makedirs(self.cas_dir, exist_ok=True)
             self._made = True
 
         def persist(fv):
@@ -179,11 +252,8 @@ class ResultCache:
             "createdAt": time.time(),
             "sourceRunId": source_run_id,
         }
-
-        def write(path):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True, indent=1)
-        write_atomically(entry_path, write)
+        self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
+                      (key, json.dumps(entry, sort_keys=True)))
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
         """Publish a hit's verified payload files as ``<dest_dir>/<sha256>``,
@@ -209,11 +279,4 @@ class ResultCache:
 
     def evict(self, key: str):
         """Remove the entry of ``key``, as for a miss found at lookup."""
-        self._evict(self._entry_path(key))
-
-    def _evict(self, *paths: str):
-        """Remove an entry, and a blob whose bytes no longer match its
-        name, so that a later store links a good copy."""
-        for path in paths:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        self._execute("DELETE FROM ac WHERE key = ?", (key,))

@@ -149,6 +149,8 @@ def cmd_run(args) -> int:
             runtime.release(path)
     finally:
         runtime.close()
+        if cache is not None:
+            cache.close()
         for signum, handler in previous.items():
             signal.signal(signum, handler)
 

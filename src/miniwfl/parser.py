@@ -36,6 +36,9 @@ from .model import (
     WorkflowDescription,
 )
 
+# libyaml's safe loader where PyYAML was built with it, else the pure one
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _METADATA_KEYS = ("author", "doc", "label")
 
 _TOOL_KEYS = {
@@ -93,7 +96,7 @@ def _version_index(version: str) -> int:
 def parse_document(text: str, base_uri: str = "") -> Document:
     """Parse YAML/JSON document text into an immutable, normalized Document."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise DocumentSyntaxError(f"malformed document: {exc}") from exc
     if not isinstance(raw, dict):

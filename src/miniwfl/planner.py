@@ -32,6 +32,7 @@ from .model import (
     ToolDescription,
     WorkflowDescription,
 )
+from .parser import YAML_LOADER
 
 # Task states.  The scheduler's records hold them, and a plain node's record
 # moves only along _TRANSITIONS.
@@ -206,7 +207,7 @@ def load_job_order_file(path: str, wf) -> dict:
     read or parsed raises JobOrderError."""
     try:
         with open(path, "rb") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=YAML_LOADER) or {}
     except OSError as exc:
         raise JobOrderError(
             f"cannot read job order {path}: {exc.strerror}") from exc

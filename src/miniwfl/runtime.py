@@ -151,6 +151,13 @@ class WorkerScratch:
         """Move a stream's spare log, which holds output, to ``target``."""
         os.replace(self._spares.pop(which), target)
 
+    def remove_spares(self):
+        """Remove the spare logs, for a scratch that no attempt reuses."""
+        for path in self._spares.values():
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        self._spares.clear()
+
 
 @dataclass
 class TaskAttempt:
@@ -642,7 +649,9 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
         launch_env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
 
     streams = streams or {}
-    scratch = scratch or WorkerScratch(os.path.dirname(staged.outdir))
+    private = scratch is None
+    if private:
+        scratch = WorkerScratch(os.path.dirname(staged.outdir))
     targets = {which: os.path.join(staged.outdir, streams[which])
                if which in streams else scratch.spare_log(which)
                for which in STREAMS}
@@ -688,6 +697,8 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             if path is not None:
                 scratch.keep_log(which, path)
         setattr(attempt, f"{which}_path", path)
+    if private:
+        scratch.remove_spares()
     if kind is None and attempt.exit_code not in success_codes:
         kind = "ExitCode"
         error = f"exit code {attempt.exit_code} not in success codes"

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import sqlite3
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,24 @@ import pytest
 from miniwfl import cli, parser
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def cache_entries(cache_dir, changes=None) -> dict:
+    """Every row of the cache index under ``cache_dir`` as {key: entry
+    text}, read after setting the entry text of each key in ``changes``
+    (None deletes that key's row)."""
+    db = sqlite3.connect(os.path.join(cache_dir, "ac.sqlite"),
+                         isolation_level=None)
+    try:
+        for key, text in (changes or {}).items():
+            if text is None:
+                db.execute("DELETE FROM ac WHERE key = ?", (key,))
+            else:
+                db.execute("UPDATE ac SET entry = ? WHERE key = ?",
+                           (text, key))
+        return dict(db.execute("SELECT key, entry FROM ac"))
+    finally:
+        db.close()
 
 
 def corpus_cases():

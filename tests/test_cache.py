@@ -6,6 +6,7 @@ import shutil
 from dataclasses import replace
 
 import pytest
+from conftest import cache_entries
 
 from miniwfl import parser
 from miniwfl.cache import ResultCache, cache_key
@@ -38,10 +39,6 @@ def _fv(tmp_path, name="in.txt", content="stuff\n"):
     return FileValue.from_path(str(p))
 
 
-def _entry_path(cache_dir, key):
-    return os.path.join(cache_dir, "ac", f"{key}.json")
-
-
 def _count(monkeypatch, module, name):
     """Record the first argument of every call of ``module.name``."""
     calls = []
@@ -56,8 +53,7 @@ def _count(monkeypatch, module, name):
 
 
 def _entry_payload(cache_dir, key):
-    with open(_entry_path(cache_dir, key)) as fh:
-        (stored,) = json.load(fh)["outputs"].values()
+    (stored,) = json.loads(cache_entries(cache_dir)[key])["outputs"].values()
     return os.path.join(cache_dir, "cas", stored["checksum"])
 
 
@@ -139,10 +135,12 @@ def test_layout_is_sharded_and_inspectable(tmp_path):
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_path = _entry_path(cache.cache_dir, key)
-    assert os.path.isfile(entry_path)
-    with open(entry_path) as fh:
-        entry = json.load(fh)
+    cache.close()
+    # one row in a table that any SQLite client reads, and one blob
+    assert sorted(os.listdir(cache.cache_dir)) == ["ac.sqlite", "cas"]
+    entries = cache_entries(cache.cache_dir)
+    assert list(entries) == [key]
+    entry = json.loads(entries[key])
     assert entry["outputs"]["out"]["checksum"] == fv.checksum
     assert os.listdir(os.path.join(cache.cache_dir, "cas")) == [fv.checksum]
 
@@ -156,7 +154,7 @@ def test_corrupt_payload_is_evicted_as_miss(tmp_path):
     with open(stored, "w") as fh:
         fh.write("bitrot")
     assert cache.lookup(key) is None
-    assert not os.path.exists(_entry_path(cache.cache_dir, key))  # evicted
+    assert key not in cache_entries(cache.cache_dir)  # evicted
     assert not os.path.exists(stored)  # so a later store links a good copy
 
 
@@ -180,7 +178,7 @@ def test_unreadable_payload_is_evicted_as_miss(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(cache_module, "file_checksum", unreadable)
     assert cache.lookup(key) is None
     assert "cache entry corrupt, evicting" in caplog.text
-    assert not os.path.exists(_entry_path(cache.cache_dir, key))  # evicted
+    assert key not in cache_entries(cache.cache_dir)  # evicted
     assert not os.path.exists(stored)
 
 
@@ -189,11 +187,9 @@ def test_unreadable_entry_json_is_evicted(tmp_path):
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_path = _entry_path(cache.cache_dir, key)
-    with open(entry_path, "w") as fh:
-        fh.write("{not json")
+    cache_entries(cache.cache_dir, {key: "{not json"})
     assert cache.lookup(key) is None
-    assert not os.path.exists(entry_path)
+    assert key not in cache_entries(cache.cache_dir)
 
 
 def test_first_writer_wins(tmp_path):
@@ -305,11 +301,9 @@ def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
     key = cache_key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv})
-    entry_path = _entry_path(cache.cache_dir, key)
-    with open(entry_path, "w") as fh:
-        json.dump(entry, fh)
+    cache_entries(cache.cache_dir, {key: json.dumps(entry)})
     assert cache.lookup(key) is None
-    assert not os.path.exists(entry_path)
+    assert key not in cache_entries(cache.cache_dir)
     assert "evicting" in caplog.text
 
 
@@ -321,6 +315,16 @@ def test_store_failure_degrades_to_warning(tmp_path, caplog):
     cache = ResultCache(str(blocked))
     cache.store(key, {"out": fv})  # must not raise
     assert cache.lookup(key) is None
+
+
+def test_index_that_cannot_be_opened_degrades_to_warning(tmp_path, caplog):
+    fv = _fv(tmp_path)
+    key = cache_key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    os.makedirs(cache.index_path)  # a directory where the index goes
+    cache.store(key, {"out": fv})  # must not raise
+    assert cache.lookup(key) is None
+    assert "cache index unusable" in caplog.text
 
 
 def test_key_changes_with_step_clauses_and_resources(tmp_path):
@@ -451,7 +455,7 @@ def test_editing_the_run_output_evicts_the_linked_entry(tmp_path):
     with open(result.outputs["out"].path, "w") as fh:  # in place, same inode
         fh.write("edited under .work\n")
     assert cache.lookup(key) is None
-    assert not os.path.exists(_entry_path(cache.cache_dir, key))
+    assert key not in cache_entries(cache.cache_dir)
 
 
 def test_scatter_keys_each_shard_once_and_stores_on_workers(tmp_path,
@@ -508,26 +512,29 @@ def test_concurrent_worker_stores_of_one_key_leave_one_entry(tmp_path):
            "steps": [{"id": "fan", "run": tool, "in": {"s": "xs"},
                       "scatter": ["s"]}]}
     cache_dir = tmp_path / "cache"
+    cache = ResultCache(str(cache_dir))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = _run_workflow(raw, {"xs": ["same"] * 16}, tmp_path,
-                               ResultCache(str(cache_dir)), parallelism=8)
+        result = _run_workflow(raw, {"xs": ["same"] * 16}, tmp_path, cache,
+                               parallelism=8)
     finally:
         sys.setswitchinterval(interval)
     assert result.status == "Success"
     assert {open(fv.path).read() for fv in result.outputs["outs"]} \
         == {"same\n"}
-    assert sorted(os.listdir(cache_dir)) == ["ac", "cas"]
-    (entry,) = os.listdir(cache_dir / "ac")  # one entry, no temporary file
-    assert entry.endswith(".json")
+    cache.close()
+    assert sorted(os.listdir(cache_dir)) == ["ac.sqlite", "cas"]
+    (entry,) = cache_entries(str(cache_dir)).values()  # one entry
+    assert json.loads(entry)["key"] == result.tasks["fan[0]"].key
     (blob,) = os.listdir(cache_dir / "cas")
     assert blob == file_checksum(str(cache_dir / "cas" / blob))
 
 
 def _listing(cache_dir):
-    return {sub: set(os.listdir(os.path.join(cache_dir, sub)))
-            for sub in ("ac", "cas")}
+    """The keys in the index and the blobs in ``cas/``."""
+    return {"ac": set(cache_entries(cache_dir)),
+            "cas": set(os.listdir(os.path.join(cache_dir, "cas")))}
 
 
 def test_store_adds_one_entry_file_and_only_absent_blobs(tmp_path):
@@ -539,7 +546,7 @@ def test_store_adds_one_entry_file_and_only_absent_blobs(tmp_path):
     key = cache_key(_node(), {"f": fresh})
     cache.store(key, {"a": shared, "b": [fresh, fresh]})
     after = _listing(cache.cache_dir)
-    assert after["ac"] - before["ac"] == {f"{key}.json"}
+    assert after["ac"] - before["ac"] == {key}
     assert after["cas"] - before["cas"] == {fresh.checksum}
     assert before["ac"] <= after["ac"] and before["cas"] <= after["cas"]
 
@@ -595,23 +602,42 @@ def test_evicted_blob_is_relinked_by_a_later_store(tmp_path):
     assert os.path.samefile(_entry_payload(cache.cache_dir, key), again.path)
 
 
-def test_first_store_makes_the_only_two_cache_directories(tmp_path,
-                                                          monkeypatch):
+def _inodes_by_name(root):
+    """{path relative to ``root``: inode} of everything under ``root``."""
+    found = {}
+    for directory, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(directory, name)
+            found[os.path.relpath(path, root)] = os.lstat(path).st_ino
+    return found
+
+
+def test_first_store_makes_cas_and_the_index_and_later_stores_no_inode(
+        tmp_path, monkeypatch):
     made = []
     real_mkdir = os.mkdir
 
     def counting_mkdir(path, *args, **kwargs):
-        made.append(os.path.relpath(path, str(tmp_path)))
+        if not os.path.exists(path):  # a directory made, not one probed
+            made.append(os.path.relpath(path, str(tmp_path)))
         return real_mkdir(path, *args, **kwargs)
 
     cache = ResultCache(str(tmp_path / "cache"))
     (tmp_path / "cache").mkdir()
     monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    index = {"ac.sqlite", "ac.sqlite-wal", "ac.sqlite-shm"}
     for n in range(3):
         fv = _fv(tmp_path, f"in{n}.txt", f"content {n}\n")
+        # the blob will be a link to the output: a new name, not an inode
+        before = {os.stat(fv.path).st_ino}
+        before.update(_inodes_by_name(cache.cache_dir).values())
         cache.store(cache_key(_node(), {"f": fv}), {"out": fv, "xs": [fv]})
-        assert sorted(made) == [os.path.join("cache", "ac"),
-                                os.path.join("cache", "cas")]
+        added = {name for name, ino in _inodes_by_name(cache.cache_dir).items()
+                 if ino not in before}
+        assert added == ({"cas"} | index if n == 0 else set())
+        assert made == [os.path.join("cache", "cas")]
+    cache.close()  # the last connection takes -wal and -shm with it
+    assert sorted(os.listdir(cache.cache_dir)) == ["ac.sqlite", "cas"]
 
 
 def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
@@ -654,3 +680,48 @@ def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
     assert copies == []
     assert mkdirs == [runtime.cached_dir]
     assert len(links) == len({fv.checksum for fv in result.outputs["o"]}) == 2
+
+
+def test_index_error_on_the_coordinator_is_a_miss_and_a_warning(
+        tmp_path, monkeypatch, caplog):
+    import sqlite3
+    import threading
+    tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "i", "type": "int", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+    raw = {"cwlVersion": "v1.2", "class": "Workflow",
+           "inputs": [{"id": "idx", "type": "int[]"}],
+           "outputs": [{"id": "outs", "type": "File[]",
+                        "outputSource": "fan/out"}],
+           "steps": [{"id": "fan", "run": tool, "in": {"i": "idx"},
+                      "scatter": ["i"]}]}
+    cache = ResultCache(str(tmp_path / "cache"))
+    assert _run_workflow(raw, {"idx": [1, 2, 3]}, tmp_path,
+                         cache).status == "Success"
+    cache.close()
+    connect, refused_on = sqlite3.connect, []
+
+    class Locked:
+        """A connection whose every SELECT finds the index locked."""
+
+        def __init__(self, *args, **kwargs):
+            self.db = connect(*args, **kwargs)
+
+        def execute(self, sql, params=()):
+            if sql.startswith("SELECT"):
+                refused_on.append(threading.get_ident())
+                raise sqlite3.OperationalError("database is locked")
+            return self.db.execute(sql, params)
+
+        def close(self):
+            self.db.close()
+
+    monkeypatch.setattr(sqlite3, "connect", Locked)
+    result = _run_workflow(raw, {"idx": [1, 2, 3]}, tmp_path, cache)
+    assert result.status == "Success"
+    assert [result.tasks[f"fan[{i}]"].state for i in range(3)] \
+        == ["Succeeded"] * 3
+    assert refused_on == [threading.get_ident()] * 3  # the coordinator's
+    assert caplog.text.count("database is locked") == 3

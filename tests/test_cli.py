@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import miniwfl
-from conftest import prepare_case, run_case, run_cli
+from conftest import cache_entries, prepare_case, run_case, run_cli
 
 TOOL = """\
 cwlVersion: v1.2
@@ -334,14 +334,14 @@ def test_passthrough_input_is_copied_not_linked(tmp_path, monkeypatch):
     assert data.stat().st_nlink == 1
 
 
-def test_reused_outdir_publishes_the_blob_over_a_replaced_name(project):
+def test_leftover_of_an_older_work_layout_never_reaches_a_hit(project):
     _run_once(project)
     out, state = _run_once(project)
     assert state == "Cached"
+    # where hits were published before each run had a directory of its own
     published = project / "out" / ".work" / "cached" / out["checksum"]
     blob = project / "cache" / "cas" / out["checksum"]
     assert not published.parent.exists()  # released after stage-out
-    # as a run ended by a signal, or a hand, may leave it
     published.parent.mkdir(parents=True)
     published.write_text("other bytes\n")
     out, state = _run_once(project)
@@ -364,12 +364,13 @@ def test_editing_a_staged_output_makes_the_task_run_again(project):
 
 def test_entry_of_the_wrong_shape_runs_the_task_again(project):
     _run_once(project)
-    (entry,) = (project / "cache" / "ac").iterdir()
-    entry.write_text("{}")
+    cache_dir = str(project / "cache")
+    (key,) = cache_entries(cache_dir)
+    cache_entries(cache_dir, {key: "{}"})
     out, state = _run_once(project)
     assert state == "Succeeded"
-    assert json.loads(entry.read_text())["outputs"]["out"]["checksum"] \
-        == out["checksum"]
+    assert json.loads(cache_entries(cache_dir)[key])["outputs"]["out"][
+        "checksum"] == out["checksum"]
     assert _run_once(project)[1] == "Cached"
 
 
@@ -1019,3 +1020,94 @@ def test_sigterm_leaves_no_input_store(tmp_path, kill_leftover_sleeps):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(20) == 143, proc.stderr.read()
         assert not store.exists()
+
+
+# --- the cache index under stress ---------------------------------------------
+
+SCATTER_WF = (WF.replace("msg: string", "msg: string[]")
+              .replace("{msg: msg}", "{msg: msg}\n    scatter: msg")
+              .replace("{type: File,", '{type: "File[]",'))
+
+
+def _scatter_project(project, shards):
+    (project / "wf.cwl").write_text(SCATTER_WF)
+    (project / "job.yml").write_text(
+        f"msg: {[f'shard {i}' for i in range(shards)]}\n")
+    return shards
+
+
+def _shard_states(project, outdir):
+    """The state of each ``say`` shard in the run's provenance record,
+    which is then removed for the next run."""
+    (record,) = (project / outdir / "provenance").iterdir()
+    tasks = json.loads(record.read_text())["tasks"]
+    record.unlink()
+    return {task["state"] for tid, task in tasks.items()
+            if tid.startswith("say[")}
+
+
+def _scatter_args(project, outdir):
+    return ["run", str(project / "wf.cwl"), str(project / "job.yml"),
+            "--outdir", str(project / outdir),
+            "--cache-dir", str(project / "cache"), "--no-container", "--quiet"]
+
+
+def _scatter_run(project, outdir="out"):
+    code, _ = run_cli(_scatter_args(project, outdir))
+    assert code == 0
+    return _shard_states(project, outdir)
+
+
+def test_two_runs_at_once_on_one_cache_store_each_shard_once(project):
+    shards = _scatter_project(project, 40)
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", MAIN, *_scatter_args(project, f"out{n}"),
+         "--parallel", "2"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for n in (1, 2)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "cache index" not in err
+    assert len(cache_entries(str(project / "cache"))) == shards
+    assert _scatter_run(project, "out3") == {"Cached"}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: b"garbage " * 512,
+    lambda data: data[:4096] + b"\xff" * (len(data) - 4096),
+], ids=["not-a-database", "malformed"])
+def test_damaged_index_is_made_again(project, caplog, damage):
+    _scatter_project(project, 8)
+    assert _scatter_run(project) == {"Succeeded"}
+    index = project / "cache" / "ac.sqlite"
+    index.write_bytes(damage(index.read_bytes()))
+    assert _scatter_run(project) == {"Succeeded"}
+    assert "cache index damaged, making it again" in caplog.text
+    assert _scatter_run(project) == {"Cached"}
+
+
+def test_run_leaves_only_the_index_and_cas_in_the_cache(project):
+    _scatter_project(project, 3)
+    for state in ("Succeeded", "Cached"):
+        assert _scatter_run(project) == {state}
+        assert sorted(os.listdir(project / "cache")) == ["ac.sqlite", "cas"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "wf.cwl", "job.yml", "--no-reuse", "--no-container", "--quiet"],
+    ["validate", "wf.cwl"],
+    ["graph", "wf.cwl"],
+], ids=["run-without-reuse", "validate", "graph"])
+def test_commands_that_reuse_nothing_never_load_sqlite3(project, argv):
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from miniwfl import cli; code = cli.main(sys.argv[1:]); "
+         "assert 'sqlite3' not in sys.modules, 'sqlite3 loaded'; "
+         "sys.exit(code)", *argv],
+        cwd=project, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -238,8 +238,8 @@ def _inodes(*roots):
     return found
 
 
-def test_echo_attempt_and_its_store_allocate_three_inodes(tmp_path,
-                                                          monkeypatch):
+def test_echo_attempt_and_its_store_allocate_two_inodes(tmp_path,
+                                                        monkeypatch):
     work, cache_dir = str(tmp_path / "work"), str(tmp_path / "cache")
     rt = LocalRuntime(work, use_containers=False)
     cache = ResultCache(cache_dir)
@@ -251,14 +251,14 @@ def test_echo_attempt_and_its_store_allocate_three_inodes(tmp_path,
         cache.store(f"key{n}", result.outputs)
         return result
 
-    first = attempt(0)  # also makes the worker's TMPDIR, ac/ and cas/
+    first = attempt(0)  # also makes the worker's TMPDIR, the index and cas/
     before = _inodes(work, cache_dir)
     made = _count_mkdirs(monkeypatch)
     second = attempt(1)
     out = second.outputs["out"].path
     outdir = os.path.dirname(out)
-    kept = {os.lstat(p).st_ino for p in (
-        outdir, out, os.path.join(cache_dir, "ac", "key1.json"))}
+    # the entry is a row of the index: no inode of its own
+    kept = {os.lstat(p).st_ino for p in (outdir, out)}
     assert _inodes(work, cache_dir) - before == kept
     # the attempt directory is the outdir; the blob is a link to out.txt
     assert out == second.stdout_path == os.path.join(outdir, "out.txt")
@@ -653,6 +653,20 @@ def test_execute_success_and_exit_capture(tmp_path):
     assert open(attempt.stdout_path).read() == "out\n"
     assert open(attempt.stderr_path).read() == "err\n"
     assert attempt.end_time >= attempt.start_time
+
+
+@pytest.mark.parametrize("script", ["true", "echo out; echo err >&2"],
+                         ids=["silent", "both-streams"])
+def test_execute_without_a_scratch_leaves_no_spare_log(tmp_path, script):
+    staged = _staged(tmp_path)
+    attempt = execute("t", 1, ["sh", "-c", script], {}, staged)
+    assert attempt.outcome == runtime.SUCCESS
+    # a stream with output is kept as the attempt's log, beside its directory
+    logs = {os.path.basename(p) for p in (attempt.stdout_path,
+                                          attempt.stderr_path) if p}
+    assert sorted(os.listdir(tmp_path / "work")) == sorted(
+        {os.path.basename(staged.outdir), os.path.basename(staged.tmpdir)}
+        | logs)
 
 
 def test_execute_nonzero_exit_is_permanent(tmp_path):

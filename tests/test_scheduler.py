@@ -7,6 +7,7 @@ import threading
 import time
 
 import pytest
+from conftest import cache_entries
 
 from miniwfl import parser, planner, scheduler
 from miniwfl.errors import ExprTypeError
@@ -499,11 +500,10 @@ def test_cache_hits_and_skips_release_what_they_read(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
     rt = StubRuntime()
     run(g, RunConfig(parallelism=1), Services(rt, cache))  # fills the cache
-    (hit_key,) = [key.name for key in (tmp_path / "cache" / "ac").iterdir()
-                  if "hit" in key.read_text()]
-    for entry in (tmp_path / "cache" / "ac").iterdir():
-        if entry.name != hit_key:
-            entry.unlink()
+    entries = cache_entries(cache.cache_dir)
+    (hit_key,) = [key for key, entry in entries.items() if "hit" in entry]
+    cache_entries(cache.cache_dir,
+                  {key: None for key in entries if key != hit_key})
     rt = RetainingRuntime()
     result = run(g, RunConfig(parallelism=1), Services(rt, cache))
     assert result.tasks["hit"].state == planner.CACHED
