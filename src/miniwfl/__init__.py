@@ -9,7 +9,7 @@ from .parser import (
 )
 from .planner import FileValue, plan
 from .scheduler import Machine, RunConfig, RunResult, Services, run
-from .validator import Diagnostic, SupportMatrix, validate
+from .validator import Diagnostic, validate
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "Services",
     "run",
     "Diagnostic",
-    "SupportMatrix",
     "validate",
     "__version__",
 ]

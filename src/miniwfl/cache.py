@@ -42,7 +42,7 @@ from typing import Optional
 
 from . import model, parser
 from .planner import FileValue, TaskNode, file_checksum, map_files
-from .runtime import link_or_copy, write_atomically
+from .runtime import place_file, write_atomically
 
 log = logging.getLogger(__name__)
 
@@ -243,7 +243,8 @@ class ResultCache:
 
         def persist(fv):
             # an existing blob holds these bytes already, and is kept
-            link_or_copy(fv.path, os.path.join(self.cas_dir, fv.checksum))
+            place_file(fv.path, os.path.join(self.cas_dir, fv.checksum),
+                       link=True)
             return fv.to_json(include_path=False)
 
         entry = {
@@ -271,8 +272,8 @@ class ResultCache:
             if not _same_inode(fv.path, target):
                 # a blob published earlier in this run may have been
                 # edited, evicted and stored again as another inode
-                write_atomically(target,
-                                 lambda partial: link_or_copy(fv.path, partial))
+                write_atomically(target, lambda partial: place_file(
+                    fv.path, partial, link=True))
             return replace(fv, path=target)
 
         return {k: map_files(v, place) for k, v in outputs.items()}

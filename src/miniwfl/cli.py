@@ -21,7 +21,6 @@ from . import parser, planner, provenance, scheduler, upgrader, validator
 from .cache import ResultCache
 from .errors import DowngradeError, MiniwflError, UnknownVersionError
 from .runtime import LocalRuntime, stage_out
-from .validator import SupportMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -108,7 +107,8 @@ def _stage_workflow_outputs(outputs: dict, outdir: str,
 def cmd_run(args) -> int:
     doc = parser.load(args.workflow)
 
-    diags = validator.validate(doc, SupportMatrix())
+    machine = scheduler.Machine()
+    diags = validator.validate(doc, machine)
     if not args.quiet or validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
     if validator.has_errors(diags):
@@ -128,6 +128,7 @@ def cmd_run(args) -> int:
     cfg = scheduler.RunConfig(
         parallelism=args.parallel,
         retries=args.retries,
+        machine=machine,
         on_error=args.on_error,
     )
     run_id = uuid.uuid4().hex
@@ -171,14 +172,14 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = parser.load(args.workflow)
-    diags = validator.validate(doc, SupportMatrix())
+    diags = validator.validate(doc)
     _print_diags(diags, sys.stdout)
     return EXIT_INVALID if validator.has_errors(diags) else EXIT_OK
 
 
 def cmd_graph(args) -> int:
     doc = parser.load(args.workflow)
-    diags = validator.validate(doc, SupportMatrix())
+    diags = validator.validate(doc)
     if validator.has_errors(diags):
         _print_diags(diags, sys.stderr)
         return EXIT_INVALID

@@ -281,7 +281,9 @@ def eval_guard(source: str, ctx: EvalContext) -> bool:
     return result
 
 
-def _stringify(value) -> str:
+def stringify(value) -> str:
+    """The text of a value in argv, an environment variable or mixed text:
+    null is empty, a boolean ``true``/``false``, a File its path."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -339,6 +341,6 @@ def interpolate(template: str, ctx: EvalContext) -> Any:
         parts.append(template[pos:idx])
         end = _find_expr_end(template, idx)
         value = eval_expr(parse_expr(template[idx:end]), ctx)
-        parts.append(_stringify(value))
+        parts.append(stringify(value))
         pos = end
     return "".join(parts)

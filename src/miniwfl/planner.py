@@ -29,6 +29,7 @@ from .model import (
     Clause,
     DataType,
     Document,
+    Machine,
     ToolDescription,
     WorkflowDescription,
 )
@@ -255,14 +256,14 @@ def plan(doc: Document, job: dict) -> DataflowGraph:
     """Inline sub-workflows, bind inputs, and produce the static graph.
 
     Raises the walk's first structural finding: a cycle as GraphCycleError,
-    any other as PlanError."""
-    from .validator import STRUCTURAL, SupportMatrix, walk  # imports us
+    any other as PlanError.  No capacity moves those, so any Machine does."""
+    from .validator import STRUCTURAL, walk  # imports us
     if not doc.is_workflow:
         raise PlanError("plan requires a workflow document")
     input_bindings = {p.id: ("lit", job[p.id]) if p.id in job else
                       ("job", p.id) for p in doc.body.inputs}
     graph, diags = DataflowGraph(), []
-    graph.workflow_outputs = walk(doc.body, SupportMatrix(), input_bindings,
+    graph.workflow_outputs = walk(doc.body, Machine(), input_bindings,
                                   graph, diags)
     for d in diags:
         if d.code in STRUCTURAL:
@@ -273,7 +274,6 @@ def plan(doc: Document, job: dict) -> DataflowGraph:
                         for b in node.bindings.values())]:
         if kind == "job":
             raise PlanError(f"unresolvable source {ref!r}: not in the job")
-    _assign_layers(graph)
     return graph
 
 
@@ -315,19 +315,6 @@ def step_dependency_edges(wf: WorkflowDescription):
             if producer in step_ids:
                 edges.add((producer, step.id))
     return edges
-
-
-def _assign_layers(graph: DataflowGraph):
-    """Layer of each node: 1 + the largest layer among its producers."""
-    edges = {(ptid, ctid) for (ptid, _), (ctid, _) in graph.edges
-             if ptid in graph.nodes and ctid in graph.nodes}
-    producers = {tid: [] for tid in graph.nodes}
-    for ptid, ctid in edges:
-        producers[ctid].append(ptid)
-    order, _ = toposort(graph.nodes, edges)
-    for tid in order:
-        graph.nodes[tid] = replace(graph.nodes[tid], layer=1 + max(
-            (graph.nodes[p].layer for p in producers[tid]), default=-1))
 
 
 def resolved_bindings(bindings: dict, published: dict) -> dict:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 
 from .planner import value_to_json
 
@@ -44,9 +43,8 @@ def _attempt_record(attempt):
 
 
 def build_record(result, workflow_digest: str, job: dict,
-                 run_id: str = None) -> dict:
+                 run_id: str) -> dict:
     """Assemble the provenance record for a finished run (any status)."""
-    run_id = run_id or uuid.uuid4().hex
     tasks = {}
     for task_id, task in sorted(result.tasks.items()):
         tasks[task_id] = {

@@ -51,7 +51,7 @@ from .errors import (
     OutputMissingError,
     StagingError,
 )
-from .expression import EvalContext, interpolate
+from .expression import EvalContext, interpolate, stringify
 from .model import ToolDescription
 from .planner import FileValue, TaskNode, file_checksum, map_files
 
@@ -151,13 +151,6 @@ class WorkerScratch:
         """Move a stream's spare log, which holds output, to ``target``."""
         os.replace(self._spares.pop(which), target)
 
-    def remove_spares(self):
-        """Remove the spare logs, for a scratch that no attempt reuses."""
-        for path in self._spares.values():
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        self._spares.clear()
-
 
 @dataclass
 class TaskAttempt:
@@ -199,19 +192,33 @@ _FAILURE_KINDS = {
 }
 
 
-def link_or_copy(source: str, target: str):
-    """Make ``target`` a hard link to ``source``, or a copy where the
-    filesystem refuses the link (another device, no hard links).  An
-    existing ``target``, perhaps another run's file, is kept and never
-    written to."""
+def place_file(source: str, target: str, link: bool) -> bool:
+    """Make ``target`` hold ``source``'s bytes unless a name is there
+    already, perhaps another run's file or a symlink, which is kept and
+    never written to or through; returns whether it was made.  ``link``
+    makes a hard link where the filesystem allows one (not across devices,
+    not without hard links); else the name is claimed with ``O_EXCL``, so
+    that no other writer can take it, and the bytes are copied under a
+    temporary name and renamed over the claim.  Raises FileNotFoundError,
+    leaving nothing behind, when ``source`` is gone."""
+    if link:
+        try:
+            os.link(source, target)
+            return True
+        except FileExistsError:
+            return False
+        except OSError:
+            pass  # another filesystem, no hard links, or no source: copy
     try:
-        os.link(source, target)
+        os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
     except FileExistsError:
-        pass
-    except OSError:
-        if not os.path.exists(target):
-            write_atomically(target,
-                             lambda path: shutil.copyfile(source, path))
+        return False
+    try:
+        write_atomically(target, lambda tmp: shutil.copyfile(source, tmp))
+    except BaseException:
+        os.remove(target)
+        raise
+    return True
 
 
 def write_atomically(target: str, write):
@@ -313,7 +320,7 @@ def _set_aside(read: dict, store: InputStore) -> list:
 
 
 def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
-          tmpdir: Optional[str] = None) -> tuple:
+          tmpdir: str) -> tuple:
     """Stage a fresh working directory for one attempt.
 
     Returns (StagedDirectory, staged bindings) where the staged bindings
@@ -329,15 +336,11 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     ``read`` records each file read, for the check after the attempt (see
     _set_aside).
     ``tmpdir`` is the private directory that TMPDIR names and containers
-    mount at /tmp, usually a worker's reused one (see WorkerScratch);
-    without it ``<attempt>.tmp/`` is made.
+    mount at /tmp, a worker's reused one (see WorkerScratch).
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
     outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
     os.makedirs(outdir)
-    if tmpdir is None:
-        tmpdir = f"{outdir}.tmp"
-        os.mkdir(tmpdir)
 
     staged_inputs = {}
     staged = StagedDirectory(outdir=outdir, tmpdir=tmpdir,
@@ -371,7 +374,7 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
                 write_atomically(entry, lambda partial: _fill(fv, partial))
                 made = store.made[entry] = (fv.checksum,
                                             _entry_signature(entry))
-            link_or_copy(entry, target)
+            place_file(entry, target, link=True)
         staged.read[entry] = (fv.path, made[1])
         return target
 
@@ -427,32 +430,6 @@ def _materialize_initial_workdir(clause, staged, ctx):
                 fh.write(value if isinstance(value, str) else json.dumps(value))
 
 
-def _publish(source: str, target: str, link: bool) -> bool:
-    """Make ``target`` hold ``source``'s bytes unless something is there
-    already, never following a link at ``target``; returns whether it was
-    made.  ``link`` makes a hard link where the filesystem allows one.
-    Raises FileNotFoundError, leaving nothing at ``target``, when
-    ``source`` is gone."""
-    if link:
-        try:
-            os.link(source, target)
-            return True
-        except FileExistsError:
-            return False
-        except OSError:
-            pass  # another filesystem, no hard links, or no source: copy
-    try:
-        os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    except FileExistsError:
-        return False
-    try:
-        shutil.copyfile(source, target)
-    except BaseException:
-        os.remove(target)
-        raise
-    return True
-
-
 def _held(target: str) -> Optional[str]:
     """Checksum of the regular file at ``target``, or None for anything
     else there (a directory, a symlink, dangling or not), which no output
@@ -465,9 +442,8 @@ def _held(target: str) -> Optional[str]:
     return None
 
 
-def stage_out(outputs: dict, dest_dir: str,
-              work_root: Optional[str] = None,
-              left_out: Optional[list] = None) -> dict:
+def stage_out(outputs: dict, dest_dir: str, work_root: str,
+              left_out: list) -> dict:
     """Publish the files in ``outputs`` into ``dest_dir`` and rewrite their
     paths.  A file that is gone by now, such as a job-order input deleted
     during the run or a run-made file set aside as changed, becomes None,
@@ -485,8 +461,7 @@ def stage_out(outputs: dict, dest_dir: str,
     """
     dest_dir = os.path.abspath(dest_dir)
     os.makedirs(dest_dir, exist_ok=True)
-    owned = (None if work_root is None
-             else os.path.join(os.path.abspath(work_root), ""))
+    owned = os.path.join(os.path.abspath(work_root), "")
     sums = {}    # target -> checksum of every target written or hashed
     probed = {}  # basename -> how many of its candidate names are known
     chosen = {}  # (basename, checksum) -> first candidate holding it
@@ -498,12 +473,11 @@ def stage_out(outputs: dict, dest_dir: str,
             n = probed.get(fv.basename, 0)
             target = f"{base}.{n}{ext}" if n else first
             if target not in sums:
-                link = owned is not None and fv.path.startswith(owned)
                 try:
-                    published = _publish(fv.path, target, link)
+                    published = place_file(fv.path, target,
+                                           link=fv.path.startswith(owned))
                 except FileNotFoundError:
-                    if left_out is not None:
-                        left_out.append(fv.path)
+                    left_out.append(fv.path)
                     return None
                 sums[target] = fv.checksum if published else _held(target)
             chosen.setdefault((fv.basename, sums[target]), target)
@@ -514,30 +488,20 @@ def stage_out(outputs: dict, dest_dir: str,
 
 
 def _render_value(value, ctx):
-    if isinstance(value, FileValue):
-        return [value.path]
+    """The argv words of one bound value: none for a string that
+    interpolates to null, else its text (see expression.stringify)."""
     if isinstance(value, str):
-        rendered = interpolate(value, ctx)
-        if isinstance(rendered, FileValue):
-            return [rendered.path]
-        if rendered is None:
+        value = interpolate(value, ctx)
+        if value is None:
             return []
-        return [_scalar_str(rendered)]
-    return [_scalar_str(value)]
-
-
-def _scalar_str(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+    return [stringify(value)]
 
 
 def build_command_line(tool: ToolDescription, bindings: dict,
                        ctx: EvalContext) -> list:
     """argv per the binding rules; bindings must carry staged FileValues."""
-    argv = [interpolate(tok, ctx) if "$(" in tok else tok
+    argv = [stringify(interpolate(tok, ctx)) if "$(" in tok else tok
             for tok in tool.base_command]
-    argv = [_scalar_str(a) for a in argv]
 
     bindable = [p for p in tool.inputs
                 if p.position is not None or p.prefix is not None]
@@ -616,20 +580,21 @@ def _kill_session(pid: int):
 
 
 def execute(task_id: str, attempt_number: int, argv: list, env: dict,
-            staged: StagedDirectory, success_codes=frozenset({0}),
+            staged: StagedDirectory, scratch: WorkerScratch,
+            adapter: DockerAdapter, success_codes=frozenset({0}),
             wall_time_max: Optional[float] = None,
             container_image: Optional[str] = None,
-            adapter: Optional[DockerAdapter] = None,
             stdin_path: Optional[str] = None,
-            streams: Optional[dict] = None,
-            scratch: Optional[WorkerScratch] = None) -> TaskAttempt:
+            streams: Optional[dict] = None) -> TaskAttempt:
     """Run one attempt; never raises for tool failure, only reports it.
 
-    ``streams`` (see stream_names) maps a stream to the file in the outdir
-    it is written to in place.  Any other stream goes to a spare log of
-    ``scratch`` (a private one when not given), kept as
-    ``<attempt>.<stream>.log`` only when the stream was not empty; the
-    attempt's ``stdout_path``/``stderr_path`` is None for an empty one.
+    ``scratch`` is the running worker's (see WorkerScratch), and
+    ``adapter`` builds the launch of a ``container_image``.  ``streams``
+    (see stream_names) maps a stream to the file in the outdir it is
+    written to in place.  Any other stream goes to a spare log of
+    ``scratch``, kept as ``<attempt>.<stream>.log`` only when the stream
+    was not empty; the attempt's ``stdout_path``/``stderr_path`` is None
+    for an empty one.
     The tool starts a session of its own, killed as a whole once the tool
     exits or times out, so that nothing it started outlives the attempt.
     """
@@ -639,7 +604,6 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
     launch_argv = argv
     launch_env = env
     if container_image is not None:
-        adapter = adapter or DockerAdapter()
         if not adapter.available():
             return attempt.settle(
                 "LaunchError",
@@ -649,9 +613,6 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
         launch_env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
 
     streams = streams or {}
-    private = scratch is None
-    if private:
-        scratch = WorkerScratch(os.path.dirname(staged.outdir))
     targets = {which: os.path.join(staged.outdir, streams[which])
                if which in streams else scratch.spare_log(which)
                for which in STREAMS}
@@ -697,8 +658,6 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             if path is not None:
                 scratch.keep_log(which, path)
         setattr(attempt, f"{which}_path", path)
-    if private:
-        scratch.remove_spares()
     if kind is None and attempt.exit_code not in success_codes:
         kind = "ExitCode"
         error = f"exit code {attempt.exit_code} not in success codes"
@@ -706,7 +665,7 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
 
 
 def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
-                    made: Optional[dict] = None) -> dict:
+                    made: dict) -> dict:
     """Locate and checksum every declared output of a successful attempt.
 
     Each output File is stamped (see _stamp) before its hash starts, so
@@ -715,8 +674,6 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
     not stamp, such as one a container's root user left, is not recorded,
     and a later reader gets a store copy of it instead.
     """
-    made = {} if made is None else made
-
     def collected(path: str, format: Optional[str]) -> FileValue:
         try:
             signature = _stamp(path)
@@ -865,7 +822,7 @@ class LocalRuntime:
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
-                self.store, tmpdir=scratch.tmpdir())
+                self.store, scratch.tmpdir())
             attempt.workdir = staged.outdir
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
@@ -890,7 +847,7 @@ class LocalRuntime:
             env_clause = node.clause(model.CLAUSE_ENV)
             if env_clause is not None:
                 for key, value in env_clause.payload["envDef"].items():
-                    env[key] = _scalar_str(interpolate(value, ctx))
+                    env[key] = stringify(interpolate(value, ctx))
             stdin_path = None
             if node.tool.stdin is not None:
                 stdin_value = interpolate(node.tool.stdin, host_ctx)
@@ -906,14 +863,13 @@ class LocalRuntime:
                 return attempt.settle("LaunchError", "empty command line")
 
             attempt = execute(
-                node.id, attempt_number, argv, env, staged,
+                node.id, attempt_number, argv, env, staged, scratch,
+                self.adapter,
                 success_codes=node.tool.success_codes,
                 wall_time_max=resources.get("wallTimeMax"),
                 container_image=image,
-                adapter=self.adapter,
                 stdin_path=stdin_path,
                 streams=stream_names(node.tool),
-                scratch=scratch,
             )
             try:
                 if attempt.outcome == SUCCESS:

@@ -92,7 +92,7 @@ class RunConfig:
 
 @dataclass
 class Services:
-    runtime: object
+    runtime: object  # with run_task, release, cancel, cached_dir
     cache: Optional[ResultCache] = None
 
 
@@ -231,9 +231,6 @@ class _Coordinator:
         self.staged = {source[0] for kind, source
                        in graph.workflow_outputs.values() if kind == "edge"}
         self.workdirs = {}  # node id -> its successful attempts' directories
-        # where cache hits are published, with a runtime that names a place;
-        # else a hit's outputs are its verified cas/ paths
-        self.cached_dir = getattr(services.runtime, "cached_dir", None)
         self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
@@ -355,9 +352,8 @@ class _Coordinator:
         still reads them."""
         if self.awaiting.get(node_id) or node_id in self.staged:
             return
-        release = getattr(self.services.runtime, "release", lambda path: None)
         for workdir in self.workdirs.pop(node_id, ()):
-            release(workdir)
+            self.services.runtime.release(workdir)
 
     def _fail_node(self, node: TaskNode, error: str):
         record = self.tasks[node.id]
@@ -399,12 +395,11 @@ class _Coordinator:
         hit = cache.lookup(record.key)
         if hit is None:
             return False
-        if self.cached_dir is not None:
-            try:
-                hit = cache.republish(hit, self.cached_dir)
-            except FileNotFoundError:  # a blob removed since lookup
-                cache.evict(record.key)
-                return False
+        try:
+            hit = cache.republish(hit, self.services.runtime.cached_dir)
+        except FileNotFoundError:  # a blob removed since lookup
+            cache.evict(record.key)
+            return False
         self._finish(record, CACHED, 0, hit)
         return True
 
@@ -476,7 +471,7 @@ class _Coordinator:
             except BaseException:
                 # an interrupt does not reach tools that run in sessions of
                 # their own, and the pool would wait for them to end
-                getattr(self.services.runtime, "cancel", lambda: None)()
+                self.services.runtime.cancel()
                 raise
         return self._result()
 

@@ -12,7 +12,7 @@ and ``planner.plan`` accept the same documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import model
 from .errors import ExprSyntaxError
@@ -55,15 +55,6 @@ class Diagnostic:
         }, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SupportMatrix:
-    """What this engine instance can execute."""
-
-    supported_requirement_kinds: frozenset = frozenset(model.KNOWN_CLAUSE_KINDS)
-    supported_versions: frozenset = frozenset(model.SUPPORTED_VERSIONS)
-    machine: Machine = field(default_factory=Machine)
-
-
 def _err(code, location, message):
     return Diagnostic(ERROR, code, location, message)
 
@@ -78,27 +69,27 @@ def _clause_name(clause: Clause) -> str:
     return clause.kind
 
 
-def _check_clauses(requirements, hints, matrix: SupportMatrix, location: str):
+def _check_clauses(requirements, hints, machine: Machine, location: str):
     out = []
     for clause in requirements:
-        if clause.kind not in matrix.supported_requirement_kinds:
+        if clause.kind not in model.KNOWN_CLAUSE_KINDS:
             out.append(_err("UnsupportedRequirement", location,
                             f"cannot execute requirement {_clause_name(clause)}"))
-        out.extend(_check_resources(clause, matrix, location))
+        out.extend(_check_resources(clause, machine, location))
     for clause in hints:
-        if clause.kind not in matrix.supported_requirement_kinds:
+        if clause.kind not in model.KNOWN_CLAUSE_KINDS:
             out.append(_warn("UnsupportedRequirement", location,
                              f"ignoring hint {_clause_name(clause)}"))
         else:
-            out.extend(_check_resources(clause, matrix, location))
+            out.extend(_check_resources(clause, machine, location))
     return out
 
 
-def _check_resources(clause: Clause, matrix: SupportMatrix, location: str):
+def _check_resources(clause: Clause, machine: Machine, location: str):
     if clause.kind != model.CLAUSE_RESOURCE:
         return []
     out = []
-    for key, cap in matrix.machine.capacity.items():
+    for key, cap in machine.capacity.items():
         value = clause.payload.get(key)
         if isinstance(value, int) and value > cap:
             out.append(_err(
@@ -150,33 +141,35 @@ def check_acyclic(wf: WorkflowDescription, location: str = "steps"):
                  "dependency cycle: " + " -> ".join(cycle))]
 
 
-def validate(doc: Document, matrix: SupportMatrix = None):
-    """All diagnostics for a resolved document; never raises on findings."""
-    if matrix is None:
-        matrix = SupportMatrix()
+def validate(doc: Document, machine: Machine = None):
+    """All diagnostics for a resolved document, with resource minima
+    checked against ``machine`` (by default ``Machine()``); never raises on
+    findings."""
+    machine = machine or Machine()
     diags = []
-    if doc.version not in matrix.supported_versions:
+    if doc.version not in model.SUPPORTED_VERSIONS:
         diags.append(_err("UnsupportedVersion", "$",
                           f"version {doc.version} is not supported"))
 
     body = doc.body
     diags.extend(_check_types(body, "$"))
     if isinstance(body, ToolDescription):
-        diags.extend(_check_clauses(body.requirements, body.hints, matrix,
+        diags.extend(_check_clauses(body.requirements, body.hints, machine,
                                     "$"))
         return diags
 
-    walk(body, matrix, {p.id: _UNRESOLVED for p in body.inputs},
+    walk(body, machine, {p.id: _UNRESOLVED for p in body.inputs},
          DataflowGraph(), diags)
     return diags
 
 
-def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
+def walk(wf: WorkflowDescription, machine: Machine, input_bindings: dict,
          graph: DataflowGraph, diags: list, location="$", prefix="") -> dict:
     """Check and plan each step of ``wf`` once, in dependency order (steps
     on a cycle last), inlining sub-workflows under ``prefix``: findings go
-    to ``diags``, task nodes and edges to ``graph``.  Returns the binding of
-    each workflow output.
+    to ``diags``, task nodes and edges to ``graph``, each node with its
+    layer: 1 + the largest among its producers, all placed before it.
+    Returns the binding of each workflow output.
 
     ``input_bindings`` maps each workflow input id to its binding.  The
     graph is sound only when no diagnostic is STRUCTURAL."""
@@ -234,7 +227,8 @@ def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
         if body is not None:
             requirements = step.requirements + getattr(body, "requirements", ())
             hints = step.hints + getattr(body, "hints", ())
-            diags.extend(_check_clauses(requirements, hints, matrix, step_loc))
+            diags.extend(_check_clauses(requirements, hints, machine,
+                                        step_loc))
             diags.extend(_check_types(body, f"{step_loc}/run"))
         if step.when is not None:
             try:
@@ -311,17 +305,19 @@ def walk(wf: WorkflowDescription, matrix: SupportMatrix, input_bindings: dict,
                     diags.append(_err(
                         "UnsupportedFeature", step_loc,
                         f"{what} on a sub-workflow step is not supported"))
-            sub_outputs = walk(body, matrix, bound, graph, diags,
+            sub_outputs = walk(body, machine, bound, graph, diags,
                                f"{step_loc}/run", task_id + "/")
             published.update(((step_id, out_id), binding)
                              for out_id, binding in sub_outputs.items())
             continue
+        edges = [(binding[1], (task_id, input_id))
+                 for input_id, binding in bound.items() if binding[0] == "edge"]
         graph.nodes[task_id] = TaskNode(
             id=task_id, tool=body, bindings=bound, scatter=step.scatter,
-            guard=step.when, requirements=requirements, hints=hints)
-        graph.edges.update((binding[1], (task_id, input_id))
-                           for input_id, binding in bound.items()
-                           if binding[0] == "edge")
+            guard=step.when, requirements=requirements, hints=hints,
+            layer=1 + max((graph.nodes[producer].layer
+                           for (producer, _), _ in edges), default=-1))
+        graph.edges.update(edges)
         published.update(((step_id, out.id), ("edge", (task_id, out.id)))
                          for out in body.outputs)
 

@@ -125,6 +125,28 @@ def deep_chain(n, ring=False):
     return replace(doc, body=replace(doc.body, steps=doc.body.steps[::-1]))
 
 
+class NullRuntime:
+    """The runtime protocol that the scheduler calls, with nothing behind
+    it: ``release`` and ``cancel`` do nothing, and cache hits are published
+    under ``cached_dir``, given when it is made (the ``cached_dir`` fixture
+    names one under the test's ``tmp_path``).  Subclasses supply
+    ``run_task``."""
+
+    def __init__(self, cached_dir):
+        self.cached_dir = cached_dir
+
+    def release(self, workdir):
+        pass
+
+    def cancel(self):
+        pass
+
+
+@pytest.fixture
+def cached_dir(tmp_path):
+    return str(tmp_path / "cached")
+
+
 def load_expected(name):
     with open(os.path.join(CORPUS_DIR, name, "expected.json")) as fh:
         return json.load(fh)

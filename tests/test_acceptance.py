@@ -16,7 +16,13 @@ import time
 
 import pytest
 
-from conftest import corpus_cases, load_expected, run_case, strip_paths
+from conftest import (
+    NullRuntime,
+    corpus_cases,
+    load_expected,
+    run_case,
+    strip_paths,
+)
 
 from miniwfl import parser, planner, scheduler, upgrader, validator
 from miniwfl.planner import DataflowGraph, TaskNode
@@ -112,7 +118,7 @@ STUB_TOOL = parser.parse_raw({
 }).body
 
 
-class InstantRuntime:
+class InstantRuntime(NullRuntime):
     """Zero-cost runtime used to exercise scheduling order alone."""
 
     spawn_count = 0
@@ -134,19 +140,23 @@ def _random_edges(rng, n):
 
 
 def _graph_from_edges(n, edges):
+    """The graph of ``edges`` among ``n`` nodes, each node added after its
+    producers, with its layer: 1 + the largest among them."""
     g = DataflowGraph()
     incoming = {}
     for a, b in sorted(edges):
         incoming.setdefault(b, []).append(a)
-    for i in range(n):
-        bindings = {f"i{k}": ("edge", (f"t{a}", "out"))
-                    for k, a in enumerate(incoming.get(i, []))}
-        g.nodes[f"t{i}"] = TaskNode(id=f"t{i}", tool=STUB_TOOL,
-                                    bindings=bindings)
-    for tid, node in g.nodes.items():
-        for inp, binding in node.bindings.items():
-            g.edges.add((binding[1], (tid, inp)))
-    planner._assign_layers(g)
+    order, _ = planner.toposort(range(n), edges)
+    for i in order:
+        producers = [f"t{a}" for a in incoming.get(i, [])]
+        bindings = {f"i{k}": ("edge", (tid, "out"))
+                    for k, tid in enumerate(producers)}
+        g.nodes[f"t{i}"] = TaskNode(
+            id=f"t{i}", tool=STUB_TOOL, bindings=bindings,
+            layer=1 + max((g.nodes[tid].layer for tid in producers),
+                          default=-1))
+        g.edges.update((binding[1], (f"t{i}", inp))
+                       for inp, binding in bindings.items())
     return g
 
 
@@ -188,7 +198,7 @@ def _wf_from_edges(n, edges):
                              "steps": steps}).body
 
 
-def test_dependency_safety_on_random_dags():
+def test_dependency_safety_on_random_dags(cached_dir):
     rng = random.Random(20260824)
     started = time.monotonic()
     cfg = RunConfig(parallelism=4, machine=Machine(cores=4))
@@ -197,7 +207,7 @@ def test_dependency_safety_on_random_dags():
         n = rng.randint(2, 50)
         edges = _random_edges(rng, n)
         graph = _graph_from_edges(n, edges)
-        result = scheduler.run(graph, cfg, Services(InstantRuntime()))
+        result = scheduler.run(graph, cfg, Services(InstantRuntime(cached_dir)))
         assert result.status == "Success"
         position = {}
         for idx, event in enumerate(result.event_log):

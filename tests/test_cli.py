@@ -329,7 +329,10 @@ def test_passthrough_input_is_copied_not_linked(tmp_path, monkeypatch):
                              str(tmp_path / "cache"))
     assert code == 0
     data = tmp_path / "case" / "data.txt"
-    assert copies == [outputs["same"]["path"]]
+    # one copy, made under a temporary name and renamed to the output
+    (copy,) = copies
+    assert copy.startswith(outputs["same"]["path"] + ".")
+    assert not os.path.exists(copy)
     assert not os.path.samefile(outputs["same"]["path"], data)
     assert data.stat().st_nlink == 1
 

@@ -242,20 +242,6 @@ def test_deep_chain_plans_one_layer_per_step():
         list(range(2000))
 
 
-def test_assign_layers_on_deep_chain_added_last_step_first():
-    tool = parser.parse_raw(dict(TOOL_RAW)).body
-    graph = DataflowGraph()
-    for i in reversed(range(2000)):
-        bindings = {"x": ("edge", (f"t{i - 1}", "out"))} if i else {}
-        graph.nodes[f"t{i}"] = TaskNode(id=f"t{i}", tool=tool,
-                                        bindings=bindings)
-        if i:
-            graph.edges.add(((f"t{i - 1}", "out"), (f"t{i}", "x")))
-    planner._assign_layers(graph)
-    assert [graph.nodes[f"t{i}"].layer for i in range(2000)] == \
-        list(range(2000))
-
-
 def test_toposort_keeps_given_order_among_ready_ids():
     edges = {("a", "b"), ("c", "d"), ("d", "c"), ("d", "e")}
     order, rest = planner.toposort(["b", "e", "a", "d", "c", "f"], edges)

@@ -1,6 +1,7 @@
 """Execution layer: staging, argv building, process control, output collection."""
 
 import os
+import shutil
 import stat
 import time
 
@@ -49,6 +50,16 @@ def _read(path):
 
 def _store(tmp_path):
     return runtime.InputStore(str(tmp_path / "store"))
+
+
+def _scratch(tmp_path):
+    """A worker's scratch, in the run directory that _store makes."""
+    return runtime.WorkerScratch(_store(tmp_path).root)
+
+
+def _tmpdir(tmp_path):
+    """A worker's TMPDIR, which each attempt is staged with."""
+    return _scratch(tmp_path).tmpdir()
 
 
 CTX = EvalContext(inputs={}, runtime={"cores": 1, "ram": 256, "outdir": "/w"})
@@ -147,7 +158,7 @@ def test_numbers_stringify():
 def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
     fv = _fv(tmp_path)
     staged, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
-                             _store(tmp_path))
+                             _store(tmp_path), _tmpdir(tmp_path))
     staged_fv = bindings["f"]
     assert staged_fv.path != fv.path
     assert staged_fv.path.startswith(staged.inputs_dir + os.sep)
@@ -159,19 +170,21 @@ def test_stage_copies_inputs_readonly_and_isolated(tmp_path):
 
 
 def test_stage_without_file_inputs_makes_no_inputs_dir(tmp_path):
+    tmpdir = _tmpdir(tmp_path)
     staged, _ = stage("t1", {"msg": "hi"}, str(tmp_path / "work"),
-                      _store(tmp_path))
-    name = os.path.basename(staged.outdir)
-    # without a worker's TMPDIR, the attempt makes its own beside it
-    assert sorted(os.listdir(tmp_path / "work")) == [name, f"{name}.tmp"]
-    assert staged.tmpdir == f"{staged.outdir}.tmp"
+                      _store(tmp_path), tmpdir)
+    # the attempt uses the worker's TMPDIR and makes nothing beside it
+    assert os.listdir(tmp_path / "work") == [os.path.basename(staged.outdir)]
+    assert staged.tmpdir == tmpdir
     assert os.listdir(staged.outdir) == []
 
 
 def test_stage_fresh_directory_per_attempt(tmp_path):
     fv = _fv(tmp_path)
-    s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
-    s2, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+    s1, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+                  _tmpdir(tmp_path))
+    s2, _ = stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+                  _tmpdir(tmp_path))
     assert s1.outdir != s2.outdir
 
 
@@ -183,7 +196,8 @@ def test_stage_detects_source_drift(tmp_path, drift, error):
     fv = _fv(tmp_path)
     drift(tmp_path / "in.txt")
     with pytest.raises(StagingError, match=error):
-        stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+        stage("t1", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+              _tmpdir(tmp_path))
 
 
 def test_stage_same_basename_from_different_dirs(tmp_path):
@@ -192,7 +206,7 @@ def test_stage_same_basename_from_different_dirs(tmp_path):
     f1 = _fv(tmp_path / "a", "same.txt", "one\n")
     f2 = _fv(tmp_path / "b", "same.txt", "two\n")
     staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"),
-                             _store(tmp_path))
+                             _store(tmp_path), _tmpdir(tmp_path))
     assert bindings["x"].path != bindings["y"].path
     assert open(bindings["x"].path).read() == "one\n"
     assert open(bindings["y"].path).read() == "two\n"
@@ -210,7 +224,7 @@ def test_stage_slot_directories_skip_names_already_taken(tmp_path):
     f1 = _fv(tmp_path / "a", "1", "one\n")
     f2 = _fv(tmp_path / "b", "1", "two\n")
     staged, bindings = stage("t1", {"x": f1, "y": f2}, str(tmp_path / "work"),
-                             _store(tmp_path))
+                             _store(tmp_path), _tmpdir(tmp_path))
     assert bindings["x"].path == os.path.join(staged.inputs_dir, "1")
     assert bindings["y"].path == os.path.join(staged.inputs_dir, "2", "1")
     assert open(bindings["y"].path).read() == "two\n"
@@ -279,8 +293,7 @@ def test_staging_distinct_basenames_makes_one_inputs_directory(tmp_path,
     bindings = {f"f{n}": _fv(tmp_path, f"in{n}.txt") for n in range(4)}
     store = _store(tmp_path)  # made once per run
     made = _count_mkdirs(monkeypatch)
-    staged, _ = stage("t1", bindings, str(work), store,
-                      tmpdir=str(work / "tmp"))
+    staged, _ = stage("t1", bindings, str(work), store, str(work / "tmp"))
     assert made == [staged.outdir, staged.inputs_dir]
     assert staged.inputs_dir == f"{staged.outdir}.inputs"
     assert sorted(os.listdir(staged.inputs_dir)) \
@@ -544,22 +557,25 @@ def test_stage_hashes_each_input_once_per_run(tmp_path, monkeypatch):
     store = _store(tmp_path)
     for _ in range(3):
         _, bindings = stage("t", {"f": fv, "g": fv, "h": other},
-                            str(tmp_path / "work"), store)
+                            str(tmp_path / "work"), store, _tmpdir(tmp_path))
         assert _read(bindings["f"].path) == "payload\n"
         assert _read(bindings["h"].path) == "o\n"
     # the first attempt makes and hashes the entries; later ones link them
     assert len(calls) == 2
     # another run's store hashes its copy again
-    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+          _tmpdir(tmp_path))
     assert len(calls) == 3
 
 
 def test_source_edited_between_attempts_fails_the_later_one(tmp_path):
     fv = _fv(tmp_path)
-    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+    stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+          _tmpdir(tmp_path))
     (tmp_path / "in.txt").write_text("PAYLOAD\n")  # same size, right away
     with pytest.raises(StagingError, match="changed"):
-        stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path))
+        stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+              _tmpdir(tmp_path))
 
 
 def test_stage_out_names_collisions_without_hashing_its_own_copies(
@@ -581,7 +597,7 @@ def test_stage_out_names_collisions_without_hashing_its_own_copies(
         monkeypatch.setattr(module, "file_checksum",
                             lambda p, f=checksum: calls.append(p) or f(p))
     dest = tmp_path / "outdir"
-    staged = runtime.stage_out(outputs, str(dest))
+    staged = runtime.stage_out(outputs, str(dest), str(tmp_path / "work"), [])
     names = [os.path.basename(fv.path) for fv in staged["xs"]]
     assert names == ["out.txt", "out.1.txt", "out.txt", "out.2.txt",
                      "out.1.txt"]
@@ -592,7 +608,7 @@ def test_stage_out_names_collisions_without_hashing_its_own_copies(
     later = {"x": [produced("out.txt", "c\n"), produced("out.txt", "d\n"),
                    produced("out.1.txt", "e\n")]}
     del calls[:]  # loading those hashed them
-    staged = runtime.stage_out(later, str(dest))
+    staged = runtime.stage_out(later, str(dest), str(tmp_path / "work"), [])
     assert [os.path.basename(fv.path) for fv in staged["x"]] \
         == ["out.2.txt", "out.3.txt", "out.1.1.txt"]
     assert [os.path.basename(p) for p in calls] \
@@ -605,7 +621,7 @@ def test_stage_out_links_what_the_run_made_and_copies_the_rest(tmp_path):
     made = _fv(work / "attempt", "made.txt", "made\n")
     given = _fv(tmp_path, "given.txt", "given\n")
     staged = runtime.stage_out({"made": made, "given": given},
-                               str(tmp_path / "outdir"), str(work))
+                               str(tmp_path / "outdir"), str(work), [])
     assert os.path.samefile(staged["made"].path, made.path)
     assert not os.path.samefile(staged["given"].path, given.path)
     assert _read(staged["given"].path) == "given\n"
@@ -628,8 +644,8 @@ def test_stage_out_moves_on_from_a_name_that_is_not_a_file(tmp_path, taken,
         if taken == "symlink to the bytes":
             outside.write_text("a\n")
         (dest / "out.txt").symlink_to(outside)
-    staged = runtime.stage_out({"o": fv}, str(dest),
-                               str(tmp_path / "src") if linked else None)
+    work_root = tmp_path / ("src" if linked else "work")
+    staged = runtime.stage_out({"o": fv}, str(dest), str(work_root), [])
     assert staged["o"].path == str(dest / "out.1.txt")
     assert _read(staged["o"].path) == "a\n"
     assert os.path.samefile(staged["o"].path, fv.path) is linked
@@ -639,15 +655,21 @@ def test_stage_out_moves_on_from_a_name_that_is_not_a_file(tmp_path, taken,
 
 # --- execution --------------------------------------------------------------
 
+HOST = DockerAdapter()  # asked for no launch: these attempts run on the host
+
+
 def _staged(tmp_path):
-    staged, _ = stage("t", {}, str(tmp_path / "work"), _store(tmp_path))
-    return staged
+    """An attempt with no inputs, staged as LocalRuntime stages one, and the
+    worker scratch it runs with."""
+    scratch = _scratch(tmp_path)
+    staged, _ = stage("t", {}, str(tmp_path / "work"), _store(tmp_path),
+                      scratch.tmpdir())
+    return staged, scratch
 
 
 def test_execute_success_and_exit_capture(tmp_path):
-    staged = _staged(tmp_path)
     attempt = execute("t", 1, ["sh", "-c", "echo out; echo err >&2"], {},
-                      staged)
+                      *_staged(tmp_path), HOST)
     assert attempt.outcome == runtime.SUCCESS
     assert attempt.exit_code == 0
     assert open(attempt.stdout_path).read() == "out\n"
@@ -655,35 +677,21 @@ def test_execute_success_and_exit_capture(tmp_path):
     assert attempt.end_time >= attempt.start_time
 
 
-@pytest.mark.parametrize("script", ["true", "echo out; echo err >&2"],
-                         ids=["silent", "both-streams"])
-def test_execute_without_a_scratch_leaves_no_spare_log(tmp_path, script):
-    staged = _staged(tmp_path)
-    attempt = execute("t", 1, ["sh", "-c", script], {}, staged)
-    assert attempt.outcome == runtime.SUCCESS
-    # a stream with output is kept as the attempt's log, beside its directory
-    logs = {os.path.basename(p) for p in (attempt.stdout_path,
-                                          attempt.stderr_path) if p}
-    assert sorted(os.listdir(tmp_path / "work")) == sorted(
-        {os.path.basename(staged.outdir), os.path.basename(staged.tmpdir)}
-        | logs)
-
-
 def test_execute_nonzero_exit_is_permanent(tmp_path):
-    attempt = execute("t", 1, ["false"], {}, _staged(tmp_path))
+    attempt = execute("t", 1, ["false"], {}, *_staged(tmp_path), HOST)
     assert attempt.outcome == runtime.PERMANENT_FAILURE
     assert attempt.failure_kind == "ExitCode"
     assert attempt.exit_code == 1
 
 
 def test_execute_honors_success_codes(tmp_path):
-    attempt = execute("t", 1, ["sh", "-c", "exit 3"], {}, _staged(tmp_path),
-                      success_codes=frozenset({0, 3}))
+    attempt = execute("t", 1, ["sh", "-c", "exit 3"], {}, *_staged(tmp_path),
+                      HOST, success_codes=frozenset({0, 3}))
     assert attempt.outcome == runtime.SUCCESS
 
 
 def test_execute_timeout_is_temporary(tmp_path):
-    attempt = execute("t", 1, ["sleep", "5"], {}, _staged(tmp_path),
+    attempt = execute("t", 1, ["sleep", "5"], {}, *_staged(tmp_path), HOST,
                       wall_time_max=0.3)
     assert attempt.outcome == runtime.TEMPORARY_FAILURE
     assert attempt.failure_kind == "Timeout"
@@ -692,7 +700,7 @@ def test_execute_timeout_is_temporary(tmp_path):
 
 def test_execute_missing_binary_is_launch_error(tmp_path):
     attempt = execute("t", 1, ["definitely-not-a-binary-xyz"], {},
-                      _staged(tmp_path))
+                      *_staged(tmp_path), HOST)
     assert attempt.outcome == runtime.PERMANENT_FAILURE
     assert attempt.failure_kind == "LaunchError"
 
@@ -701,17 +709,18 @@ def test_execute_non_executable_file_is_a_launch_race(tmp_path):
     script = tmp_path / "script.sh"
     script.write_text("#!/bin/sh\necho hi\n")
     script.chmod(0o644)  # no execute bit for anyone, root included
-    attempt = execute("t", 1, [str(script)], {}, _staged(tmp_path))
+    attempt = execute("t", 1, [str(script)], {}, *_staged(tmp_path), HOST)
     assert attempt.failure_kind == "LaunchRace"
     assert attempt.outcome == runtime.TEMPORARY_FAILURE
     assert attempt.start_time and attempt.end_time
 
 
 def test_execute_runs_in_outdir_with_explicit_env(tmp_path):
-    staged = _staged(tmp_path)
+    staged, scratch = _staged(tmp_path)
     env = runtime.base_environment(staged, container=False)
     env["CUSTOM"] = "yes"
-    attempt = execute("t", 1, ["sh", "-c", "pwd; env | sort"], env, staged)
+    attempt = execute("t", 1, ["sh", "-c", "pwd; env | sort"], env, staged,
+                      scratch, HOST)
     lines = open(attempt.stdout_path).read().splitlines()
     assert lines[0] == os.path.realpath(staged.outdir) or lines[0] == staged.outdir
     env_lines = [l for l in lines[1:] if "=" in l]
@@ -726,10 +735,9 @@ def test_execute_runs_in_outdir_with_explicit_env(tmp_path):
 
 
 def test_execute_stdin_redirection(tmp_path):
-    staged = _staged(tmp_path)
     src = tmp_path / "lines.txt"
     src.write_text("1\n2\n3\n")
-    attempt = execute("t", 1, ["wc", "-l"], {}, staged,
+    attempt = execute("t", 1, ["wc", "-l"], {}, *_staged(tmp_path), HOST,
                       stdin_path=str(src))
     assert attempt.outcome == runtime.SUCCESS
     assert open(attempt.stdout_path).read().strip() == "3"
@@ -738,18 +746,18 @@ def test_execute_stdin_redirection(tmp_path):
 # --- output collection ------------------------------------------------------
 
 def _run_and_collect(tmp_path, tool, script):
-    staged = _staged(tmp_path)
-    attempt = execute("t", 1, ["sh", "-c", script], {}, staged)
+    staged, scratch = _staged(tmp_path)
+    attempt = execute("t", 1, ["sh", "-c", script], {}, staged, scratch, HOST)
     assert attempt.outcome == runtime.SUCCESS
-    return collect_outputs(tool, staged), staged
+    return collect_outputs(tool, staged, {}), staged
 
 
 def test_collect_stdout_capture_named_file(tmp_path):
     tool = _tool()
-    staged = _staged(tmp_path)
-    attempt = execute("t", 1, ["echo", "hi"], {}, staged,
+    staged, scratch = _staged(tmp_path)
+    attempt = execute("t", 1, ["echo", "hi"], {}, staged, scratch, HOST,
                       streams=stream_names(tool))
-    outputs = collect_outputs(tool, staged)
+    outputs = collect_outputs(tool, staged, {})
     fv = outputs["out"]
     assert fv.basename == "out.txt"
     assert open(fv.path).read() == "hi\n"
@@ -837,31 +845,57 @@ def test_docker_adapter_argv_contract(tmp_path):
                               "/miniwfl/outdir", "-i"]
 
 
-def test_link_or_copy_never_writes_into_an_existing_target(tmp_path,
-                                                          monkeypatch):
+def test_place_file_never_writes_into_an_existing_target(tmp_path,
+                                                        monkeypatch):
     import errno
     source = _fv(tmp_path, "source.txt", "new\n").path
     target = tmp_path / "target.txt"
     target.write_text("kept\n")
     other_name = tmp_path / "other.txt"  # a second link, as from a run
     os.link(target, other_name)
-    runtime.link_or_copy(source, str(target))
+    assert runtime.place_file(source, str(target), link=True) is False
     assert _read(target) == "kept\n"
 
     def cross_device(src, dst, **kwargs):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
 
     monkeypatch.setattr(os, "link", cross_device)
-    runtime.link_or_copy(source, str(target))
+    assert runtime.place_file(source, str(target), link=True) is False
     assert _read(target) == "kept\n"  # not even a copy renamed over it
     assert _read(other_name) == "kept\n"
     fresh = tmp_path / "fresh.txt"
-    runtime.link_or_copy(source, str(fresh))
+    assert runtime.place_file(source, str(fresh), link=True) is True
     assert _read(fresh) == "new\n"  # a copy where there is no target
     assert not os.path.samefile(fresh, source)
     os.remove(fresh)
+    with pytest.raises(FileNotFoundError):  # a source gone leaves nothing
+        runtime.place_file(str(tmp_path / "gone.txt"), str(fresh), link=True)
     assert sorted(os.listdir(tmp_path)) == ["other.txt", "source.txt",
                                             "target.txt"]
+
+
+def test_place_file_copy_keeps_a_name_taken_before_its_rename(tmp_path,
+                                                              monkeypatch):
+    """Two writers copying other bytes to one name, as two runs sharing an
+    output directory do: the second, which starts while the first copies,
+    keeps the first one's file and reports that it made nothing."""
+    ours = _fv(tmp_path, "ours.txt", "ours\n").path
+    theirs = _fv(tmp_path, "theirs.txt", "theirs\n").path
+    target = str(tmp_path / "out.txt")
+    copyfile = shutil.copyfile
+    second = []
+
+    def copy_while_another_writes(src, dst, **kwargs):
+        copyfile(src, dst, **kwargs)
+        if src == ours:  # between our check of the name and our rename
+            second.append(runtime.place_file(theirs, target, link=False))
+
+    monkeypatch.setattr(shutil, "copyfile", copy_while_another_writes)
+    assert runtime.place_file(ours, target, link=False) is True
+    assert second == [False]
+    assert _read(target) == "ours\n"
+    assert sorted(os.listdir(tmp_path)) == ["ours.txt", "out.txt",
+                                            "theirs.txt"]
 
 
 # --- LocalRuntime end to end ------------------------------------------------
@@ -919,6 +953,23 @@ def test_run_task_reports_env_clause(tmp_path):
         Clause(CLAUSE_ENV, {"envDef": {"GREETING": "hi $(inputs.who)"}}),))
     result = rt.run_task(node, {"who": "crew"}, 1, {})
     assert open(result.outputs["out"].path).read() == "hi crew\n"
+
+
+def test_run_task_renders_files_as_paths_and_null_as_empty(tmp_path):
+    from miniwfl.model import CLAUSE_ENV
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    tool = _tool(baseCommand=["sh", "-c", 'echo "$F|$N|$0"', "$(inputs.f)"],
+                 inputs=[{"id": "f", "type": "File"},
+                         {"id": "n", "type": "string?"}])
+    node = TaskNode(id="t", tool=tool, bindings={}, requirements=(
+        Clause(CLAUSE_ENV, {"envDef": {"F": "$(inputs.f)",
+                                       "N": "$(inputs.n)"}}),))
+    result = rt.run_task(node, {"f": _fv(tmp_path), "n": None}, 1, {})
+    assert result.outcome == runtime.SUCCESS, result.error
+    staged = os.path.join(f"{result.workdir}.inputs", "in.txt")
+    assert (result.env["F"], result.env["N"]) == (staged, "")
+    assert result.argv[3] == staged
+    assert _read(result.outputs["out"].path) == f"{staged}||{staged}\n"
 
 
 def test_run_task_expression_failure_is_permanent(tmp_path):
@@ -982,7 +1033,7 @@ def test_run_task_reports_each_failure_kind(tmp_path, case):
 def test_staged_inputs_resist_modification(tmp_path):
     fv = _fv(tmp_path)
     _, bindings = stage("t1", {"f": fv}, str(tmp_path / "work"),
-                        _store(tmp_path))
+                        _store(tmp_path), _tmpdir(tmp_path))
     with pytest.raises(PermissionError):
         open(bindings["f"].path, "w")
 
@@ -1074,8 +1125,8 @@ def test_entry_made_again_after_a_write_is_kept_by_an_earlier_reader(
     copyfile = shutil.copyfile
     monkeypatch.setattr(shutil, "copyfile", lambda src, dst, **kwargs:
                         copied.append(src) or copyfile(src, dst, **kwargs))
-    a, a_bindings = stage("a", {"f": fv}, work, store)
-    b, b_bindings = stage("b", {"f": fv}, work, store)
+    a, a_bindings = stage("a", {"f": fv}, work, store, _tmpdir(tmp_path))
+    b, b_bindings = stage("b", {"f": fv}, work, store, _tmpdir(tmp_path))
     assert os.path.samefile(a_bindings["f"].path, b_bindings["f"].path)
     # A's tool writes through its link; A's check sets the entry aside
     os.chmod(a_bindings["f"].path, 0o644)
@@ -1085,7 +1136,7 @@ def test_entry_made_again_after_a_write_is_kept_by_an_earlier_reader(
     assert store.made[entry] is None
     assert _read(f"{entry}.modified") == "payload\nmore\n"
     # C, staged after that, gets an entry made again from the source
-    c, c_bindings = stage("c", {"f": fv}, work, store)
+    c, c_bindings = stage("c", {"f": fv}, work, store, _tmpdir(tmp_path))
     assert _read(c_bindings["f"].path) == "payload\n"
     made = store.made[entry]
     # B shared the written inode and fails, but keeps C's entry

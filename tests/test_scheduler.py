@@ -7,7 +7,7 @@ import threading
 import time
 
 import pytest
-from conftest import cache_entries
+from conftest import NullRuntime, cache_entries
 
 from miniwfl import parser, planner, scheduler
 from miniwfl.errors import ExprTypeError
@@ -37,10 +37,12 @@ TOOL_RAW = {
 TOOL = parser.parse_raw(TOOL_RAW).body
 
 
-class StubRuntime:
+class StubRuntime(NullRuntime):
     """In-process runtime: records execution order, returns canned outputs."""
 
-    def __init__(self, fail=(), temp_fail_counts=None, delay=0.0):
+    def __init__(self, cached_dir, fail=(), temp_fail_counts=None,
+                 delay=0.0):
+        super().__init__(cached_dir)
         self.fail = set(fail)
         self.temp_fail_counts = dict(temp_fail_counts or {})
         self.delay = delay
@@ -104,10 +106,10 @@ def _graph(*nodes, outputs=None):
     return g
 
 
-def _run(graph, runtime=None, **cfg_kwargs):
+def _run(graph, runtime, **cfg_kwargs):
     cfg_kwargs.setdefault("parallelism", 2)
     cfg = RunConfig(**cfg_kwargs)
-    return run(graph, cfg, Services(runtime or StubRuntime(), cache=None))
+    return run(graph, cfg, Services(runtime, cache=None))
 
 
 # --- pure admission ---------------------------------------------------------
@@ -201,35 +203,35 @@ def test_fits_machine():
 
 # --- end-to-end scheduling over the stub runtime ----------------------------
 
-def test_chain_runs_in_dependency_order():
+def test_chain_runs_in_dependency_order(cached_dir):
     g = _graph(_node("a"), _node("b", deps=["a"], layer=1),
                _node("c", deps=["b"], layer=2),
                outputs={"final": ("edge", ("c", "out"))})
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt)
     assert result.status == "Success"
     assert [c[0] for c in rt.calls] == ["a", "b", "c"]
     assert result.outputs == {"final": "c-value"}
 
 
-def test_parallel_siblings_overlap():
+def test_parallel_siblings_overlap(cached_dir):
     g = _graph(*[_node(f"t{i}") for i in range(4)])
-    rt = StubRuntime(delay=0.1)
+    rt = StubRuntime(cached_dir, delay=0.1)
     result = _run(g, rt, parallelism=4, machine=Machine(cores=4))
     assert result.status == "Success"
     assert rt.max_active >= 2
 
 
-def test_parallelism_one_serializes():
+def test_parallelism_one_serializes(cached_dir):
     g = _graph(*[_node(f"t{i}") for i in range(4)])
-    rt = StubRuntime(delay=0.02)
+    rt = StubRuntime(cached_dir, delay=0.02)
     _run(g, rt, parallelism=1)
     assert rt.max_active == 1
 
 
-def test_temporary_failures_retry_until_budget():
+def test_temporary_failures_retry_until_budget(cached_dir):
     g = _graph(_node("flaky"))
-    rt = StubRuntime(temp_fail_counts={"flaky": 2})
+    rt = StubRuntime(cached_dir, temp_fail_counts={"flaky": 2})
     result = _run(g, rt, retries=3)
     assert result.status == "Success"
     assert rt.calls == [("flaky", 1), ("flaky", 2), ("flaky", 3)]
@@ -237,49 +239,49 @@ def test_temporary_failures_retry_until_budget():
     assert len(attempts) == 3
 
 
-def test_retry_budget_exhaustion_fails():
+def test_retry_budget_exhaustion_fails(cached_dir):
     g = _graph(_node("flaky"))
-    rt = StubRuntime(temp_fail_counts={"flaky": 5})
+    rt = StubRuntime(cached_dir, temp_fail_counts={"flaky": 5})
     result = _run(g, rt, retries=2)
     assert result.status == "PermanentFail"
     assert len(rt.calls) == 3  # 1 + retries
 
 
-def test_permanent_failure_never_retries():
+def test_permanent_failure_never_retries(cached_dir):
     g = _graph(_node("bad"))
-    rt = StubRuntime(fail={"bad"})
+    rt = StubRuntime(cached_dir, fail={"bad"})
     result = _run(g, rt, retries=5)
     assert result.status == "PermanentFail"
     assert rt.calls == [("bad", 1)]
     assert result.tasks["bad"].state == planner.FAILED
 
 
-def test_on_error_stop_skips_downstream_and_independent_work():
+def test_on_error_stop_skips_downstream_and_independent_work(cached_dir):
     g = _graph(_node("bad"), _node("down", deps=["bad"], layer=1),
                _node("indep", layer=1))
-    rt = StubRuntime(fail={"bad"})
+    rt = StubRuntime(cached_dir, fail={"bad"})
     result = _run(g, rt, parallelism=1, on_error="stop")
     assert result.status == "PermanentFail"
     assert ("down", 1) not in rt.calls
     assert ("indep", 1) not in rt.calls
 
 
-def test_on_error_continue_runs_independent_work():
+def test_on_error_continue_runs_independent_work(cached_dir):
     g = _graph(_node("bad"), _node("down", deps=["bad"], layer=1),
                _node("indep", layer=1))
-    rt = StubRuntime(fail={"bad"})
+    rt = StubRuntime(cached_dir, fail={"bad"})
     result = _run(g, rt, parallelism=1, on_error="continue")
     assert result.status == "PermanentFail"
     assert ("indep", 1) in rt.calls
     assert ("down", 1) not in rt.calls  # its input never publishes
 
 
-def test_skipped_guard_publishes_nulls():
+def test_skipped_guard_publishes_nulls(cached_dir):
     g = _graph(_node("maybe", guard="$(inputs.go)",
                      bindings={"go": ("lit", False)}),
                _node("down", deps=["maybe"], layer=1),
                outputs={"o": ("edge", ("maybe", "out"))})
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt)
     assert result.status == "Success"
     assert result.tasks["maybe"].state == planner.SKIPPED
@@ -288,27 +290,27 @@ def test_skipped_guard_publishes_nulls():
     assert ("down", 1) in rt.calls  # consumes the published null
 
 
-def test_guard_true_runs_normally():
+def test_guard_true_runs_normally(cached_dir):
     g = _graph(_node("maybe", guard="$(inputs.go)",
                      bindings={"go": ("lit", True)}))
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt)
     assert rt.calls == [("maybe", 1)]
     assert result.tasks["maybe"].state == planner.SUCCEEDED
 
 
-def test_guard_type_error_fails_node():
+def test_guard_type_error_fails_node(cached_dir):
     g = _graph(_node("maybe", guard="$(inputs.x)",
                      bindings={"x": ("lit", "strings are not guards")}))
-    result = _run(g, StubRuntime())
+    result = _run(g, StubRuntime(cached_dir))
     assert result.status == "PermanentFail"
 
 
-def test_scatter_shards_gather_in_index_order():
+def test_scatter_shards_gather_in_index_order(cached_dir):
     g = _graph(_node("fan", scatter=["xs"],
                      bindings={"xs": ("lit", ["a", "b", "c"])}),
                outputs={"all": ("edge", ("fan", "out"))})
-    rt = StubRuntime(delay=0.01)
+    rt = StubRuntime(cached_dir, delay=0.01)
     result = _run(g, rt, parallelism=3)
     assert result.status == "Success"
     assert result.outputs == {
@@ -316,26 +318,26 @@ def test_scatter_shards_gather_in_index_order():
     assert result.tasks["fan"].state == planner.SUCCEEDED
 
 
-def test_scatter_width_zero_completes_without_spawns():
+def test_scatter_width_zero_completes_without_spawns(cached_dir):
     g = _graph(_node("fan", scatter=["xs"], bindings={"xs": ("lit", [])}),
                outputs={"all": ("edge", ("fan", "out"))})
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt)
     assert result.status == "Success"
     assert result.outputs == {"all": []}
     assert rt.calls == []
 
 
-def test_scatter_shard_failure_fails_the_node():
+def test_scatter_shard_failure_fails_the_node(cached_dir):
     g = _graph(_node("fan", scatter=["xs"],
                      bindings={"xs": ("lit", ["a", "b"])}))
-    rt = StubRuntime(fail={"fan[1]"})
+    rt = StubRuntime(cached_dir, fail={"fan[1]"})
     result = _run(g, rt, parallelism=2)
     assert result.status == "PermanentFail"
     assert result.tasks["fan"].state == planner.FAILED
 
 
-def test_shard_of_a_failed_scatter_is_not_retried(monkeypatch):
+def test_shard_of_a_failed_scatter_is_not_retried(monkeypatch, cached_dir):
     """fan[1] times out only after fan[0] has failed the scatter; its retry
     would run for a result nobody reads."""
     scatter_failed = threading.Event()
@@ -355,7 +357,8 @@ def test_shard_of_a_failed_scatter_is_not_retried(monkeypatch):
     monkeypatch.setattr(scheduler._Coordinator, "log", watching_log)
     g = _graph(_node("fan", scatter=["xs"],
                      bindings={"xs": ("lit", ["a", "b"])}))
-    rt = LateTimeout(fail={"fan[0]"}, temp_fail_counts={"fan[1]": 1})
+    rt = LateTimeout(cached_dir, fail={"fan[0]"},
+                     temp_fail_counts={"fan[1]": 1})
     result = _run(g, rt, parallelism=2, retries=1, on_error="continue")
     assert result.status == "PermanentFail"
     events = [f"{e['task']} {e['transition']} {e['attempt']}"
@@ -366,44 +369,44 @@ def test_shard_of_a_failed_scatter_is_not_retried(monkeypatch):
     assert result.tasks["fan[1]"].state == planner.FAILED
 
 
-def test_scatter_length_mismatch_fails_at_readiness():
+def test_scatter_length_mismatch_fails_at_readiness(cached_dir):
     g = _graph(_node("fan", scatter=["xs", "x"],
                      bindings={"xs": ("lit", ["a"]), "x": ("lit", [1, 2])}))
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt)
     assert result.status == "PermanentFail"
     assert rt.calls == []
 
 
-def test_per_shard_guards():
+def test_per_shard_guards(cached_dir):
     # guard references the scattered element itself
     g = _graph(_node("fan", scatter=["xs"], guard="$(inputs.xs == 'go')",
                      bindings={"xs": ("lit", ["go", "stop", "go"])}),
                outputs={"all": ("edge", ("fan", "out"))})
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt, parallelism=2)
     assert result.status == "Success"
     assert result.outputs == {"all": ["fan[0]-value", None, "fan[2]-value"]}
 
 
-def test_event_log_dependencies_precede_consumers():
+def test_event_log_dependencies_precede_consumers(cached_dir):
     g = _graph(_node("a"), _node("b", deps=["a"], layer=1))
-    result = _run(g, StubRuntime())
+    result = _run(g, StubRuntime(cached_dir))
     order = [(e["task"], e["transition"]) for e in result.event_log]
     assert order.index(("a", planner.SUCCEEDED)) \
         < order.index(("b", planner.RUNNING))
 
 
-def test_resource_minima_beyond_machine_fail_without_spawn():
+def test_resource_minima_beyond_machine_fail_without_spawn(cached_dir):
     clause = Clause(CLAUSE_RESOURCE, {"coresMin": 64})
     g = _graph(_node("huge", requirements=[clause]))
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     result = _run(g, rt, machine=Machine(cores=2))
     assert result.status == "PermanentFail"
     assert rt.calls == []
 
 
-def test_deterministic_outputs_across_parallelism():
+def test_deterministic_outputs_across_parallelism(cached_dir):
     def build():
         return _graph(
             _node("a"), _node("b"),
@@ -411,17 +414,18 @@ def test_deterministic_outputs_across_parallelism():
             _node("d", deps=["b"], layer=1),
             outputs={"o1": ("edge", ("c", "out")),
                      "o2": ("edge", ("d", "out"))})
-    r1 = _run(build(), StubRuntime(delay=0.01), parallelism=1)
-    r4 = _run(build(), StubRuntime(delay=0.01), parallelism=4)
+    r1 = _run(build(), StubRuntime(cached_dir, delay=0.01), parallelism=1)
+    r4 = _run(build(), StubRuntime(cached_dir, delay=0.01), parallelism=4)
     assert r1.outputs == r4.outputs
     assert r1.status == r4.status == "Success"
 
 
-def test_events_carry_millisecond_utc_timestamps():
+def test_events_carry_millisecond_utc_timestamps(cached_dir):
     import re
 
     from miniwfl.provenance import iso_time
-    result = _run(_graph(_node("a"), _node("b", deps=["a"], layer=1)))
+    result = _run(_graph(_node("a"), _node("b", deps=["a"], layer=1)),
+                  StubRuntime(cached_dir))
     assert result.event_log
     for event in result.event_log:
         assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z",
@@ -436,8 +440,8 @@ class RetainingRuntime(StubRuntime):
     """A stub whose attempts have a directory; logs each start and each
     release in the order the coordinator makes them."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, cached_dir, **kwargs):
+        super().__init__(cached_dir, **kwargs)
         self.log = []
 
     def run_task(self, node, bindings, attempt_number, resources):
@@ -451,11 +455,11 @@ class RetainingRuntime(StubRuntime):
         self.log.append(("release", workdir))
 
 
-def test_directory_is_released_once_its_readers_are_done():
+def test_directory_is_released_once_its_readers_are_done(cached_dir):
     g = _graph(_node("a"), _node("b", deps=["a"], layer=1),
                _node("c", deps=["b"], layer=2), _node("d", deps=["a"]),
                outputs={"out": ("edge", ("c", "out"))})
-    rt = RetainingRuntime()
+    rt = RetainingRuntime(cached_dir)
     result = _run(g, rt, parallelism=1)
     assert result.status == "Success"
     # d reads nothing read by anyone; a waits for b and d, and c's output
@@ -466,11 +470,11 @@ def test_directory_is_released_once_its_readers_are_done():
     assert result.held == ["c-a1"]
 
 
-def test_scattered_producer_is_released_after_its_gather():
+def test_scattered_producer_is_released_after_its_gather(cached_dir):
     g = _graph(_node("fan", scatter=["xs"],
                      bindings={"xs": ("lit", ["p", "q", "r"])}),
                _node("gather", deps=["fan"], layer=1))
-    rt = RetainingRuntime()
+    rt = RetainingRuntime(cached_dir)
     _run(g, rt, parallelism=1)
     assert rt.log == [("run", "fan[0]"), ("run", "fan[1]"), ("run", "fan[2]"),
                       ("run", "gather"), ("release", "fan[0]-a1"),
@@ -478,12 +482,13 @@ def test_scattered_producer_is_released_after_its_gather():
                       ("release", "gather-a1")]
 
 
-def test_failed_attempts_and_what_a_failed_reader_read_are_kept():
+def test_failed_attempts_and_what_a_failed_reader_read_are_kept(cached_dir):
     g = _graph(_node("a"), _node("ok", deps=["a"], layer=1),
                _node("bad", deps=["a"], layer=1),
                _node("flaky", deps=["ok"], layer=2),
                outputs={"out": ("edge", ("a", "out"))})
-    rt = RetainingRuntime(fail={"bad"}, temp_fail_counts={"flaky": 1})
+    rt = RetainingRuntime(cached_dir, fail={"bad"},
+                          temp_fail_counts={"flaky": 1})
     result = _run(g, rt, parallelism=1, on_error="continue", retries=1)
     assert result.status == "PermanentFail"
     # flaky's first attempt failed and is kept; ok is released once flaky
@@ -493,18 +498,18 @@ def test_failed_attempts_and_what_a_failed_reader_read_are_kept():
     assert result.held == []
 
 
-def test_cache_hits_and_skips_release_what_they_read(tmp_path):
+def test_cache_hits_and_skips_release_what_they_read(tmp_path, cached_dir):
     from miniwfl.cache import ResultCache
     g = _graph(_node("a"), _node("hit", deps=["a"], layer=1),
                _node("skip", deps=["a"], layer=1, guard="$(false)"))
     cache = ResultCache(str(tmp_path / "cache"))
-    rt = StubRuntime()
+    rt = StubRuntime(cached_dir)
     run(g, RunConfig(parallelism=1), Services(rt, cache))  # fills the cache
     entries = cache_entries(cache.cache_dir)
     (hit_key,) = [key for key, entry in entries.items() if "hit" in entry]
     cache_entries(cache.cache_dir,
                   {key: None for key in entries if key != hit_key})
-    rt = RetainingRuntime()
+    rt = RetainingRuntime(cached_dir)
     result = run(g, RunConfig(parallelism=1), Services(rt, cache))
     assert result.tasks["hit"].state == planner.CACHED
     assert result.tasks["skip"].state == planner.SKIPPED
@@ -540,12 +545,12 @@ def _cores(expr):
     return [Clause(CLAUSE_RESOURCE, {"coresMin": expr})]
 
 
-def _pin_cached():
+def _pin_cached(cached_dir):
     """Warm a fake cache with ``p`` and shards xs=a, xs=b, then run a graph
     in which those hit and the shard xs=c and the consumer miss."""
     cache = FakeCache()
     run(_graph(_node("p"), _fan("fan", ["a", "b"])), RunConfig(),
-        Services(StubRuntime(), cache=cache))
+        Services(StubRuntime(cached_dir), cache=cache))
     graph = _graph(_node("p"), _fan("fan", ["a", "b", "c"]),
                    _fan("all", ["b", "a"]),
                    _node("down", deps=["p", "fan"], layer=1),
@@ -554,43 +559,47 @@ def _pin_cached():
     return graph, {"cache": cache}
 
 
-def _pin_retries():
+def _pin_retries(cached_dir):
     return (_graph(_node("flaky"), _fan("fan", ["a", "b"], layer=1)),
             {"retries": 1,
-             "runtime": StubRuntime(temp_fail_counts={"flaky": 1,
+             "runtime": StubRuntime(cached_dir,
+                                    temp_fail_counts={"flaky": 1,
                                                       "fan[1]": 1})})
 
 
 def _pin_failure(on_error):
-    def build():
+    def build(cached_dir):
         return (_graph(_node("bad"), _node("down", deps=["bad"], layer=1),
                        _node("indep", layer=1)),
-                {"on_error": on_error, "runtime": StubRuntime(fail={"bad"})})
+                {"on_error": on_error,
+                 "runtime": StubRuntime(cached_dir, fail={"bad"})})
     return build
 
 
 PIN_SCENARIOS = {
-    "chain": lambda: (_graph(_node("a"), _node("b", deps=["a"], layer=1),
-                             _node("c", deps=["b"], layer=2)), {}),
-    "guard_skip": lambda: (_graph(
+    "chain": lambda cached_dir: (_graph(
+        _node("a"), _node("b", deps=["a"], layer=1),
+        _node("c", deps=["b"], layer=2)), {}),
+    "guard_skip": lambda cached_dir: (_graph(
         _node("maybe", guard="$(inputs.go)", bindings={"go": ("lit", False)}),
         _node("down", deps=["maybe"], layer=1)), {}),
-    "shard_guards": lambda: (_graph(
+    "shard_guards": lambda cached_dir: (_graph(
         _fan("fan", ["go", "stop", "go"], guard="$(inputs.xs == 'go')"),
         _node("down", deps=["fan"], layer=1),
         outputs={"fan": ("edge", ("fan", "out"))}), {}),
-    "width_zero": lambda: (_graph(
+    "width_zero": lambda cached_dir: (_graph(
         _fan("fan", []), _node("down", deps=["fan"], layer=1),
         outputs={"fan": ("edge", ("fan", "out")),
                  "down": ("edge", ("down", "out"))}), {}),
     "retries": _pin_retries,
     "fail_stop": _pin_failure("stop"),
     "fail_continue": _pin_failure("continue"),
-    "shard_failure": lambda: (_graph(
+    "shard_failure": lambda cached_dir: (_graph(
         _fan("fan", ["a", "b", "c"]), _node("down", deps=["fan"], layer=1),
         _node("indep", layer=1)),
-        {"on_error": "continue", "runtime": StubRuntime(fail={"fan[1]"})}),
-    "oversized": lambda: (_graph(
+        {"on_error": "continue",
+         "runtime": StubRuntime(cached_dir, fail={"fan[1]"})}),
+    "oversized": lambda cached_dir: (_graph(
         _node("huge", requirements=_cores(64)),
         _fan("fan", [1, 64, 1], requirements=_cores("$(inputs.xs)")),
         _node("small", layer=1)),
@@ -679,16 +688,16 @@ PIN_EXPECTED = {
 
 
 @pytest.mark.parametrize("name", sorted(PIN_SCENARIOS))
-def test_event_log_and_task_states_are_pinned(name):
+def test_event_log_and_task_states_are_pinned(name, cached_dir):
     """The coordinator's whole observable trace for each scenario, serial so
     that completions cannot interleave."""
     from miniwfl import provenance
-    graph, kwargs = PIN_SCENARIOS[name]()
-    runtime = kwargs.pop("runtime", None) or StubRuntime()
+    graph, kwargs = PIN_SCENARIOS[name](cached_dir)
+    runtime = kwargs.pop("runtime", None) or StubRuntime(cached_dir)
     cache = kwargs.pop("cache", None)
     result = run(graph, RunConfig(parallelism=1, **kwargs),
                  Services(runtime, cache=cache))
-    record = provenance.build_record(result, "", {})
+    record = provenance.build_record(result, "", {}, "run")
     status, events, states, outputs = PIN_EXPECTED[name]
     assert result.status == status
     assert [f"{e['task']} {e['transition']} {e['attempt']}"
@@ -711,7 +720,7 @@ def _chain(length):
                     for i in range(length)])
 
 
-def _best_of_5(build, size):
+def _best_of_5(build, size, cached_dir):
     """Fastest of five runs over the stub runtime, whose tasks cost
     nothing, so the time is the coordinator's own; on a small machine one
     descheduling can decide a single short run."""
@@ -719,23 +728,24 @@ def _best_of_5(build, size):
     for _ in range(5):
         graph = build(size)
         started = time.perf_counter()
-        assert _run(graph).status == "Success"
+        assert _run(graph, StubRuntime(cached_dir)).status == "Success"
         times.append(time.perf_counter() - started)
     return min(times)
 
 
 @pytest.mark.parametrize("build, small, large",
                          [(_scatter, 1000, 4000), (_chain, 500, 2000)])
-def test_coordinator_cost_grows_linearly(build, small, large):
+def test_coordinator_cost_grows_linearly(build, small, large, cached_dir):
     # 4x the units: about 4x the time when linear, 16x when quadratic
-    ratio = _best_of_5(build, large) / _best_of_5(build, small)
+    ratio = (_best_of_5(build, large, cached_dir)
+             / _best_of_5(build, small, cached_dir))
     assert ratio < 7, f"{large} units took {ratio:.1f}x the time of {small}"
 
 
 @pytest.mark.parametrize("build, small, large",
                          [(_scatter, 1000, 4000), (_chain, 500, 2000)])
 def test_coordinator_work_per_unit_stays_flat(build, small, large,
-                                              monkeypatch):
+                                              monkeypatch, cached_dir):
     """The timed gate above in counts, which host noise cannot move: the
     candidates checked for readiness and the admission calls, per unit."""
     counts = {}
@@ -755,15 +765,17 @@ def test_coordinator_work_per_unit_stays_flat(build, small, large,
     per_unit = {}
     for size in (small, large):
         counts.update(candidates=0, admissions=0)
-        assert _run(build(size)).status == "Success"
+        assert _run(build(size), StubRuntime(cached_dir)).status \
+            == "Success"
         per_unit[size] = {k: n / size for k, n in counts.items()}
     for key, at_small in per_unit[small].items():
         assert per_unit[large][key] <= 1.1 * at_small, (key, per_unit)
 
 
-def test_interrupt_cancels_the_attempts_in_flight():
-    class BlockedRuntime:
-        def __init__(self):
+def test_interrupt_cancels_the_attempts_in_flight(cached_dir):
+    class BlockedRuntime(NullRuntime):
+        def __init__(self, cached_dir):
+            super().__init__(cached_dir)
             self.started = threading.Event()
             self.cancelled = threading.Event()
 
@@ -775,7 +787,7 @@ def test_interrupt_cancels_the_attempts_in_flight():
         def cancel(self):
             self.cancelled.set()
 
-    rt = BlockedRuntime()
+    rt = BlockedRuntime(cached_dir)
     threading.Thread(target=lambda: rt.started.wait(10) and os.kill(
         os.getpid(), signal.SIGINT), daemon=True).start()
     began = time.monotonic()
@@ -785,10 +797,12 @@ def test_interrupt_cancels_the_attempts_in_flight():
     assert rt.cancelled.is_set() and time.monotonic() - began < 5
 
 
-def test_interrupt_delivered_to_a_worker_thread_is_handled_at_once():
+def test_interrupt_delivered_to_a_worker_thread_is_handled_at_once(
+        cached_dir):
     # the kernel may deliver a process-directed signal to any thread
-    class SelfSignallingRuntime:
-        def __init__(self):
+    class SelfSignallingRuntime(NullRuntime):
+        def __init__(self, cached_dir):
+            super().__init__(cached_dir)
             self.cancelled = threading.Event()
 
         def run_task(self, node, bindings, attempt_number, resources):
@@ -800,7 +814,7 @@ def test_interrupt_delivered_to_a_worker_thread_is_handled_at_once():
         def cancel(self):
             self.cancelled.set()
 
-    rt = SelfSignallingRuntime()
+    rt = SelfSignallingRuntime(cached_dir)
     began = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _run(_graph(_node("a")), runtime=rt)

@@ -3,6 +3,7 @@
 import json
 import random
 import textwrap
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from miniwfl import parser, planner, validator
 from miniwfl.errors import GraphCycleError, PlanError
 from miniwfl.model import Document, Machine
-from miniwfl.validator import Diagnostic, SupportMatrix
+from miniwfl.validator import Diagnostic
 
 
 def _doc(text):
@@ -78,17 +79,15 @@ def test_unsupported_requirement_is_error_hint_is_warning():
 
 
 def test_unsupported_version_reported():
-    matrix = SupportMatrix(supported_versions=frozenset({"v1.2"}))
-    doc = _doc(TOOL.replace("v1.2", "v1.0"))
-    assert _codes(validator.validate(doc, matrix)) == ["UnsupportedVersion"]
+    doc = replace(_doc(TOOL), version="v0.9")
+    assert _codes(validator.validate(doc)) == ["UnsupportedVersion"]
 
 
 def test_resource_unsatisfiable():
     doc = _doc(TOOL + "requirements:\n  - {class: ResourceRequirement, coresMin: 4}\n")
-    matrix = SupportMatrix(machine=Machine(cores=2))
-    diags = validator.validate(doc, matrix)
+    diags = validator.validate(doc, Machine(cores=2))
     assert _codes(diags) == ["ResourceUnsatisfiable"]
-    assert validator.validate(doc, SupportMatrix(machine=Machine(cores=4))) == []
+    assert validator.validate(doc, Machine(cores=4)) == []
 
 
 @pytest.mark.parametrize("feature", ["scatter", "when"])
@@ -266,7 +265,8 @@ def _chain_workflow(edges, n):
 def _plan_layers(wf):
     """Step ids grouped by the layer ``planner.plan`` gives their nodes."""
     layers = []
-    for tid, node in planner.plan(Document("v1.2", wf), {}).nodes.items():
+    graph = planner.plan(Document("v1.2", wf), {})
+    for tid, node in graph.nodes.items():
         while len(layers) <= node.layer:
             layers.append(set())
         layers[node.layer].add(tid)
