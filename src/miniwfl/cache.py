@@ -4,11 +4,19 @@ Keys are built from what an execution *is* — tool digest, input contents
 and basenames, every effective requirement and hint (step-level overrides
 included) and the resolved resources — never from directories,
 timestamps, or host names.  Layout on disk: ``ac.sqlite`` is the index,
-one SQLite table ``ac`` with one row per entry, the key and the JSON
-description of its outputs; ``cas/<sha256>`` is one payload file, named
-by its checksum and shared by every entry holding those bytes.  Entries
-of the older ``ac/<key>.json`` and ``<first-2-hex>/<key>/`` layouts are
-never read: they miss, and can be deleted by hand.
+one SQLite table ``ac`` with one row per entry, the key and the compact
+JSON description of its outputs; ``cas/<sha256>`` is one payload file,
+named by its checksum and shared by every entry holding those bytes.
+Entries of the older ``ac/<key>.json`` and ``<first-2-hex>/<key>/``
+layouts are never read: they miss, and can be deleted by hand.
+
+A payload takes one of two forms, chosen by its size.  A File output of
+at most ``_INLINE_MAX`` bytes is stored in its entry, base64 under
+``"inline"`` and its mode bits under ``"mode"``, in the manner of Bazel's
+inlined action outputs: a file of its own would cost a whole filesystem
+block, and its base64 fits in one.  A larger one is a ``cas/`` payload
+file.  An entry without ``"inline"`` (also one stored before payloads
+were inlined) reads ``cas/``, so no migration is needed.
 
 The index runs in WAL mode, so one process's readers never wait for
 another's writer, and a ``ResultCache`` holds one connection, opened on
@@ -20,24 +28,31 @@ makes a lookup a miss and a store a warning.
 
 Payload files are hard links to the outputs the run collected under its
 ``.work`` directory (copies where the cache sits on another filesystem).
-A hit is published by link too, as ``.work/.run-<id>/cached/<sha256>``,
-and stage-out links both kinds into ``--outdir``: one output is one inode
-across ``.work``, ``cas/`` and ``--outdir``, so an edit to any of those
-names changes them all.  ``lookup`` therefore re-hashes every payload file on
-each hit, and evicts an entry that no longer matches along with the
-payload file that failed; an entry that is not JSON of the shape ``store``
-writes is evicted as well.
+A hit is published as ``.work/.run-<id>/cached/<sha256>``: a link to its
+payload file, or a file written from its inline bytes once something is
+to read it (see materialize).  Stage-out links both kinds into
+``--outdir``, so a large output is one inode across ``.work``, ``cas/``
+and ``--outdir``, and an edit to any of those names changes them all; an
+inline payload is a copy that no such edit reaches.
+``lookup`` therefore re-hashes every payload on each hit, the decoded
+inline bytes or the payload file, and evicts an entry that no longer
+matches along with the payload file that failed; an entry that is not
+JSON of the shape ``store`` writes is evicted as well.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
+import hashlib
 import json
 import logging
 import os
+import pathlib
+import stat
 import threading
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import model, parser
@@ -49,6 +64,9 @@ log = logging.getLogger(__name__)
 _BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
 _SCHEMA = ("CREATE TABLE IF NOT EXISTS ac"
            " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
+# the largest payload stored in its entry: its base64 fills one 4 KiB block,
+# so an inline payload never takes more than a payload file would
+_INLINE_MAX = 3072
 
 
 def _value_fingerprint(value):
@@ -63,15 +81,14 @@ def digest_tool(tool) -> str:
     return parser.canonical_digest(model.Document(version="v1.2", body=tool))
 
 
-def cache_key(node: TaskNode, bindings: dict,
-              tool_digest: Optional[str] = None,
-              resources: Optional[dict] = None) -> Optional[str]:
+def cache_key(node: TaskNode, bindings: dict, tool_digest: str,
+              resources: dict) -> Optional[str]:
     """Key for one concrete execution, or None where
     WorkReuse(enableReuse: false) turns reuse off.
 
-    ``tool_digest`` is ``digest_tool(node.tool)``, computed when not given;
-    ``resources`` are the unit's resolved resource values, which reach the
-    command line through ``runtime.cores`` and ``runtime.ram``.
+    ``tool_digest`` is ``digest_tool(node.tool)``; ``resources`` are the
+    unit's resolved resource values, which reach the command line through
+    ``runtime.cores`` and ``runtime.ram``.
     """
     clause = node.clause(model.CLAUSE_WORK_REUSE)
     if clause is not None and clause.payload.get("enableReuse", True) is False:
@@ -81,7 +98,7 @@ def cache_key(node: TaskNode, bindings: dict,
     clauses = [{"kind": c.kind, "payload": c.payload}
                for c in node.requirements + node.hints]
     return parser.digest_data({
-        "tool": tool_digest or digest_tool(node.tool),
+        "tool": tool_digest,
         "inputs": parser.digest_data(
             {k: _value_fingerprint(v) for k, v in bindings.items()}),
         "env": parser.digest_data(
@@ -89,19 +106,46 @@ def cache_key(node: TaskNode, bindings: dict,
     })
 
 
+@dataclass(frozen=True)
+class _Inline(FileValue):
+    """A hit's inline payload: its bytes and mode bits, held from lookup
+    until they are written to a file (see materialize), and no path until
+    republish gives it one."""
+
+    data: bytes = b""
+    mode: int = 0o644
+
+
 def _entry_to_value(value, cas_dir):
     if isinstance(value, dict) and value.get("class") == "File":
-        return FileValue(
-            # basename: a tampered entry cannot name a path outside cas/
-            path=os.path.join(cas_dir, os.path.basename(value["checksum"])),
-            basename=value["basename"],
-            size=value["size"],
-            checksum=value["checksum"],
-            format=value.get("format"),
-        )
+        described = {"basename": value["basename"], "size": value["size"],
+                     "checksum": value["checksum"],
+                     "format": value.get("format")}
+        if "inline" in value:
+            return _Inline(path="", data=base64.b64decode(
+                value["inline"], validate=True),
+                mode=stat.S_IMODE(value["mode"]), **described)
+        # basename: a tampered entry cannot name a path outside cas/
+        return FileValue(path=os.path.join(
+            cas_dir, os.path.basename(value["checksum"])), **described)
     if isinstance(value, list):
         return [_entry_to_value(v, cas_dir) for v in value]
     return value
+
+
+def _intact(fv: FileValue) -> bool:
+    """Whether a hit's payload still holds the bytes its entry names."""
+    if isinstance(fv, _Inline):
+        return hashlib.sha256(fv.data).hexdigest() == fv.checksum
+    try:
+        return file_checksum(fv.path) == fv.checksum
+    except OSError:  # missing, not a file, or unreadable
+        return False
+
+
+def _write(path: str, data: bytes, mode: int):
+    pathlib.Path(path).write_bytes(data)
+    os.chmod(path, mode)
 
 
 def _same_inode(blob: str, name: str) -> bool:
@@ -129,8 +173,12 @@ class ResultCache:
         self.cas_dir = os.path.join(self.cache_dir, "cas")
         self._db = None  # the index's connection, on first use
         self._lock = threading.Lock()  # around every use of _db
-        self._made = False  # cas/, on the first store
+        self._made = False  # cas/, on the first payload file stored
         self._published = set()  # directories republish has made
+        # path -> (bytes, mode) of each inline hit that republish published
+        # and materialize has not written yet, under _writing
+        self._unwritten = {}
+        self._writing = threading.Lock()
 
     def _execute(self, sql: str, params: tuple) -> Optional[list]:
         """Run one statement on the index and return its rows; None, with
@@ -190,8 +238,9 @@ class ResultCache:
         """Verified outputs for a key, or None; always None without a key.
 
         Entries that are not JSON of the shape ``store`` writes, or whose
-        stored files are missing, unreadable or corrupt, are evicted and
-        reported as misses.
+        payloads are missing, unreadable or corrupt, are evicted and
+        reported as misses.  An inline payload's File carries its verified
+        bytes for ``republish``, which gives it a path.
         """
         if key is None:
             return None
@@ -210,65 +259,82 @@ class ResultCache:
         files = []
         map_files(list(outputs.values()), files.append)
         for fv in files:
-            try:
-                intact = file_checksum(fv.path) == fv.checksum
-            except OSError:  # missing, not a file, or unreadable
-                intact = False
-            if not intact:
+            if not _intact(fv):
                 log.warning("cache entry corrupt, evicting: %s", key)
                 self.evict(key)
-                with contextlib.suppress(OSError):
-                    # so that a later store links a good copy
-                    os.remove(fv.path)
+                if not isinstance(fv, _Inline):
+                    with contextlib.suppress(OSError):
+                        # so that a later store links a good copy
+                        os.remove(fv.path)
                 return None
         return outputs
 
-    def store(self, key: Optional[str], outputs: dict,
-              source_run_id: str = ""):
+    def store(self, key: Optional[str], outputs: dict, source_run_id: str):
         """Persist outputs under a key, if there is one: the payload files
         first, then the entry, so that an entry never names a missing
-        file.  The first entry stored for a key wins; failures degrade to
-        a warning."""
+        file.  A File of at most ``_INLINE_MAX`` bytes is read into the
+        entry instead, after a check against its collected checksum.  The
+        first entry stored for a key wins; failures degrade to a warning."""
         if key is None:
             return
         try:
             self._store(key, outputs, source_run_id)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             log.warning("cache store failed (continuing): %s", exc)
 
     def _store(self, key: str, outputs: dict, source_run_id: str):
-        if not self._made:
-            os.makedirs(self.cas_dir, exist_ok=True)
-            self._made = True
-
         def persist(fv):
+            stored = fv.to_json(include_path=False)
+            if fv.size <= _INLINE_MAX:
+                with open(fv.path, "rb") as fh:
+                    data = fh.read(_INLINE_MAX + 1)
+                    mode = os.fstat(fh.fileno()).st_mode
+                stored["mode"] = stat.S_IMODE(mode)
+                if hashlib.sha256(data).hexdigest() != fv.checksum:
+                    raise ValueError(f"output changed since it was "
+                                     f"collected: {fv.path}")
+                stored["inline"] = base64.b64encode(data).decode("ascii")
+                return stored
+            if not self._made:
+                os.makedirs(self.cas_dir, exist_ok=True)
+                self._made = True
             # an existing blob holds these bytes already, and is kept
             place_file(fv.path, os.path.join(self.cas_dir, fv.checksum),
                        link=True)
-            return fv.to_json(include_path=False)
+            return stored
 
         entry = {
-            "key": key,
             "outputs": {k: map_files(v, persist) for k, v in outputs.items()},
             "createdAt": time.time(),
             "sourceRunId": source_run_id,
         }
         self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
-                      (key, json.dumps(entry, sort_keys=True)))
+                      (key, json.dumps(entry, sort_keys=True,
+                                       separators=(",", ":"))))
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
-        """Publish a hit's verified payload files as ``<dest_dir>/<sha256>``,
-        so that the run stays self-contained even if the cache is pruned
-        later.  Each is a hard link to its blob (a copy where the cache is
-        on another filesystem); a name that is already a link to the blob is
-        kept, and any other file there is replaced.  Only each File's
-        ``path`` changes, and ``dest_dir`` is made once, on its first use."""
+        """Publish a hit's verified payloads as ``<dest_dir>/<sha256>``, so
+        that the run stays self-contained even if the cache is pruned
+        later.  A payload file is hard-linked there (copied where the cache
+        is on another filesystem); a name that is already a link to the
+        blob is kept, and any other file there is replaced.  An inline
+        payload's file is written from its bytes by ``materialize``, once
+        something reads it: a hit whose bytes nothing reads costs no file,
+        in the manner of Bazel's builds without the bytes.  Only each
+        File's ``path`` changes, and ``dest_dir`` is made once, on its
+        first use."""
         if dest_dir not in self._published:
             os.makedirs(dest_dir, exist_ok=True)
             self._published.add(dest_dir)
 
         def place(fv):
             target = os.path.join(dest_dir, fv.checksum)
+            if isinstance(fv, _Inline):
+                with self._writing:
+                    self._unwritten[target] = (fv.data, fv.mode)
+                return FileValue(path=target, basename=fv.basename,
+                                 size=fv.size, checksum=fv.checksum,
+                                 format=fv.format)
             if not _same_inode(fv.path, target):
                 # a blob published earlier in this run may have been
                 # edited, evicted and stored again as another inode
@@ -277,6 +343,20 @@ class ResultCache:
             return replace(fv, path=target)
 
         return {k: map_files(v, place) for k, v in outputs.items()}
+
+    def materialize(self, values):
+        """Write the file of each File in ``values`` that ``republish``
+        published from an inline payload and that is not written yet, so
+        that it can be read; from any thread."""
+        def write(fv):
+            with self._writing:
+                unwritten = self._unwritten.get(fv.path)
+                if unwritten is not None:
+                    write_atomically(fv.path, lambda partial: _write(
+                        partial, *unwritten))
+                    del self._unwritten[fv.path]
+
+        map_files(list(values), write)
 
     def evict(self, key: str):
         """Remove the entry of ``key``, as for a miss found at lookup."""

@@ -410,6 +410,9 @@ class _Coordinator:
 
         def work():
             try:
+                if self.services.cache is not None:
+                    # the files of the cache hits this task reads
+                    self.services.cache.materialize(record.inputs.values())
                 attempt = self.services.runtime.run_task(
                     record.task, record.inputs, number, record.resources)
                 # stored here, off the coordinator
@@ -481,6 +484,8 @@ class _Coordinator:
         status = "Success" if states <= _DONE else "PermanentFail"
         outputs = resolved_bindings(self.graph.workflow_outputs,
                                     self.published)
+        if self.services.cache is not None:
+            self.services.cache.materialize(outputs.values())
         held = [workdir for node_id, workdirs in sorted(self.workdirs.items())
                 if node_id in self.staged and not self.awaiting.get(node_id)
                 and self.tasks[node_id].state in _DONE

@@ -1,15 +1,18 @@
 """Result reuse: key construction, store/lookup, corruption, disable switch."""
 
+import base64
+import hashlib
 import json
 import os
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from conftest import cache_entries
 
 from miniwfl import parser
-from miniwfl.cache import ResultCache, cache_key
+from miniwfl.cache import _INLINE_MAX, ResultCache, cache_key, digest_tool
 from miniwfl.model import (
     CLAUSE_CONTAINER,
     CLAUSE_ENV,
@@ -26,6 +29,13 @@ TOOL_RAW = {
     "stdout": "out.txt",
 }
 TOOL = parser.parse_raw(TOOL_RAW).body
+# more bytes than a cache entry holds inline: stored as a cas/ payload file
+STUFF = "stuff\n" * (_INLINE_MAX // 6 + 1)
+
+
+def _key(node, bindings, resources=None):
+    """The key the scheduler gives ``node`` run on ``bindings``."""
+    return cache_key(node, bindings, digest_tool(node.tool), resources or {})
 
 
 def _node(requirements=(), tool=TOOL):
@@ -33,7 +43,7 @@ def _node(requirements=(), tool=TOOL):
                     requirements=tuple(requirements))
 
 
-def _fv(tmp_path, name="in.txt", content="stuff\n"):
+def _fv(tmp_path, name="in.txt", content=STUFF):
     p = tmp_path / name
     p.write_text(content)
     return FileValue.from_path(str(p))
@@ -62,36 +72,36 @@ def test_key_ignores_file_directory(tmp_path):
     (tmp_path / "b").mkdir()
     f1 = _fv(tmp_path / "a", "same.txt")
     f2 = _fv(tmp_path / "b", "same.txt")  # same name and bytes elsewhere
-    assert cache_key(_node(), {"f": f1}) == cache_key(_node(), {"f": f2})
+    assert _key(_node(), {"f": f1}) == _key(_node(), {"f": f2})
 
 
 def test_key_changes_with_file_basename(tmp_path):
     # a tool sees the basename through inputs.f.basename and its staged path
     f1 = _fv(tmp_path, "original.txt")
     f2 = _fv(tmp_path, "renamed.txt")  # same bytes, another name
-    assert cache_key(_node(), {"f": f1}) != cache_key(_node(), {"f": f2})
+    assert _key(_node(), {"f": f1}) != _key(_node(), {"f": f2})
 
 
 def test_key_changes_with_file_content(tmp_path):
-    k1 = cache_key(_node(), {"f": _fv(tmp_path, "a.txt", "one\n")})
-    k2 = cache_key(_node(), {"f": _fv(tmp_path, "b.txt", "two\n")})
+    k1 = _key(_node(), {"f": _fv(tmp_path, "a.txt", "one\n")})
+    k2 = _key(_node(), {"f": _fv(tmp_path, "b.txt", "two\n")})
     assert k1 != k2
 
 
 def test_key_changes_with_tool(tmp_path):
     fv = _fv(tmp_path)
     other = dict(TOOL_RAW, baseCommand=["tac"])
-    k1 = cache_key(_node(), {"f": fv})
-    k2 = cache_key(_node(tool=parser.parse_raw(other).body), {"f": fv})
+    k1 = _key(_node(), {"f": fv})
+    k2 = _key(_node(tool=parser.parse_raw(other).body), {"f": fv})
     assert k1 != k2
 
 
 def test_key_changes_with_env_and_image(tmp_path):
     fv = _fv(tmp_path)
-    plain = cache_key(_node(), {"f": fv})
-    with_env = cache_key(_node([Clause(CLAUSE_ENV,
+    plain = _key(_node(), {"f": fv})
+    with_env = _key(_node([Clause(CLAUSE_ENV,
                                        {"envDef": {"A": "1"}})]), {"f": fv})
-    with_image = cache_key(_node([Clause(CLAUSE_CONTAINER,
+    with_image = _key(_node([Clause(CLAUSE_CONTAINER,
                                          {"image": "alpine"})]), {"f": fv})
     assert len({plain, with_env, with_image}) == 3
 
@@ -100,27 +110,27 @@ def test_key_is_stable_across_processes(tmp_path):
     p = tmp_path / "fixed.txt"
     p.write_text("fixed\n")
     fv = FileValue.from_path(str(p))
-    k = cache_key(_node(), {"f": fv})
-    assert k == cache_key(_node(), {"f": fv})
+    k = _key(_node(), {"f": fv})
+    assert k == _key(_node(), {"f": fv})
     assert len(k) == 64
 
 
 def test_work_reuse_disabled_never_matches(tmp_path):
     fv = _fv(tmp_path)
     node = _node([Clause(CLAUSE_WORK_REUSE, {"enableReuse": False})])
-    key = cache_key(node, {"f": fv})
+    key = _key(node, {"f": fv})
     assert key is None
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     assert cache.lookup(key) is None
 
 
 def test_store_then_lookup_roundtrip(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     assert cache.lookup(key) is None
-    cache.store(key, {"out": fv, "n": 7})
+    cache.store(key, {"out": fv, "n": 7}, "run")
     hit = cache.lookup(key)
     assert hit["n"] == 7
     got = hit["out"]
@@ -132,9 +142,9 @@ def test_store_then_lookup_roundtrip(tmp_path):
 
 def test_layout_is_sharded_and_inspectable(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     cache.close()
     # one row in a table that any SQLite client reads, and one blob
     assert sorted(os.listdir(cache.cache_dir)) == ["ac.sqlite", "cas"]
@@ -145,11 +155,91 @@ def test_layout_is_sharded_and_inspectable(tmp_path):
     assert os.listdir(os.path.join(cache.cache_dir, "cas")) == [fv.checksum]
 
 
+def test_small_output_is_stored_in_its_entry(tmp_path):
+    small = _fv(tmp_path, "small.txt", "x" * _INLINE_MAX)
+    os.chmod(small.path, 0o750)
+    key = _key(_node(), {"f": small})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": small, "xs": [small]}, "run-1")
+    cache.close()
+    # the bytes are in the row, written compact and without its key
+    assert os.listdir(cache.cache_dir) == ["ac.sqlite"]
+    text = cache_entries(cache.cache_dir)[key]
+    assert ", " not in text and ": " not in text
+    entry = json.loads(text)
+    assert sorted(entry) == ["createdAt", "outputs", "sourceRunId"]
+    assert entry["sourceRunId"] == "run-1"
+    stored = entry["outputs"]["out"]
+    assert base64.b64decode(stored["inline"]) == b"x" * _INLINE_MAX
+    assert len(stored["inline"]) == 4096  # one block, as a file would take
+    assert stored == dict(small.to_json(include_path=False),
+                          inline=stored["inline"], mode=0o750)
+    # a hit names its file in the run, one per checksum, and the verified
+    # bytes are written there once something is to read them
+    dest = str(tmp_path / "cached")
+    out = cache.republish(cache.lookup(key), dest)
+    assert out["out"] == replace(small, path=os.path.join(dest,
+                                                          small.checksum))
+    assert out["xs"] == [out["out"]]
+    assert os.listdir(dest) == []
+    cache.materialize(out.values())
+    assert os.listdir(dest) == [small.checksum]
+    assert Path(out["out"].path).read_text() == "x" * _INLINE_MAX
+    assert os.stat(out["out"].path).st_mode & 0o7777 == 0o750
+    assert not os.path.samefile(out["out"].path, small.path)
+    os.utime(out["out"].path, ns=(0, 0))
+    cache.materialize(out.values())  # written already: left as it is
+    assert os.stat(out["out"].path).st_mtime_ns == 0
+
+
+@pytest.mark.parametrize("damage", [
+    lambda stored: dict(stored, inline=base64.b64encode(b"bitrot").decode()),
+    lambda stored: dict(stored, inline="not base64!"),
+    lambda stored: dict(stored, inline=7),
+    lambda stored: dict(stored, mode="rwx"),
+], ids=["other-bytes", "bad-base64", "not-a-string", "mode-not-a-number"])
+def test_corrupt_inline_payload_is_evicted_as_miss(tmp_path, caplog, damage):
+    small = _fv(tmp_path, "small.txt", "small\n")
+    key = _key(_node(), {"f": small})
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": small}, "run")
+    entry = json.loads(cache_entries(cache.cache_dir)[key])
+    entry["outputs"]["out"] = damage(entry["outputs"]["out"])
+    cache_entries(cache.cache_dir, {key: json.dumps(entry)})
+    assert cache.lookup(key) is None
+    assert key not in cache_entries(cache.cache_dir)  # evicted
+    assert "evicting" in caplog.text
+
+
+def test_second_store_of_a_key_with_other_small_bytes_leaves_one_row(
+        tmp_path):
+    cache = ResultCache(str(tmp_path / "cache"))
+    first = _fv(tmp_path, "one.txt", "one\n")
+    key = _key(_node(), {"f": first})
+    cache.store(key, {"out": first}, "run")
+    cache.store(key, {"out": _fv(tmp_path, "two.txt", "two\n")}, "run")
+    cache.close()
+    assert os.listdir(cache.cache_dir) == ["ac.sqlite"]  # no orphan blob
+    assert list(cache_entries(cache.cache_dir)) == [key]
+    assert cache.lookup(key)["out"].checksum == first.checksum
+
+
+def test_small_output_changed_since_it_was_collected_is_not_stored(
+        tmp_path, caplog):
+    small = _fv(tmp_path, "small.txt", "collected\n")
+    key = _key(_node(), {"f": small})
+    (tmp_path / "small.txt").write_text("changed\n")
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.store(key, {"out": small}, "run")  # must not raise
+    assert "output changed since it was collected" in caplog.text
+    assert cache.lookup(key) is None
+
+
 def test_corrupt_payload_is_evicted_as_miss(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     stored = _entry_payload(cache.cache_dir, key)
     with open(stored, "w") as fh:
         fh.write("bitrot")
@@ -164,9 +254,9 @@ def test_unreadable_payload_is_evicted_as_miss(tmp_path, monkeypatch, caplog):
     error is raised by hand."""
     from miniwfl import cache as cache_module
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     stored = _entry_payload(cache.cache_dir, key)
     checksum = cache_module.file_checksum
 
@@ -184,9 +274,9 @@ def test_unreadable_payload_is_evicted_as_miss(tmp_path, monkeypatch, caplog):
 
 def test_unreadable_entry_json_is_evicted(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     cache_entries(cache.cache_dir, {key: "{not json"})
     assert cache.lookup(key) is None
     assert key not in cache_entries(cache.cache_dir)
@@ -194,19 +284,19 @@ def test_unreadable_entry_json_is_evicted(tmp_path):
 
 def test_first_writer_wins(tmp_path):
     f1 = _fv(tmp_path, "x.txt", "v1\n")
-    key = cache_key(_node(), {"f": f1})
+    key = _key(_node(), {"f": f1})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": f1})
+    cache.store(key, {"out": f1}, "run")
     f2 = _fv(tmp_path, "y.txt", "v2\n")
-    cache.store(key, {"out": f2})  # redundant store is ignored
+    cache.store(key, {"out": f2}, "run")  # redundant store is ignored
     assert cache.lookup(key)["out"].checksum == f1.checksum
 
 
 def test_republish_links_into_run_directory(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv, "xs": [fv]})
+    cache.store(key, {"out": fv, "xs": [fv]}, "run")
     hit = cache.lookup(key)
     dest = str(tmp_path / "rundir")
     out = cache.republish(hit, dest)
@@ -219,15 +309,15 @@ def test_republish_links_into_run_directory(tmp_path):
     assert out["out"] == replace(hit["out"], path=out["out"].path)
     # the run stays usable even if the cache is pruned afterwards
     shutil.rmtree(str(tmp_path / "cache"))
-    assert open(out["out"].path).read() == "stuff\n"
+    assert open(out["out"].path).read() == STUFF
 
 
 @pytest.mark.parametrize("left", ["other bytes", "symlink to the blob"])
 def test_republish_replaces_what_an_earlier_run_left(tmp_path, left):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     hit = cache.lookup(key)
     dest = tmp_path / "cached"
     dest.mkdir()
@@ -244,9 +334,9 @@ def test_republish_replaces_what_an_earlier_run_left(tmp_path, left):
 
 def test_republish_keeps_a_name_that_is_the_blob(tmp_path, monkeypatch):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv, "again": fv})
+    cache.store(key, {"out": fv, "again": fv}, "run")
     hit = cache.lookup(key)
     dest = str(tmp_path / "cached")
     cache.republish(hit, dest)
@@ -263,25 +353,25 @@ def test_republish_replaces_a_name_whose_blob_was_stored_again(tmp_path):
     through it edits the blob; the next lookup evicts the blob, a new
     store links another inode, and the next hit must not serve the edit."""
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     dest = str(tmp_path / "cached")
     published = cache.republish(cache.lookup(key), dest)["out"].path
     with open(published, "a") as fh:
         fh.write("edited\n")
     assert cache.lookup(key) is None
-    cache.store(key, {"out": _fv(tmp_path, "again.txt")})
+    cache.store(key, {"out": _fv(tmp_path, "again.txt")}, "run")
     out = cache.republish(cache.lookup(key), dest)
     assert out["out"].path == published
-    assert open(published).read() == "stuff\n"
+    assert open(published).read() == STUFF
 
 
 def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     hit = cache.lookup(key)
     _refuse_links(monkeypatch)
     dest = tmp_path / "cached"
@@ -298,9 +388,9 @@ def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
 def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
                                                        entry):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     cache_entries(cache.cache_dir, {key: json.dumps(entry)})
     assert cache.lookup(key) is None
     assert key not in cache_entries(cache.cache_dir)
@@ -309,20 +399,20 @@ def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
 
 def test_store_failure_degrades_to_warning(tmp_path, caplog):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     blocked = tmp_path / "cache"
     blocked.write_text("a file where the cache dir should be")
     cache = ResultCache(str(blocked))
-    cache.store(key, {"out": fv})  # must not raise
+    cache.store(key, {"out": fv}, "run")  # must not raise
     assert cache.lookup(key) is None
 
 
 def test_index_that_cannot_be_opened_degrades_to_warning(tmp_path, caplog):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     os.makedirs(cache.index_path)  # a directory where the index goes
-    cache.store(key, {"out": fv})  # must not raise
+    cache.store(key, {"out": fv}, "run")  # must not raise
     assert cache.lookup(key) is None
     assert "cache index unusable" in caplog.text
 
@@ -336,16 +426,12 @@ def test_key_changes_with_step_clauses_and_resources(tmp_path):
             {"entryname": "cfg.txt", "entry": text}]})]
 
     keys = {
-        cache_key(_node(workdir("alpha")), {"f": fv}),
-        cache_key(_node(workdir("beta")), {"f": fv}),
-        cache_key(_node(), {"f": fv}, resources={"coresMin": 1}),
-        cache_key(_node(), {"f": fv}, resources={"coresMin": 2}),
+        _key(_node(workdir("alpha")), {"f": fv}),
+        _key(_node(workdir("beta")), {"f": fv}),
+        _key(_node(), {"f": fv}, resources={"coresMin": 1}),
+        _key(_node(), {"f": fv}, resources={"coresMin": 2}),
     }
     assert len(keys) == 4
-    # the digest the scheduler memoizes is the one computed by default
-    from miniwfl.cache import digest_tool
-    assert cache_key(_node(), {"f": fv}, digest_tool(TOOL)) \
-        == cache_key(_node(), {"f": fv})
 
 
 def _run_workflow(raw, job, tmp_path, cache, parallelism=1):
@@ -382,9 +468,9 @@ def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
 
 def test_payload_is_a_hard_link_to_the_output(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     assert os.path.samefile(_entry_payload(cache.cache_dir, key), fv.path)
 
 
@@ -400,9 +486,9 @@ def _refuse_links(monkeypatch):
 def test_payload_is_copied_where_links_fail(tmp_path, monkeypatch):
     _refuse_links(monkeypatch)
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     payload = _entry_payload(cache.cache_dir, key)
     assert not os.path.samefile(payload, fv.path)
     assert file_checksum(payload) == fv.checksum
@@ -416,9 +502,9 @@ def test_editing_the_run_output_evicts_the_linked_entry(tmp_path):
     fv = _fv(tmp_path)
     node = _node()
     result = runtime.run_task(node, {"f": fv}, 1, {})
-    key = cache_key(node, {"f": fv})
+    key = _key(node, {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, result.outputs)
+    cache.store(key, result.outputs, "run")
     assert cache.lookup(key)["out"].checksum == fv.checksum
     with open(result.outputs["out"].path, "w") as fh:  # in place, same inode
         fh.write("edited under .work\n")
@@ -484,17 +570,17 @@ def test_concurrent_worker_stores_of_one_key_leave_one_entry(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = _run_workflow(raw, {"xs": ["same"] * 16}, tmp_path, cache,
+        result = _run_workflow(raw, {"xs": [STUFF] * 16}, tmp_path, cache,
                                parallelism=8)
     finally:
         sys.setswitchinterval(interval)
     assert result.status == "Success"
     assert {open(fv.path).read() for fv in result.outputs["outs"]} \
-        == {"same\n"}
+        == {STUFF + "\n"}
     cache.close()
     assert sorted(os.listdir(cache_dir)) == ["ac.sqlite", "cas"]
-    (entry,) = cache_entries(str(cache_dir)).values()  # one entry
-    assert json.loads(entry)["key"] == result.tasks["fan[0]"].key
+    (key,) = cache_entries(str(cache_dir))  # one entry
+    assert key == result.tasks["fan[0]"].key
     (blob,) = os.listdir(cache_dir / "cas")
     assert blob == file_checksum(str(cache_dir / "cas" / blob))
 
@@ -507,12 +593,12 @@ def _listing(cache_dir):
 
 def test_store_adds_one_entry_file_and_only_absent_blobs(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    shared = _fv(tmp_path, "shared.txt", "shared\n")
-    cache.store(cache_key(_node(), {"f": shared}), {"out": shared})
+    shared = _fv(tmp_path, "shared.txt", "shared\n" + STUFF)
+    cache.store(_key(_node(), {"f": shared}), {"out": shared}, "run")
     before = _listing(cache.cache_dir)
-    fresh = _fv(tmp_path, "fresh.txt", "fresh\n")
-    key = cache_key(_node(), {"f": fresh})
-    cache.store(key, {"a": shared, "b": [fresh, fresh]})
+    fresh = _fv(tmp_path, "fresh.txt", "fresh\n" + STUFF)
+    key = _key(_node(), {"f": fresh})
+    cache.store(key, {"a": shared, "b": [fresh, fresh]}, "run")
     after = _listing(cache.cache_dir)
     assert after["ac"] - before["ac"] == {key}
     assert after["cas"] - before["cas"] == {fresh.checksum}
@@ -524,9 +610,9 @@ def _same_bytes_twice(tmp_path, monkeypatch=None):
     (inode, size, mtime) before and after the second store, which refuses
     hard links when ``monkeypatch`` is given."""
     cache = ResultCache(str(tmp_path / "cache"))
-    first = _fv(tmp_path, "first.txt", "same\n")
-    second = _fv(tmp_path, "second.txt", "same\n")
-    cache.store(cache_key(_node(), {"f": first}), {"out": first})
+    first = _fv(tmp_path, "first.txt")
+    second = _fv(tmp_path, "second.txt")
+    cache.store(_key(_node(), {"f": first}), {"out": first}, "run")
     blob = os.path.join(cache.cache_dir, "cas", first.checksum)
 
     def signature():
@@ -537,9 +623,9 @@ def _same_bytes_twice(tmp_path, monkeypatch=None):
         _refuse_links(monkeypatch)
     os.utime(blob, ns=(0, 0))  # a rewrite would move the mtime off zero
     seen = signature()
-    key = cache_key(_node(tool=parser.parse_raw(
+    key = _key(_node(tool=parser.parse_raw(
         dict(TOOL_RAW, baseCommand=["tac"])).body), {"f": second})
-    cache.store(key, {"out": second})
+    cache.store(key, {"out": second}, "run")
     assert cache.lookup(key)["out"].checksum == second.checksum
     return seen, signature()
 
@@ -557,15 +643,15 @@ def test_equal_bytes_are_not_copied_over_a_blob_where_links_fail(
 
 def test_evicted_blob_is_relinked_by_a_later_store(tmp_path):
     fv = _fv(tmp_path)
-    key = cache_key(_node(), {"f": fv})
+    key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": fv})
+    cache.store(key, {"out": fv}, "run")
     with open(fv.path, "w") as fh:  # the blob is a link to this file
         fh.write("edited\n")
     assert cache.lookup(key) is None
     assert _listing(cache.cache_dir) == {"ac": set(), "cas": set()}
     again = _fv(tmp_path, "again.txt")  # the original bytes, a new file
-    cache.store(key, {"out": again})
+    cache.store(key, {"out": again}, "run")
     assert cache.lookup(key)["out"].checksum == fv.checksum
     assert os.path.samefile(_entry_payload(cache.cache_dir, key), again.path)
 
@@ -595,11 +681,11 @@ def test_first_store_makes_cas_and_the_index_and_later_stores_no_inode(
     monkeypatch.setattr(os, "mkdir", counting_mkdir)
     index = {"ac.sqlite", "ac.sqlite-wal", "ac.sqlite-shm"}
     for n in range(3):
-        fv = _fv(tmp_path, f"in{n}.txt", f"content {n}\n")
+        fv = _fv(tmp_path, f"in{n}.txt", f"content {n}\n" + STUFF)
         # the blob will be a link to the output: a new name, not an inode
         before = {os.stat(fv.path).st_ino}
         before.update(_inodes_by_name(cache.cache_dir).values())
-        cache.store(cache_key(_node(), {"f": fv}), {"out": fv, "xs": [fv]})
+        cache.store(_key(_node(), {"f": fv}), {"out": fv, "xs": [fv]}, "run")
         added = {name for name, ino in _inodes_by_name(cache.cache_dir).items()
                  if ino not in before}
         assert added == ({"cas"} | index if n == 0 else set())
@@ -613,8 +699,10 @@ def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
     hits, and one link per blob."""
     from miniwfl import planner, scheduler
     from miniwfl.runtime import LocalRuntime
+    lines = _INLINE_MAX // 2 + 1  # each output a cas/ payload file
     tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
-            "baseCommand": ["sh", "-c", "expr $0 % 2 || true"],
+            "baseCommand": ["sh", "-c",
+                            f"yes `expr $0 % 2` | head -n {lines}"],
             "inputs": [{"id": "x", "type": "int", "position": 1}],
             "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
             "stdout": "out.txt"}
@@ -644,10 +732,62 @@ def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
     assert [result.tasks[f"mod[{i}]"].state for i in range(6)] \
         == ["Cached"] * 6
     assert [open(fv.path).read() for fv in result.outputs["o"]] \
-        == ["1\n", "0\n"] * 3
+        == ["1\n" * lines, "0\n" * lines] * 3
     assert copies == []
     assert mkdirs == [runtime.cached_dir]
     assert len(links) == len({fv.checksum for fv in result.outputs["o"]}) == 2
+
+
+def test_small_hits_are_written_only_where_they_are_read(tmp_path):
+    """A hit's inline payload becomes a file only for a task that runs on
+    it or for a workflow output: a warm run writes the gather's output
+    alone, and a run whose gather changed writes the shards' too."""
+    from miniwfl import planner, scheduler
+    from miniwfl.runtime import LocalRuntime
+    echo = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "i", "type": "int", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}],
+            "stdout": "out.txt"}
+
+    def run(gather):
+        tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+                "baseCommand": gather,
+                "inputs": [{"id": "parts", "type": "File[]",
+                            "position": 1}],
+                "outputs": [{"id": "all", "type": "File",
+                             "capture": "stdout"}],
+                "stdout": "all.txt"}
+        raw = {"cwlVersion": "v1.2", "class": "Workflow",
+               "inputs": [{"id": "idx", "type": "int[]"}],
+               "outputs": [{"id": "all", "type": "File",
+                            "outputSource": "gather/all"}],
+               "steps": [{"id": "fan", "run": echo, "in": {"i": "idx"},
+                          "scatter": ["i"]},
+                         {"id": "gather", "run": tool,
+                          "in": {"parts": "fan/out"}}]}
+        runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+        result = scheduler.run(
+            planner.plan(parser.parse_raw(raw), {"idx": [3, 1, 2]}),
+            scheduler.RunConfig(parallelism=2),
+            scheduler.Services(runtime, cache))
+        assert Path(result.outputs["all"].path).read_text() == "3\n1\n2\n"
+        states = {tid: task.state for tid, task in result.tasks.items()}
+        written = (os.listdir(runtime.cached_dir)
+                   if os.path.isdir(runtime.cached_dir) else [])
+        return states, sorted(written)
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    assert run(["cat"])[1] == []
+    states, written = run(["cat"])
+    assert set(states.values()) == {"Cached"}
+    (entry,) = [json.loads(e) for e in cache_entries(cache.cache_dir).values()
+                if "all" in json.loads(e)["outputs"]]
+    assert written == [entry["outputs"]["all"]["checksum"]]
+    states, written = run(["cat", "--"])  # another gather: it runs
+    assert (states["fan"], states["gather"]) == ("Cached", "Succeeded")
+    assert written == sorted(hashlib.sha256(f"{i}\n".encode()).hexdigest()
+                             for i in (3, 1, 2))
 
 
 def test_index_error_on_the_coordinator_is_a_miss_and_a_warning(

@@ -15,6 +15,7 @@ import pytest
 
 import miniwfl
 from conftest import cache_entries, prepare_case, run_case, run_cli
+from miniwfl.cache import _INLINE_MAX
 
 TOOL = """\
 cwlVersion: v1.2
@@ -47,6 +48,14 @@ def project(tmp_path):
     (tmp_path / "wf.cwl").write_text(WF)
     (tmp_path / "job.yml").write_text("msg: cli test\n")
     return tmp_path
+
+
+def _long_output(project):
+    """Have ``say`` echo more bytes than a cache entry holds inline, so
+    that its output is a ``cas/`` payload file; returns the output."""
+    msg = "cli test " + "x" * _INLINE_MAX
+    (project / "job.yml").write_text(f"msg: {msg}\n")
+    return msg + "\n"
 
 
 def _run_args(project, *extra):
@@ -82,6 +91,77 @@ def test_run_writes_provenance(project):
     assert not os.path.exists(attempt["workdir"])
     assert record["jobOrder"] == {"msg": "cli test"}
     assert len(record["workflowDigest"]) == 64
+
+
+ENV_TOOL = json.dumps({
+    "cwlVersion": "v1.2", "class": "CommandLineTool", "baseCommand": ["env"],
+    "inputs": {}, "outputs": {"out": {"type": "File", "capture": "stdout"}},
+    "stdout": "env.txt"})
+
+
+def _types(value: dict) -> dict:
+    return {k: type(v).__name__ for k, v in value.items()}
+
+
+def test_provenance_record_schema_and_its_shared_env(project):
+    """The record's keys and value types at each level are pinned, and the
+    environment is recorded losslessly: the top-level ``env`` holds what
+    every attempt shares and each attempt what it adds, which for ``own``
+    is the PATH its EnvVarRequirement sets."""
+    own_path = "/usr/bin:/bin:/miniwfl-test"
+    assert own_path != os.environ["PATH"]
+    (project / "env.cwl").write_text(ENV_TOOL)
+    (project / "wf.cwl").write_text(json.dumps({
+        "cwlVersion": "v1.2", "class": "Workflow", "inputs": {},
+        "outputs": {name: {"type": "File", "outputSource": f"{name}/out"}
+                    for name in ("host", "own")},
+        "steps": {
+            "host": {"run": "env.cwl", "in": {}},
+            "own": {"run": "env.cwl", "in": {}, "requirements": [{
+                "class": "EnvVarRequirement",
+                "envDef": {"PATH": own_path, "EXTRA": "1"}}]}}}))
+    (project / "job.yml").write_text("{}\n")
+    code, out = run_cli(_run_args(project, "--parallel", "1"))
+    assert code == 0
+    (record_path,) = (project / "out" / "provenance").iterdir()
+    text = record_path.read_text()
+    record = json.loads(text)
+    # one line of compact JSON, the C encoder's bytes
+    assert text == json.dumps(record, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    assert _types(record) == {
+        "runId": "str", "engineVersion": "str", "workflowDigest": "str",
+        "status": "str", "jobOrder": "dict", "env": "dict", "tasks": "dict",
+        "events": "list"}
+    assert sorted(record["tasks"]) == ["host", "own"]
+    for task in record["tasks"].values():
+        assert _types(task) == {
+            "toolDigest": "str", "state": "str", "cached": "bool",
+            "attempts": "list", "inputs": "dict", "outputs": "dict"}
+        assert _types(task["outputs"]["out"]) == {
+            "class": "str", "basename": "str", "size": "int",
+            "checksum": "str"}
+        (attempt,) = task["attempts"]
+        assert _types(attempt) == {
+            "attempt": "int", "argv": "list", "env": "dict",
+            "startTime": "str", "endTime": "str", "exitCode": "int",
+            "outcome": "str", "error": "NoneType", "workdir": "str"}
+    assert record["events"] and all(_types(e) == {
+        "ts": "str", "task": "str", "transition": "str", "attempt": "int"}
+        for e in record["events"])
+    assert set(_types(record["env"]).values()) == {"str"}
+    outputs = json.loads(out)
+    for name, task in record["tasks"].items():
+        (attempt,) = task["attempts"]
+        assert set(attempt["env"]).isdisjoint(record["env"])
+        got = dict(line.split("=", 1) for line in
+                   Path(outputs[name]["path"]).read_text().splitlines())
+        assert got == {**record["env"], **attempt["env"]}
+    assert "PATH" not in record["env"]
+    assert record["tasks"]["host"]["attempts"][0]["env"]["PATH"] \
+        == os.environ["PATH"]
+    own = record["tasks"]["own"]["attempts"][0]["env"]
+    assert (own["PATH"], own["EXTRA"]) == (own_path, "1")
 
 
 def test_provenance_records_where_a_failed_attempt_is_kept(project):
@@ -305,6 +385,7 @@ def _released(monkeypatch):
 
 def test_staged_output_is_one_inode_with_its_work_output_and_blob(
         project, monkeypatch):
+    text = _long_output(project)
     copies = _copies(monkeypatch)
     for expected in ("Succeeded", "Cached"):
         released = _released(monkeypatch)
@@ -318,7 +399,7 @@ def test_staged_output_is_one_inode_with_its_work_output_and_blob(
         blob = project / "cache" / "cas" / out["checksum"]
         assert os.path.samefile(out["path"], blob)
         assert os.stat(blob).st_nlink == 2
-        assert Path(out["path"]).read_text() == "cli test\n"
+        assert Path(out["path"]).read_text() == text
     assert copies == []  # stage-out and the hit link; nothing is copied
 
 
@@ -338,6 +419,7 @@ def test_passthrough_input_is_copied_not_linked(tmp_path, monkeypatch):
 
 
 def test_leftover_of_an_older_work_layout_never_reaches_a_hit(project):
+    text = _long_output(project)
     _run_once(project)
     out, state = _run_once(project)
     assert state == "Cached"
@@ -350,19 +432,35 @@ def test_leftover_of_an_older_work_layout_never_reaches_a_hit(project):
     out, state = _run_once(project)
     assert state == "Cached"
     assert os.path.samefile(out["path"], blob)
-    assert Path(out["path"]).read_text() == "cli test\n"
-    assert blob.read_text() == "cli test\n"
+    assert Path(out["path"]).read_text() == text
+    assert blob.read_text() == text
 
 
 def test_editing_a_staged_output_makes_the_task_run_again(project):
+    text = _long_output(project)
     out, state = _run_once(project)
     with open(out["path"], "w") as fh:  # in place: the blob's inode too
         fh.write("edited in --outdir\n")
     out, state = _run_once(project)
     assert state == "Succeeded"
-    assert Path(out["path"]).read_text() == "cli test\n"
+    assert Path(out["path"]).read_text() == text
     out, state = _run_once(project)
     assert state == "Cached"
+
+
+def test_editing_a_staged_small_output_keeps_its_entry(project):
+    """A small output's payload is its entry's copy of the bytes, which an
+    edit in --outdir does not reach: the next run is a hit, and stages the
+    original bytes beside the edited file."""
+    out, state = _run_once(project)
+    staged = out["path"]
+    with open(staged, "w") as fh:
+        fh.write("edited in --outdir\n")
+    out, state = _run_once(project)
+    assert state == "Cached"
+    assert out["path"] == str(project / "out" / "out.1.txt")
+    assert Path(out["path"]).read_text() == "cli test\n"
+    assert Path(staged).read_text() == "edited in --outdir\n"
 
 
 def test_entry_of_the_wrong_shape_runs_the_task_again(project):
@@ -497,6 +595,7 @@ def _run_damaged(project, capsys, damage):
     (project / "damage.cwl").write_text(_sh_tool(DAMAGE[damage], "d.txt"))
     (project / "read.cwl").write_text(_sh_tool('cat "$0"', "seen.txt"))
     (project / "wf.cwl").write_text(DAMAGE_WF)
+    _long_output(project)
 
     def run(outdir):
         code, out = run_cli([
@@ -542,7 +641,7 @@ def test_run_made_input_moved_or_retouched_fails_its_readers_and_is_reused(
     assert tasks["make"]["state"] == "Cached"
     made = outputs["made"]["path"]
     assert made.startswith(str(project / "again"))
-    assert Path(made).read_text() == "cli test\n"
+    assert Path(made).read_text() == _long_output(project)
     assert bool(os.stat(made).st_mode & 0o111) is (damage == "chmod")
 
 
@@ -570,6 +669,7 @@ def test_passthrough_input_deleted_during_the_run_is_left_out(
 def test_blob_removed_between_lookup_and_republish_is_a_miss(project,
                                                              monkeypatch):
     from miniwfl.cache import ResultCache
+    text = _long_output(project)
     out, state = _run_once(project)
     lookup = ResultCache.lookup
 
@@ -582,7 +682,7 @@ def test_blob_removed_between_lookup_and_republish_is_a_miss(project,
     monkeypatch.setattr(ResultCache, "lookup", then_prune)
     again, state = _run_once(project)
     assert state == "Succeeded"
-    assert Path(again["path"]).read_text() == "cli test\n"
+    assert Path(again["path"]).read_text() == text
     monkeypatch.undo()
     assert _run_once(project)[1] == "Cached"  # stored again
 
@@ -830,7 +930,8 @@ def test_file_literal_is_refused_before_anything_runs(project, monkeypatch,
 ], ids=["file-link", "directory-link", "hard-link"])
 def test_symlinked_output_is_cached_as_its_bytes(project, script, glob):
     outside = project / "outside.txt"
-    outside.write_text("original\n")
+    original = "original\n" * (_INLINE_MAX // 9 + 1)  # a cas/ payload file
+    outside.write_text(original)
     (project / "tool.cwl").write_text(
         TOOL.replace("[echo]", f"[sh, -c, '{script}']")
             .replace("{type: File, capture: stdout}",
@@ -848,12 +949,12 @@ def test_symlinked_output_is_cached_as_its_bytes(project, script, glob):
     out, state = run_once()
     assert state == "Succeeded"
     (blob,) = (project / "cache" / "cas").iterdir()
-    assert not blob.is_symlink() and blob.read_text() == "original\n"
+    assert not blob.is_symlink() and blob.read_text() == original
     assert outside.stat().st_nlink == 1  # neither linked nor replaced
     outside.write_text("edited\n")
     out, state = run_once()
     assert state == "Cached"
-    assert Path(out["path"]).read_text() == "original\n"
+    assert Path(out["path"]).read_text() == original
 
 
 SLEEP_TOOL = """\
@@ -1032,10 +1133,11 @@ SCATTER_WF = (WF.replace("msg: string", "msg: string[]")
               .replace("{type: File,", '{type: "File[]",'))
 
 
-def _scatter_project(project, shards):
+def _scatter_project(project, shards, pad=""):
+    """Scatter ``say`` over ``shards`` messages, each ending in ``pad``."""
     (project / "wf.cwl").write_text(SCATTER_WF)
     (project / "job.yml").write_text(
-        f"msg: {[f'shard {i}' for i in range(shards)]}\n")
+        f"msg: {[f'shard {i}{pad}' for i in range(shards)]}\n")
     return shards
 
 
@@ -1093,10 +1195,26 @@ def test_damaged_index_is_made_again(project, caplog, damage):
 
 
 def test_run_leaves_only_the_index_and_cas_in_the_cache(project):
-    _scatter_project(project, 3)
+    _scatter_project(project, 3, pad=" " + "x" * _INLINE_MAX)
     for state in ("Succeeded", "Cached"):
         assert _scatter_run(project) == {state}
         assert sorted(os.listdir(project / "cache")) == ["ac.sqlite", "cas"]
+
+
+def test_small_outputs_leave_only_the_index_and_one_host_path(project):
+    """A 50-shard scatter of echo outputs stores every payload in the
+    index, with no cas/ at all, and records the host PATH, which every
+    attempt shares, once (a warm run makes no attempt)."""
+    _scatter_project(project, 50)
+    for state, paths in (("Succeeded", 1), ("Cached", 0)):
+        code, _ = run_cli(_scatter_args(project, "out"))
+        assert code == 0
+        (record,) = (project / "out" / "provenance").iterdir()
+        text = record.read_text()
+        assert text.count(json.dumps(os.environ["PATH"])) == paths
+        assert _shard_states(project, "out") == {state}
+        assert os.listdir(project / "cache") == ["ac.sqlite"]
+    assert len(cache_entries(str(project / "cache"))) == 50
 
 
 @pytest.mark.parametrize("argv", [

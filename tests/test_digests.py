@@ -84,7 +84,8 @@ def _pinned_key(data_dir):
                     hints=step.hints + step.run.body.hints)
     bindings = {"f": FileValue.from_path(path), "n": 3,
                 "words": ["a", "b"]}
-    return cache_key(node, bindings, resources={"cores": 2, "ram": 512})
+    return cache_key(node, bindings, digest_tool(node.tool),
+                     {"cores": 2, "ram": 512})
 
 
 def compute(data_dir):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from miniwfl import parser, runtime
-from miniwfl.cache import ResultCache
+from miniwfl.cache import _INLINE_MAX, ResultCache
 from miniwfl.errors import StagingError
 from miniwfl.expression import EvalContext
 from miniwfl.model import CLAUSE_INITIAL_WORKDIR, Clause
@@ -260,9 +260,11 @@ def test_echo_attempt_and_its_store_allocate_two_inodes(tmp_path,
     node = TaskNode(id="say", tool=_tool(), bindings={})
 
     def attempt(n):
-        result = rt.run_task(node, {"msg": f"hello {n}"}, 1, {})
+        # an output larger than the cache stores inline: a cas/ payload file
+        msg = f"hello {n} " + "x" * _INLINE_MAX
+        result = rt.run_task(node, {"msg": msg}, 1, {})
         assert result.outputs is not None
-        cache.store(f"key{n}", result.outputs)
+        cache.store(f"key{n}", result.outputs, "run")
         return result
 
     first = attempt(0)  # also makes the worker's TMPDIR, the index and cas/

@@ -528,11 +528,14 @@ class FakeCache:
     def lookup(self, key):
         return self.entries.get(key)
 
-    def store(self, key, outputs, source_run_id=""):
+    def store(self, key, outputs, source_run_id):
         self.entries[key] = outputs
 
     def republish(self, outputs, dest_dir):
         return outputs
+
+    def materialize(self, values):
+        pass
 
 
 def _fan(tid, xs, **kwargs):
