@@ -34,10 +34,18 @@ to read it (see materialize).  Stage-out links both kinds into
 ``--outdir``, so a large output is one inode across ``.work``, ``cas/``
 and ``--outdir``, and an edit to any of those names changes them all; an
 inline payload is a copy that no such edit reaches.
-``lookup`` therefore re-hashes every payload on each hit, the decoded
-inline bytes or the payload file, and evicts an entry that no longer
-matches along with the payload file that failed; an entry that is not
-JSON of the shape ``store`` writes is evicted as well.
+``lookup`` therefore checks every payload on each hit, and evicts an
+entry that no longer matches along with the payload file that failed; an
+entry that is not JSON of the shape ``store`` writes is evicted as well.
+It hashes the decoded inline bytes, and a payload file unless the entry
+holds the file's signature under ``"sig"`` (see planner.file_signature)
+and ``lstat`` still finds it.  A store writes ``"sig"`` only where the
+payload file is the collected output's own inode and still has the
+signature collect stamped on it, so that any write since moves it; a
+payload copied because a link failed, or an entry stored before
+signatures were, is hashed on every hit.  A hit carries the signature
+on, so that a task reading it does not hash it again (see
+runtime._fill).
 """
 
 from __future__ import annotations
@@ -127,16 +135,21 @@ def _entry_to_value(value, cas_dir):
                 mode=stat.S_IMODE(value["mode"]), **described)
         # basename: a tampered entry cannot name a path outside cas/
         return FileValue(path=os.path.join(
-            cas_dir, os.path.basename(value["checksum"])), **described)
+            cas_dir, os.path.basename(value["checksum"])),
+            signature=tuple(value["sig"]) if "sig" in value else None,
+            **described)
     if isinstance(value, list):
         return [_entry_to_value(v, cas_dir) for v in value]
     return value
 
 
 def _intact(fv: FileValue) -> bool:
-    """Whether a hit's payload still holds the bytes its entry names."""
+    """Whether a hit's payload still holds the bytes its entry names: its
+    signature stands in for a hash while ``lstat`` finds it."""
     if isinstance(fv, _Inline):
         return hashlib.sha256(fv.data).hexdigest() == fv.checksum
+    if fv.unchanged():
+        return True
     try:
         return file_checksum(fv.path) == fv.checksum
     except OSError:  # missing, not a file, or unreadable
@@ -274,7 +287,10 @@ class ResultCache:
         first, then the entry, so that an entry never names a missing
         file.  A File of at most ``_INLINE_MAX`` bytes is read into the
         entry instead, after a check against its collected checksum.  The
-        first entry stored for a key wins; failures degrade to a warning."""
+        first entry stored for a key wins; failures degrade to a warning.
+        A payload file that is the output's own inode and still has its
+        collected signature gets that signature in the entry (``"sig"``),
+        which stands in for the hash at lookup."""
         if key is None:
             return
         try:
@@ -299,8 +315,10 @@ class ResultCache:
                 os.makedirs(self.cas_dir, exist_ok=True)
                 self._made = True
             # an existing blob holds these bytes already, and is kept
-            place_file(fv.path, os.path.join(self.cas_dir, fv.checksum),
-                       link=True)
+            blob = os.path.join(self.cas_dir, fv.checksum)
+            place_file(fv.path, blob, link=True)
+            if fv.unchanged(blob):  # the output's own inode, unwritten
+                stored["sig"] = list(fv.signature)
             return stored
 
         entry = {

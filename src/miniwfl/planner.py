@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
+import stat
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -56,6 +58,13 @@ _TRANSITIONS = {
 }
 
 
+# how old a file's mtime must be, at the stat that reads its signature, for
+# that signature to stand in for a hash of the file's bytes: any later write
+# then moves the mtime, even one within the same clock tick (git's
+# racily-clean rule); runtime._stamp sets the mtime of outputs this far back
+_STAMP_LAG_NS = 2_000_000_000
+
+
 def file_checksum(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -64,28 +73,73 @@ def file_checksum(path: str) -> str:
     return h.hexdigest()
 
 
+def file_signature(path: str) -> Optional[tuple]:
+    """(inode, size, mtime, mode) at ``path``, from ``lstat``, or None when
+    its name is gone.  Not ctime or the link count, which every new link
+    moves."""
+    try:
+        return _signature(os.lstat(path))
+    except OSError:
+        return None
+
+
+def _signature(st) -> tuple:
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)
+
+
 @dataclass(frozen=True)
 class FileValue:
-    """A staged data artifact; checksum and size captured at load time."""
+    """A staged data artifact; checksum and size captured at load time.
+
+    ``signature`` (see file_signature) is the one the file had when it was
+    hashed, where it may stand in for the next hash of those bytes (see
+    from_path), else None.  It is never compared, serialized or keyed on."""
 
     path: str
     basename: str
     size: int
     checksum: str
     format: Optional[str] = None
+    signature: Optional[tuple] = field(default=None, compare=False)
 
     @classmethod
-    def from_path(cls, path: str, format: Optional[str] = None) -> "FileValue":
+    def from_path(cls, path: str, format: Optional[str] = None,
+                  stamped: Optional[tuple] = None) -> "FileValue":
+        """The file at ``path``, with its size and checksum from one read:
+        the size is the one a ``stat`` read just before the hash, and a
+        second ``stat`` after it must find the same signature; a file that
+        changed is hashed once more, and a second change raises
+        JobOrderError.  ``stamped``, the signature runtime._stamp has just
+        read, stands in for the first ``stat``.  The signature is recorded
+        when its mtime was at least _STAMP_LAG_NS old when it was read, so
+        that any write since moves it.  A symlink's recorded signature is
+        its target's, which ``lstat`` of the link never finds, so it stands
+        in for no hash."""
         path = os.path.abspath(path)
-        if not os.path.isfile(path):
-            raise JobOrderError(f"file does not exist: {path}")
-        return cls(
-            path=path,
-            basename=os.path.basename(path),
-            size=os.path.getsize(path),
-            checksum=file_checksum(path),
-            format=format,
-        )
+        for _ in range(2):
+            now = time.time_ns()
+            try:
+                before = stamped or _signature(os.stat(path))
+                if not stat.S_ISREG(before[3]):
+                    raise JobOrderError(f"file does not exist: {path}")
+                checksum = file_checksum(path)
+                after = _signature(os.stat(path))
+            except OSError:
+                raise JobOrderError(f"file does not exist: {path}") from None
+            if after == before:
+                return cls(path=path, basename=os.path.basename(path),
+                           size=before[1], checksum=checksum, format=format,
+                           signature=(before if before[2] <= now
+                                      - _STAMP_LAG_NS else None))
+            stamped = None
+        raise JobOrderError(f"input changed while it was read: {path}")
+
+    def unchanged(self, path: Optional[str] = None) -> bool:
+        """Whether the recorded signature stands in for a hash of the file
+        at ``path`` (this value's own path by default): ``lstat`` there
+        still finds it."""
+        return (self.signature is not None
+                and file_signature(path or self.path) == self.signature)
 
     def to_json(self, include_path: bool = True) -> dict:
         out = {

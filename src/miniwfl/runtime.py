@@ -53,7 +53,14 @@ from .errors import (
 )
 from .expression import EvalContext, interpolate, stringify
 from .model import ToolDescription
-from .planner import FileValue, TaskNode, file_checksum, map_files
+from .planner import (
+    _STAMP_LAG_NS,
+    FileValue,
+    TaskNode,
+    file_checksum,
+    file_signature,
+    map_files,
+)
 
 SUCCESS = "Success"
 TEMPORARY_FAILURE = "TemporaryFailure"
@@ -63,11 +70,6 @@ C_OUTDIR = "/miniwfl/outdir"
 C_INPUTS = "/miniwfl/inputs"
 C_WORK = "/miniwfl/work"
 C_TMPDIR = "/tmp"
-
-# how far back _stamp sets a file's mtime: any later write then moves the
-# mtime, even within the clock tick of the stamp
-_STAMP_LAG_NS = 2_000_000_000
-
 
 STREAMS = ("stdout", "stderr")
 
@@ -233,23 +235,13 @@ def write_atomically(target: str, write):
             os.remove(partial)
 
 
-def _entry_signature(path: str):
-    """(inode, size, mtime, mode) at ``path``, or None when its name is
-    gone.  Not ctime or the link count, which every new link moves."""
-    try:
-        st = os.lstat(path)
-    except OSError:
-        return None
-    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)
-
-
 def _stamp(path: str):
     """Set ``path``'s mtime 2 s back and return its signature (see
-    _entry_signature): any later write but a deliberate ``utime`` moves it,
-    so one ``lstat`` finds the write without a hash."""
+    planner.file_signature): any later write but a deliberate ``utime``
+    moves it, so one ``lstat`` finds the write without a hash."""
     stamp = time.time_ns() - _STAMP_LAG_NS
     os.utime(path, ns=(stamp, stamp))
-    return _entry_signature(path)
+    return file_signature(path)
 
 
 class InputStore:
@@ -265,8 +257,10 @@ class InputStore:
     first attempt that needs an entry makes it (see stage) under its path's
     lock, so that a second one waits instead of copying and hashing too.
     Every entry made, also one made again after a tool wrote through it, is
-    a copy of the source hashed against the job-order checksum.  Tools may
-    run as root, so a write through a link is detected, not refused.
+    a copy of the source checked against the job-order checksum: hashed,
+    unless the signature recorded when the source was hashed stands in for
+    that hash (see _fill).  Tools may run as root, so a write through a
+    link is detected, not refused.
     """
 
     def __init__(self, root: str):
@@ -283,15 +277,20 @@ class InputStore:
 
 def _fill(fv: FileValue, partial: str):
     """Copy ``fv``'s source to ``partial``, check it against the job-order
-    checksum, make it read-only and stamp it."""
-    if not os.path.isfile(fv.path):
+    checksum, make it read-only and stamp it.  The copy is not hashed when
+    the source still has the signature recorded at its hash (see
+    FileValue.from_path) both before and after the copy: no write reached
+    it since, so the copy holds the bytes that were hashed."""
+    signed = fv.unchanged()
+    if not signed and not os.path.isfile(fv.path):
         raise StagingError(f"input file missing: {fv.path}")
     shutil.copyfile(fv.path, partial)
-    found = file_checksum(partial)
-    if found != fv.checksum:
-        raise StagingError(
-            f"input changed during run: {fv.path} "
-            f"(expected {fv.checksum[:12]}, found {found[:12]})")
+    if not (signed and fv.unchanged()):
+        found = file_checksum(partial)
+        if found != fv.checksum:
+            raise StagingError(
+                f"input changed during run: {fv.path} "
+                f"(expected {fv.checksum[:12]}, found {found[:12]})")
     os.chmod(partial, 0o444)
     _stamp(partial)
 
@@ -307,7 +306,7 @@ def _set_aside(read: dict, store: InputStore) -> list:
     finds it."""
     moved = []
     for path, (name, signature) in sorted(read.items()):
-        if signature is not None and _entry_signature(path) == signature:
+        if signature is not None and file_signature(path) == signature:
             continue
         moved.append(name)
         with store.locked(path):
@@ -331,10 +330,11 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     the producer's own file, after one ``lstat`` finds it unchanged.  Any
     other input is linked from ``store`` to ``<attempt>.inputs/<basename>``,
     or to ``<attempt>.inputs/<n>/<basename>`` when the basename is taken.
-    The store hashes a source only when it makes that source's entry, once
-    per run unless the entry was set aside or changed.  The directory's
-    ``read`` records each file read, for the check after the attempt (see
-    _set_aside).
+    The store checks a source only when it makes that source's entry, once
+    per run unless the entry was set aside or changed, and hashes it only
+    where the source's recorded signature has moved (see _fill).  The
+    directory's ``read`` records each file read, for the check after the
+    attempt (see _set_aside).
     ``tmpdir`` is the private directory that TMPDIR names and containers
     mount at /tmp, a worker's reused one (see WorkerScratch).
     """
@@ -370,10 +370,10 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
         entry = os.path.join(store.root, fv.checksum)
         with store.locked(entry):
             made = store.made.get(entry)
-            if made is None or _entry_signature(entry) != made[1]:
+            if made is None or file_signature(entry) != made[1]:
                 write_atomically(entry, lambda partial: _fill(fv, partial))
                 made = store.made[entry] = (fv.checksum,
-                                            _entry_signature(entry))
+                                            file_signature(entry))
             place_file(entry, target, link=True)
         staged.read[entry] = (fv.path, made[1])
         return target
@@ -581,11 +581,11 @@ def _kill_session(pid: int):
 
 def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             staged: StagedDirectory, scratch: WorkerScratch,
-            adapter: DockerAdapter, success_codes=frozenset({0}),
+            adapter: DockerAdapter, streams: dict,
+            success_codes=frozenset({0}),
             wall_time_max: Optional[float] = None,
             container_image: Optional[str] = None,
-            stdin_path: Optional[str] = None,
-            streams: Optional[dict] = None) -> TaskAttempt:
+            stdin_path: Optional[str] = None) -> TaskAttempt:
     """Run one attempt; never raises for tool failure, only reports it.
 
     ``scratch`` is the running worker's (see WorkerScratch), and
@@ -612,7 +612,6 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
                                          interactive=stdin_path is not None)
         launch_env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin")}
 
-    streams = streams or {}
     targets = {which: os.path.join(staged.outdir, streams[which])
                if which in streams else scratch.spare_log(which)
                for which in STREAMS}
@@ -669,19 +668,21 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
     """Locate and checksum every declared output of a successful attempt.
 
     Each output File is stamped (see _stamp) before its hash starts, so
-    that any later write moves its signature; ``made`` (see InputStore)
-    records path -> (checksum, signature) for each.  A file the engine may
-    not stamp, such as one a container's root user left, is not recorded,
-    and a later reader gets a store copy of it instead.
+    that any later write moves its signature, which the FileValue carries;
+    ``made`` (see InputStore) records path -> (checksum, signature) for
+    each.  A file without a signature, one the engine may not stamp (such
+    as one a container's root user left) and that was written too recently
+    to be trusted, is not recorded, and a later reader gets a store copy
+    of it instead.
     """
     def collected(path: str, format: Optional[str]) -> FileValue:
         try:
-            signature = _stamp(path)
+            stamped = _stamp(path)
         except PermissionError:
-            signature = None
-        fv = FileValue.from_path(path, format=format)
-        if signature is not None:
-            made[fv.path] = (fv.checksum, signature)
+            stamped = None
+        fv = FileValue.from_path(path, format=format, stamped=stamped)
+        if fv.signature is not None:
+            made[fv.path] = (fv.checksum, fv.signature)
         return fv
 
     outputs = {}
@@ -864,12 +865,11 @@ class LocalRuntime:
 
             attempt = execute(
                 node.id, attempt_number, argv, env, staged, scratch,
-                self.adapter,
+                self.adapter, stream_names(node.tool),
                 success_codes=node.tool.success_codes,
                 wall_time_max=resources.get("wallTimeMax"),
                 container_image=image,
                 stdin_path=stdin_path,
-                streams=stream_names(node.tool),
             )
             try:
                 if attempt.outcome == SUCCESS:

@@ -204,7 +204,7 @@ def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
 
 class _Coordinator:
     def __init__(self, graph: DataflowGraph, cfg: RunConfig, services: Services,
-                 run_id: str = ""):
+                 run_id: str):
         self.graph = graph
         self.cfg = cfg
         self.services = services
@@ -495,7 +495,8 @@ class _Coordinator:
 
 
 def run(graph: DataflowGraph, cfg: RunConfig, services: Services,
-        run_id: str = "") -> RunResult:
+        run_id: str) -> RunResult:
     """Execute a planned graph to completion; failures land in the result,
-    never as exceptions."""
+    never as exceptions.  ``run_id`` names the run in the cache entries it
+    stores (``sourceRunId``)."""
     return _Coordinator(graph, cfg, services, run_id).run()

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import sqlite3
+import time
 from dataclasses import replace
 
 import pytest
@@ -31,6 +32,21 @@ def cache_entries(cache_dir, changes=None) -> dict:
         return dict(db.execute("SELECT key, entry FROM ac"))
     finally:
         db.close()
+
+
+def age(path, seconds=3):
+    """Set ``path``'s mtime ``seconds`` back: the signature of a file
+    written just now is racily clean, and stands in for no hash."""
+    then = time.time_ns() - seconds * 1_000_000_000
+    os.utime(path, ns=(then, then))
+
+
+def grow_with_forged_mtime(path, fv):
+    """A size-changing write to ``path`` whose mtime is then set back to
+    the one ``fv``'s signature holds."""
+    with open(path, "a") as fh:
+        fh.write("more\n")
+    os.utime(path, ns=(fv.signature[2], fv.signature[2]))
 
 
 def corpus_cases():

@@ -36,7 +36,7 @@ def _api_run(doc, job, work_root, parallelism=2, retries=0, cache=None,
     runtime = LocalRuntime(str(work_root), use_containers=use_containers)
     cfg = RunConfig(parallelism=parallelism, retries=retries,
                     machine=Machine(cores=cores))
-    result = scheduler.run(graph, cfg, Services(runtime, cache))
+    result = scheduler.run(graph, cfg, Services(runtime, cache), "run")
     return result, runtime
 
 
@@ -207,7 +207,8 @@ def test_dependency_safety_on_random_dags(cached_dir):
         n = rng.randint(2, 50)
         edges = _random_edges(rng, n)
         graph = _graph_from_edges(n, edges)
-        result = scheduler.run(graph, cfg, Services(InstantRuntime(cached_dir)))
+        result = scheduler.run(graph, cfg,
+                               Services(InstantRuntime(cached_dir)), "run")
         assert result.status == "Success"
         position = {}
         for idx, event in enumerate(result.event_log):

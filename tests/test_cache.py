@@ -4,14 +4,17 @@ import base64
 import hashlib
 import json
 import os
+import random
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import cache_entries
+from conftest import age, cache_entries, grow_with_forged_mtime
 
-from miniwfl import parser
+from miniwfl import cache as cache_module
+from miniwfl import parser, planner, runtime, scheduler
 from miniwfl.cache import _INLINE_MAX, ResultCache, cache_key, digest_tool
 from miniwfl.model import (
     CLAUSE_CONTAINER,
@@ -252,7 +255,6 @@ def test_unreadable_payload_is_evicted_as_miss(tmp_path, monkeypatch, caplog):
     """A blob that cannot be read (mode 000 under a non-root engine, or
     EIO) is a miss like a corrupt one; root ignores mode bits, so the read
     error is raised by hand."""
-    from miniwfl import cache as cache_module
     fv = _fv(tmp_path)
     key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
@@ -435,12 +437,12 @@ def test_key_changes_with_step_clauses_and_resources(tmp_path):
 
 
 def _run_workflow(raw, job, tmp_path, cache, parallelism=1):
-    from miniwfl import planner, scheduler
     from miniwfl.runtime import LocalRuntime
     graph = planner.plan(parser.parse_raw(raw), job)
     runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     cfg = scheduler.RunConfig(parallelism=parallelism)
-    return scheduler.run(graph, cfg, scheduler.Services(runtime, cache))
+    return scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
+                         "run")
 
 
 def test_step_level_workdir_overrides_are_not_reused_across_steps(tmp_path):
@@ -516,7 +518,6 @@ def test_scatter_keys_each_shard_once_and_stores_on_workers(tmp_path,
                                                             monkeypatch):
     import threading
 
-    from miniwfl import scheduler
     keyed, stored_on = [], []
     real_key, real_store = scheduler.cache_key, ResultCache.store
 
@@ -697,7 +698,6 @@ def test_first_store_makes_cas_and_the_index_and_later_stores_no_inode(
 def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
     """Six hits over two distinct blobs: no copy, one directory for all
     hits, and one link per blob."""
-    from miniwfl import planner, scheduler
     from miniwfl.runtime import LocalRuntime
     lines = _INLINE_MAX // 2 + 1  # each output a cas/ payload file
     tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
@@ -720,7 +720,7 @@ def test_warm_run_publishes_hits_by_link_alone(tmp_path, monkeypatch):
         runtime = LocalRuntime(str(tmp_path / "work"), use_containers=False)
         return runtime, lambda: scheduler.run(
             graph, scheduler.RunConfig(parallelism=2),
-            scheduler.Services(runtime, cache))
+            scheduler.Services(runtime, cache), "run")
 
     cold = run()[1]()
     assert cold.status == "Success"
@@ -742,7 +742,6 @@ def test_small_hits_are_written_only_where_they_are_read(tmp_path):
     """A hit's inline payload becomes a file only for a task that runs on
     it or for a workflow output: a warm run writes the gather's output
     alone, and a run whose gather changed writes the shards' too."""
-    from miniwfl import planner, scheduler
     from miniwfl.runtime import LocalRuntime
     echo = {"cwlVersion": "v1.2", "class": "CommandLineTool",
             "baseCommand": ["echo"],
@@ -770,7 +769,7 @@ def test_small_hits_are_written_only_where_they_are_read(tmp_path):
         result = scheduler.run(
             planner.plan(parser.parse_raw(raw), {"idx": [3, 1, 2]}),
             scheduler.RunConfig(parallelism=2),
-            scheduler.Services(runtime, cache))
+            scheduler.Services(runtime, cache), "run")
         assert Path(result.outputs["all"].path).read_text() == "3\n1\n2\n"
         states = {tid: task.state for tid, task in result.tasks.items()}
         written = (os.listdir(runtime.cached_dir)
@@ -833,3 +832,173 @@ def test_index_error_on_the_coordinator_is_a_miss_and_a_warning(
         == ["Succeeded"] * 3
     assert refused_on == [threading.get_ident()] * 3  # the coordinator's
     assert caplog.text.count("database is locked") == 3
+
+
+# --- a payload's signature stands in for its hash ---------------------------
+
+# (output bytes, aged 3 s before it is loaded, links allowed at store, change
+# to the payload after the store, "sig" in the row, payload files hashed by
+# the lookup, hit)
+LOOKUP_TRUST = {
+    "old-mtime": (STUFF, True, True, None, True, 0, True),
+    "written-just-now": (STUFF, False, True, None, False, 1, True),
+    "touch": (STUFF, True, True, lambda b, fv: os.utime(b), True, 1, True),
+    "chmod": (STUFF, True, True, lambda b, fv: os.chmod(b, 0o600), True, 1,
+              True),
+    "same-size-rewrite": (STUFF, True, True,
+                          lambda b, fv: Path(b).write_text(STUFF), True, 1,
+                          True),
+    "edited": (STUFF, True, True,
+               lambda b, fv: Path(b).write_text(STUFF.upper()), True, 1,
+               False),
+    "growth-with-forged-mtime": (STUFF, True, True, grow_with_forged_mtime,
+                                 True, 1, False),
+    "links-refused": (STUFF, True, False, None, False, 1, True),
+    # checked by a hash of its decoded bytes, never of a file
+    "inline": ("small\n", True, True, None, False, 0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_TRUST))
+def test_lookup_hashes_a_payload_only_where_its_signature_moved(
+        tmp_path, monkeypatch, case):
+    content, aged, links, change, signed, hashes, hit = LOOKUP_TRUST[case]
+    source = tmp_path / "out.txt"
+    source.write_text(content)
+    if aged:
+        age(source)
+    fv = FileValue.from_path(str(source))
+    key = _key(_node(), {"f": fv})
+    cache = ResultCache(str(tmp_path / "cache"))
+    if not links:
+        _refuse_links(monkeypatch)
+    cache.store(key, {"out": fv}, "run")
+    stored = json.loads(cache_entries(cache.cache_dir)[key])["outputs"]["out"]
+    assert ("sig" in stored) is signed
+    if change is not None:
+        change(_entry_payload(cache.cache_dir, key), fv)
+    calls = _count(monkeypatch, cache_module, "file_checksum")
+    found = cache.lookup(key)
+    assert len(calls) == hashes
+    assert (found is not None) is hit
+    if hit:
+        # the hit's signature stands in for a hash while lstat finds it
+        assert found["out"].unchanged() is (signed and hashes == 0)
+
+
+SLICE = 128 * 1024  # more bytes than an entry holds inline
+
+
+def _slices_workflow(gather=None):
+    """Six shards cut a slice each out of one File input; ``gather``, a
+    command, concatenates them."""
+    cut = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+           "baseCommand": ["sh", "-c", f'dd if="$0" of=slice.bin bs={SLICE}'
+                           ' skip="$1" count=1 2>/dev/null'],
+           "inputs": [{"id": "data", "type": "File", "position": 1},
+                      {"id": "index", "type": "int", "position": 2}],
+           "outputs": [{"id": "slice", "type": "File", "glob": "slice.bin"}]}
+    raw = {"cwlVersion": "v1.2", "class": "Workflow",
+           "inputs": [{"id": "data", "type": "File"},
+                      {"id": "indices", "type": "int[]"}],
+           "outputs": [{"id": "slices", "type": "File[]",
+                        "outputSource": "cut/slice"}],
+           "requirements": [{"class": "ScatterFeatureRequirement"}],
+           "steps": [{"id": "cut", "run": cut, "scatter": "index",
+                      "in": {"data": "data", "index": "indices"}}]}
+    if gather is not None:
+        raw["outputs"] = [{"id": "all", "type": "File",
+                           "outputSource": "gather/all"}]
+        raw["steps"].append({"id": "gather", "in": {"parts": "cut/slice"},
+                             "run": {
+            "cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": gather,
+            "inputs": [{"id": "parts", "type": "File[]", "position": 1}],
+            "outputs": [{"id": "all", "type": "File", "capture": "stdout"}],
+            "stdout": "all.bin"}})
+    return parser.parse_raw(raw)
+
+
+def _hashed_bytes(monkeypatch):
+    """Bytes hashed by each module: planner's are the job-order load's and
+    collect's, runtime's the input store's, cache's the lookups'."""
+    hashed = Counter()
+    for module in (planner, runtime, cache_module):
+        def counted(path, name=module.__name__.rsplit(".", 1)[1],
+                    real=module.file_checksum):
+            hashed[name] += os.path.getsize(path)
+            return real(path)
+
+        monkeypatch.setattr(module, "file_checksum", counted)
+    return hashed
+
+
+def _sliced(tmp_path, monkeypatch, gather=None):
+    """A 1 MiB job-order input, written 3 s back; the bytes hashed per
+    module while it loads; and a function that runs the slicing workflow
+    with ``gather`` on one cache and returns the result."""
+    data = tmp_path / "data.bin"
+    data.write_bytes(random.Random(7).randbytes(1 << 20))
+    age(data)
+    hashed = _hashed_bytes(monkeypatch)
+    doc = _slices_workflow(gather)
+    job = planner.load_job_order({"data": "data.bin",
+                                  "indices": list(range(6))},
+                                 doc.body, base_dir=str(tmp_path))
+    cache = ResultCache(str(tmp_path / "cache"))
+
+    def run(gather):
+        rt = runtime.LocalRuntime(str(tmp_path / "work"),
+                                  use_containers=False)
+        try:
+            result = scheduler.run(
+                planner.plan(_slices_workflow(gather), job),
+                scheduler.RunConfig(parallelism=2),
+                scheduler.Services(rt, cache), "run")
+        finally:
+            rt.close()
+        assert result.status == "Success"
+        return result
+
+    return hashed, cache, run
+
+
+def test_data_plane_hashes_each_input_once_and_no_signed_payload(
+        tmp_path, monkeypatch):
+    """Counts, not times: a cold run hashes the job-order input at load
+    and each shard's slice at collect, and nothing else; a warm run on its
+    cache hashes nothing."""
+    hashed, cache, run = _sliced(tmp_path, monkeypatch)
+    assert hashed == {"planner": 1 << 20}  # the job-order load
+    hashed.clear()
+    cold = run(None)
+    assert [cold.tasks[f"cut[{i}]"].state for i in range(6)] \
+        == ["Succeeded"] * 6
+    assert hashed == {"planner": 6 * SLICE}  # collect; staging hashes none
+    entries = [json.loads(e) for e in cache_entries(cache.cache_dir).values()]
+    assert len(entries) == 6
+    assert all("sig" in e["outputs"]["slice"] for e in entries)
+    hashed.clear()
+    warm = run(None)
+    assert [warm.tasks[f"cut[{i}]"].state for i in range(6)] \
+        == ["Cached"] * 6
+    assert hashed == {}  # no lookup hashed a signed payload
+    assert [fv.checksum for fv in warm.outputs["slices"]] \
+        == [fv.checksum for fv in cold.outputs["slices"]]
+
+
+def test_partly_warm_run_stages_the_hits_it_reads_without_hashing(
+        tmp_path, monkeypatch):
+    hashed, cache, run = _sliced(tmp_path, monkeypatch, ["cat"])
+    cold = run(["cat"])
+    hashed.clear()
+    copies = _count(monkeypatch, shutil, "copyfile")
+    changed = run(["cat", "--"])  # another gather: it runs on six hits
+    assert [changed.tasks[f"cut[{i}]"].state for i in range(6)] \
+        == ["Cached"] * 6
+    assert changed.tasks["gather"].state == "Succeeded"
+    assert changed.outputs["all"].checksum == cold.outputs["all"].checksum
+    # the gather's collect alone hashes; neither its staging nor a lookup
+    assert hashed == {"planner": 6 * SLICE}
+    # each hit is still copied into the run's input store
+    assert len(copies) == 6

@@ -1,7 +1,11 @@
 """Planning: job orders, graph construction, inlining, scatter, guards."""
 
+import hashlib
+import os
+from dataclasses import replace
+
 import pytest
-from conftest import deep_chain
+from conftest import age, deep_chain
 
 from miniwfl import parser, planner, scheduler
 from miniwfl.errors import (
@@ -125,6 +129,75 @@ def test_job_order_file_that_cannot_be_read_is_refused(tmp_path, content,
         path.write_bytes(content)
     with pytest.raises(JobOrderError, match=message):
         planner.load_job_order_file(str(path), wf)
+
+
+def _grow_on_hash(monkeypatch, times):
+    """Make the first ``times`` hashes of a file append to it first, as a
+    writer racing the job-order load would."""
+    checksum = planner.file_checksum
+    grown = []
+
+    def racing(path):
+        if len(grown) < times:
+            grown.append(path)
+            with open(path, "a") as fh:
+                fh.write("more\n")
+        return checksum(path)
+
+    monkeypatch.setattr(planner, "file_checksum", racing)
+    return grown
+
+
+def test_file_that_grows_while_it_is_hashed_is_hashed_again(
+        tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    path.write_text("data\n")
+    grown = _grow_on_hash(monkeypatch, 1)
+    fv = FileValue.from_path(str(path))
+    assert grown == [str(path)]
+    # size and checksum are of one read: the bytes the second hash read
+    data = path.read_bytes()
+    assert (fv.size, fv.checksum) == (len(data),
+                                      hashlib.sha256(data).hexdigest())
+
+
+def test_file_that_changes_in_both_reads_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    path.write_text("data\n")
+    _grow_on_hash(monkeypatch, 2)
+    with pytest.raises(JobOrderError,
+                       match="input changed while it was read: .*a.txt"):
+        FileValue.from_path(str(path))
+
+
+@pytest.mark.parametrize("age_s, signed", [(0, False), (1, False),
+                                           (3, True)])
+def test_signature_is_recorded_only_for_an_mtime_2_s_old(tmp_path, age_s,
+                                                         signed):
+    path = tmp_path / "a.txt"
+    path.write_text("data\n")
+    age(path, age_s)
+    fv = FileValue.from_path(str(path))
+    assert (fv.signature is not None) is signed
+    if signed:
+        assert fv.signature == planner.file_signature(str(path))
+        assert fv.unchanged()
+    # never part of the value's identity or its serialized form
+    assert fv == replace(fv, signature=None)
+    assert sorted(fv.to_json()) == ["basename", "checksum", "class", "path",
+                                    "size"]
+
+
+def test_symlinked_file_is_loaded_but_its_signature_vouches_for_nothing(
+        tmp_path):
+    target = tmp_path / "a.txt"
+    target.write_text("data\n")
+    os.utime(target, ns=(0, 0))
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    fv = FileValue.from_path(str(link))
+    assert (fv.basename, fv.size) == ("link.txt", 5)
+    assert not fv.unchanged()  # lstat of the link is not its target's
 
 
 def test_job_order_int_widens_to_float():
@@ -317,7 +390,7 @@ def test_state_transitions_enforced():
     node = _scatter_node(scatter=())
     coordinator = scheduler._Coordinator(
         DataflowGraph(nodes={node.id: node}), scheduler.RunConfig(),
-        scheduler.Services(runtime=None))
+        scheduler.Services(runtime=None), "run")
     record = scheduler.TaskRecord(node, node, {})
     coordinator.mark(record, planner.READY)
     coordinator.mark(record, planner.RUNNING)

@@ -6,8 +6,9 @@ import stat
 import time
 
 import pytest
+from conftest import age, grow_with_forged_mtime
 
-from miniwfl import parser, runtime
+from miniwfl import parser, planner, runtime
 from miniwfl.cache import _INLINE_MAX, ResultCache
 from miniwfl.errors import StagingError
 from miniwfl.expression import EvalContext
@@ -570,6 +571,46 @@ def test_stage_hashes_each_input_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+# (source aged 3 s before the load, change between load and fill, hashes
+# of the copy, error)
+FILL_TRUST = {
+    "old-mtime": (True, None, 0, None),
+    "written-just-now": (False, None, 1, None),
+    "edited": (True, lambda p, fv: p.write_text("PAYLOAD\n"), 1,
+               "input changed during run"),
+    "touch": (True, lambda p, fv: os.utime(p), 1, None),
+    "chmod": (True, lambda p, fv: os.chmod(p, 0o600), 1, None),
+    "same-size-rewrite": (True, lambda p, fv: p.write_text("payload\n"), 1,
+                          None),
+    "growth-with-forged-mtime": (True, grow_with_forged_mtime, 1,
+                                 "input changed during run"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILL_TRUST))
+def test_fill_hashes_its_copy_only_where_the_source_signature_moved(
+        tmp_path, monkeypatch, case):
+    aged, change, hashes, error = FILL_TRUST[case]
+    source = tmp_path / "in.txt"
+    source.write_text("payload\n")
+    if aged:
+        age(source)
+    fv = FileValue.from_path(str(source))
+    assert (fv.signature is not None) is aged
+    if change is not None:
+        change(source, fv)
+    calls = _count_hashes(monkeypatch)
+    if error is None:
+        _, bindings = stage("t", {"f": fv}, str(tmp_path / "work"),
+                            _store(tmp_path), _tmpdir(tmp_path))
+        assert _read(bindings["f"].path) == "payload\n"
+    else:
+        with pytest.raises(StagingError, match=error):
+            stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
+                  _tmpdir(tmp_path))
+    assert len(calls) == hashes
+
+
 def test_source_edited_between_attempts_fails_the_later_one(tmp_path):
     fv = _fv(tmp_path)
     stage("t", {"f": fv}, str(tmp_path / "work"), _store(tmp_path),
@@ -671,7 +712,7 @@ def _staged(tmp_path):
 
 def test_execute_success_and_exit_capture(tmp_path):
     attempt = execute("t", 1, ["sh", "-c", "echo out; echo err >&2"], {},
-                      *_staged(tmp_path), HOST)
+                      *_staged(tmp_path), HOST, {})
     assert attempt.outcome == runtime.SUCCESS
     assert attempt.exit_code == 0
     assert open(attempt.stdout_path).read() == "out\n"
@@ -680,7 +721,7 @@ def test_execute_success_and_exit_capture(tmp_path):
 
 
 def test_execute_nonzero_exit_is_permanent(tmp_path):
-    attempt = execute("t", 1, ["false"], {}, *_staged(tmp_path), HOST)
+    attempt = execute("t", 1, ["false"], {}, *_staged(tmp_path), HOST, {})
     assert attempt.outcome == runtime.PERMANENT_FAILURE
     assert attempt.failure_kind == "ExitCode"
     assert attempt.exit_code == 1
@@ -688,13 +729,13 @@ def test_execute_nonzero_exit_is_permanent(tmp_path):
 
 def test_execute_honors_success_codes(tmp_path):
     attempt = execute("t", 1, ["sh", "-c", "exit 3"], {}, *_staged(tmp_path),
-                      HOST, success_codes=frozenset({0, 3}))
+                      HOST, {}, success_codes=frozenset({0, 3}))
     assert attempt.outcome == runtime.SUCCESS
 
 
 def test_execute_timeout_is_temporary(tmp_path):
     attempt = execute("t", 1, ["sleep", "5"], {}, *_staged(tmp_path), HOST,
-                      wall_time_max=0.3)
+                      {}, wall_time_max=0.3)
     assert attempt.outcome == runtime.TEMPORARY_FAILURE
     assert attempt.failure_kind == "Timeout"
     assert attempt.end_time - attempt.start_time < 3
@@ -702,7 +743,7 @@ def test_execute_timeout_is_temporary(tmp_path):
 
 def test_execute_missing_binary_is_launch_error(tmp_path):
     attempt = execute("t", 1, ["definitely-not-a-binary-xyz"], {},
-                      *_staged(tmp_path), HOST)
+                      *_staged(tmp_path), HOST, {})
     assert attempt.outcome == runtime.PERMANENT_FAILURE
     assert attempt.failure_kind == "LaunchError"
 
@@ -711,7 +752,7 @@ def test_execute_non_executable_file_is_a_launch_race(tmp_path):
     script = tmp_path / "script.sh"
     script.write_text("#!/bin/sh\necho hi\n")
     script.chmod(0o644)  # no execute bit for anyone, root included
-    attempt = execute("t", 1, [str(script)], {}, *_staged(tmp_path), HOST)
+    attempt = execute("t", 1, [str(script)], {}, *_staged(tmp_path), HOST, {})
     assert attempt.failure_kind == "LaunchRace"
     assert attempt.outcome == runtime.TEMPORARY_FAILURE
     assert attempt.start_time and attempt.end_time
@@ -722,7 +763,7 @@ def test_execute_runs_in_outdir_with_explicit_env(tmp_path):
     env = runtime.base_environment(staged, container=False)
     env["CUSTOM"] = "yes"
     attempt = execute("t", 1, ["sh", "-c", "pwd; env | sort"], env, staged,
-                      scratch, HOST)
+                      scratch, HOST, {})
     lines = open(attempt.stdout_path).read().splitlines()
     assert lines[0] == os.path.realpath(staged.outdir) or lines[0] == staged.outdir
     env_lines = [l for l in lines[1:] if "=" in l]
@@ -739,7 +780,7 @@ def test_execute_runs_in_outdir_with_explicit_env(tmp_path):
 def test_execute_stdin_redirection(tmp_path):
     src = tmp_path / "lines.txt"
     src.write_text("1\n2\n3\n")
-    attempt = execute("t", 1, ["wc", "-l"], {}, *_staged(tmp_path), HOST,
+    attempt = execute("t", 1, ["wc", "-l"], {}, *_staged(tmp_path), HOST, {},
                       stdin_path=str(src))
     assert attempt.outcome == runtime.SUCCESS
     assert open(attempt.stdout_path).read().strip() == "3"
@@ -749,7 +790,8 @@ def test_execute_stdin_redirection(tmp_path):
 
 def _run_and_collect(tmp_path, tool, script):
     staged, scratch = _staged(tmp_path)
-    attempt = execute("t", 1, ["sh", "-c", script], {}, staged, scratch, HOST)
+    attempt = execute("t", 1, ["sh", "-c", script], {}, staged, scratch,
+                      HOST, {})
     assert attempt.outcome == runtime.SUCCESS
     return collect_outputs(tool, staged, {}), staged
 
@@ -758,7 +800,7 @@ def test_collect_stdout_capture_named_file(tmp_path):
     tool = _tool()
     staged, scratch = _staged(tmp_path)
     attempt = execute("t", 1, ["echo", "hi"], {}, staged, scratch, HOST,
-                      streams=stream_names(tool))
+                      stream_names(tool))
     outputs = collect_outputs(tool, staged, {})
     fv = outputs["out"]
     assert fv.basename == "out.txt"
@@ -1265,7 +1307,7 @@ def test_tool_reading_or_linking_a_run_made_input_reads_it_in_place(
     assert not os.path.exists(os.path.dirname(out) + ".inputs")
     # the producer's file is untouched; an output has an inode of its own
     assert rt.store.made[fv.path] == record
-    assert runtime._entry_signature(fv.path) == record[1]
+    assert planner.file_signature(fv.path) == record[1]
     assert os.stat(out).st_nlink == 1
 
 
@@ -1313,7 +1355,6 @@ def test_run_made_input_changed_before_its_reader_stages_fails_it(tmp_path):
 def test_gather_of_same_named_run_made_inputs_makes_nothing_to_stage_them(
         tmp_path, monkeypatch):
     import shutil
-    from miniwfl import planner
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     parts = [_made(rt, str(n)) for n in range(120)]  # every one is out.txt
     assert {fv.basename for fv in parts} == {"out.txt"}

@@ -109,7 +109,7 @@ def _graph(*nodes, outputs=None):
 def _run(graph, runtime, **cfg_kwargs):
     cfg_kwargs.setdefault("parallelism", 2)
     cfg = RunConfig(**cfg_kwargs)
-    return run(graph, cfg, Services(runtime, cache=None))
+    return run(graph, cfg, Services(runtime, cache=None), "run")
 
 
 # --- pure admission ---------------------------------------------------------
@@ -504,13 +504,14 @@ def test_cache_hits_and_skips_release_what_they_read(tmp_path, cached_dir):
                _node("skip", deps=["a"], layer=1, guard="$(false)"))
     cache = ResultCache(str(tmp_path / "cache"))
     rt = StubRuntime(cached_dir)
-    run(g, RunConfig(parallelism=1), Services(rt, cache))  # fills the cache
+    # fills the cache
+    run(g, RunConfig(parallelism=1), Services(rt, cache), "run")
     entries = cache_entries(cache.cache_dir)
     (hit_key,) = [key for key, entry in entries.items() if "hit" in entry]
     cache_entries(cache.cache_dir,
                   {key: None for key in entries if key != hit_key})
     rt = RetainingRuntime(cached_dir)
-    result = run(g, RunConfig(parallelism=1), Services(rt, cache))
+    result = run(g, RunConfig(parallelism=1), Services(rt, cache), "run")
     assert result.tasks["hit"].state == planner.CACHED
     assert result.tasks["skip"].state == planner.SKIPPED
     assert rt.log == [("run", "a"), ("release", "a-a1")]
@@ -553,7 +554,7 @@ def _pin_cached(cached_dir):
     in which those hit and the shard xs=c and the consumer miss."""
     cache = FakeCache()
     run(_graph(_node("p"), _fan("fan", ["a", "b"])), RunConfig(),
-        Services(StubRuntime(cached_dir), cache=cache))
+        Services(StubRuntime(cached_dir), cache=cache), "run")
     graph = _graph(_node("p"), _fan("fan", ["a", "b", "c"]),
                    _fan("all", ["b", "a"]),
                    _node("down", deps=["p", "fan"], layer=1),
@@ -699,7 +700,7 @@ def test_event_log_and_task_states_are_pinned(name, cached_dir):
     runtime = kwargs.pop("runtime", None) or StubRuntime(cached_dir)
     cache = kwargs.pop("cache", None)
     result = run(graph, RunConfig(parallelism=1, **kwargs),
-                 Services(runtime, cache=cache))
+                 Services(runtime, cache=cache), "run")
     record = provenance.build_record(result, "", {}, "run")
     status, events, states, outputs = PIN_EXPECTED[name]
     assert result.status == status
