@@ -80,7 +80,8 @@ class StagingError(MiniwflError):
 
 
 class OutputMissingError(MiniwflError):
-    """Required File output matched nothing."""
+    """A required output matched nothing, is gone or not JSON-valued, or
+    kept changing while it was read."""
 
 
 class OutputAmbiguousError(MiniwflError):

@@ -103,14 +103,13 @@ class FileValue:
     signature: Optional[tuple] = field(default=None, compare=False)
 
     @classmethod
-    def from_path(cls, path: str, format: Optional[str] = None,
-                  stamped: Optional[tuple] = None) -> "FileValue":
+    def from_path(cls, path: str,
+                  format: Optional[str] = None) -> "FileValue":
         """The file at ``path``, with its size and checksum from one read:
         the size is the one a ``stat`` read just before the hash, and a
         second ``stat`` after it must find the same signature; a file that
         changed is hashed once more, and a second change raises
-        JobOrderError.  ``stamped``, the signature runtime._stamp has just
-        read, stands in for the first ``stat``.  The signature is recorded
+        JobOrderError.  The signature is recorded
         when its mtime was at least _STAMP_LAG_NS old when it was read, so
         that any write since moves it.  A symlink's recorded signature is
         its target's, which ``lstat`` of the link never finds, so it stands
@@ -119,7 +118,7 @@ class FileValue:
         for _ in range(2):
             now = time.time_ns()
             try:
-                before = stamped or _signature(os.stat(path))
+                before = _signature(os.stat(path))
                 if not stat.S_ISREG(before[3]):
                     raise JobOrderError(f"file does not exist: {path}")
                 checksum = file_checksum(path)
@@ -131,7 +130,6 @@ class FileValue:
                            size=before[1], checksum=checksum, format=format,
                            signature=(before if before[2] <= now
                                       - _STAMP_LAG_NS else None))
-            stamped = None
         raise JobOrderError(f"input changed while it was read: {path}")
 
     def unchanged(self, path: Optional[str] = None) -> bool:

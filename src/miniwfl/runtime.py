@@ -47,6 +47,7 @@ from . import model
 from .errors import (
     ExpressionError,
     ExprTypeError,
+    JobOrderError,
     OutputAmbiguousError,
     OutputMissingError,
     StagingError,
@@ -236,12 +237,11 @@ def write_atomically(target: str, write):
 
 
 def _stamp(path: str):
-    """Set ``path``'s mtime 2 s back and return its signature (see
-    planner.file_signature): any later write but a deliberate ``utime``
-    moves it, so one ``lstat`` finds the write without a hash."""
+    """Set ``path``'s mtime 2 s back, so that any later write but a
+    deliberate ``utime`` moves its signature (see planner.file_signature),
+    and one ``lstat`` finds the write without a hash."""
     stamp = time.time_ns() - _STAMP_LAG_NS
     os.utime(path, ns=(stamp, stamp))
-    return file_signature(path)
 
 
 class InputStore:
@@ -673,14 +673,20 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
     each.  A file without a signature, one the engine may not stamp (such
     as one a container's root user left) and that was written too recently
     to be trusted, is not recorded, and a later reader gets a store copy
-    of it instead.
+    of it instead.  A file that changes while it is read twice (see
+    FileValue.from_path) fails its output.
     """
-    def collected(path: str, format: Optional[str]) -> FileValue:
+    def collected(path: str, out) -> FileValue:
         try:
-            stamped = _stamp(path)
+            _stamp(path)
         except PermissionError:
-            stamped = None
-        fv = FileValue.from_path(path, format=format, stamped=stamped)
+            pass
+        try:
+            fv = FileValue.from_path(path, format=out.format)
+        except JobOrderError:  # a process the attempt left still writes it
+            raise OutputMissingError(
+                f"output {out.id!r}: {path} changed while it was read"
+            ) from None
         if fv.signature is not None:
             made[fv.path] = (fv.checksum, fv.signature)
         return fv
@@ -694,15 +700,14 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
                 raise OutputMissingError(
                     f"output {out.id!r}: captured {out.capture} file "
                     f"{path} is gone")
-            outputs[out.id] = collected(_regular(path, staged.outdir),
-                                        out.format)
+            outputs[out.id] = collected(_regular(path, staged.outdir), out)
             continue
         matches = sorted(globlib.glob(os.path.join(staged.outdir, out.glob),
                                       recursive=True))
         matches = [_regular(m, staged.outdir) for m in matches
                    if os.path.isfile(m)]
         if out.type.base == "File" and out.type.array:
-            outputs[out.id] = [collected(m, out.format) for m in matches]
+            outputs[out.id] = [collected(m, out) for m in matches]
         else:
             outputs[out.id] = _single_output(out, matches, collected)
     return outputs
@@ -745,7 +750,7 @@ def _single_output(out, matches, collected):
         raise OutputAmbiguousError(
             f"output {out.id!r}: glob {out.glob!r} matched {len(matches)} files")
     if out.type.base == "File":
-        return collected(matches[0], out.format)
+        return collected(matches[0], out)
     with open(matches[0], "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     try:

@@ -6,12 +6,13 @@ import json
 import os
 import shutil
 import sqlite3
+import stat
 import time
 from dataclasses import replace
 
 import pytest
 
-from miniwfl import cli, parser
+from miniwfl import cli, parser, planner
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -47,6 +48,29 @@ def grow_with_forged_mtime(path, fv):
     with open(path, "a") as fh:
         fh.write("more\n")
     os.utime(path, ns=(fv.signature[2], fv.signature[2]))
+
+
+def flip_exec_bit(path, fv=None):
+    """Toggle the owner's execute bit of ``path``: a ``chmod`` that moves
+    its mode whatever the umask made it."""
+    os.chmod(path, stat.S_IMODE(os.stat(path).st_mode) ^ stat.S_IXUSR)
+
+
+def grow_on_hash(monkeypatch, times):
+    """Make the first ``times`` hashes of a file append to it first, as a
+    writer racing the read would."""
+    checksum = planner.file_checksum
+    grown = []
+
+    def racing(path):
+        if len(grown) < times:
+            grown.append(path)
+            with open(path, "a") as fh:
+                fh.write("more\n")
+        return checksum(path)
+
+    monkeypatch.setattr(planner, "file_checksum", racing)
+    return grown
 
 
 def corpus_cases():

@@ -11,7 +11,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import age, cache_entries, grow_with_forged_mtime
+from conftest import (age, cache_entries, flip_exec_bit,
+                      grow_with_forged_mtime)
 
 from miniwfl import cache as cache_module
 from miniwfl import parser, planner, runtime, scheduler
@@ -843,8 +844,7 @@ LOOKUP_TRUST = {
     "old-mtime": (STUFF, True, True, None, True, 0, True),
     "written-just-now": (STUFF, False, True, None, False, 1, True),
     "touch": (STUFF, True, True, lambda b, fv: os.utime(b), True, 1, True),
-    "chmod": (STUFF, True, True, lambda b, fv: os.chmod(b, 0o600), True, 1,
-              True),
+    "chmod": (STUFF, True, True, flip_exec_bit, True, 1, True),
     "same-size-rewrite": (STUFF, True, True,
                           lambda b, fv: Path(b).write_text(STUFF), True, 1,
                           True),

@@ -5,7 +5,7 @@ import os
 from dataclasses import replace
 
 import pytest
-from conftest import age, deep_chain
+from conftest import age, deep_chain, grow_on_hash
 
 from miniwfl import parser, planner, scheduler
 from miniwfl.errors import (
@@ -131,28 +131,11 @@ def test_job_order_file_that_cannot_be_read_is_refused(tmp_path, content,
         planner.load_job_order_file(str(path), wf)
 
 
-def _grow_on_hash(monkeypatch, times):
-    """Make the first ``times`` hashes of a file append to it first, as a
-    writer racing the job-order load would."""
-    checksum = planner.file_checksum
-    grown = []
-
-    def racing(path):
-        if len(grown) < times:
-            grown.append(path)
-            with open(path, "a") as fh:
-                fh.write("more\n")
-        return checksum(path)
-
-    monkeypatch.setattr(planner, "file_checksum", racing)
-    return grown
-
-
 def test_file_that_grows_while_it_is_hashed_is_hashed_again(
         tmp_path, monkeypatch):
     path = tmp_path / "a.txt"
     path.write_text("data\n")
-    grown = _grow_on_hash(monkeypatch, 1)
+    grown = grow_on_hash(monkeypatch, 1)
     fv = FileValue.from_path(str(path))
     assert grown == [str(path)]
     # size and checksum are of one read: the bytes the second hash read
@@ -164,7 +147,7 @@ def test_file_that_grows_while_it_is_hashed_is_hashed_again(
 def test_file_that_changes_in_both_reads_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "a.txt"
     path.write_text("data\n")
-    _grow_on_hash(monkeypatch, 2)
+    grow_on_hash(monkeypatch, 2)
     with pytest.raises(JobOrderError,
                        match="input changed while it was read: .*a.txt"):
         FileValue.from_path(str(path))

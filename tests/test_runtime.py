@@ -6,7 +6,8 @@ import stat
 import time
 
 import pytest
-from conftest import age, grow_with_forged_mtime
+from conftest import (age, flip_exec_bit, grow_on_hash,
+                      grow_with_forged_mtime)
 
 from miniwfl import parser, planner, runtime
 from miniwfl.cache import _INLINE_MAX, ResultCache
@@ -579,7 +580,7 @@ FILL_TRUST = {
     "edited": (True, lambda p, fv: p.write_text("PAYLOAD\n"), 1,
                "input changed during run"),
     "touch": (True, lambda p, fv: os.utime(p), 1, None),
-    "chmod": (True, lambda p, fv: os.chmod(p, 0o600), 1, None),
+    "chmod": (True, flip_exec_bit, 1, None),
     "same-size-rewrite": (True, lambda p, fv: p.write_text("payload\n"), 1,
                           None),
     "growth-with-forged-mtime": (True, grow_with_forged_mtime, 1,
@@ -1270,6 +1271,20 @@ def test_collected_output_carries_a_stamped_mtime_and_is_recorded(tmp_path):
     assert before - lag <= st.st_mtime_ns <= after - lag
     assert rt.store.made == {fv.path: (fv.checksum, (
         st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode))}
+
+
+def test_output_that_changes_while_it_is_read_fails_the_attempt(
+        tmp_path, monkeypatch):
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    grown = grow_on_hash(monkeypatch, 2)  # a writer the attempt left behind
+    attempt = rt.run_task(TaskNode(id="make", tool=_tool(), bindings={}),
+                          {"msg": "payload"}, 1, {})
+    assert len(grown) == 2
+    assert (attempt.failure_kind, attempt.outcome, attempt.outputs) \
+        == ("OutputMissing", runtime.PERMANENT_FAILURE, None)
+    assert attempt.error == \
+        f"output 'out': {grown[0]} changed while it was read"
+    assert rt.store.made == {}
 
 
 def test_output_the_engine_may_not_stamp_is_read_through_the_store(
