@@ -15,7 +15,6 @@ import json
 import os
 import signal
 import sys
-import uuid
 
 from . import parser, planner, provenance, scheduler, upgrader, validator
 from .cache import ResultCache
@@ -131,7 +130,7 @@ def cmd_run(args) -> int:
         machine=machine,
         on_error=args.on_error,
     )
-    run_id = uuid.uuid4().hex
+    run_id = os.urandom(16).hex()
     previous = {signum: signal.signal(signum, _interrupt)
                 for signum in (signal.SIGINT, signal.SIGTERM)}
     try:

@@ -8,6 +8,7 @@ pure: no I/O, no ambient state.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -165,8 +166,9 @@ class _Parser:
         return ("ref", tuple(parts))
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_expr(source: str) -> Expression:
-    """Parse a ``$(...)``-delimited expression."""
+    """Parse a ``$(...)``-delimited expression (memoized: immutable)."""
     if not (source.startswith("$(") and source.endswith(")")):
         raise ExprSyntaxError("expression must be delimited by $( and )", column=0)
     body = source[2:-1]

@@ -39,7 +39,6 @@ import stat
 import subprocess
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -117,7 +116,7 @@ class WorkerScratch:
 
     def _fresh(self, suffix: str) -> str:
         return os.path.join(self.root,
-                            f".spare-{uuid.uuid4().hex[:8]}.{suffix}")
+                            f".spare-{os.urandom(4).hex()}.{suffix}")
 
     def tmpdir(self) -> str:
         if self._tmpdir is None:
@@ -227,7 +226,7 @@ def place_file(source: str, target: str, link: bool) -> bool:
 def write_atomically(target: str, write):
     """Call ``write(path)`` on a temporary name beside ``target``, then
     rename it over ``target``; a failed write leaves nothing behind."""
-    partial = f"{target}.{uuid.uuid4().hex[:8]}.tmp"
+    partial = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         write(partial)
         os.replace(partial, target)
@@ -339,7 +338,7 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     mount at /tmp, a worker's reused one (see WorkerScratch).
     """
     safe = node_id.replace("/", "_").replace("[", "_").replace("]", "")
-    outdir = os.path.join(work_root, f"{safe}-{uuid.uuid4().hex[:8]}")
+    outdir = os.path.join(work_root, f"{safe}-{os.urandom(4).hex()}")
     os.makedirs(outdir)
 
     staged_inputs = {}
@@ -774,11 +773,13 @@ class LocalRuntime:
         # name of its own, so that runs sharing a work root never share
         # entries or remove each other's
         self.store = InputStore(os.path.join(
-            self.work_root, f".run-{uuid.uuid4().hex[:8]}"))
+            self.work_root, f".run-{os.urandom(4).hex()}"))
         self.cached_dir = os.path.join(self.store.root, "cached")
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
+        self._doomed = []     # released directories not yet deleted
+        self._deleter = None  # the thread that deletes them, while it runs
 
     def _scratch(self) -> WorkerScratch:
         scratch = getattr(self._local, "scratch", None)
@@ -789,19 +790,35 @@ class LocalRuntime:
         return scratch
 
     def close(self):
-        """End the run: remove the run directory, and the work root itself
-        once nothing is left in it.  The links attempts kept to store
-        entries hold their bytes."""
+        """End the run: wait for the deleting thread, then remove the run
+        directory, and the work root itself once nothing is left in it.
+        The links attempts kept to store entries hold their bytes."""
+        deleter = self._deleter
+        if deleter is not None:
+            deleter.join()
         shutil.rmtree(self.store.root, ignore_errors=True)
         with contextlib.suppress(OSError):  # not empty
             os.rmdir(self.work_root)
 
     def release(self, workdir: str):
-        """Delete a successful attempt's directory, which nothing reads any
-        more, with the TMPDIR its tool left anything in (``<workdir>.tmp``).
-        Non-empty logs beside it are kept."""
-        for path in (workdir, f"{workdir}.tmp"):
-            shutil.rmtree(path, ignore_errors=True)
+        """Have a thread of the runtime's own delete a successful attempt's
+        directory, which nothing reads any more, with the TMPDIR its tool
+        left anything in (``<workdir>.tmp``); logs beside it are kept."""
+        with self._lock:
+            self._doomed.append(workdir)
+            if self._deleter is None:
+                self._deleter = threading.Thread(target=self._delete)
+                self._deleter.start()
+
+    def _delete(self):
+        while True:  # till nothing is left; a release then starts another
+            with self._lock:
+                if not self._doomed:
+                    self._deleter = None
+                    return
+                workdir = self._doomed.pop()
+            for path in (workdir, f"{workdir}.tmp"):
+                shutil.rmtree(path, ignore_errors=True)
 
     def cancel(self):
         """Kill every attempt running now.  Tools run in sessions of their

@@ -1,7 +1,9 @@
 """Drive a planned graph to completion.
 
-One coordinator thread owns all run state; attempts run in worker threads
-(each blocking on its own subprocess) and report back through a queue.
+All run state sits behind one lock.  The worker thread that finishes an
+attempt settles it, admits, and runs the first record admitted at once;
+any other wakes an idle worker or starts one (Leader/Followers).  The
+caller's thread does the first admission, then waits for the run's end.
 
 Readiness is incremental: publishing an output makes only the nodes that
 read it candidates, and only candidates are checked, in id order.  A ready
@@ -28,10 +30,9 @@ reader never ran on, is kept.
 from __future__ import annotations
 
 import heapq
-import queue
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -66,7 +67,7 @@ from .runtime import TEMPORARY_FAILURE, TaskAttempt
 
 # CPython runs a signal's handler on the main thread, once that thread runs
 # Python code, and the kernel may deliver a SIGINT or SIGTERM to any thread:
-# the coordinator waits for completions in slices this long, so that it acts
+# the caller waits for the run's end in slices this long, so that it acts
 # on a signal that a worker thread received without waiting for an attempt
 _WAIT_SLICE_S = 0.2
 
@@ -214,8 +215,12 @@ class _Coordinator:
         self.tasks = {}  # task or shard id -> TaskRecord
         self.admissible = []  # heap of TaskRecord
         self.ledger = _Ledger()
-        self.completions = queue.Queue()
         self.stop_admission = False
+        self.wake = threading.Condition()  # the lock; idle workers wait
+        self.workers = []  # started on demand, one per record in flight
+        self.handed = []  # started records for idle workers
+        self.done = threading.Event()
+        self.failure = None  # what coordinator logic raised on a worker
         self.shards = {}  # scattered node id -> its shard records, in order
         self.unfinished = {}  # scattered node id -> its shards not finished
         # (producer id, output id) -> ids of the nodes that read it
@@ -367,26 +372,32 @@ class _Coordinator:
 
     # -- admission / completion --------------------------------------------
 
-    def admit(self, pool):
-        if self.stop_admission:
-            return
-        while True:
-            admitted = admission(self.admissible, self.ledger, self.cfg)
-            if not admitted:
-                return
+    def admit(self, keep: bool):
+        """Hand what fits to the workers, in first-fit order, waking one for
+        each record but the one the calling worker takes next when ``keep``,
+        and start workers till there is one per record in flight.  End the
+        run when nothing runs."""
+        while not self.stop_admission:
             cache_hit = False
-            for record in admitted:
+            for record in admission(self.admissible, self.ledger, self.cfg):
                 if self._try_cache(record):
                     cache_hit = True
                 else:
-                    self._start(record, pool)
+                    self.mark(record, RUNNING, len(record.attempts) + 1)
+                    self.ledger.admitting(record.resources)
+                    self.handed.append(record)
             if not cache_hit:
-                return
+                break
             # cache hits published outputs without occupying a worker;
             # downstream nodes may be ready now
             self.process_readiness()
-            if self.stop_admission:
-                return
+        self.wake.notify(max(len(self.handed) - keep, 0))
+        for _ in range(len(self.workers), self.ledger["running"]):
+            worker = threading.Thread(target=self._work)
+            worker.start()  # first: the caller joins only started workers
+            self.workers.append(worker)
+        if not self.ledger["running"]:
+            self._end()
 
     def _try_cache(self, record: TaskRecord) -> bool:
         if record.key is None:
@@ -403,29 +414,23 @@ class _Coordinator:
         self._finish(record, CACHED, 0, hit)
         return True
 
-    def _start(self, record: TaskRecord, pool):
+    def _attempt(self, record: TaskRecord) -> TaskAttempt:
+        """Run one attempt of a started record, outside the lock."""
         number = len(record.attempts) + 1
-        self.mark(record, RUNNING, number)
-        self.ledger.admitting(record.resources)
-
-        def work():
-            try:
-                if self.services.cache is not None:
-                    # the files of the cache hits this task reads
-                    self.services.cache.materialize(record.inputs.values())
-                attempt = self.services.runtime.run_task(
-                    record.task, record.inputs, number, record.resources)
-                # stored here, off the coordinator
-                if attempt.outputs is not None and record.key is not None:
-                    self.services.cache.store(record.key, attempt.outputs,
-                                              source_run_id=self.run_id)
-            except Exception as exc:  # defensive: worker must always report
-                attempt = TaskAttempt(task_id=record.task.id,
-                                      attempt_number=number)
-                attempt.settle("Internal", repr(exc))
-            self.completions.put((record, attempt))
-
-        pool.submit(work)
+        try:
+            if self.services.cache is not None:
+                # the files of the cache hits this task reads
+                self.services.cache.materialize(record.inputs.values())
+            attempt = self.services.runtime.run_task(
+                record.task, record.inputs, number, record.resources)
+            if attempt.outputs is not None and record.key is not None:
+                self.services.cache.store(record.key, attempt.outputs,
+                                          source_run_id=self.run_id)
+        except Exception as exc:  # defensive: an attempt must always settle
+            attempt = TaskAttempt(task_id=record.task.id,
+                                  attempt_number=number)
+            attempt.settle("Internal", repr(exc))
+        return attempt
 
     def handle_completion(self, record: TaskRecord, attempt: TaskAttempt):
         self.ledger.releasing(record.resources)
@@ -452,30 +457,52 @@ class _Coordinator:
             error = f"shard {record.task.id} failed: {error}"
         self._fail_node(record.node, error or "task failed")
 
-    # -- main loop ----------------------------------------------------------
+    # -- workers ------------------------------------------------------------
 
-    def _next_completion(self):
-        while True:
-            try:
-                return self.completions.get(timeout=_WAIT_SLICE_S)
-            except queue.Empty:
-                pass
+    def _end(self):
+        self.done.set()
+        self.wake.notify_all()
+
+    def _work(self):
+        """Settle the last attempt, take a record, run its attempt; repeat."""
+        attempt = None
+        try:
+            while True:
+                with self.wake:
+                    if attempt is not None and not self.done.is_set():
+                        self.handle_completion(record, attempt)
+                        self.process_readiness()
+                        self.admit(keep=True)
+                    while not (self.handed or self.done.is_set()):
+                        self.wake.wait()
+                    if self.done.is_set():
+                        return
+                    record = self.handed.pop(0)
+                attempt = self._attempt(record)
+        except BaseException as exc:  # coordinator logic: the caller raises it
+            with self.wake:
+                self.failure = self.failure or exc
+                self._end()
 
     def run(self) -> RunResult:
-        with ThreadPoolExecutor(max_workers=self.cfg.parallelism) as pool:
-            try:
+        try:
+            with self.wake:
                 self.process_readiness()
-                while True:
-                    self.admit(pool)
-                    if not self.ledger["running"]:
-                        break
-                    self.handle_completion(*self._next_completion())
-                    self.process_readiness()
-            except BaseException:
-                # an interrupt does not reach tools that run in sessions of
-                # their own, and the pool would wait for them to end
-                self.services.runtime.cancel()
-                raise
+                self.admit(keep=False)
+            while not self.done.wait(_WAIT_SLICE_S):
+                pass
+            if self.failure is not None:
+                raise self.failure
+        except BaseException:
+            with self.wake:
+                self._end()
+            # an interrupt does not reach tools that run in sessions of
+            # their own, and the workers wait for them to end
+            self.services.runtime.cancel()
+            raise
+        finally:
+            for worker in self.workers:
+                worker.join()
         return self._result()
 
     def _result(self) -> RunResult:

@@ -255,6 +255,20 @@ def test_unreadable_input_or_bad_option_is_refused_without_a_traceback(
     assert not (project / "out").exists()
 
 
+def test_cli_import_skips_the_modules_a_run_does_not_need():
+    """Names come from ``os.urandom`` and workers hand work over under one
+    lock: the engine's import loads no ``uuid`` (which loads ``platform``),
+    ``concurrent.futures`` or ``queue``."""
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, miniwfl.cli; print(sorted("
+         "{'uuid', 'concurrent.futures', 'queue'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_validate_subcommand(project):
     code, out = run_cli(["validate", str(project / "wf.cwl")])
     assert code == 0

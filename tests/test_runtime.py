@@ -1230,6 +1230,21 @@ def test_close_removes_the_store(tmp_path):
     assert _read(kept) == "payload\n"  # a failed attempt's link keeps its bytes
 
 
+def test_close_waits_for_every_released_directory(tmp_path):
+    """``release`` leaves the deleting to a thread of the runtime's own,
+    and ``close`` waits for it: nothing released is left, nor the thread."""
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    for i in range(40):
+        workdir = tmp_path / "work" / f"a{i}"
+        (workdir / "sub").mkdir(parents=True)
+        (workdir / "sub" / "out.txt").write_text("x\n")
+        (tmp_path / "work" / f"a{i}.tmp").mkdir()
+        rt.release(str(workdir))
+    rt.close()
+    assert not (tmp_path / "work").exists()
+    assert rt._deleter is None or not rt._deleter.is_alive()
+
+
 def test_runtimes_sharing_a_work_root_keep_their_own_stores(tmp_path):
     work = str(tmp_path / "work")
     first, second = (LocalRuntime(work, use_containers=False)

@@ -776,6 +776,157 @@ def test_coordinator_work_per_unit_stays_flat(build, small, large,
         assert per_unit[large][key] <= 1.1 * at_small, (key, per_unit)
 
 
+# --- worker threads ----------------------------------------------------------
+
+def _started_threads(monkeypatch):
+    """The names of the threads started from now on."""
+    started, start = [], threading.Thread.start
+
+    def counting_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+def test_workers_settle_their_own_attempts(monkeypatch, cached_dir):
+    """Each worker goes on with the record that settling its attempt
+    admitted, so a wide scatter needs no more workers than its parallelism,
+    and runs every shard on one of them."""
+    started = _started_threads(monkeypatch)
+    rt = StubRuntime(cached_dir)
+    assert _run(_scatter(1000), rt, parallelism=2).status == "Success"
+    assert len(started) == 2
+    assert len(rt.calls) == 1000
+
+
+def test_no_more_workers_than_attempts_in_flight(monkeypatch, cached_dir):
+    started = _started_threads(monkeypatch)
+    graph = _graph(_node("a"), _node("b"), _node("c", deps=["a"], layer=1))
+    assert _run(graph, StubRuntime(cached_dir),
+                parallelism=64).status == "Success"
+    assert 1 <= len(started) <= 3
+
+
+def test_workers_settling_at_once_lose_no_update(monkeypatch, cached_dir):
+    """More workers than cores, switching threads every few bytecodes:
+    every shard runs once, and the ledger never admits past the bound."""
+    import sys
+
+    class Jittered(StubRuntime):
+        def run_task(self, node, bindings, attempt_number, resources):
+            time.sleep(0.0005 * (hash(node.id) % 3))
+            return super().run_task(node, bindings, attempt_number,
+                                    resources)
+
+    started = _started_threads(monkeypatch)
+    rt, results = Jittered(cached_dir), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=lambda: results.append(
+            _run(_graph(_fan("fan", [str(i) for i in range(400)]),
+                        _node("down", deps=["fan"], layer=1)),
+                 rt, parallelism=4)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    (result,) = results
+    assert result.status == "Success"
+    assert sorted(rt.calls) == sorted([(f"fan[{i}]", 1) for i in range(400)]
+                                      + [("down", 1)])
+    assert rt.max_active <= 4 and len(started) - 1 <= 4  # and the runner
+
+
+def test_error_in_coordinator_logic_on_a_worker_reaches_the_caller(
+        cached_dir):
+    """The second lookup runs on the worker that settled ``a``; what it
+    raises ends the run in the caller, after ``cancel``, with every worker
+    gone."""
+    class BrokenIndex:
+        lookups = 0
+
+        def lookup(self, key):
+            self.lookups += 1
+            if self.lookups == 2:
+                raise RuntimeError("index gone")
+
+        def materialize(self, values):
+            pass
+
+        def store(self, key, outputs, source_run_id):
+            pass
+
+    class CancelRecording(StubRuntime):
+        cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    before = set(threading.enumerate())
+    rt, cache = CancelRecording(cached_dir), BrokenIndex()
+    graph = _graph(_node("a"), _node("b", deps=["a"], layer=1))
+    with pytest.raises(RuntimeError, match="index gone"):
+        run(graph, RunConfig(parallelism=2), Services(rt, cache=cache), "run")
+    assert cache.lookups == 2 and rt.calls == [("a", 1)]
+    assert rt.cancelled
+    assert set(threading.enumerate()) <= before
+
+
+def test_worker_that_cannot_start_ends_the_run_in_the_caller(monkeypatch,
+                                                             cached_dir):
+    start, before = threading.Thread.start, set(threading.enumerate())
+
+    def second_start_fails(self):
+        if len(threading.enumerate()) > len(before):
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    with pytest.raises(RuntimeError, match="can't start"):
+        _run(_graph(_node("a"), _node("b")), StubRuntime(cached_dir),
+             parallelism=2)
+    assert set(threading.enumerate()) <= before
+
+
+def test_each_template_is_parsed_once_per_run(monkeypatch, cached_dir):
+    """300 shards build their argv from one ``$(inputs.item)`` template."""
+    from miniwfl import expression
+    from miniwfl.expression import EvalContext
+    from miniwfl.runtime import build_command_line
+
+    tool = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "CommandLineTool",
+        "baseCommand": ["echo"],
+        "inputs": [{"id": "item", "type": "int"},
+                   {"id": "line", "type": "string", "position": 1}],
+        "outputs": [{"id": "out", "type": "string?", "glob": "o"}]}).body
+
+    class ArgvRuntime(StubRuntime):
+        argvs = []
+
+        def run_task(self, node, bindings, attempt_number, resources):
+            self.argvs.append(build_command_line(
+                node.tool, bindings, EvalContext(inputs=bindings)))
+            return super().run_task(node, bindings, attempt_number,
+                                    resources)
+
+    tokenized, tokenize = [], expression._tokenize
+    monkeypatch.setattr(expression, "_tokenize", lambda body, offset: (
+        tokenized.append(body) or tokenize(body, offset)))
+    expression.parse_expr.cache_clear()
+    node = TaskNode(id="fan", tool=tool, scatter=("item",), bindings={
+        "item": ("lit", list(range(300))),
+        "line": ("lit", "$(inputs.item)")})
+    rt = ArgvRuntime(cached_dir)
+    assert _run(_graph(node), rt).status == "Success"
+    assert sorted(rt.argvs) == sorted(["echo", str(i)] for i in range(300))
+    assert tokenized == ["inputs.item"]
+
+
 def test_interrupt_cancels_the_attempts_in_flight(cached_dir):
     class BlockedRuntime(NullRuntime):
         def __init__(self, cached_dir):
