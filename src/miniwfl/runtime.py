@@ -19,9 +19,11 @@ TMPDIR while it stays the empty directory it was made as, and one spare
 log per stream (see WorkerScratch).  The tool runs in a session of its own
 with a minimal explicit environment, and the whole session is killed when
 it exits or times out.  A successful attempt's input links are deleted
-once its outputs are collected; no output shares an inode with an input
-(see _regular).  Its directory is deleted once the run says nothing reads
-it any more (see LocalRuntime.release); a failed attempt keeps everything.
+once its outputs are collected, and a TMPDIR its tool left anything in
+when it ends; no output shares an inode with an input (see _regular).  Its
+directory is deleted once the run says nothing reads it any more (see
+LocalRuntime.release); a failed attempt keeps everything, its TMPDIR as
+``<attempt>.tmp``.
 What lives only as long as the run, the store's copies, the links that
 cache hits publish and each worker's TMPDIR and spare logs, sits in one run
 directory, ``<work root>/.run-<id>/``, which LocalRuntime.close removes.
@@ -128,18 +130,21 @@ class WorkerScratch:
 
     def release_tmpdir(self, attempt_dir: str, failed: bool):
         """Keep the TMPDIR for the next attempt while it is the empty
-        directory it was made as, with its mode; after a failed attempt, or
-        once the tool left anything in it, it moves to ``<attempt>.tmp``
-        and the next attempt gets a new one."""
+        directory it was made as, with its mode; after a failed attempt it
+        moves to ``<attempt>.tmp``, and once the tool left anything in it
+        it is deleted, and the next attempt gets a new one."""
         if self._tmpdir is None:
             return
         path, ino, mode = self._tmpdir
         try:
             st = os.lstat(path)
-            if (not failed and (st.st_ino, st.st_mode) == (ino, mode)
+            if failed:
+                os.rename(path, f"{attempt_dir}.tmp")
+            elif ((st.st_ino, st.st_mode) == (ino, mode)
                     and not os.listdir(path)):
                 return
-            os.rename(path, f"{attempt_dir}.tmp")
+            else:
+                shutil.rmtree(path, ignore_errors=True)
         except OSError:
             pass  # gone, or left where it is
         self._tmpdir = None
@@ -251,7 +256,7 @@ class InputStore:
     (see LocalRuntime).
 
     ``made`` maps the path of each entry, and of each output collected in
-    this run (see collect_outputs), to (checksum, signature as stamped, see
+    this run (see collect_outputs), to its signature as stamped (see
     _stamp), and a path to None once it is set aside (see _set_aside).  The
     first attempt that needs an entry makes it (see stage) under its path's
     lock, so that a second one waits instead of copying and hashing too.
@@ -309,8 +314,7 @@ def _set_aside(read: dict, store: InputStore) -> list:
             continue
         moved.append(name)
         with store.locked(path):
-            made = store.made.get(path)
-            if made is not None and made[1] == signature:
+            if signature is not None and store.made.get(path) == signature:
                 store.made[path] = None
                 with contextlib.suppress(OSError):  # gone already
                     os.rename(path, f"{path}.modified")
@@ -348,8 +352,7 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     taken = set()  # names directly under the inputs directory
 
     def read_in_place(fv: FileValue) -> str:
-        made = store.made[fv.path]
-        read = staged.read[fv.path] = (fv.path, made and made[1])
+        read = staged.read[fv.path] = (fv.path, store.made[fv.path])
         if _set_aside({fv.path: read}, store):
             raise StagingError(f"input changed during run: {fv.path}")
         return fv.path
@@ -369,12 +372,11 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
         entry = os.path.join(store.root, fv.checksum)
         with store.locked(entry):
             made = store.made.get(entry)
-            if made is None or file_signature(entry) != made[1]:
+            if made is None or file_signature(entry) != made:
                 write_atomically(entry, lambda partial: _fill(fv, partial))
-                made = store.made[entry] = (fv.checksum,
-                                            file_signature(entry))
+                made = store.made[entry] = file_signature(entry)
             place_file(entry, target, link=True)
-        staged.read[entry] = (fv.path, made[1])
+        staged.read[entry] = (fv.path, made)
         return target
 
     def place(fv: FileValue) -> FileValue:
@@ -668,11 +670,11 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
 
     Each output File is stamped (see _stamp) before its hash starts, so
     that any later write moves its signature, which the FileValue carries;
-    ``made`` (see InputStore) records path -> (checksum, signature) for
-    each.  A file without a signature, one the engine may not stamp (such
-    as one a container's root user left) and that was written too recently
-    to be trusted, is not recorded, and a later reader gets a store copy
-    of it instead.  A file that changes while it is read twice (see
+    ``made`` (see InputStore) records path -> signature for each.  A file
+    without a signature, one the engine may not stamp (such as one a
+    container's root user left) and that was written too recently to be
+    trusted, is not recorded, and a later reader gets a store copy of it
+    instead.  A file that changes while it is read twice (see
     FileValue.from_path) fails its output.
     """
     def collected(path: str, out) -> FileValue:
@@ -687,7 +689,7 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
                 f"output {out.id!r}: {path} changed while it was read"
             ) from None
         if fv.signature is not None:
-            made[fv.path] = (fv.checksum, fv.signature)
+            made[fv.path] = fv.signature
         return fv
 
     outputs = {}
@@ -778,8 +780,6 @@ class LocalRuntime:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
-        self._doomed = []     # released directories not yet deleted
-        self._deleter = None  # the thread that deletes them, while it runs
 
     def _scratch(self) -> WorkerScratch:
         scratch = getattr(self._local, "scratch", None)
@@ -790,35 +790,17 @@ class LocalRuntime:
         return scratch
 
     def close(self):
-        """End the run: wait for the deleting thread, then remove the run
-        directory, and the work root itself once nothing is left in it.
-        The links attempts kept to store entries hold their bytes."""
-        deleter = self._deleter
-        if deleter is not None:
-            deleter.join()
+        """End the run: remove the run directory, and the work root itself
+        once nothing is left in it.  The links attempts kept to store
+        entries hold their bytes."""
         shutil.rmtree(self.store.root, ignore_errors=True)
         with contextlib.suppress(OSError):  # not empty
             os.rmdir(self.work_root)
 
     def release(self, workdir: str):
-        """Have a thread of the runtime's own delete a successful attempt's
-        directory, which nothing reads any more, with the TMPDIR its tool
-        left anything in (``<workdir>.tmp``); logs beside it are kept."""
-        with self._lock:
-            self._doomed.append(workdir)
-            if self._deleter is None:
-                self._deleter = threading.Thread(target=self._delete)
-                self._deleter.start()
-
-    def _delete(self):
-        while True:  # till nothing is left; a release then starts another
-            with self._lock:
-                if not self._doomed:
-                    self._deleter = None
-                    return
-                workdir = self._doomed.pop()
-            for path in (workdir, f"{workdir}.tmp"):
-                shutil.rmtree(path, ignore_errors=True)
+        """Delete a successful attempt's directory, which nothing reads any
+        more, before returning; logs beside it are kept."""
+        shutil.rmtree(workdir, ignore_errors=True)
 
     def cancel(self):
         """Kill every attempt running now.  Tools run in sessions of their

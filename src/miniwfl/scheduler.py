@@ -1,28 +1,31 @@
 """Drive a planned graph to completion.
 
-All run state sits behind one lock.  The worker thread that finishes an
-attempt settles it, admits, and runs the first record admitted at once;
-any other wakes an idle worker or starts one (Leader/Followers).  The
-caller's thread does the first admission, then waits for the run's end.
+All run state sits behind one lock, and the workers are the run's only
+threads.  The worker thread that finishes an attempt settles it, admits,
+and runs the first record admitted at once; any other wakes an idle worker
+or starts one (Leader/Followers).  The caller's thread does the first
+admission, then waits for the run's end.
 
 Readiness is incremental: publishing an output makes only the nodes that
 read it candidates, and only candidates are checked, in id order.  A ready
 node becomes task records that run (the node's own for a plain node, one
 per shard for a scattered node, which stays a single graph node) and that
-all take the same path: guard, resources, cache key, a heap ordered by
-(layer, task id), admission, cache lookup or a worker, and one completion
-routine.  The graph is only read: a task's state is on its record, and
-only ``mark`` changes it.  Admission pops the first-fit records under both a
-parallelism bound and the machine's resource capacity, so runs are
-reproducible regardless of completion interleaving, and the coordinator's
-cost grows linearly with tasks and shards.  A failed attempt is retried
-when the runtime reports it as a ``TemporaryFailure``.
+all take the same path: guard, resources, a heap ordered by (layer, task
+id), admission, cache key (made at the first admission) and lookup or a
+worker, and one completion routine.  The graph is only read: a task's
+state is on its record, and only ``mark`` changes it.  Admission pops the
+first-fit records under both a parallelism bound and the machine's
+resource capacity, so runs are reproducible regardless of completion
+interleaving, and the coordinator's cost grows linearly with tasks and
+shards.  A failed attempt is retried when the runtime reports it as a
+``TemporaryFailure``.
 
 The dataflow also says when a successful attempt's directory can no longer
 be read: once every node that reads the producer's outputs (a scattered
 producer's shards counted together) has ended Succeeded, Cached or Skipped.
-The coordinator then has the runtime release it.  The directories behind
-workflow outputs are left to the caller to release after stage-out
+The worker whose settlement found that has the runtime release it, once it
+has left the lock and before it runs its next attempt.  The directories
+behind workflow outputs are left to the caller to release after stage-out
 (``RunResult.held``); a directory that a failed reader read, or that a
 reader never ran on, is kept.
 """
@@ -112,7 +115,7 @@ class TaskRecord:
     inputs: dict
     tool_digest: Optional[str] = None
     resources: Optional[dict] = None
-    key: Optional[str] = None  # set only when a cache is in use
+    key: Optional[str] = None  # set at first admission, with a cache
     state: str = PENDING
     attempts: list = field(default_factory=list)
     outputs: Optional[dict] = None
@@ -236,6 +239,7 @@ class _Coordinator:
         self.staged = {source[0] for kind, source
                        in graph.workflow_outputs.values() if kind == "edge"}
         self.workdirs = {}  # node id -> its successful attempts' directories
+        self.released = []  # directories for the settling worker to release
         self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
@@ -316,9 +320,6 @@ class _Coordinator:
                         f"shard {task.id}: resource minima exceed")
                 self._fail_node(node, f"{what} machine capacity")
                 return
-            if self.services.cache is not None:
-                record.key = cache_key(task, record.inputs, digest,
-                                       record.resources)
             heapq.heappush(self.admissible, record)
 
     def _finish(self, record: TaskRecord, state: str, attempt: int,
@@ -352,13 +353,12 @@ class _Coordinator:
                      outputs)
 
     def _release(self, node_id: str):
-        """Have the runtime delete the directories of a node's successful
-        attempts once every reader of its outputs is done, unless stage-out
-        still reads them."""
+        """Set the directories of a node's successful attempts out for the
+        settling worker to release, once every reader of its outputs is
+        done, unless stage-out still reads them."""
         if self.awaiting.get(node_id) or node_id in self.staged:
             return
-        for workdir in self.workdirs.pop(node_id, ()):
-            self.services.runtime.release(workdir)
+        self.released.extend(self.workdirs.pop(node_id, ()))
 
     def _fail_node(self, node: TaskNode, error: str):
         record = self.tasks[node.id]
@@ -400,9 +400,14 @@ class _Coordinator:
             self._end()
 
     def _try_cache(self, record: TaskRecord) -> bool:
+        cache = self.services.cache
+        if cache is None:
+            return False
+        if not record.attempts:  # its first admission: key it once
+            record.key = cache_key(record.task, record.inputs,
+                                   record.tool_digest, record.resources)
         if record.key is None:
             return False
-        cache = self.services.cache
         hit = cache.lookup(record.key)
         if hit is None:
             return False
@@ -464,7 +469,8 @@ class _Coordinator:
         self.wake.notify_all()
 
     def _work(self):
-        """Settle the last attempt, take a record, run its attempt; repeat."""
+        """Settle the last attempt, release the directories that settling
+        set out, outside the lock, take a record, run its attempt; repeat."""
         attempt = None
         try:
             while True:
@@ -473,6 +479,10 @@ class _Coordinator:
                         self.handle_completion(record, attempt)
                         self.process_readiness()
                         self.admit(keep=True)
+                    released, self.released = self.released, []
+                for workdir in released:
+                    self.services.runtime.release(workdir)
+                with self.wake:
                     while not (self.handed or self.done.is_set()):
                         self.wake.wait()
                     if self.done.is_set():

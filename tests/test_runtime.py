@@ -355,14 +355,15 @@ def test_tmpdir_left_changed_is_not_reused(tmp_path):
         return result.env["TMPDIR"], os.path.dirname(result.stdout_path)
 
     tmpdir, _ = run("echo")
-    left = {'touch "$TMPDIR/left"': ["left"], 'chmod 1777 "$TMPDIR"': [],
+    left = {'touch "$TMPDIR/left"': None, 'chmod 1777 "$TMPDIR"': None,
             "exit 3": [], 'rmdir "$TMPDIR"': None}
     for script, entries in left.items():
         used, outdir = run(script)
         assert used == tmpdir, script
         tmpdir, _ = run("echo")
         assert tmpdir != used and not os.path.exists(used), script
-        # kept beside the attempt that changed it or failed, for debugging
+        # kept beside a failed attempt, for debugging; deleted after a
+        # successful one that changed it
         kept = f"{outdir}.tmp"
         assert (os.listdir(kept) if os.path.exists(kept) else None) \
             == entries, script
@@ -1184,6 +1185,7 @@ def test_entry_made_again_after_a_write_is_kept_by_an_earlier_reader(
     c, c_bindings = stage("c", {"f": fv}, work, store, _tmpdir(tmp_path))
     assert _read(c_bindings["f"].path) == "payload\n"
     made = store.made[entry]
+    assert made == planner.file_signature(entry)
     # B shared the written inode and fails, but keeps C's entry
     assert runtime._set_aside(b.read, store) == [fv.path]
     assert store.made[entry] == made
@@ -1230,19 +1232,18 @@ def test_close_removes_the_store(tmp_path):
     assert _read(kept) == "payload\n"  # a failed attempt's link keeps its bytes
 
 
-def test_close_waits_for_every_released_directory(tmp_path):
-    """``release`` leaves the deleting to a thread of the runtime's own,
-    and ``close`` waits for it: nothing released is left, nor the thread."""
+def test_release_deletes_the_directory_before_it_returns(tmp_path):
+    """Nothing released is left once ``release`` returns, and ``close``
+    then leaves no work root."""
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     for i in range(40):
         workdir = tmp_path / "work" / f"a{i}"
         (workdir / "sub").mkdir(parents=True)
         (workdir / "sub" / "out.txt").write_text("x\n")
-        (tmp_path / "work" / f"a{i}.tmp").mkdir()
         rt.release(str(workdir))
+        assert not workdir.exists()
     rt.close()
     assert not (tmp_path / "work").exists()
-    assert rt._deleter is None or not rt._deleter.is_alive()
 
 
 def test_runtimes_sharing_a_work_root_keep_their_own_stores(tmp_path):
@@ -1284,8 +1285,8 @@ def test_collected_output_carries_a_stamped_mtime_and_is_recorded(tmp_path):
     # set while collecting, far enough back that any later write moves it
     lag = runtime._STAMP_LAG_NS
     assert before - lag <= st.st_mtime_ns <= after - lag
-    assert rt.store.made == {fv.path: (fv.checksum, (
-        st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode))}
+    assert rt.store.made == {fv.path: (
+        st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)}
 
 
 def test_output_that_changes_while_it_is_read_fails_the_attempt(
@@ -1337,7 +1338,7 @@ def test_tool_reading_or_linking_a_run_made_input_reads_it_in_place(
     assert not os.path.exists(os.path.dirname(out) + ".inputs")
     # the producer's file is untouched; an output has an inode of its own
     assert rt.store.made[fv.path] == record
-    assert planner.file_signature(fv.path) == record[1]
+    assert planner.file_signature(fv.path) == record
     assert os.stat(out).st_nlink == 1
 
 

@@ -801,6 +801,66 @@ def test_workers_settle_their_own_attempts(monkeypatch, cached_dir):
     assert len(rt.calls) == 1000
 
 
+def test_released_directories_are_deleted_by_the_workers(monkeypatch,
+                                                         tmp_path):
+    """Over the local runtime, the worker that settles the gather deletes
+    the 20 shard directories it released: the run starts no thread but its
+    2 workers, and none of those directories is left when it returns."""
+    from miniwfl.runtime import LocalRuntime
+
+    echo = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "i", "type": "int", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}]}
+    cat = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+           "baseCommand": ["cat"],
+           "inputs": [{"id": "fs", "type": "File[]", "position": 1}],
+           "outputs": [{"id": "out", "type": "File", "capture": "stdout"}]}
+    graph = planner.plan(parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": [{"id": "idx", "type": "int[]"}],
+        "outputs": [{"id": "all", "type": "File",
+                     "outputSource": "gather/out"}],
+        "steps": [{"id": "fan", "run": echo, "in": {"i": "idx"},
+                   "scatter": ["i"]},
+                  {"id": "gather", "run": cat, "in": {"fs": "fan/out"}}]}),
+        {"idx": list(range(20))})
+    released, release = [], LocalRuntime.release
+    monkeypatch.setattr(LocalRuntime, "release", lambda self, workdir: (
+        released.append(workdir) or release(self, workdir)))
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    started = _started_threads(monkeypatch)
+    result = run(graph, RunConfig(parallelism=2), Services(rt), "run")
+    assert result.status == "Success"
+    with open(result.outputs["all"].path) as fh:
+        assert fh.read() == "".join(f"{i}\n" for i in range(20))
+    assert len(started) == 2
+    assert len(released) == 20
+    assert not any(os.path.exists(workdir) for workdir in released)
+    rt.close()
+
+
+def test_records_are_keyed_at_their_first_admission(monkeypatch,
+                                                    cached_dir):
+    """A ready scatter's shards are keyed as each is admitted, on the
+    workers beside running tools, and not all before the first attempt."""
+    log, cache_key = [], scheduler.cache_key
+    monkeypatch.setattr(scheduler, "cache_key", lambda *args: (
+        log.append("key") or cache_key(*args)))
+
+    class Logging(StubRuntime):
+        def run_task(self, node, bindings, attempt_number, resources):
+            log.append("run")
+            return super().run_task(node, bindings, attempt_number,
+                                    resources)
+
+    result = run(_scatter(300), RunConfig(parallelism=2),
+                 Services(Logging(cached_dir), FakeCache()), "run")
+    assert result.status == "Success"
+    assert log.count("key") == 300
+    assert log.index("run") <= 2
+
+
 def test_no_more_workers_than_attempts_in_flight(monkeypatch, cached_dir):
     started = _started_threads(monkeypatch)
     graph = _graph(_node("a"), _node("b"), _node("c", deps=["a"], layer=1))

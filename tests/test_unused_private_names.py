@@ -1,5 +1,5 @@
 """Every private name the package defines is used in the package: a helper
-that a refactor leaves behind fails here."""
+or an attribute that a refactor leaves behind fails here."""
 
 import ast
 import collections
@@ -16,8 +16,14 @@ def _private(name: str) -> bool:
 
 def _definitions(tree: ast.Module):
     """(name, node) of each private module-level function, class and
-    constant, and of each private method, in ``tree``."""
+    constant, of each private method, and of each private attribute written
+    on ``self``, in ``tree``."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    yield from ((node.attr, node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self")
     for node in tree.body:
         if isinstance(node, functions + (ast.ClassDef,)):
             if _private(node.name):
@@ -49,9 +55,9 @@ def unused_private_names(sources: dict) -> list:
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = sum((_references(tree) for tree in trees.values()),
                collections.Counter())
-    return sorted(f"{module}:{name}" for module, tree in trees.items()
-                  for name, node in _definitions(tree)
-                  if read[name] == _references(node)[name])
+    return sorted({f"{module}:{name}" for module, tree in trees.items()
+                   for name, node in _definitions(tree)
+                   if read[name] == _references(node)[name]})
 
 
 def test_package_uses_every_private_name():
@@ -67,9 +73,12 @@ def test_unused_private_name_scan():
                 "def _walk(n):\n"
                 "    return _walk(n - 1) if n else _LIMIT\n"
                 "class _Helper:\n"
-                "    def _used(self): return 1\n"
+                "    def __init__(self):\n"
+                "        self._kept, self._written = [], None\n"
+                "        self._written = 0\n"
+                "    def _used(self): return self._kept\n"
                 "    def _left(self): return self._used()\n"
                 "    def __len__(self): return 0\n",
         "b.py": "from .a import _Helper\n"
                 "_Helper()\n",
-    }) == ["a.py:_UNUSED", "a.py:_left", "a.py:_walk"]
+    }) == ["a.py:_UNUSED", "a.py:_left", "a.py:_walk", "a.py:_written"]
