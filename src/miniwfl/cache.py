@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import model, parser
-from .planner import FileValue, TaskNode, file_checksum, map_files
+from .planner import _INLINE_MAX, FileValue, TaskNode, file_checksum, map_files
 from .runtime import place_file, write_atomically
 
 log = logging.getLogger(__name__)
@@ -72,9 +72,7 @@ log = logging.getLogger(__name__)
 _BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
 _SCHEMA = ("CREATE TABLE IF NOT EXISTS ac"
            " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
-# the largest payload stored in its entry: its base64 fills one 4 KiB block,
-# so an inline payload never takes more than a payload file would
-_INLINE_MAX = 3072
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _value_fingerprint(value):
@@ -282,29 +280,27 @@ class ResultCache:
                 return None
         return outputs
 
-    def store(self, key: Optional[str], outputs: dict, source_run_id: str):
+    def store(self, key: Optional[str], outputs: dict, source_run_id: str,
+              contents: Optional[dict] = None):
         """Persist outputs under a key, if there is one: the payload files
         first, then the entry, so that an entry never names a missing
-        file.  A File of at most ``_INLINE_MAX`` bytes is read into the
-        entry instead, after a check against its collected checksum.  The
-        first entry stored for a key wins; failures degrade to a warning.
+        file.  A File of at most ``_INLINE_MAX`` bytes goes in the entry,
+        checked against its collected checksum: the bytes collect read
+        (``contents``, by path) while its signature holds, else read again.
+        The first entry stored for a key wins; failures degrade to a warning.
         A payload file that is the output's own inode and still has its
         collected signature gets that signature in the entry (``"sig"``),
         which stands in for the hash at lookup."""
-        if key is None:
-            return
-        try:
-            self._store(key, outputs, source_run_id)
-        except (OSError, ValueError) as exc:
-            log.warning("cache store failed (continuing): %s", exc)
-
-    def _store(self, key: str, outputs: dict, source_run_id: str):
         def persist(fv):
             stored = fv.to_json(include_path=False)
             if fv.size <= _INLINE_MAX:
-                with open(fv.path, "rb") as fh:
-                    data = fh.read(_INLINE_MAX + 1)
-                    mode = os.fstat(fh.fileno()).st_mode
+                data = (contents or {}).get(fv.path)
+                if data is not None and fv.unchanged():
+                    mode = fv.signature[3]
+                else:  # read again
+                    with open(fv.path, "rb") as fh:
+                        data = fh.read(_INLINE_MAX + 1)
+                        mode = os.fstat(fh.fileno()).st_mode
                 stored["mode"] = stat.S_IMODE(mode)
                 if hashlib.sha256(data).hexdigest() != fv.checksum:
                     raise ValueError(f"output changed since it was "
@@ -321,14 +317,16 @@ class ResultCache:
                 stored["sig"] = list(fv.signature)
             return stored
 
-        entry = {
-            "outputs": {k: map_files(v, persist) for k, v in outputs.items()},
-            "createdAt": time.time(),
-            "sourceRunId": source_run_id,
-        }
-        self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
-                      (key, json.dumps(entry, sort_keys=True,
-                                       separators=(",", ":"))))
+        if key is None:
+            return
+        try:
+            entry = {"outputs": {k: map_files(v, persist)
+                                 for k, v in outputs.items()},
+                     "createdAt": time.time(), "sourceRunId": source_run_id}
+            self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
+                          (key, _encode(entry)))
+        except (OSError, ValueError) as exc:
+            log.warning("cache store failed (continuing): %s", exc)
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
         """Publish a hit's verified payloads as ``<dest_dir>/<sha256>``, so
@@ -374,7 +372,8 @@ class ResultCache:
                         partial, *unwritten))
                     del self._unwritten[fv.path]
 
-        map_files(list(values), write)
+        if self._unwritten:  # each hit is published before its readers run
+            map_files(list(values), write)
 
     def evict(self, key: str):
         """Remove the entry of ``key``, as for a miss found at lookup."""

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation errors, 2 run ended in permanent
-failure, 3 usage error, 130 (128 + SIGINT) a run interrupted and 143
+failure or an I/O error on its own directories (``miniwfl: <path>:
+<reason>``), 3 usage error, 130 (128 + SIGINT) a run interrupted and 143
 (128 + SIGTERM) a run terminated, each after its tools were killed.
 Diagnostics go to stderr; machine-readable output
 (the output object, DOT text, upgraded documents, validate's diagnostic
@@ -133,6 +134,7 @@ def cmd_run(args) -> int:
     run_id = os.urandom(16).hex()
     previous = {signum: signal.signal(signum, _interrupt)
                 for signum in (signal.SIGINT, signal.SIGTERM)}
+    result = None
     try:
         result = scheduler.run(graph, cfg, scheduler.Services(runtime, cache),
                                run_id=run_id)
@@ -145,9 +147,10 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
         outputs, left_out = _stage_workflow_outputs(result.outputs, outdir,
                                                     runtime.work_root)
-        for path in result.held:  # read by nothing any more
-            runtime.release(path)
     finally:
+        # read by nothing any more, also where provenance or stage-out failed
+        for path in result.held if result is not None else ():
+            runtime.release(path)
         runtime.close()
         if cache is not None:
             cache.close()
@@ -230,6 +233,10 @@ def main(argv=None) -> int:
     except _Interrupted as exc:
         print(f"miniwfl: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # the run's own directories: a full disk, say
+        print(f"miniwfl: {exc.filename or 'I/O error'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional, Union
 
 from .errors import TypeSyntaxError
@@ -128,6 +129,13 @@ class ToolDescription:
     def output_map(self) -> dict:
         return {p.id: p for p in self.outputs}
 
+    @cached_property  # once per tool, which a node and its shards share
+    def streams(self) -> dict:
+        """The file in the outdir each named or captured stream goes to."""
+        names = {"stdout": self.stdout, "stderr": self.stderr}
+        captured = {out.capture for out in self.outputs}
+        return {k: v or f"{k}.log" for k, v in names.items() if v or k in captured}
+
 
 @dataclass(frozen=True)
 class Step:
@@ -197,7 +205,7 @@ class Machine:
         if min(self.capacity.values()) <= 0:
             raise ValueError("machine capacities must be positive")
 
-    @property
+    @cached_property  # read at every admission
     def capacity(self) -> dict:
         """The capacity under each Resource key of RESOURCE_DEFAULTS."""
         return {"coresMin": self.cores, "ramMin": self.ram_mib,

@@ -530,9 +530,8 @@ def to_plain(doc: Document) -> dict:
     return _plain(doc)
 
 
-def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   ensure_ascii=False).encode
 
 
 def canonical_serialize(doc: Document) -> str:

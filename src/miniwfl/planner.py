@@ -63,6 +63,7 @@ _TRANSITIONS = {
 # then moves the mtime, even one within the same clock tick (git's
 # racily-clean rule); runtime._stamp sets the mtime of outputs this far back
 _STAMP_LAG_NS = 2_000_000_000
+_INLINE_MAX = 3072  # the largest output hashed from memory, and inline in cache
 
 
 def file_checksum(path: str) -> str:
@@ -103,8 +104,8 @@ class FileValue:
     signature: Optional[tuple] = field(default=None, compare=False)
 
     @classmethod
-    def from_path(cls, path: str,
-                  format: Optional[str] = None) -> "FileValue":
+    def from_path(cls, path: str, format: Optional[str] = None,
+                  contents: Optional[dict] = None) -> "FileValue":
         """The file at ``path``, with its size and checksum from one read:
         the size is the one a ``stat`` read just before the hash, and a
         second ``stat`` after it must find the same signature; a file that
@@ -113,7 +114,8 @@ class FileValue:
         when its mtime was at least _STAMP_LAG_NS old when it was read, so
         that any write since moves it.  A symlink's recorded signature is
         its target's, which ``lstat`` of the link never finds, so it stands
-        in for no hash."""
+        in for no hash.  Where ``contents`` is given, a file of at most
+        _INLINE_MAX bytes is hashed from memory, and its bytes go there."""
         path = os.path.abspath(path)
         for _ in range(2):
             now = time.time_ns()
@@ -121,7 +123,12 @@ class FileValue:
                 before = _signature(os.stat(path))
                 if not stat.S_ISREG(before[3]):
                     raise JobOrderError(f"file does not exist: {path}")
-                checksum = file_checksum(path)
+                if contents is None or before[1] > _INLINE_MAX:
+                    checksum = file_checksum(path)
+                else:
+                    with open(path, "rb", buffering=0) as fh:  # no tty probe
+                        contents[path] = fh.read()
+                    checksum = hashlib.sha256(contents[path]).hexdigest()
                 after = _signature(os.stat(path))
             except OSError:
                 raise JobOrderError(f"file does not exist: {path}") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import lru_cache
 
 from .planner import value_to_json
 
@@ -25,10 +26,14 @@ def _value_record(value):
     return value_to_json(value, include_path=False)
 
 
+@lru_cache(maxsize=4)  # formatted once per second, not once per event
+def _utc_second(second: int) -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
+
+
 def iso_time(ts: float) -> str:
     """UTC ISO-8601 with milliseconds, e.g. ``2024-05-01T12:00:00.250Z``."""
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ts)) + (
-        ".%03dZ" % (ts % 1 * 1000))
+    return _utc_second(int(ts)) + ".%03dZ" % (ts % 1 * 1000)
 
 
 def _attempt_record(attempt, shared: dict):

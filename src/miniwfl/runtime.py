@@ -15,15 +15,15 @@ the changed file is set aside (see _set_aside).  Beside the attempt
 directory go ``<attempt>.stdout.log``/``.stderr.log``, kept only for a
 stream that nothing captures and that was not empty.  A named or captured
 stream is written in place in the outdir.  Each worker thread reuses one
-TMPDIR while it stays the empty directory it was made as, and one spare
-log per stream (see WorkerScratch).  The tool runs in a session of its own
-with a minimal explicit environment, and the whole session is killed when
-it exits or times out.  A successful attempt's input links are deleted
-once its outputs are collected, and a TMPDIR its tool left anything in
-when it ends; no output shares an inode with an input (see _regular).  Its
-directory is deleted once the run says nothing reads it any more (see
-LocalRuntime.release); a failed attempt keeps everything, its TMPDIR as
-``<attempt>.tmp``.
+TMPDIR while one ``lstat`` finds it as stamped, and one spare log per
+stream (see WorkerScratch).  The tool, looked up on PATH once per run, runs
+in a session of its own with a minimal explicit environment, and the whole
+session is killed when it exits or times out.  A successful attempt's
+input links are deleted once its outputs are collected, and a TMPDIR its
+tool changed when it ends; no output shares an inode with an input (see
+_regular).  Its directory is deleted once the run says nothing reads it
+any more (see LocalRuntime.release); a failed attempt keeps everything,
+its TMPDIR as ``<attempt>.tmp``.
 What lives only as long as the run, the store's copies, the links that
 cache hits publish and each worker's TMPDIR and spare logs, sits in one run
 directory, ``<work root>/.run-<id>/``, which LocalRuntime.close removes.
@@ -74,6 +74,7 @@ C_WORK = "/miniwfl/work"
 C_TMPDIR = "/tmp"
 
 STREAMS = ("stdout", "stderr")
+_TRUNCATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 @dataclass
@@ -84,6 +85,7 @@ class StagedDirectory:
     # path of each file the tool reads, a store entry or a run-made file
     # read in place -> (its input's name, its signature as read)
     read: dict = field(default_factory=dict)
+    linked: set = field(default_factory=set)  # names in inputs_dir, if made
 
     @property
     def inputs_dir(self) -> str:
@@ -113,7 +115,7 @@ class WorkerScratch:
     def __init__(self, root: str):
         self.root = root
         self.pid = None      # the running attempt's process (and group)
-        self._tmpdir = None  # (path, inode, mode) as made
+        self._tmpdir = None  # (path, signature as stamped)
         self._spares = {}    # stream -> path of its spare log
 
     def _fresh(self, suffix: str) -> str:
@@ -124,24 +126,25 @@ class WorkerScratch:
         if self._tmpdir is None:
             path = self._fresh("tmp")
             os.mkdir(path)
-            st = os.lstat(path)
-            self._tmpdir = (path, st.st_ino, st.st_mode)
+            try:  # stamped, so that any change moves its signature
+                _stamp(path)
+                self._tmpdir = (path, file_signature(path))
+            except PermissionError:  # never found unchanged: not reused
+                self._tmpdir = (path, None)
         return self._tmpdir[0]
 
     def release_tmpdir(self, attempt_dir: str, failed: bool):
-        """Keep the TMPDIR for the next attempt while it is the empty
-        directory it was made as, with its mode; after a failed attempt it
-        moves to ``<attempt>.tmp``, and once the tool left anything in it
-        it is deleted, and the next attempt gets a new one."""
+        """Keep the TMPDIR for the next attempt while one ``lstat`` finds it
+        as stamped (see _stamp): nothing made, removed or renamed in it, and
+        its mode kept.  After a failed attempt it moves to ``<attempt>.tmp``;
+        once changed it is deleted, and the next attempt gets a new one."""
         if self._tmpdir is None:
             return
-        path, ino, mode = self._tmpdir
+        path, signature = self._tmpdir
         try:
-            st = os.lstat(path)
             if failed:
                 os.rename(path, f"{attempt_dir}.tmp")
-            elif ((st.st_ino, st.st_mode) == (ino, mode)
-                    and not os.listdir(path)):
+            elif signature and file_signature(path) == signature:
                 return
             else:
                 shutil.rmtree(path, ignore_errors=True)
@@ -175,6 +178,7 @@ class TaskAttempt:
     error: Optional[str] = None
     outputs: Optional[dict] = None  # set when the attempt succeeded
     workdir: Optional[str] = None  # the attempt directory, once staged
+    contents: dict = field(default_factory=dict)  # small outputs' bytes
 
     def settle(self, kind: Optional[str],
                error: Optional[str]) -> "TaskAttempt":
@@ -349,8 +353,6 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
     staged = StagedDirectory(outdir=outdir, tmpdir=tmpdir,
                              staged_inputs=staged_inputs)
 
-    taken = set()  # names directly under the inputs directory
-
     def read_in_place(fv: FileValue) -> str:
         read = staged.read[fv.path] = (fv.path, store.made[fv.path])
         if _set_aside({fv.path: read}, store):
@@ -359,15 +361,15 @@ def stage(node_id: str, bindings: dict, work_root: str, store: InputStore,
 
     def link(fv: FileValue) -> str:
         name = fv.basename
-        if not taken:
+        if not staged.linked:
             os.mkdir(staged.inputs_dir)
-        elif name in taken:
-            slot = len(taken)
-            while str(slot) in taken:
+        elif name in staged.linked:
+            slot = len(staged.linked)
+            while str(slot) in staged.linked:
                 slot += 1
             os.mkdir(os.path.join(staged.inputs_dir, str(slot)))
             name = f"{slot}/{name}"
-        taken.add(name.split("/")[0])
+        staged.linked.add(name.split("/")[0])
         target = os.path.join(staged.inputs_dir, name)
         entry = os.path.join(store.root, fv.checksum)
         with store.locked(entry):
@@ -564,16 +566,6 @@ def base_environment(staged: StagedDirectory, container: bool) -> dict:
     }
 
 
-def stream_names(tool: ToolDescription) -> dict:
-    """The file in the outdir that each named or captured stream is
-    written to; a captured stream without a name goes to ``stdout.log`` or
-    ``stderr.log``."""
-    captured = {out.capture for out in tool.outputs}
-    names = {"stdout": tool.stdout, "stderr": tool.stderr}
-    return {which: names[which] or f"{which}.log" for which in STREAMS
-            if names[which] or which in captured}
-
-
 def _kill_session(pid: int):
     """Kill whatever is left of the session an attempt started in."""
     with contextlib.suppress(ProcessLookupError, PermissionError):
@@ -586,16 +578,17 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
             success_codes=frozenset({0}),
             wall_time_max: Optional[float] = None,
             container_image: Optional[str] = None,
-            stdin_path: Optional[str] = None) -> TaskAttempt:
+            stdin_path: Optional[str] = None,
+            executable: Optional[str] = None) -> TaskAttempt:
     """Run one attempt; never raises for tool failure, only reports it.
 
-    ``scratch`` is the running worker's (see WorkerScratch), and
-    ``adapter`` builds the launch of a ``container_image``.  ``streams``
-    (see stream_names) maps a stream to the file in the outdir it is
-    written to in place.  Any other stream goes to a spare log of
-    ``scratch``, kept as ``<attempt>.<stream>.log`` only when the stream
-    was not empty; the attempt's ``stdout_path``/``stderr_path`` is None
-    for an empty one.
+    ``scratch`` is the running worker's (see WorkerScratch), ``adapter``
+    builds the launch of a ``container_image`` and ``executable`` is where
+    ``argv[0]`` was found.  ``streams`` (see ToolDescription.streams) maps
+    a stream to the file in the outdir it is written to in place.  Any
+    other stream goes to a spare log of ``scratch``, kept as
+    ``<attempt>.<stream>.log`` only when the stream was not empty; the
+    attempt's ``stdout_path``/``stderr_path`` is None for an empty one.
     The tool starts a session of its own, killed as a whole once the tool
     exits or times out, so that nothing it started outlives the attempt.
     """
@@ -620,35 +613,37 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
 
     attempt.start_time = time.time()
     kind = error = None
+    fds = {}  # stream file -> its descriptor, and None -> stdin's
     try:
-        with contextlib.ExitStack() as files:
-            in_fh = (files.enter_context(open(stdin_path, "rb"))
-                     if stdin_path is not None else None)
-            handles = {}  # one handle per file, shared by both streams
-            for target in targets.values():
-                if target not in handles:
-                    handles[target] = files.enter_context(open(target, "wb"))
-            proc = subprocess.Popen(launch_argv, cwd=staged.outdir,
-                                    env=launch_env,
-                                    stdout=handles[targets["stdout"]],
-                                    stderr=handles[targets["stderr"]],
-                                    stdin=in_fh, start_new_session=True)
-            scratch.pid = proc.pid
-            try:
-                attempt.exit_code = proc.wait(timeout=wall_time_max)
-            except subprocess.TimeoutExpired:
-                kind = "Timeout"
-                error = f"wall time limit of {wall_time_max}s exceeded"
-            # after a timeout the tool itself, else whatever it left running
-            _kill_session(proc.pid)
-            proc.wait()
-            scratch.pid = None
-            written = {target: os.fstat(fh.fileno()).st_size
-                       for target, fh in handles.items()}
+        if stdin_path is not None:
+            fds[None] = os.open(stdin_path, os.O_RDONLY)
+        for target in targets.values():
+            if target not in fds:  # one per file, shared by both streams
+                fds[target] = os.open(target, _TRUNCATE, 0o666)
+        proc = subprocess.Popen(launch_argv, executable=executable,
+                                cwd=staged.outdir, env=launch_env,
+                                stdout=fds[targets["stdout"]],
+                                stderr=fds[targets["stderr"]],
+                                stdin=fds.get(None), start_new_session=True)
+        scratch.pid = proc.pid
+        try:
+            attempt.exit_code = proc.wait(timeout=wall_time_max)
+        except subprocess.TimeoutExpired:
+            kind = "Timeout"
+            error = f"wall time limit of {wall_time_max}s exceeded"
+        # after a timeout the tool itself, else whatever it left running
+        _kill_session(proc.pid)
+        proc.wait()
+        scratch.pid = None
+        written = {target: os.fstat(fds[target]).st_size
+                   for target in targets.values()}
     except FileNotFoundError as exc:
         kind, error = "LaunchError", f"cannot launch: {exc}"
     except OSError as exc:
         kind, error = "LaunchRace", f"launch failed: {exc}"
+    finally:
+        for fd in fds.values():
+            os.close(fd)
 
     attempt.end_time = time.time()
     for which in STREAMS:
@@ -665,7 +660,7 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
 
 
 def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
-                    made: dict) -> dict:
+                    made: dict, contents: Optional[dict] = None) -> dict:
     """Locate and checksum every declared output of a successful attempt.
 
     Each output File is stamped (see _stamp) before its hash starts, so
@@ -674,8 +669,8 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
     without a signature, one the engine may not stamp (such as one a
     container's root user left) and that was written too recently to be
     trusted, is not recorded, and a later reader gets a store copy of it
-    instead.  A file that changes while it is read twice (see
-    FileValue.from_path) fails its output.
+    instead.  A file that changes while it is read twice fails its output,
+    and ``contents`` gets each small one's bytes (see FileValue.from_path).
     """
     def collected(path: str, out) -> FileValue:
         try:
@@ -683,7 +678,8 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
         except PermissionError:
             pass
         try:
-            fv = FileValue.from_path(path, format=out.format)
+            fv = FileValue.from_path(path, format=out.format,
+                                     contents=contents)
         except JobOrderError:  # a process the attempt left still writes it
             raise OutputMissingError(
                 f"output {out.id!r}: {path} changed while it was read"
@@ -695,8 +691,7 @@ def collect_outputs(tool: ToolDescription, staged: StagedDirectory,
     outputs = {}
     for out in tool.outputs:
         if out.capture is not None:
-            path = os.path.join(staged.outdir,
-                                stream_names(tool)[out.capture])
+            path = os.path.join(staged.outdir, tool.streams[out.capture])
             if not os.path.isfile(path):
                 raise OutputMissingError(
                     f"output {out.id!r}: captured {out.capture} file "
@@ -780,6 +775,7 @@ class LocalRuntime:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._scratches = []  # every worker's, for cancel()
+        self._tools = {}  # (tool name, PATH) -> where it was found, or None
 
     def _scratch(self) -> WorkerScratch:
         scratch = getattr(self._local, "scratch", None)
@@ -799,8 +795,22 @@ class LocalRuntime:
 
     def release(self, workdir: str):
         """Delete a successful attempt's directory, which nothing reads any
-        more, before returning; logs beside it are kept."""
-        shutil.rmtree(workdir, ignore_errors=True)
+        more, before returning, on any worker; logs beside it are kept."""
+        try:  # an attempt directory holds files, mostly
+            for name in os.listdir(workdir):
+                os.unlink(os.path.join(workdir, name))
+            os.rmdir(workdir)
+        except OSError:  # a directory in it, or gone
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    def _executable(self, name: str, path: str) -> Optional[str]:
+        """Where ``name`` is on ``path``, looked up once per run as a shell's
+        hash table does; else None, and the spawn looks it up."""
+        with self._lock:
+            if (name, path) not in self._tools:
+                found = "/" not in name and shutil.which(name, path=path) or ""
+                self._tools[name, path] = found if os.path.isabs(found) else None
+            return self._tools[name, path]
 
     def cancel(self):
         """Kill every attempt running now.  Tools run in sessions of their
@@ -869,16 +879,18 @@ class LocalRuntime:
 
             attempt = execute(
                 node.id, attempt_number, argv, env, staged, scratch,
-                self.adapter, stream_names(node.tool),
+                self.adapter, node.tool.streams,
                 success_codes=node.tool.success_codes,
                 wall_time_max=resources.get("wallTimeMax"),
                 container_image=image,
                 stdin_path=stdin_path,
+                executable=None if image else self._executable(
+                    argv[0], env.get("PATH", os.defpath)),
             )
             try:
                 if attempt.outcome == SUCCESS:
-                    attempt.outputs = collect_outputs(node.tool, staged,
-                                                      self.store.made)
+                    attempt.outputs = collect_outputs(
+                        node.tool, staged, self.store.made, attempt.contents)
             finally:
                 # whatever the outcome: once collect has read the outputs,
                 # no attempt that saw a written input may succeed
@@ -886,8 +898,8 @@ class LocalRuntime:
                 if moved:
                     raise StagingError(
                         f"input modified by the tool: {', '.join(moved)}")
-            if attempt.outputs is not None:
-                # read by nothing from now on, where there are any
+            if attempt.outputs is not None and staged.linked:
+                # read by nothing from now on
                 shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
             attempt.outputs = None

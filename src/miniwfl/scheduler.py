@@ -23,8 +23,8 @@ shards.  A failed attempt is retried when the runtime reports it as a
 The dataflow also says when a successful attempt's directory can no longer
 be read: once every node that reads the producer's outputs (a scattered
 producer's shards counted together) has ended Succeeded, Cached or Skipped.
-The worker whose settlement found that has the runtime release it, once it
-has left the lock and before it runs its next attempt.  The directories
+Then a worker, the settling one or any idle one, has the runtime release
+it outside the lock, before it runs another attempt.  The directories
 behind workflow outputs are left to the caller to release after stage-out
 (``RunResult.held``); a directory that a failed reader read, or that a
 reader never ran on, is kept.
@@ -190,14 +190,13 @@ def fits_machine(resources: dict, machine: Machine,
 
 def admission(heap: list, ledger: _Ledger, cfg: RunConfig) -> list:
     """Pop the deterministic first-fit prefix of the ``heap`` of records that
-    fits the parallelism and capacity budget; records passed over go back
-    on the heap.  Does not mutate the ledger."""
-    budget = _Ledger(ledger)
+    fits the parallelism and capacity budget, and admit each into the
+    ``ledger``; records passed over go back on the heap."""
     admitted, passed = [], []
-    while heap and budget["running"] < cfg.parallelism:
+    while heap and ledger["running"] < cfg.parallelism:
         record = heapq.heappop(heap)
-        if fits_machine(record.resources, cfg.machine, budget):
-            budget.admitting(record.resources)
+        if fits_machine(record.resources, cfg.machine, ledger):
+            ledger.admitting(record.resources)
             admitted.append(record)
         else:
             passed.append(record)
@@ -239,7 +238,7 @@ class _Coordinator:
         self.staged = {source[0] for kind, source
                        in graph.workflow_outputs.values() if kind == "edge"}
         self.workdirs = {}  # node id -> its successful attempts' directories
-        self.released = []  # directories for the settling worker to release
+        self.released = []  # directories for any worker to release
         self.candidates = set(graph.nodes)  # ids to check for readiness
 
     # -- bookkeeping --------------------------------------------------------
@@ -381,17 +380,17 @@ class _Coordinator:
             cache_hit = False
             for record in admission(self.admissible, self.ledger, self.cfg):
                 if self._try_cache(record):
+                    self.ledger.releasing(record.resources)
                     cache_hit = True
                 else:
                     self.mark(record, RUNNING, len(record.attempts) + 1)
-                    self.ledger.admitting(record.resources)
                     self.handed.append(record)
             if not cache_hit:
                 break
             # cache hits published outputs without occupying a worker;
             # downstream nodes may be ready now
             self.process_readiness()
-        self.wake.notify(max(len(self.handed) - keep, 0))
+        self.wake.notify(max(len(self.handed) + len(self.released) - keep, 0))
         for _ in range(len(self.workers), self.ledger["running"]):
             worker = threading.Thread(target=self._work)
             worker.start()  # first: the caller joins only started workers
@@ -428,9 +427,10 @@ class _Coordinator:
                 self.services.cache.materialize(record.inputs.values())
             attempt = self.services.runtime.run_task(
                 record.task, record.inputs, number, record.resources)
+            contents, attempt.contents = attempt.contents, {}  # till stored
             if attempt.outputs is not None and record.key is not None:
                 self.services.cache.store(record.key, attempt.outputs,
-                                          source_run_id=self.run_id)
+                                          self.run_id, contents)
         except Exception as exc:  # defensive: an attempt must always settle
             attempt = TaskAttempt(task_id=record.task.id,
                                   attempt_number=number)
@@ -469,8 +469,8 @@ class _Coordinator:
         self.wake.notify_all()
 
     def _work(self):
-        """Settle the last attempt, release the directories that settling
-        set out, outside the lock, take a record, run its attempt; repeat."""
+        """Settle the last attempt; then, outside the lock, release one
+        directory that any settling set out, or else run an attempt; repeat."""
         attempt = None
         try:
             while True:
@@ -479,16 +479,19 @@ class _Coordinator:
                         self.handle_completion(record, attempt)
                         self.process_readiness()
                         self.admit(keep=True)
-                    released, self.released = self.released, []
-                for workdir in released:
-                    self.services.runtime.release(workdir)
-                with self.wake:
-                    while not (self.handed or self.done.is_set()):
-                        self.wake.wait()
-                    if self.done.is_set():
+                    attempt = workdir = None
+                    self.wake.wait_for(lambda: self.handed or self.released
+                                       or self.done.is_set())
+                    if self.released:
+                        workdir = self.released.pop(0)
+                    elif self.done.is_set():
                         return
-                    record = self.handed.pop(0)
-                attempt = self._attempt(record)
+                    else:
+                        record = self.handed.pop(0)
+                if workdir is not None:
+                    self.services.runtime.release(workdir)
+                else:
+                    attempt = self._attempt(record)
         except BaseException as exc:  # coordinator logic: the caller raises it
             with self.wake:
                 self.failure = self.failure or exc

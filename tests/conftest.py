@@ -57,19 +57,20 @@ def flip_exec_bit(path, fv=None):
 
 
 def grow_on_hash(monkeypatch, times):
-    """Make the first ``times`` hashes of a file append to it first, as a
-    writer racing the read would."""
-    checksum = planner.file_checksum
+    """Make the first ``times`` reads of a file to hash it append to it
+    first, as a writer racing the read would: a hash through
+    ``file_checksum`` and one from memory (a small output's) both open
+    the file with the ``open`` that ``planner`` looks up."""
     grown = []
 
-    def racing(path):
+    def racing(path, *args, **kwargs):
         if len(grown) < times:
             grown.append(path)
             with open(path, "a") as fh:
                 fh.write("more\n")
-        return checksum(path)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(planner, "file_checksum", racing)
+    monkeypatch.setattr(planner, "open", racing, raising=False)
     return grown
 
 

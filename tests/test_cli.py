@@ -1,5 +1,6 @@
 """CLI surface: exit codes, stdout purity, subcommand behavior."""
 
+import ast
 import contextlib
 import hashlib
 import json
@@ -255,18 +256,83 @@ def test_unreadable_input_or_bad_option_is_refused_without_a_traceback(
     assert not (project / "out").exists()
 
 
+# each module that the engine's own sources import, and why; a change that
+# adds an import adds it here, and says why in CHANGES.md
+ENGINE_IMPORTS = {
+    "__future__": "annotations, in every module",
+    "argparse": "cli: the command line",
+    "base64": "cache: inline payloads in the index",
+    "collections": "scheduler: the ledger is a Counter",
+    "contextlib": "runtime, cache: suppress, redirect",
+    "dataclasses": "model, planner, runtime, scheduler: records",
+    "functools": "model: per-tool memos; provenance: per-second stamps",
+    "glob": "runtime: output globs",
+    "hashlib": "planner, parser, cache: checksums and digests",
+    "heapq": "planner: topological order; scheduler: admission",
+    "json": "parser, cache, provenance: canonical forms and records",
+    "logging": "cache: its warnings",
+    "os": "everywhere: the filesystem",
+    "pathlib": "cache: writing an inline payload's file",
+    "re": "model, expression: types and expressions",
+    "shutil": "runtime, cache: copies, deletes, tool lookup",
+    "signal": "cli, runtime: interrupts, killing a session",
+    "stat": "planner, runtime, cache: file modes",
+    "subprocess": "runtime: spawning tools",
+    "threading": "runtime, scheduler, cache: the run's workers and locks",
+    "typing": "annotations",
+    "yaml": "parser, planner: documents and job orders",
+}
+# what those load in turn, on CPython 3.11; PyYAML's own modules (yaml.*,
+# and the Cython runtime of its libyaml binding) are left to its build
+PULLED_IN = {
+    "_ast", "_blake2", "_bz2", "_collections", "_collections_abc",
+    "_compression", "_datetime", "_functools", "_hashlib", "_heapq",
+    "_json", "_locale", "_lzma", "_opcode", "_operator", "_posixsubprocess",
+    "_sre", "_stat", "_string", "_struct", "_typing", "_weakrefset", "ast",
+    "atexit", "binascii", "bz2", "collections.abc", "copy", "copyreg",
+    "datetime", "dis", "enum", "errno", "fcntl", "fnmatch", "genericpath",
+    "gettext", "importlib", "importlib._bootstrap",
+    "importlib._bootstrap_external", "importlib.machinery", "inspect",
+    "ipaddress", "itertools", "json.decoder", "json.encoder",
+    "json.scanner", "keyword", "linecache", "locale", "lzma", "math",
+    "ntpath", "opcode", "operator", "os.path", "posixpath", "re._casefix",
+    "re._compiler", "re._constants", "re._parser", "reprlib", "select",
+    "selectors", "string", "struct", "textwrap", "token", "tokenize",
+    "traceback", "types", "typing.io", "typing.re", "urllib",
+    "urllib.parse", "warnings", "weakref", "zlib",
+}
+
+
 def test_cli_import_skips_the_modules_a_run_does_not_need():
-    """Names come from ``os.urandom`` and workers hand work over under one
-    lock: the engine's import loads no ``uuid`` (which loads ``platform``),
-    ``concurrent.futures`` or ``queue``."""
-    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    """The modules that ``import miniwfl.cli`` adds to a bare start are
+    pinned.  Names come from ``os.urandom`` and workers hand work over
+    under one lock: the engine's import loads no ``uuid`` (which loads
+    ``platform``), ``concurrent.futures`` or ``queue``.  The child runs
+    with ``-S`` and its path set by hand, so that no ``.pth`` hook of the
+    host adds modules of its own."""
+    import yaml
+    paths = [os.path.dirname(os.path.dirname(miniwfl.__file__)),
+             os.path.dirname(os.path.dirname(yaml.__file__))]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, miniwfl.cli; print(sorted("
-         "{'uuid', 'concurrent.futures', 'queue'} & set(sys.modules)))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=60)
+        [sys.executable, "-S", "-c",
+         "import sys; bare = set(sys.modules); "
+         f"sys.path[:0] = {paths!r}; import miniwfl.cli; "
+         "print(sorted(set(sys.modules) - bare))"],
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+        capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert not {"uuid", "concurrent.futures", "queue"} & loaded
+    own = {m for m in loaded if m.startswith("miniwfl")}
+    assert own == {"miniwfl", *(f"miniwfl.{name}" for name in (
+        "cache", "cli", "errors", "expression", "model", "parser",
+        "planner", "provenance", "runtime", "scheduler", "upgrader",
+        "validator"))}
+    yaml_build = {m for m in loaded if m.startswith(("yaml.", "_cython_"))
+                  or m == "cython_runtime"}
+    assert set(ENGINE_IMPORTS) <= loaded
+    if sys.version_info[:2] == (3, 11):  # the list's interpreter
+        assert loaded - own - yaml_build - set(ENGINE_IMPORTS) == PULLED_IN
 
 
 def test_validate_subcommand(project):
@@ -1246,3 +1312,204 @@ def test_commands_that_reuse_nothing_never_load_sqlite3(project, argv):
         cwd=project, env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- what the engine does per task, counted -----------------------------------
+
+FAN_ECHO = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [echo]
+inputs:
+  n: {type: int, position: 1}
+outputs:
+  out: {type: File, capture: stdout}
+stdout: out.txt
+"""
+
+FAN_CAT = """\
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: [cat]
+inputs:
+  parts: {type: "File[]", position: 1}
+outputs:
+  all: {type: File, capture: stdout}
+stdout: all.txt
+"""
+
+FAN_WF = """\
+cwlVersion: v1.2
+class: Workflow
+inputs:
+  ns: int[]
+outputs:
+  all: {type: File, outputSource: gather/all}
+steps:
+  fan:
+    run: echo.cwl
+    scatter: n
+    in: {n: ns}
+  gather:
+    run: cat.cwl
+    in: {parts: fan/out}
+"""
+
+# Runs a fan of WIDTH echo shards into a cat gather, with a cache, at
+# --parallel 2, once warm and then at two widths, and prints the calls an
+# audit hook saw in each of the two, and the tool lookups.
+COUNTING_RUN = """\
+import collections, contextlib, io, json, os, shutil, sys
+from miniwfl import cli
+root = sys.argv[1]
+counts = collections.Counter()
+which = shutil.which
+
+def counted_which(*args, **kwargs):
+    counts["shutil.which"] += 1
+    return which(*args, **kwargs)
+
+def hook(event, args):
+    if event == "open":
+        counts["open create" if args[2] & os.O_CREAT else "open read"] += 1
+    elif event in ("shutil.rmtree", "os.listdir", "os.mkdir",
+                   "subprocess.Popen"):
+        counts[event] += 1
+
+def run(width):
+    job = os.path.join(root, f"job{width}.yml")
+    with open(job, "w") as fh:
+        fh.write(f"ns: {list(range(width))}\\n")
+    counts.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", os.path.join(root, "wf.cwl"), job,
+                         "--parallel", "2", "--no-container", "--quiet",
+                         "--outdir", os.path.join(root, f"out{width}"),
+                         "--cache-dir", os.path.join(root, f"cache{width}")
+                         ]) == 0
+    return dict(counts)
+
+shutil.which = counted_which
+run(3)  # loads what a run loads on first use
+sys.addaudithook(hook)
+print(json.dumps([run(50), run(100)]))
+"""
+
+
+def test_each_shard_costs_pinned_calls_and_each_tool_one_lookup(tmp_path):
+    """The calls that one more shard of an echo scatter into a cat gather
+    costs the engine, counted by an audit hook between a 50- and a
+    100-shard run: one read of its output, the two files its streams go
+    to, its directory, its spawn, and one ``listdir`` to delete that
+    directory, with no ``rmtree``; and each tool is looked up on PATH once
+    per run."""
+    for name, text in (("echo.cwl", FAN_ECHO), ("cat.cwl", FAN_CAT),
+                       ("wf.cwl", FAN_WF)):
+        (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(miniwfl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNTING_RUN, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fifty, hundred = json.loads(proc.stdout)
+    per_shard = {event: (hundred.get(event, 0) - fifty.get(event, 0)) / 50
+                 for event in ("open read", "open create", "shutil.rmtree",
+                               "os.listdir", "os.mkdir", "subprocess.Popen")}
+    assert per_shard == {"open read": 1, "open create": 2,
+                         "shutil.rmtree": 0, "os.listdir": 1, "os.mkdir": 1,
+                         "subprocess.Popen": 1}
+    assert fifty["shutil.which"] == hundred["shutil.which"] == 2
+
+
+def test_a_tool_is_looked_up_once_per_run(tmp_path, monkeypatch):
+    """Tool lookups are remembered for one run only: a second run, with
+    another binary of the name earlier on PATH, runs that one."""
+    which, looked_up = shutil.which, []
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: (
+        looked_up.append(args[0]) or which(*args, **kwargs)))
+    for word in ("first", "second"):
+        bindir = tmp_path / word
+        bindir.mkdir()
+        (bindir / "greet").write_text(f"#!/bin/sh\necho {word} \"$@\"\n")
+        (bindir / "greet").chmod(0o755)
+    (tmp_path / "tool.cwl").write_text(TOOL.replace("[echo]", "[greet]"))
+    (tmp_path / "wf.cwl").write_text(WF)
+    (tmp_path / "job.yml").write_text("msg: hello\n")
+    said = []
+    for word in ("first", "second"):
+        monkeypatch.setenv("PATH", f"{tmp_path / word}:{os.environ['PATH']}")
+        code, out = run_cli(["run", str(tmp_path / "wf.cwl"),
+                             str(tmp_path / "job.yml"), "--no-reuse",
+                             "--outdir", str(tmp_path / f"out-{word}"),
+                             "--no-container", "--quiet", "--parallel", "1"])
+        assert code == 0
+        said.append(Path(json.loads(out)["out"]["path"]).read_text())
+    assert said == ["first hello\n", "second hello\n"]
+    assert looked_up == ["greet", "greet"]
+
+
+# --- an I/O error on the run's own directories ---------------------------------
+
+def _no_space(path):
+    return OSError(28, os.strerror(28), str(path))  # ENOSPC
+
+
+def _left_in_work(outdir: Path) -> list:
+    """What ``.work`` holds after a run whose attempts all succeeded: only
+    a failed attempt keeps anything."""
+    work = outdir / ".work"
+    return sorted(os.listdir(work)) if work.exists() else []
+
+
+@pytest.mark.parametrize("failing, nth", [
+    (lambda out, path: path == str(out), 1),
+    (lambda out, path: path == str(out / ".work"), 1),
+    (lambda out, path: os.path.basename(path).startswith(".run-"), 1),
+    (lambda out, path: path == str(out / "provenance"), 1),
+    (lambda out, path: path == str(out), 2),
+], ids=["outdir", "work-root", "run-directory", "provenance", "stage-out"])
+def test_no_room_for_the_runs_own_directories_ends_with_a_diagnostic(
+        project, capsys, monkeypatch, failing, nth):
+    """A full disk while the run makes one of its own directories ends the
+    run with exit 2 and a ``miniwfl:`` line naming the directory, not a
+    traceback, and leaves nothing behind in ``.work``."""
+    out, makedirs, calls = project / "out", os.makedirs, []
+
+    def full(path, *args, **kwargs):
+        if failing(out, os.fspath(path)):
+            calls.append(path)
+            if len(calls) == nth:
+                raise _no_space(path)
+        return makedirs(path, *args, **kwargs)
+
+    _scatter_project(project, 3)
+    monkeypatch.setattr(os, "makedirs", full)
+    code, _ = run_cli(_scatter_args(project, "out"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"miniwfl: {calls[-1]}: No space left on device" in err
+    assert "Traceback" not in err
+    assert _left_in_work(out) == []
+
+
+@pytest.mark.parametrize("step", ["write_provenance", "stage-out"])
+def test_directories_held_for_stage_out_are_released_when_it_fails(
+        project, capsys, monkeypatch, step):
+    """The attempts behind workflow outputs are deleted after stage-out,
+    also where provenance or stage-out raised before it was done."""
+    from miniwfl import cli, provenance
+    if step == "write_provenance":
+        target, name = provenance, "write_provenance"
+    else:
+        target, name = cli, "_stage_workflow_outputs"
+
+    def full(*args, **kwargs):
+        raise _no_space(project / "out" / step)
+
+    _scatter_project(project, 3)
+    monkeypatch.setattr(target, name, full)
+    code, _ = run_cli(_scatter_args(project, "out"))
+    assert code == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert _left_in_work(project / "out") == []

@@ -23,7 +23,6 @@ from miniwfl.runtime import (
     collect_outputs,
     execute,
     stage,
-    stream_names,
 )
 
 
@@ -367,8 +366,12 @@ def test_tmpdir_left_changed_is_not_reused(tmp_path):
         kept = f"{outdir}.tmp"
         assert (os.listdir(kept) if os.path.exists(kept) else None) \
             == entries, script
-    # emptied again by the tool: still clean, so reused
-    assert run('mkdir "$TMPDIR/d" && rmdir "$TMPDIR/d"')[0] == tmpdir
+    # emptied again by the tool: its mtime moved all the same, so it is
+    # not reused either; one left as it was is
+    used, _ = run('mkdir "$TMPDIR/d" && rmdir "$TMPDIR/d"')
+    assert used == tmpdir
+    tmpdir, _ = run("echo")
+    assert tmpdir != used and not os.path.exists(used)
     assert run("echo")[0] == tmpdir
 
 
@@ -802,7 +805,7 @@ def test_collect_stdout_capture_named_file(tmp_path):
     tool = _tool()
     staged, scratch = _staged(tmp_path)
     attempt = execute("t", 1, ["echo", "hi"], {}, staged, scratch, HOST,
-                      stream_names(tool))
+                      tool.streams)
     outputs = collect_outputs(tool, staged, {})
     fv = outputs["out"]
     assert fv.basename == "out.txt"
@@ -1412,8 +1415,10 @@ def test_gather_of_same_named_run_made_inputs_makes_nothing_to_stage_them(
     assert _read(result.outputs["out"].path) \
         == "".join(f"{n}\n" for n in range(120))
     outdir = os.path.dirname(result.outputs["out"].path)
+    # the output, a small one, is read once and hashed from memory
     assert calls == {"mkdir": [outdir], "copyfile": [], "link": [],
-                     "hash": [result.outputs["out"].path]}
+                     "hash": []}
+    assert list(result.contents) == [result.outputs["out"].path]
     assert result.argv[1:] == [fv.path for fv in parts]
     assert not os.path.exists(f"{outdir}.inputs")
 

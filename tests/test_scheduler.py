@@ -529,7 +529,7 @@ class FakeCache:
     def lookup(self, key):
         return self.entries.get(key)
 
-    def store(self, key, outputs, source_run_id):
+    def store(self, key, outputs, source_run_id, contents=None):
         self.entries[key] = outputs
 
     def republish(self, outputs, dest_dir):
@@ -917,7 +917,7 @@ def test_error_in_coordinator_logic_on_a_worker_reaches_the_caller(
         def materialize(self, values):
             pass
 
-        def store(self, key, outputs, source_run_id):
+        def store(self, key, outputs, source_run_id, contents=None):
             pass
 
     class CancelRecording(StubRuntime):
