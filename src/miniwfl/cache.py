@@ -54,20 +54,17 @@ import base64
 import contextlib
 import hashlib
 import json
-import logging
 import os
 import pathlib
 import stat
 import threading
 import time
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import model, parser
+from .model import replace
 from .planner import _INLINE_MAX, FileValue, TaskNode, file_checksum, map_files
 from .runtime import place_file, write_atomically
-
-log = logging.getLogger(__name__)
 
 _BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
 _SCHEMA = ("CREATE TABLE IF NOT EXISTS ac"
@@ -112,7 +109,6 @@ def cache_key(node: TaskNode, bindings: dict, tool_digest: str,
     })
 
 
-@dataclass(frozen=True)
 class _Inline(FileValue):
     """A hit's inline payload: its bytes and mode bits, held from lookup
     until they are written to a file (see materialize), and no path until
@@ -167,6 +163,11 @@ def _same_inode(blob: str, name: str) -> bool:
         return False
 
 
+def _warn(message: str, *args):
+    import logging  # here: runs whose cache works never load it
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def _damaged(exc) -> bool:
     """Whether SQLite found the index file not a database, or malformed."""
     code = getattr(exc, "sqlite_errorcode", None)  # Python 3.11 and later
@@ -202,13 +203,13 @@ class ResultCache:
                 except sqlite3.DatabaseError as exc:
                     if not _damaged(exc):
                         raise
-                    log.warning("cache index damaged, making it again: "
-                                "%s: %s", self.index_path, exc)
+                    _warn("cache index damaged, making it again: %s: %s",
+                          self.index_path, exc)
                     self._discard()
                     return self._run(sqlite3, sql, params)
             except (OSError, sqlite3.Error) as exc:
-                log.warning("cache index unusable (continuing): %s: %s",
-                            self.index_path, exc)
+                _warn("cache index unusable (continuing): %s: %s",
+                      self.index_path, exc)
                 return None
 
     def _run(self, sqlite3, sql: str, params: tuple) -> list:
@@ -263,7 +264,7 @@ class ResultCache:
                        for out_id, stored
                        in json.loads(rows[0][0])["outputs"].items()}
         except (ValueError, AttributeError, KeyError, TypeError) as exc:
-            log.warning("cache entry unreadable, evicting: %s: %r", key, exc)
+            _warn("cache entry unreadable, evicting: %s: %r", key, exc)
             self.evict(key)
             return None
 
@@ -271,7 +272,7 @@ class ResultCache:
         map_files(list(outputs.values()), files.append)
         for fv in files:
             if not _intact(fv):
-                log.warning("cache entry corrupt, evicting: %s", key)
+                _warn("cache entry corrupt, evicting: %s", key)
                 self.evict(key)
                 if not isinstance(fv, _Inline):
                     with contextlib.suppress(OSError):
@@ -326,7 +327,7 @@ class ResultCache:
             self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
                           (key, _encode(entry)))
         except (OSError, ValueError) as exc:
-            log.warning("cache store failed (continuing): %s", exc)
+            _warn("cache store failed (continuing): %s", exc)
 
     def republish(self, outputs: dict, dest_dir: str) -> dict:
         """Publish a hit's verified payloads as ``<dest_dir>/<sha256>``, so

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ExprSyntaxError, ExprTypeError, UnknownReferenceError
+from .model import Record, field
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -27,16 +27,14 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"true": True, "false": False, "null": None}
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(Record):
     """Parsed ``$(...)`` expression."""
 
     source: str
     ast: tuple = field(compare=False)
 
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(Record):
     inputs: dict
     runtime: dict = field(default_factory=dict)
 

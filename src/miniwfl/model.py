@@ -1,14 +1,14 @@
 """Typed document model: tools, workflows, parameters, clauses.
 
-Instances are frozen dataclasses; a parsed document is never mutated, so
-documents can be shared freely across threads.
+Instances are frozen records (see Record); a parsed document is never
+mutated, so documents can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional, Union
 
@@ -28,14 +28,6 @@ CLAUSE_INITIAL_WORKDIR = "InitialWorkDir"
 CLAUSE_WORK_REUSE = "WorkReuse"
 CLAUSE_EXTENSION = "Extension"
 
-KNOWN_CLAUSE_KINDS = (
-    CLAUSE_CONTAINER,
-    CLAUSE_RESOURCE,
-    CLAUSE_ENV,
-    CLAUSE_INITIAL_WORKDIR,
-    CLAUSE_WORK_REUSE,
-)
-
 # Document-syntax clause class names -> canonical kinds.
 CLAUSE_CLASS_MAP = {
     "DockerRequirement": CLAUSE_CONTAINER,
@@ -44,10 +36,85 @@ CLAUSE_CLASS_MAP = {
     "InitialWorkDirRequirement": CLAUSE_INITIAL_WORKDIR,
     "WorkReuse": CLAUSE_WORK_REUSE,
 }
+KNOWN_CLAUSE_KINDS = tuple(CLAUSE_CLASS_MAP.values())
+
+_MISSING = object()  # a field without a default
 
 
-@dataclass(frozen=True)
-class DataType:
+class field:  # noqa: N801 - a record field, as dataclasses.field
+    def __init__(self, default=_MISSING, default_factory=None, compare=True):
+        self.default, self.compare = default, compare
+        self.factory = default_factory  # called for each new record
+
+
+class Record:
+    """The engine's records, built of closures: no code is generated.  Each
+    annotated class attribute is a field (see ``fields``), its value, plain
+    or a ``field``, the default.  A class keyword ``frozen=False`` allows
+    assignment; ``eq=False`` compares by identity, not by compared fields."""
+
+    fields = {}  # name -> field, in order, the base's first
+
+    def __init_subclass__(cls, frozen=True, eq=True):
+        cls.fields = fields = {**cls.fields, **{
+            name: spec if isinstance(spec, field) else field(spec)
+            for name in cls.__dict__.get("__annotations__", ())
+            for spec in [cls.__dict__.get(name, _MISSING)]}}
+        order, post_init = tuple(fields), getattr(cls, "__post_init__", None)
+        template = {n: f.default for n, f in fields.items()}
+        unset = [(n, f.factory) for n, f in fields.items()
+                 if f.default is _MISSING]
+
+        def __init__(self, *args, **kwargs):
+            values = self.__dict__
+            values.update(template)  # every field, in order, as dataclasses
+            values.update(zip(order, args))
+            values.update(kwargs)
+            if len(values) > len(order) or len(args) > len(order) or (
+                    args and kwargs and
+                    not kwargs.keys().isdisjoint(order[:len(args)])):
+                raise TypeError(f"{cls.__name__}() got surplus arguments")
+            for name, factory in unset:
+                if values[name] is _MISSING:
+                    if not factory:
+                        raise TypeError(f"{cls.__name__}() lacks {name!r}")
+                    values[name] = factory()
+            if post_init:
+                post_init(self)
+
+        cls.__init__ = __init__
+        cls._key = operator.attrgetter(
+            *(name for name, f in fields.items() if f.compare))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.fields) + ")"
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class, with ``changes`` to its fields."""
+    return record.__class__(**{**{name: getattr(record, name)
+                                  for name in record.fields}, **changes})
+
+
+class DataType(Record):
     """Base type, at most one array level, optional marker."""
 
     base: str
@@ -58,40 +125,27 @@ class DataType:
     def parse(text: str) -> "DataType":
         """Parse ``base``, ``base[]``, ``base?``, ``base[]?``."""
         s = text.strip()
-        optional = False
-        array = False
-        if s.endswith("?"):
-            optional = True
-            s = s[:-1]
-        if s.endswith("[]"):
-            array = True
-            s = s[:-2]
+        optional, s = s.endswith("?"), s.removesuffix("?")
+        array, s = s.endswith("[]"), s.removesuffix("[]")
         if s not in BASE_TYPES:
             raise TypeSyntaxError(f"unparseable type: {text!r}")
         return DataType(base=s, array=array, optional=optional)
 
     def to_string(self) -> str:
-        s = self.base
-        if self.array:
-            s += "[]"
-        if self.optional:
-            s += "?"
-        return s
+        return self.base + "[]" * self.array + "?" * self.optional
 
     def element(self) -> "DataType":
         return DataType(self.base, False, self.optional)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """One requirement or hint; ``payload`` is kind-specific."""
 
     kind: str
     payload: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class InputParameter:
+class InputParameter(Record):
     id: str
     type: DataType
     position: Optional[int] = None
@@ -101,8 +155,7 @@ class InputParameter:
     streamable: bool = False
 
 
-@dataclass(frozen=True)
-class OutputParameter:
+class OutputParameter(Record):
     id: str
     type: DataType
     glob: Optional[str] = None
@@ -111,8 +164,15 @@ class OutputParameter:
     format: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ToolDescription:
+class _Ports:  # of a tool or a workflow
+    def input_map(self) -> dict:
+        return {p.id: p for p in self.inputs}
+
+    def output_map(self) -> dict:
+        return {p.id: p for p in self.outputs}
+
+
+class ToolDescription(_Ports, Record):
     base_command: tuple
     inputs: tuple
     outputs: tuple
@@ -123,12 +183,6 @@ class ToolDescription:
     stderr: Optional[str] = None
     success_codes: frozenset = frozenset({0})
 
-    def input_map(self) -> dict:
-        return {p.id: p for p in self.inputs}
-
-    def output_map(self) -> dict:
-        return {p.id: p for p in self.outputs}
-
     @cached_property  # once per tool, which a node and its shards share
     def streams(self) -> dict:
         """The file in the outdir each named or captured stream goes to."""
@@ -137,8 +191,7 @@ class ToolDescription:
         return {k: v or f"{k}.log" for k, v in names.items() if v or k in captured}
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     id: str
     run: Union[str, "Document"]
     in_map: tuple = ()  # tuple of (input-id, Binding)
@@ -148,8 +201,7 @@ class Step:
     hints: tuple = ()
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Record):
     """Step input binding: a source reference or a literal value."""
 
     source: Optional[str] = None
@@ -157,8 +209,7 @@ class Binding:
     is_literal: bool = False
 
 
-@dataclass(frozen=True)
-class WorkflowDescription:
+class WorkflowDescription(_Ports, Record):
     inputs: tuple
     outputs: tuple
     steps: tuple
@@ -166,15 +217,8 @@ class WorkflowDescription:
     def step_map(self) -> dict:
         return {s.id: s for s in self.steps}
 
-    def input_map(self) -> dict:
-        return {p.id: p for p in self.inputs}
 
-    def output_map(self) -> dict:
-        return {p.id: p for p in self.outputs}
-
-
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     version: str
     body: Union[ToolDescription, WorkflowDescription]
     extensions: tuple = ()  # tuple of (namespaced key, raw value)
@@ -193,8 +237,7 @@ class Document:
 RESOURCE_DEFAULTS = {"coresMin": 1, "ramMin": 256, "diskMin": 0}
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(Record):
     """The capacity that validation checks and scheduling admits against."""
 
     cores: int = field(default_factory=lambda: os.cpu_count() or 1)

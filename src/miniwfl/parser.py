@@ -10,7 +10,6 @@ insignificant whitespace, it is what the document digest hashes (SHA-256).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -477,9 +476,9 @@ def resolve_references(doc: Document, base_uri: str = "",
             run = load(os.path.join(os.path.dirname(base_uri), run), _chain)
         else:
             run = resolve_references(run, base_uri, _chain=_chain)
-        steps.append(dataclasses.replace(step, run=run))
-    body = dataclasses.replace(doc.body, steps=tuple(steps))
-    return dataclasses.replace(doc, body=body)
+        steps.append(model.replace(step, run=run))
+    body = model.replace(doc.body, steps=tuple(steps))
+    return model.replace(doc, body=body)
 
 
 # --- canonical serialization ------------------------------------------------
@@ -491,9 +490,9 @@ def _camel(name: str) -> str:
 
 
 def _plain(value):
-    """The canonical plain form of a model value.  A model dataclass is a
+    """The canonical plain form of a model value.  A model record is a
     mapping of its fields under their document keys, leaving out a field
-    that is None, an empty tuple or at its dataclass default."""
+    that is None, an empty tuple or at its default (see model.Record)."""
     if isinstance(value, Document):
         return {"cwlVersion": value.version,
                 "class": "CommandLineTool" if value.is_tool else "Workflow",
@@ -511,17 +510,17 @@ def _plain(value):
         return sorted(value)
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
-    if not dataclasses.is_dataclass(value):
+    if not isinstance(value, model.Record):
         return value
     out = {}
-    for f in dataclasses.fields(value):
-        v = getattr(value, f.name)
+    for name, f in value.fields.items():
+        v = getattr(value, name)
         if v is None or v == () or v == f.default:
             continue
-        if f.name == "in_map":  # (input id, Binding) pairs
+        if name == "in_map":  # (input id, Binding) pairs
             out["in"] = dict(_plain(v))
         else:
-            out[_camel(f.name)] = _plain(v)
+            out[_camel(name)] = _plain(v)
     return out
 
 

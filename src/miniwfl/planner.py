@@ -15,7 +15,6 @@ import heapq
 import os
 import stat
 import time
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import yaml
@@ -32,8 +31,11 @@ from .model import (
     DataType,
     Document,
     Machine,
+    Record,
     ToolDescription,
     WorkflowDescription,
+    field,
+    replace,
 )
 from .parser import YAML_LOADER
 
@@ -88,8 +90,7 @@ def _signature(st) -> tuple:
     return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode)
 
 
-@dataclass(frozen=True)
-class FileValue:
+class FileValue(Record):
     """A staged data artifact; checksum and size captured at load time.
 
     ``signature`` (see file_signature) is the one the file had when it was
@@ -276,8 +277,7 @@ def load_job_order_file(path: str, wf) -> dict:
     return load_job_order(raw, wf, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-@dataclass(frozen=True)
-class TaskNode:
+class TaskNode(Record):
     """One executable unit in the planned graph, which a run only reads:
     the state of each task is on the scheduler's records.
 
@@ -304,8 +304,7 @@ class TaskNode:
         return None
 
 
-@dataclass
-class DataflowGraph:
+class DataflowGraph(Record, frozen=False):
     nodes: dict = field(default_factory=dict)
     edges: set = field(default_factory=set)  # ((ptid, out), (ctid, inp))
     workflow_outputs: dict = field(default_factory=dict)

@@ -41,7 +41,6 @@ import stat
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import model
@@ -54,7 +53,7 @@ from .errors import (
     StagingError,
 )
 from .expression import EvalContext, interpolate, stringify
-from .model import ToolDescription
+from .model import Record, ToolDescription, field, replace
 from .planner import (
     _STAMP_LAG_NS,
     FileValue,
@@ -77,8 +76,7 @@ STREAMS = ("stdout", "stderr")
 _TRUNCATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
-@dataclass
-class StagedDirectory:
+class StagedDirectory(Record, frozen=False):
     outdir: str  # the attempt directory, where the tool runs
     tmpdir: str
     staged_inputs: dict  # original path -> in-sandbox path
@@ -112,8 +110,9 @@ class WorkerScratch:
     run directory, which goes with them when the run ends.  Every name is
     fresh, so that a TMPDIR left behind never blocks the next one."""
 
-    def __init__(self, root: str):
+    def __init__(self, root: str, cancelled: threading.Event):
         self.root = root
+        self.cancelled = cancelled  # set once the run's attempts are killed
         self.pid = None      # the running attempt's process (and group)
         self._tmpdir = None  # (path, signature as stamped)
         self._spares = {}    # stream -> path of its spare log
@@ -162,8 +161,7 @@ class WorkerScratch:
         os.replace(self._spares.pop(which), target)
 
 
-@dataclass
-class TaskAttempt:
+class TaskAttempt(Record, frozen=False):
     task_id: str
     attempt_number: int
     argv: list = field(default_factory=list)
@@ -626,6 +624,8 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
                                 stderr=fds[targets["stderr"]],
                                 stdin=fds.get(None), start_new_session=True)
         scratch.pid = proc.pid
+        if scratch.cancelled.is_set():  # by a cancel that missed the pid
+            _kill_session(proc.pid)
         try:
             attempt.exit_code = proc.wait(timeout=wall_time_max)
         except subprocess.TimeoutExpired:
@@ -769,8 +769,14 @@ class LocalRuntime:
         # publish (cached/) and every worker's TMPDIR and spare logs; a
         # name of its own, so that runs sharing a work root never share
         # entries or remove each other's
-        self.store = InputStore(os.path.join(
-            self.work_root, f".run-{os.urandom(4).hex()}"))
+        try:
+            self.store = InputStore(os.path.join(
+                self.work_root, f".run-{os.urandom(4).hex()}"))
+        except OSError:  # leave no empty work root, as close does
+            with contextlib.suppress(OSError):
+                os.rmdir(self.work_root)
+            raise
+        self.cancelled = threading.Event()  # see cancel
         self.cached_dir = os.path.join(self.store.root, "cached")
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -780,7 +786,8 @@ class LocalRuntime:
     def _scratch(self) -> WorkerScratch:
         scratch = getattr(self._local, "scratch", None)
         if scratch is None:
-            scratch = self._local.scratch = WorkerScratch(self.store.root)
+            scratch = self._local.scratch = WorkerScratch(
+                self.store.root, self.cancelled)
             with self._lock:
                 self._scratches.append(scratch)
         return scratch
@@ -813,8 +820,9 @@ class LocalRuntime:
             return self._tools[name, path]
 
     def cancel(self):
-        """Kill every attempt running now.  Tools run in sessions of their
-        own, which an interrupt of the engine does not reach."""
+        """Kill every attempt, running or yet to start.  Tools run in sessions
+        of their own, which an interrupt of the engine does not reach."""
+        self.cancelled.set()
         with self._lock:
             pids = [s.pid for s in self._scratches if s.pid is not None]
         for pid in pids:

@@ -36,7 +36,6 @@ import heapq
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import planner
@@ -48,7 +47,8 @@ from .errors import (
     ScatterLengthMismatchError,
 )
 from .expression import EvalContext, interpolate
-from .model import CLAUSE_RESOURCE, RESOURCE_DEFAULTS, Machine
+from .model import CLAUSE_RESOURCE, RESOURCE_DEFAULTS, Machine, Record
+from .model import field, replace
 from .planner import (
     _TRANSITIONS,
     CACHED,
@@ -78,8 +78,7 @@ _WAIT_SLICE_S = 0.2
 _DONE = frozenset({SUCCEEDED, CACHED, SKIPPED})
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     parallelism: int = 1
     retries: int = 0
     machine: Machine = field(default_factory=Machine)
@@ -94,14 +93,12 @@ class RunConfig:
             raise ValueError("onError must be stop or continue")
 
 
-@dataclass
-class Services:
+class Services(Record, frozen=False):
     runtime: object  # with run_task, release, cancel, cached_dir
     cache: Optional[ResultCache] = None
 
 
-@dataclass(eq=False)
-class TaskRecord:
+class TaskRecord(Record, frozen=False, eq=False):
     """One task or scatter shard: what runs, and what the run recorded.
 
     A plain node's record runs the node itself; a scattered node has a
@@ -130,8 +127,7 @@ class TaskRecord:
                 < (other.node.layer, other.task.id))
 
 
-@dataclass
-class RunResult:
+class RunResult(Record, frozen=False):
     status: str  # Success | PermanentFail
     outputs: dict
     event_log: list

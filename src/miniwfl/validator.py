@@ -12,7 +12,6 @@ and ``planner.plan`` accept the same documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import model
 from .errors import ExprSyntaxError
@@ -22,6 +21,7 @@ from .model import (
     DataType,
     Document,
     Machine,
+    Record,
     ToolDescription,
     WorkflowDescription,
 )
@@ -39,20 +39,15 @@ STRUCTURAL = frozenset({"DanglingReference", "MissingBinding",
 _UNRESOLVED = ("lit", None)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     severity: str
     code: str
     location: str
     message: str
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "severity": self.severity,
-            "code": self.code,
-            "location": self.location,
-            "message": self.message,
-        }, sort_keys=True)
+        return json.dumps({name: getattr(self, name) for name in self.fields},
+                          sort_keys=True)
 
 
 def _err(code, location, message):

@@ -8,11 +8,11 @@ import shutil
 import sqlite3
 import stat
 import time
-from dataclasses import replace
 
 import pytest
 
 from miniwfl import cli, parser, planner
+from miniwfl.model import replace
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 

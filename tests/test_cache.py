@@ -7,7 +7,6 @@ import os
 import random
 import shutil
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,7 @@ from miniwfl.model import (
     CLAUSE_ENV,
     CLAUSE_WORK_REUSE,
     Clause,
+    replace,
 )
 from miniwfl.planner import FileValue, TaskNode, file_checksum
 

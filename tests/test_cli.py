@@ -264,13 +264,12 @@ ENGINE_IMPORTS = {
     "base64": "cache: inline payloads in the index",
     "collections": "scheduler: the ledger is a Counter",
     "contextlib": "runtime, cache: suppress, redirect",
-    "dataclasses": "model, planner, runtime, scheduler: records",
     "functools": "model: per-tool memos; provenance: per-second stamps",
     "glob": "runtime: output globs",
     "hashlib": "planner, parser, cache: checksums and digests",
     "heapq": "planner: topological order; scheduler: admission",
     "json": "parser, cache, provenance: canonical forms and records",
-    "logging": "cache: its warnings",
+    "operator": "model: a record's compared fields",
     "os": "everywhere: the filesystem",
     "pathlib": "cache: writing an inline payload's file",
     "re": "model, expression: types and expressions",
@@ -285,21 +284,17 @@ ENGINE_IMPORTS = {
 # what those load in turn, on CPython 3.11; PyYAML's own modules (yaml.*,
 # and the Cython runtime of its libyaml binding) are left to its build
 PULLED_IN = {
-    "_ast", "_blake2", "_bz2", "_collections", "_collections_abc",
-    "_compression", "_datetime", "_functools", "_hashlib", "_heapq",
-    "_json", "_locale", "_lzma", "_opcode", "_operator", "_posixsubprocess",
-    "_sre", "_stat", "_string", "_struct", "_typing", "_weakrefset", "ast",
-    "atexit", "binascii", "bz2", "collections.abc", "copy", "copyreg",
-    "datetime", "dis", "enum", "errno", "fcntl", "fnmatch", "genericpath",
-    "gettext", "importlib", "importlib._bootstrap",
-    "importlib._bootstrap_external", "importlib.machinery", "inspect",
-    "ipaddress", "itertools", "json.decoder", "json.encoder",
-    "json.scanner", "keyword", "linecache", "locale", "lzma", "math",
-    "ntpath", "opcode", "operator", "os.path", "posixpath", "re._casefix",
-    "re._compiler", "re._constants", "re._parser", "reprlib", "select",
-    "selectors", "string", "struct", "textwrap", "token", "tokenize",
-    "traceback", "types", "typing.io", "typing.re", "urllib",
-    "urllib.parse", "warnings", "weakref", "zlib",
+    "_blake2", "_bz2", "_collections", "_collections_abc", "_compression",
+    "_datetime", "_functools", "_hashlib", "_heapq", "_json", "_locale",
+    "_lzma", "_operator", "_posixsubprocess", "_sre", "_stat", "_struct",
+    "_typing", "_weakrefset", "binascii", "bz2", "collections.abc",
+    "copyreg", "datetime", "enum", "errno", "fcntl", "fnmatch",
+    "genericpath", "gettext", "ipaddress", "itertools", "json.decoder",
+    "json.encoder", "json.scanner", "keyword", "locale", "lzma", "math",
+    "ntpath", "os.path", "posixpath", "re._casefix", "re._compiler",
+    "re._constants", "re._parser", "reprlib", "select", "selectors",
+    "struct", "types", "typing.io", "typing.re", "urllib", "urllib.parse",
+    "warnings", "zlib",
 }
 
 
@@ -333,6 +328,37 @@ def test_cli_import_skips_the_modules_a_run_does_not_need():
     assert set(ENGINE_IMPORTS) <= loaded
     if sys.version_info[:2] == (3, 11):  # the list's interpreter
         assert loaded - own - yaml_build - set(ENGINE_IMPORTS) == PULLED_IN
+
+
+def test_cli_import_compiles_only_the_engines_sources():
+    """With the modules pinned above already loaded, ``import miniwfl.cli``
+    compiles nothing but ``miniwfl/*.py``: defining the engine's records
+    generates no code, as dataclasses did with an ``exec`` per method."""
+    import yaml
+    package = os.path.dirname(miniwfl.__file__)
+    paths = [os.path.dirname(package),
+             os.path.dirname(os.path.dirname(yaml.__file__))]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import importlib, sys\n"
+         f"sys.path[:0] = {paths!r}\n"
+         f"for name in {sorted({*ENGINE_IMPORTS, *PULLED_IN})!r}:\n"
+         "    try:\n"
+         "        importlib.import_module(name)\n"
+         "    except ImportError:\n"  # a name another interpreter lacks
+         "        pass\n"
+         "compiled = []\n"
+         "sys.addaudithook(lambda event, args: event == 'compile'\n"
+         "                 and compiled.append(str(args[1])))\n"
+         "import miniwfl.cli\n"
+         "print(compiled)"],
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+             "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    compiled = ast.literal_eval(proc.stdout)
+    assert {os.path.dirname(path) for path in compiled} <= {package}, compiled
+    assert all(path.endswith(".py") for path in compiled)
 
 
 def test_validate_subcommand(project):
@@ -1491,6 +1517,8 @@ def test_no_room_for_the_runs_own_directories_ends_with_a_diagnostic(
     assert f"miniwfl: {calls[-1]}: No space left on device" in err
     assert "Traceback" not in err
     assert _left_in_work(out) == []
+    if os.path.basename(calls[-1]).startswith(".run-"):  # nor .work itself
+        assert not (out / ".work").exists()
 
 
 @pytest.mark.parametrize("step", ["write_provenance", "stage-out"])

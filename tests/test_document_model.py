@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from miniwfl import parser
+from miniwfl import model, parser
 from miniwfl.errors import (
     DocumentSyntaxError,
     IncludeCycleError,
@@ -14,7 +14,7 @@ from miniwfl.errors import (
     SchemaError,
     TypeSyntaxError,
 )
-from miniwfl.model import DataType, Document
+from miniwfl.model import Clause, DataType, Document
 
 TOOL_YAML = """\
 cwlVersion: v1.2
@@ -362,3 +362,74 @@ def test_digest_data_is_order_independent(data):
     shuffled = dict(reversed(list(data.items())))
     assert parser.digest_data(data) == parser.digest_data(shuffled)
     assert len(parser.digest_data(data)) == 64
+
+
+# --- the record base ----------------------------------------------------------
+
+def test_record_equality_and_hash_leave_out_uncompared_fields():
+    from miniwfl.expression import parse_expr
+    from miniwfl.planner import FileValue
+    a = FileValue("/a", "a", 1, "sha256$0", signature=(1, 1, 1, 0o644))
+    b = FileValue("/a", "a", 1, "sha256$0", signature=None)
+    assert a == b and hash(a) == hash(b)
+    assert a != model.replace(a, size=2)
+    parsed = parse_expr("$(inputs.x)")
+    unparsed = model.replace(parsed, ast=())
+    assert parsed.ast != unparsed.ast
+    assert parsed == unparsed and hash(parsed) == hash(unparsed)
+    assert DataType("File") != Clause("File")  # another class: unequal
+
+
+def test_record_refuses_assignment_unless_mutable():
+    from miniwfl.runtime import TaskAttempt
+    from miniwfl.scheduler import Services
+    dt = DataType("int")
+    with pytest.raises(AttributeError):
+        dt.base = "string"
+    with pytest.raises(AttributeError):
+        del dt.array
+    with pytest.raises(AttributeError):
+        dt.new = 1
+    attempt = TaskAttempt("t", 1)
+    attempt.exit_code = 0  # a mutable record: assignable, not hashable
+    assert attempt.exit_code == 0
+    with pytest.raises(TypeError):
+        hash(attempt)
+    assert Services(None) == Services(None)
+
+
+def test_record_replace_keeps_the_class_and_refuses_unknown_fields():
+    from miniwfl.cache import _Inline
+    inline = _Inline(path="", basename="a", size=1, checksum="sha256$0",
+                     data=b"x", mode=0o600)
+    moved = model.replace(inline, path="/a")
+    assert type(moved) is _Inline
+    assert (moved.path, moved.data, moved.mode) == ("/a", b"x", 0o600)
+    assert inline != moved and inline == model.replace(moved, path="")
+    with pytest.raises(TypeError):
+        model.replace(inline, colour="red")
+    with pytest.raises(TypeError):
+        DataType()  # a field without a default
+    with pytest.raises(TypeError):
+        DataType("int", False, False, "extra")
+    with pytest.raises(TypeError):
+        DataType("int", base="int")
+
+
+def test_record_default_factory_makes_one_object_per_record():
+    from miniwfl.runtime import TaskAttempt
+    from miniwfl.scheduler import RunConfig, TaskRecord
+    assert Clause("x").payload is not Clause("x").payload
+    assert TaskAttempt("t", 1).argv is not TaskAttempt("t", 1).argv
+    assert RunConfig().machine == model.Machine()
+    first = TaskRecord(node=None, task=None, inputs={})
+    second = TaskRecord(node=None, task=None, inputs={})
+    assert first.attempts is not second.attempts
+    assert first != second and first == first  # identity equality
+
+
+def test_record_repr_keeps_the_dataclass_format():
+    assert repr(DataType("File", array=True)) == \
+        "DataType(base='File', array=True, optional=False)"
+    assert repr(Clause("Resource", {"coresMin": 1})) == \
+        "Clause(kind='Resource', payload={'coresMin': 1})"

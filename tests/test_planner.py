@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-from dataclasses import replace
 
 import pytest
 from conftest import age, deep_chain, grow_on_hash
@@ -14,6 +13,7 @@ from miniwfl.errors import (
     ScatterLengthMismatchError,
 )
 from miniwfl.expression import EvalContext
+from miniwfl.model import replace
 from miniwfl.planner import (
     DataflowGraph,
     FileValue,

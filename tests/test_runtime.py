@@ -3,6 +3,8 @@
 import os
 import shutil
 import stat
+import subprocess
+import threading
 import time
 
 import pytest
@@ -55,7 +57,7 @@ def _store(tmp_path):
 
 def _scratch(tmp_path):
     """A worker's scratch, in the run directory that _store makes."""
-    return runtime.WorkerScratch(_store(tmp_path).root)
+    return runtime.WorkerScratch(_store(tmp_path).root, threading.Event())
 
 
 def _tmpdir(tmp_path):
@@ -419,7 +421,6 @@ def test_timeout_kills_what_the_tool_started(tmp_path):
 
 
 def test_cancel_kills_the_running_attempts(tmp_path):
-    import threading
     rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
     results = []
     worker = threading.Thread(target=lambda: results.append(
@@ -434,6 +435,32 @@ def test_cancel_kills_the_running_attempts(tmp_path):
     assert not worker.is_alive()
     assert results[0].failure_kind == "ExitCode"
     assert results[0].exit_code == -9
+
+
+def test_cancel_before_the_pid_is_recorded_kills_the_tool(
+        tmp_path, monkeypatch):
+    """A cancel that comes after the spawn but before the worker records
+    the pid finds no pid to kill; the worker kills the tool itself."""
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    popen, spawned = subprocess.Popen, []
+
+    def cancel_during_spawn(*args, **kwargs):
+        proc = popen(*args, **kwargs)
+        spawned.append(proc.pid)
+        rt.cancel()
+        return proc
+
+    monkeypatch.setattr(runtime.subprocess, "Popen", cancel_during_spawn)
+    started = time.monotonic()
+    result = rt.run_task(_sh("sleep 30 & sleep 30"), {}, 1, {})
+    assert time.monotonic() - started < 10
+    assert result.failure_kind == "ExitCode"
+    assert result.exit_code == -9
+    deadline = time.monotonic() + 5  # an orphan is reaped by init
+    with pytest.raises(ProcessLookupError):
+        while time.monotonic() < deadline:
+            os.killpg(spawned[0], 0)
+            time.sleep(0.05)
 
 
 def _in_workdir(tmp_path, listing, script, values=None):

@@ -3,7 +3,6 @@
 import json
 import random
 import textwrap
-from dataclasses import replace
 
 import pytest
 import yaml
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from miniwfl import parser, planner, validator
 from miniwfl.errors import GraphCycleError, PlanError
-from miniwfl.model import Document, Machine
+from miniwfl.model import Document, Machine, replace
 from miniwfl.validator import Diagnostic
 
 
