@@ -195,25 +195,31 @@ class ResultCache:
     def _execute(self, sql: str, params: tuple) -> Optional[list]:
         """Run one statement on the index and return its rows; None, with
         a warning, where the index cannot be used."""
+        return self._use(lambda db: db.execute(sql, params).fetchall())
+
+    def _use(self, work):
+        """Return ``work(connection)``, called under the lock on the index,
+        made again where it is damaged; None, with a warning, where the
+        index cannot be used."""
         import sqlite3  # here: runs without reuse never load it
         with self._lock:
             try:
                 try:
-                    return self._run(sqlite3, sql, params)
+                    return work(self._connection(sqlite3))
                 except sqlite3.DatabaseError as exc:
                     if not _damaged(exc):
                         raise
                     _warn("cache index damaged, making it again: %s: %s",
                           self.index_path, exc)
                     self._discard()
-                    return self._run(sqlite3, sql, params)
+                    return work(self._connection(sqlite3))
             except (OSError, sqlite3.Error) as exc:
                 _warn("cache index unusable (continuing): %s: %s",
                       self.index_path, exc)
                 return None
 
-    def _run(self, sqlite3, sql: str, params: tuple) -> list:
-        """One statement, on the index opened first where it is not."""
+    def _connection(self, sqlite3):
+        """The index's connection, opened first where it is not."""
         if self._db is None:
             os.makedirs(self.cache_dir, exist_ok=True)
             db = sqlite3.connect(self.index_path, timeout=_BUSY_TIMEOUT_S,
@@ -227,7 +233,7 @@ class ResultCache:
                 db.close()
                 raise
             self._db = db
-        return self._db.execute(sql, params).fetchall()
+        return self._db
 
     def _discard(self):
         """Close the index and remove its files, to be made again."""
@@ -283,15 +289,19 @@ class ResultCache:
 
     def store(self, key: Optional[str], outputs: dict, source_run_id: str,
               contents: Optional[dict] = None):
-        """Persist outputs under a key, if there is one: the payload files
-        first, then the entry, so that an entry never names a missing
-        file.  A File of at most ``_INLINE_MAX`` bytes goes in the entry,
-        checked against its collected checksum: the bytes collect read
-        (``contents``, by path) while its signature holds, else read again.
-        The first entry stored for a key wins; failures degrade to a warning.
-        A payload file that is the output's own inode and still has its
-        collected signature gets that signature in the entry (``"sig"``),
-        which stands in for the hash at lookup."""
+        """Persist outputs under a key, if there is one.  The first entry
+        stored for a key wins, and only the store that inserts it links
+        its payload files, before the entry commits, in one transaction:
+        so an entry never names a missing file, and a store that loses, or
+        fails, leaves no payload file that no entry names.  A File of at
+        most ``_INLINE_MAX`` bytes goes in the entry, checked against its
+        collected checksum: the bytes collect read (``contents``, by path)
+        while its signature holds, else read again.  A payload file that
+        is the output's own inode and still has its collected signature
+        gets that signature in the entry (``"sig"``), which stands in for
+        the hash at lookup.  Failures degrade to a warning."""
+        linked = []  # (output, its stored form) of each payload file
+
         def persist(fv):
             stored = fv.to_json(include_path=False)
             if fv.size <= _INLINE_MAX:
@@ -308,15 +318,40 @@ class ResultCache:
                                      f"collected: {fv.path}")
                 stored["inline"] = base64.b64encode(data).decode("ascii")
                 return stored
-            if not self._made:
-                os.makedirs(self.cas_dir, exist_ok=True)
-                self._made = True
-            # an existing blob holds these bytes already, and is kept
-            blob = os.path.join(self.cas_dir, fv.checksum)
-            place_file(fv.path, blob, link=True)
-            if fv.unchanged(blob):  # the output's own inode, unwritten
-                stored["sig"] = list(fv.signature)
+            linked.append((fv, stored))  # a payload file, for insert
             return stored
+
+        def insert(db):
+            """Unless the key has an entry, link its payload files and
+            insert it; returns the OSError that failed a link, once the
+            transaction is rolled back and the files it made removed."""
+            made = []
+            db.execute("BEGIN IMMEDIATE")
+            try:
+                if not db.execute("SELECT 1 FROM ac WHERE key = ?",
+                                  (key,)).fetchall():
+                    if not self._made:
+                        os.makedirs(self.cas_dir, exist_ok=True)
+                        self._made = True
+                    for fv, stored in linked:
+                        blob = os.path.join(self.cas_dir, fv.checksum)
+                        # else a blob holds these bytes already, and is kept
+                        if place_file(fv.path, blob, link=True):
+                            made.append(blob)
+                        if fv.unchanged(blob):  # the output's own inode
+                            stored["sig"] = list(fv.signature)
+                    db.execute("INSERT INTO ac VALUES (?, ?)",
+                               (key, _encode(entry)))
+                db.execute("COMMIT")
+            except BaseException as exc:
+                db.execute("ROLLBACK")
+                for blob in made:
+                    with contextlib.suppress(OSError):
+                        os.remove(blob)
+                if not isinstance(exc, OSError):
+                    raise
+                return exc
+            return None
 
         if key is None:
             return
@@ -324,8 +359,13 @@ class ResultCache:
             entry = {"outputs": {k: map_files(v, persist)
                                  for k, v in outputs.items()},
                      "createdAt": time.time(), "sourceRunId": source_run_id}
-            self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
-                          (key, _encode(entry)))
+            if not linked:
+                self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
+                              (key, _encode(entry)))
+            else:
+                failed = self._use(insert)
+                if failed is not None:
+                    raise failed
         except (OSError, ValueError) as exc:
             _warn("cache store failed (continuing): %s", exc)
 

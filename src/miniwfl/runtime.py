@@ -176,6 +176,7 @@ class TaskAttempt(Record, frozen=False):
     error: Optional[str] = None
     outputs: Optional[dict] = None  # set when the attempt succeeded
     workdir: Optional[str] = None  # the attempt directory, once staged
+    tmpdir: Optional[str] = None  # the TMPDIR it was given, once staged
     contents: dict = field(default_factory=dict)  # small outputs' bytes
 
     def settle(self, kind: Optional[str],
@@ -592,7 +593,7 @@ def execute(task_id: str, attempt_number: int, argv: list, env: dict,
     """
     attempt = TaskAttempt(task_id=task_id, attempt_number=attempt_number,
                           argv=list(argv), env=dict(env),
-                          workdir=staged.outdir)
+                          workdir=staged.outdir, tmpdir=staged.tmpdir)
     launch_argv = argv
     launch_env = env
     if container_image is not None:
@@ -756,6 +757,14 @@ def _single_output(out, matches, collected):
             f"output {out.id!r}: {matches[0]} is not JSON-valued: {exc}") from exc
 
 
+def _unspawned(task_id: str, attempt_number: int,
+               staged: Optional[StagedDirectory]) -> TaskAttempt:
+    """The record of an attempt that ends before ``execute``."""
+    return TaskAttempt(
+        task_id=task_id, attempt_number=attempt_number,
+        workdir=staged and staged.outdir, tmpdir=staged and staged.tmpdir)
+
+
 class LocalRuntime:
     """Executes TaskNodes on the local machine, optionally via containers."""
 
@@ -837,16 +846,15 @@ class LocalRuntime:
     def run_task(self, node: TaskNode, bindings: dict, attempt_number: int,
                  resources: dict) -> TaskAttempt:
         """One full attempt: stage, build argv, run, collect.  The attempt's
-        ``outputs`` are set when it succeeded."""
-        attempt = TaskAttempt(task_id=node.id, attempt_number=attempt_number)
+        ``outputs`` are set when it succeeded.  Its one record is made by
+        ``execute``, or where it ends before its spawn."""
         image = self.container_image(node)
         scratch = self._scratch()
-        staged = None
+        staged = attempt = None
         try:
             staged, staged_bindings = stage(
                 f"{node.id}-a{attempt_number}", bindings, self.work_root,
                 self.store, scratch.tmpdir())
-            attempt.workdir = staged.outdir
             # argv and env see container paths when running containerized;
             # stdin is redirected host-side and keeps the host staged path
             minima = {**model.RESOURCE_DEFAULTS, **resources}
@@ -883,6 +891,7 @@ class LocalRuntime:
                         f"stdin must resolve to a file, got {stdin_value!r}")
             argv = build_command_line(node.tool, ctx.inputs, ctx)
             if not argv:
+                attempt = _unspawned(node.id, attempt_number, staged)
                 return attempt.settle("LaunchError", "empty command line")
 
             attempt = execute(
@@ -910,12 +919,14 @@ class LocalRuntime:
                 # read by nothing from now on
                 shutil.rmtree(staged.inputs_dir, ignore_errors=True)
         except tuple(_FAILURE_KINDS) as exc:
+            if attempt is None:
+                attempt = _unspawned(node.id, attempt_number, staged)
             attempt.outputs = None
             attempt.settle(next(kind for cls, kind in _FAILURE_KINDS.items()
                                 if isinstance(exc, cls)), str(exc))
         finally:
             if staged is not None:
                 scratch.release_tmpdir(
-                    staged.outdir,
-                    failed=bool(attempt.start_time) and attempt.outputs is None)
+                    staged.outdir, failed=attempt is not None and bool(
+                        attempt.start_time) and attempt.outputs is None)
         return attempt

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import sqlite3
 import stat
@@ -15,6 +16,18 @@ from miniwfl import cli, parser, planner
 from miniwfl.model import replace
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def readme_code(heading):
+    """The first ```python block under the ``## heading`` of the README,
+    compiled."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return compile(code, README, "exec")
 
 
 def cache_entries(cache_dir, changes=None) -> dict:
@@ -196,3 +209,10 @@ def load_expected(name):
 @pytest.fixture
 def cache_dir(tmp_path):
     return str(tmp_path / "cache")
+
+
+def provenance_rules() -> dict:
+    """The README's functions that rebuild a provenance record's facts."""
+    scope = {}
+    exec(readme_code("Provenance"), scope)
+    return scope

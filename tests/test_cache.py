@@ -554,6 +554,37 @@ def test_scatter_keys_each_shard_once_and_stores_on_workers(tmp_path,
     assert threading.get_ident() not in stored_on
 
 
+def test_a_second_store_of_a_key_with_other_bytes_links_no_blob(tmp_path):
+    """Only the store that inserts a key's entry links its payload files:
+    the one that finds an entry leaves no blob that no entry names."""
+    cache = ResultCache(str(tmp_path / "cache"))
+    key = _key(_node(), {})
+    first = _fv(tmp_path, "one.txt", STUFF)
+    cache.store(key, {"out": first}, "run")
+    cache.store(key, {"out": _fv(tmp_path, "two.txt", STUFF + "two\n")},
+                "run")
+    assert os.listdir(cache.cas_dir) == [first.checksum]
+    assert cache.lookup(key)["out"].checksum == first.checksum
+    cache.close()
+
+
+def test_a_store_whose_link_fails_leaves_no_entry_and_no_blob(tmp_path,
+                                                              caplog):
+    """A payload file that cannot be placed rolls the entry back, and the
+    payload files the store placed before it are removed."""
+    cache = ResultCache(str(tmp_path / "cache"))
+    key = _key(_node(), {})
+    gone = _fv(tmp_path, "gone.txt", STUFF + "gone\n")
+    os.remove(gone.path)
+    cache.store(key, {"a": _fv(tmp_path, "a.txt"), "b": gone}, "run")
+    assert "cache store failed" in caplog.text
+    assert cache.lookup(key) is None
+    assert os.listdir(cache.cas_dir) == []
+    cache.store(key, {"a": _fv(tmp_path, "a.txt")}, "run")  # and again
+    assert cache.lookup(key) is not None
+    cache.close()
+
+
 def test_concurrent_worker_stores_of_one_key_leave_one_entry(tmp_path):
     import sys
     tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",

@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 
 import miniwfl
-from conftest import cache_entries, prepare_case, run_case, run_cli
+from conftest import (
+    cache_entries,
+    prepare_case,
+    provenance_rules,
+    run_case,
+    run_cli,
+)
 from miniwfl.cache import _INLINE_MAX
 
 TOOL = """\
@@ -87,9 +93,11 @@ def test_run_writes_provenance(project):
     (attempt,) = record["tasks"]["say"]["attempts"]
     assert attempt["argv"] == ["echo", "cli test"]
     assert attempt["exitCode"] == 0
-    # where it ran, deleted once stage-out linked its output
-    assert attempt["workdir"].startswith(str(project / "out" / ".work"))
-    assert not os.path.exists(attempt["workdir"])
+    # where it ran, relative to the outdir, which is relative to the
+    # record's directory; deleted once stage-out linked its output
+    assert record["outdir"] == ".."
+    assert attempt["workdir"].startswith(".work/")
+    assert not os.path.exists(project / "out" / attempt["workdir"])
     assert record["jobOrder"] == {"msg": "cli test"}
     assert len(record["workflowDigest"]) == 64
 
@@ -108,7 +116,8 @@ def test_provenance_record_schema_and_its_shared_env(project):
     """The record's keys and value types at each level are pinned, and the
     environment is recorded losslessly: the top-level ``env`` holds what
     every attempt shares and each attempt what it adds, which for ``own``
-    is the PATH its EnvVarRequirement sets."""
+    is the PATH its EnvVarRequirement sets; the README's rule adds HOME
+    and TMPDIR, its ``workdir`` and ``tmpdir``."""
     own_path = "/usr/bin:/bin:/miniwfl-test"
     assert own_path != os.environ["PATH"]
     (project / "env.cwl").write_text(ENV_TOOL)
@@ -132,13 +141,13 @@ def test_provenance_record_schema_and_its_shared_env(project):
                               separators=(",", ":")) + "\n"
     assert _types(record) == {
         "runId": "str", "engineVersion": "str", "workflowDigest": "str",
-        "status": "str", "jobOrder": "dict", "env": "dict", "tasks": "dict",
-        "events": "list"}
+        "status": "str", "jobOrder": "dict", "outdir": "str", "env": "dict",
+        "tasks": "dict", "events": "list"}
     assert sorted(record["tasks"]) == ["host", "own"]
     for task in record["tasks"].values():
         assert _types(task) == {
-            "toolDigest": "str", "state": "str", "cached": "bool",
-            "attempts": "list", "inputs": "dict", "outputs": "dict"}
+            "toolDigest": "str", "state": "str", "attempts": "list",
+            "inputs": "dict", "outputs": "dict"}
         assert _types(task["outputs"]["out"]) == {
             "class": "str", "basename": "str", "size": "int",
             "checksum": "str"}
@@ -146,19 +155,21 @@ def test_provenance_record_schema_and_its_shared_env(project):
         assert _types(attempt) == {
             "attempt": "int", "argv": "list", "env": "dict",
             "startTime": "str", "endTime": "str", "exitCode": "int",
-            "outcome": "str", "error": "NoneType", "workdir": "str"}
+            "outcome": "str", "error": "NoneType", "workdir": "str",
+            "tmpdir": "str"}
     assert record["events"] and all(_types(e) == {
         "ts": "str", "task": "str", "transition": "str", "attempt": "int"}
         for e in record["events"])
-    assert set(_types(record["env"]).values()) == {"str"}
+    # HOME and TMPDIR are each attempt's own directories, and PATH differs
+    assert record["env"] == {}
     outputs = json.loads(out)
+    attempt_env = provenance_rules()["attempt_env"]
     for name, task in record["tasks"].items():
         (attempt,) = task["attempts"]
         assert set(attempt["env"]).isdisjoint(record["env"])
         got = dict(line.split("=", 1) for line in
                    Path(outputs[name]["path"]).read_text().splitlines())
-        assert got == {**record["env"], **attempt["env"]}
-    assert "PATH" not in record["env"]
+        assert got == attempt_env(record, str(record_path.parent), attempt)
     assert record["tasks"]["host"]["attempts"][0]["env"]["PATH"] \
         == os.environ["PATH"]
     own = record["tasks"]["own"]["attempts"][0]["env"]
@@ -171,10 +182,11 @@ def test_provenance_records_where_a_failed_attempt_is_kept(project):
     code, _ = run_cli(_run_args(project))
     assert code == 2
     (record_path,) = (project / "out" / "provenance").iterdir()
-    (attempt,) = json.loads(record_path.read_text())["tasks"]["say"][
-        "attempts"]
+    record = json.loads(record_path.read_text())
+    (attempt,) = record["tasks"]["say"]["attempts"]
     assert attempt["exitCode"] == 3
-    workdir = Path(attempt["workdir"])
+    workdir = Path(os.path.normpath(
+        record_path.parent / record["outdir"] / attempt["workdir"]))
     assert workdir.parent == project / "out" / ".work"
     assert (workdir / "part.txt").read_text() == "partial\n"
 

@@ -2,20 +2,9 @@
 
 import hashlib
 import os
-import re
 
 import yaml
-
-README = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "README.md")
-
-
-def _section_code(heading):
-    """The first ```python block under the ``## heading`` of the README."""
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+from conftest import readme_code
 
 
 def test_library_snippet_runs_a_one_step_workflow(tmp_path, monkeypatch):
@@ -32,7 +21,7 @@ def test_library_snippet_runs_a_one_step_workflow(tmp_path, monkeypatch):
             "outputs": {"out": {"type": "File", "capture": "stdout"}}}}},
     }))
     scope = {"path": str(path), "job_order": {"msg": "hello"}}
-    exec(compile(_section_code("Library"), README, "exec"), scope)
+    exec(readme_code("Library"), scope)
     assert scope["diags"] == []
     result = scope["result"]
     assert result.status == "Success"

@@ -21,6 +21,7 @@ from miniwfl.runtime import (
     DockerAdapter,
     LocalRuntime,
     StagedDirectory,
+    TaskAttempt,
     build_command_line,
     collect_outputs,
     execute,
@@ -403,6 +404,48 @@ def test_each_worker_thread_reuses_its_own_tmpdir(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(len(dirs) for dirs in used.values()) == [1, 1, 1, 1]
     assert len(set.union(*used.values())) == 4 == len(rt._scratches)
+
+
+def test_each_attempt_makes_one_record(tmp_path, monkeypatch):
+    """A scatter's attempts make one TaskAttempt each, and an attempt that
+    fails after staging, before its spawn, makes one too."""
+    from miniwfl import scheduler
+    made = []
+    init = TaskAttempt.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("task_id", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaskAttempt, "__init__", counted)
+    echo = {"cwlVersion": "v1.2", "class": "CommandLineTool",
+            "baseCommand": ["echo"],
+            "inputs": [{"id": "msg", "type": "string", "position": 1}],
+            "outputs": [{"id": "out", "type": "File", "capture": "stdout"}]}
+    doc = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": [{"id": "msgs", "type": "string[]"}], "outputs": [],
+        "steps": [{"id": "fan", "run": echo, "in": {"msg": "msgs"},
+                   "scatter": "msg"}]})
+    rt = LocalRuntime(str(tmp_path / "work"), use_containers=False)
+    try:
+        result = scheduler.run(
+            planner.plan(doc, {"msgs": ["a", "b", "c"]}),
+            scheduler.RunConfig(parallelism=2), scheduler.Services(rt),
+            "run")
+        assert result.status == "Success"
+        assert sorted(made) == ["fan[0]", "fan[1]", "fan[2]"]
+
+        del made[:]
+        broken = TaskNode(id="bad", tool=_tool(), bindings={}, requirements=(
+            Clause(CLAUSE_INITIAL_WORKDIR,
+                   {"listing": [{"entry": "$(inputs.nope.path)"}]}),))
+        attempt = rt.run_task(broken, {"msg": "x"}, 1, {})
+    finally:
+        rt.close()
+    assert made == ["bad"]
+    assert attempt.failure_kind == "StagingError"
+    assert attempt.workdir is not None and attempt.start_time == 0.0
 
 
 def test_timeout_kills_what_the_tool_started(tmp_path):

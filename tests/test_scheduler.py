@@ -708,8 +708,9 @@ def test_event_log_and_task_states_are_pinned(name, cached_dir):
             for e in result.event_log] == events
     assert {tid: task["state"]
             for tid, task in record["tasks"].items()} == states
-    assert all(task["cached"] == (task["state"] == planner.CACHED)
-               for task in record["tasks"].values())
+    assert {tid: task["state"] == planner.CACHED
+            for tid, task in record["tasks"].items()} \
+        == {tid: task.cached for tid, task in result.tasks.items()}
     assert result.outputs == outputs
 
 
