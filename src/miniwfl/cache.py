@@ -4,19 +4,21 @@ Keys are built from what an execution *is* — tool digest, input contents
 and basenames, every effective requirement and hint (step-level overrides
 included) and the resolved resources — never from directories,
 timestamps, or host names.  Layout on disk: ``ac.sqlite`` is the index,
-one SQLite table ``ac`` with one row per entry, the key and the compact
-JSON description of its outputs; ``cas/<sha256>`` is one payload file,
-named by its checksum and shared by every entry holding those bytes.
-Entries of the older ``ac/<key>.json`` and ``<first-2-hex>/<key>/``
-layouts are never read: they miss, and can be deleted by hand.
+one SQLite table ``entries`` with one row per entry: the raw bytes of its
+hex ``key`` and of the ``run`` id that stored it (hex text everywhere but
+the index), the store time ``at`` in whole seconds, and the compact JSON
+of its ``outputs``, where every mapping is a File, without ``"class"``;
+``cas/<sha256>`` is one payload file, named by its checksum and shared by
+every entry holding those bytes.  The older ``ac`` table is dropped when
+the index is opened, and the older ``ac/<key>.json`` and
+``<first-2-hex>/<key>/`` layouts are never read: their entries miss.
 
 A payload takes one of two forms, chosen by its size.  A File output of
 at most ``_INLINE_MAX`` bytes is stored in its entry, base64 under
-``"inline"`` and its mode bits under ``"mode"``, in the manner of Bazel's
-inlined action outputs: a file of its own would cost a whole filesystem
-block, and its base64 fits in one.  A larger one is a ``cas/`` payload
-file.  An entry without ``"inline"`` (also one stored before payloads
-were inlined) reads ``cas/``, so no migration is needed.
+``"inline"`` and its mode bits under ``"mode"``, with no ``"size"`` (the
+decoded length), in the manner of Bazel's inlined action outputs: a file
+of its own would cost a whole filesystem block, and its base64 fits in
+one.  A larger one is a ``cas/`` payload file.
 
 The index runs in WAL mode, so one process's readers never wait for
 another's writer, and a ``ResultCache`` holds one connection, opened on
@@ -42,10 +44,9 @@ holds the file's signature under ``"sig"`` (see planner.file_signature)
 and ``lstat`` still finds it.  A store writes ``"sig"`` only where the
 payload file is the collected output's own inode and still has the
 signature collect stamped on it, so that any write since moves it; a
-payload copied because a link failed, or an entry stored before
-signatures were, is hashed on every hit.  A hit carries the signature
-on, so that a task reading it does not hash it again (see
-runtime._fill).
+payload copied because a link failed is hashed on every hit.  A hit
+carries the signature on, so that a task reading it does not hash it
+again (see runtime._fill).
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ from .planner import _INLINE_MAX, FileValue, TaskNode, file_checksum, map_files
 from .runtime import place_file, write_atomically
 
 _BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
-_SCHEMA = ("CREATE TABLE IF NOT EXISTS ac"
-           " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
+_SCHEMA = ("DROP TABLE IF EXISTS ac",  # the older index: its entries miss
+           "CREATE TABLE IF NOT EXISTS entries (key BLOB PRIMARY KEY,"
+           " run BLOB, at INTEGER, outputs TEXT NOT NULL) WITHOUT ROWID")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -118,18 +120,27 @@ class _Inline(FileValue):
     mode: int = 0o644
 
 
+def _raw(hex_id: str) -> bytes:
+    """A hex key or run id as the index holds it (UTF-8 if not hex)."""
+    try:
+        return bytes.fromhex(hex_id)
+    except ValueError:
+        return hex_id.encode()
+
+
 def _entry_to_value(value, cas_dir):
-    if isinstance(value, dict) and value.get("class") == "File":
-        described = {"basename": value["basename"], "size": value["size"],
+    if isinstance(value, dict):  # a File: the one mapping an entry holds
+        described = {"basename": value["basename"],
                      "checksum": value["checksum"],
                      "format": value.get("format")}
         if "inline" in value:
-            return _Inline(path="", data=base64.b64decode(
-                value["inline"], validate=True),
-                mode=stat.S_IMODE(value["mode"]), **described)
+            data = base64.b64decode(value["inline"], validate=True)
+            return _Inline(path="", data=data, size=len(data),
+                           mode=stat.S_IMODE(value["mode"]), **described)
         # basename: a tampered entry cannot name a path outside cas/
         return FileValue(path=os.path.join(
             cas_dir, os.path.basename(value["checksum"])),
+            size=value["size"],
             signature=tuple(value["sig"]) if "sig" in value else None,
             **described)
     if isinstance(value, list):
@@ -227,7 +238,7 @@ class ResultCache:
                                  check_same_thread=False)
             try:
                 for statement in ("PRAGMA journal_mode=WAL",
-                                  "PRAGMA synchronous=NORMAL", _SCHEMA):
+                                  "PRAGMA synchronous=NORMAL", *_SCHEMA):
                     db.execute(statement)
             except BaseException:
                 db.close()
@@ -262,13 +273,13 @@ class ResultCache:
         """
         if key is None:
             return None
-        rows = self._execute("SELECT entry FROM ac WHERE key = ?", (key,))
+        rows = self._execute("SELECT outputs FROM entries WHERE key = ?",
+                             (_raw(key),))
         if not rows:
             return None
         try:
             outputs = {out_id: _entry_to_value(stored, self.cas_dir)
-                       for out_id, stored
-                       in json.loads(rows[0][0])["outputs"].items()}
+                       for out_id, stored in json.loads(rows[0][0]).items()}
         except (ValueError, AttributeError, KeyError, TypeError) as exc:
             _warn("cache entry unreadable, evicting: %s: %r", key, exc)
             self.evict(key)
@@ -294,9 +305,10 @@ class ResultCache:
         its payload files, before the entry commits, in one transaction:
         so an entry never names a missing file, and a store that loses, or
         fails, leaves no payload file that no entry names.  A File of at
-        most ``_INLINE_MAX`` bytes goes in the entry, checked against its
-        collected checksum: the bytes collect read (``contents``, by path)
-        while its signature holds, else read again.  A payload file that
+        most ``_INLINE_MAX`` bytes goes in the entry: the bytes collect
+        read and hashed (``contents``, by path) while its signature holds,
+        else read again and checked against its collected checksum.  The
+        row's ``run`` is ``source_run_id``.  A payload file that
         is the output's own inode and still has its collected signature
         gets that signature in the entry (``"sig"``), which stands in for
         the hash at lookup.  Failures degrade to a warning."""
@@ -304,22 +316,28 @@ class ResultCache:
 
         def persist(fv):
             stored = fv.to_json(include_path=False)
+            del stored["class"]  # every mapping in an entry is a File
             if fv.size <= _INLINE_MAX:
                 data = (contents or {}).get(fv.path)
                 if data is not None and fv.unchanged():
-                    mode = fv.signature[3]
+                    mode = fv.signature[3]  # and collect hashed these bytes
                 else:  # read again
                     with open(fv.path, "rb") as fh:
                         data = fh.read(_INLINE_MAX + 1)
                         mode = os.fstat(fh.fileno()).st_mode
+                    if hashlib.sha256(data).hexdigest() != fv.checksum:
+                        raise ValueError(f"output changed since it was "
+                                         f"collected: {fv.path}")
+                del stored["size"]  # the decoded length
                 stored["mode"] = stat.S_IMODE(mode)
-                if hashlib.sha256(data).hexdigest() != fv.checksum:
-                    raise ValueError(f"output changed since it was "
-                                     f"collected: {fv.path}")
                 stored["inline"] = base64.b64encode(data).decode("ascii")
                 return stored
             linked.append((fv, stored))  # a payload file, for insert
             return stored
+
+        def row():  # encoded last: insert gives payload files their "sig"
+            return (_raw(key), _raw(source_run_id), int(time.time()),
+                    _encode(entry))
 
         def insert(db):
             """Unless the key has an entry, link its payload files and
@@ -328,8 +346,8 @@ class ResultCache:
             made = []
             db.execute("BEGIN IMMEDIATE")
             try:
-                if not db.execute("SELECT 1 FROM ac WHERE key = ?",
-                                  (key,)).fetchall():
+                if not db.execute("SELECT 1 FROM entries WHERE key = ?",
+                                  (_raw(key),)).fetchall():
                     if not self._made:
                         os.makedirs(self.cas_dir, exist_ok=True)
                         self._made = True
@@ -340,8 +358,8 @@ class ResultCache:
                             made.append(blob)
                         if fv.unchanged(blob):  # the output's own inode
                             stored["sig"] = list(fv.signature)
-                    db.execute("INSERT INTO ac VALUES (?, ?)",
-                               (key, _encode(entry)))
+                    db.execute("INSERT INTO entries VALUES (?, ?, ?, ?)",
+                               row())
                 db.execute("COMMIT")
             except BaseException as exc:
                 db.execute("ROLLBACK")
@@ -356,12 +374,10 @@ class ResultCache:
         if key is None:
             return
         try:
-            entry = {"outputs": {k: map_files(v, persist)
-                                 for k, v in outputs.items()},
-                     "createdAt": time.time(), "sourceRunId": source_run_id}
+            entry = {k: map_files(v, persist) for k, v in outputs.items()}
             if not linked:
-                self._execute("INSERT OR IGNORE INTO ac VALUES (?, ?)",
-                              (key, _encode(entry)))
+                self._execute("INSERT OR IGNORE INTO entries"
+                              " VALUES (?, ?, ?, ?)", row())
             else:
                 failed = self._use(insert)
                 if failed is not None:
@@ -418,4 +434,4 @@ class ResultCache:
 
     def evict(self, key: str):
         """Remove the entry of ``key``, as for a miss found at lookup."""
-        self._execute("DELETE FROM ac WHERE key = ?", (key,))
+        self._execute("DELETE FROM entries WHERE key = ?", (_raw(key),))

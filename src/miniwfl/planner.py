@@ -48,15 +48,17 @@ SUCCEEDED = "Succeeded"
 FAILED = "Failed"
 SKIPPED = "Skipped"
 CACHED = "Cached"
+CANCELLED = "Cancelled"  # live when the run ended
 
 _TRANSITIONS = {
-    PENDING: {READY, SKIPPED, FAILED},
-    READY: {RUNNING, CACHED, SKIPPED, FAILED},
-    RUNNING: {SUCCEEDED, FAILED, RUNNING, CACHED},
+    PENDING: {READY, SKIPPED, FAILED, CANCELLED},
+    READY: {RUNNING, CACHED, SKIPPED, FAILED, CANCELLED},
+    RUNNING: {SUCCEEDED, FAILED, RUNNING, CACHED, CANCELLED},
     SUCCEEDED: set(),
     FAILED: set(),
     SKIPPED: set(),
     CACHED: set(),
+    CANCELLED: set(),
 }
 
 

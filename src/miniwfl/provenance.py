@@ -9,6 +9,8 @@ that README.md's "Provenance" section gives as code:
 - a scattered node omits ``outputs`` where they are its shards' outputs in
   index order, each output id's list of the shards' values;
 - ``cached`` is ``state == "Cached"``;
+- an input that a task (not a shard) reads from an edge, and that equals
+  the producer's output, is in ``sources`` as ``<producer>/<output>``;
 - ``workdir`` and ``tmpdir``, the directories the engine gave an attempt,
   are relative to the top-level ``outdir``, which the written file gives
   relative to its own directory (``..`` under ``<outdir>/provenance/``),
@@ -113,6 +115,19 @@ def build_record(result, workflow_digest: str, job: dict,
             "outputs": {k: _value_record(v)
                         for k, v in sorted((task.outputs or {}).items())},
         }
+    for task_id, task in result.tasks.items():
+        if task.task is not task.node:  # a shard: its node's inputs, split
+            continue
+        inputs, sources = tasks[task_id]["inputs"], {}
+        for name, (kind, ref) in task.node.bindings.items():
+            if kind != "edge" or name not in inputs:
+                continue
+            made = tasks[ref[0]]["outputs"]  # before rule (b) drops any
+            if ref[1] in made and inputs[name] == made[ref[1]]:
+                sources[name] = "/".join(ref)
+                del inputs[name]
+        if sources:
+            tasks[task_id]["sources"] = sources
     envs = [a["env"] for task in tasks.values() for a in task["attempts"]
             if a["env"] is not None]
     shared = (dict(set(envs[0].items()).intersection(

@@ -52,6 +52,7 @@ from .model import field, replace
 from .planner import (
     _TRANSITIONS,
     CACHED,
+    CANCELLED,
     FAILED,
     PENDING,
     READY,
@@ -76,6 +77,7 @@ _WAIT_SLICE_S = 0.2
 
 # the states of a task that ended with outputs, which its readers can read
 _DONE = frozenset({SUCCEEDED, CACHED, SKIPPED})
+_LIVE = frozenset({PENDING, READY, RUNNING})
 
 
 class RunConfig(Record):
@@ -512,11 +514,26 @@ class _Coordinator:
         finally:
             for worker in self.workers:
                 worker.join()
+        self._cancel_live()
         return self._result()
 
+    def _cancel_live(self):
+        """End Cancelled, in task-id order, each record still live (shards
+        not yet admitted too) and one made for each node that had none."""
+        records = {shard.task.id: shard for shards in self.shards.values()
+                   for shard in shards}
+        records.update(self.tasks)
+        for node in self.graph.nodes.values():
+            if node.id not in records:
+                records[node.id] = TaskRecord(node, node, {},
+                                              digest_tool(node.tool))
+        for task_id in sorted(records):
+            record = self.tasks[task_id] = records[task_id]
+            if record.state in _LIVE:
+                self.mark(record, CANCELLED)
+
     def _result(self) -> RunResult:
-        states = {self.tasks[tid].state if tid in self.tasks else PENDING
-                  for tid in self.graph.nodes}
+        states = {self.tasks[tid].state for tid in self.graph.nodes}
         status = "Success" if states <= _DONE else "PermanentFail"
         outputs = resolved_bindings(self.graph.workflow_outputs,
                                     self.published)
@@ -534,5 +551,5 @@ def run(graph: DataflowGraph, cfg: RunConfig, services: Services,
         run_id: str) -> RunResult:
     """Execute a planned graph to completion; failures land in the result,
     never as exceptions.  ``run_id`` names the run in the cache entries it
-    stores (``sourceRunId``)."""
+    stores (their ``run``)."""
     return _Coordinator(graph, cfg, services, run_id).run()

@@ -31,19 +31,21 @@ def readme_code(heading):
 
 
 def cache_entries(cache_dir, changes=None) -> dict:
-    """Every row of the cache index under ``cache_dir`` as {key: entry
-    text}, read after setting the entry text of each key in ``changes``
-    (None deletes that key's row)."""
+    """Every row of the cache index under ``cache_dir`` as {hex key: its
+    outputs' JSON text}, read after setting the outputs text of each key
+    in ``changes`` (None deletes that key's row)."""
     db = sqlite3.connect(os.path.join(cache_dir, "ac.sqlite"),
                          isolation_level=None)
     try:
         for key, text in (changes or {}).items():
             if text is None:
-                db.execute("DELETE FROM ac WHERE key = ?", (key,))
+                db.execute("DELETE FROM entries WHERE key = ?",
+                           (bytes.fromhex(key),))
             else:
-                db.execute("UPDATE ac SET entry = ? WHERE key = ?",
-                           (text, key))
-        return dict(db.execute("SELECT key, entry FROM ac"))
+                db.execute("UPDATE entries SET outputs = ? WHERE key = ?",
+                           (text, bytes.fromhex(key)))
+        return {key.hex(): outputs for key, outputs
+                in db.execute("SELECT key, outputs FROM entries")}
     finally:
         db.close()
 

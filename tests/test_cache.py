@@ -6,6 +6,9 @@ import json
 import os
 import random
 import shutil
+import sqlite3
+import time
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -67,7 +70,7 @@ def _count(monkeypatch, module, name):
 
 
 def _entry_payload(cache_dir, key):
-    (stored,) = json.loads(cache_entries(cache_dir)[key])["outputs"].values()
+    (stored,) = json.loads(cache_entries(cache_dir)[key]).values()
     return os.path.join(cache_dir, "cas", stored["checksum"])
 
 
@@ -154,8 +157,7 @@ def test_layout_is_sharded_and_inspectable(tmp_path):
     assert sorted(os.listdir(cache.cache_dir)) == ["ac.sqlite", "cas"]
     entries = cache_entries(cache.cache_dir)
     assert list(entries) == [key]
-    entry = json.loads(entries[key])
-    assert entry["outputs"]["out"]["checksum"] == fv.checksum
+    assert json.loads(entries[key])["out"]["checksum"] == fv.checksum
     assert os.listdir(os.path.join(cache.cache_dir, "cas")) == [fv.checksum]
 
 
@@ -164,20 +166,27 @@ def test_small_output_is_stored_in_its_entry(tmp_path):
     os.chmod(small.path, 0o750)
     key = _key(_node(), {"f": small})
     cache = ResultCache(str(tmp_path / "cache"))
-    cache.store(key, {"out": small, "xs": [small]}, "run-1")
+    run_id = os.urandom(16).hex()  # as the CLI names a run
+    started = int(time.time())
+    cache.store(key, {"out": small, "xs": [small]}, run_id)
     cache.close()
-    # the bytes are in the row, written compact and without its key
+    # the bytes are in the row, written compact; the key and run id are
+    # raw bytes, the store time whole seconds
     assert os.listdir(cache.cache_dir) == ["ac.sqlite"]
-    text = cache_entries(cache.cache_dir)[key]
+    db = sqlite3.connect(os.path.join(cache.cache_dir, "ac.sqlite"))
+    try:
+        ((raw_key, run, at, text),) = db.execute("SELECT * FROM entries")
+    finally:
+        db.close()
+    assert (raw_key, run) == (bytes.fromhex(key), bytes.fromhex(run_id))
+    assert started <= at <= time.time()
     assert ", " not in text and ": " not in text
-    entry = json.loads(text)
-    assert sorted(entry) == ["createdAt", "outputs", "sourceRunId"]
-    assert entry["sourceRunId"] == "run-1"
-    stored = entry["outputs"]["out"]
+    stored = json.loads(text)["out"]
     assert base64.b64decode(stored["inline"]) == b"x" * _INLINE_MAX
     assert len(stored["inline"]) == 4096  # one block, as a file would take
-    assert stored == dict(small.to_json(include_path=False),
-                          inline=stored["inline"], mode=0o750)
+    # no "class", and no "size": the decoded length
+    assert stored == {"basename": small.basename, "checksum": small.checksum,
+                      "inline": stored["inline"], "mode": 0o750}
     # a hit names its file in the run, one per checksum, and the verified
     # bytes are written there once something is to read them
     dest = str(tmp_path / "cached")
@@ -207,9 +216,9 @@ def test_corrupt_inline_payload_is_evicted_as_miss(tmp_path, caplog, damage):
     key = _key(_node(), {"f": small})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": small}, "run")
-    entry = json.loads(cache_entries(cache.cache_dir)[key])
-    entry["outputs"]["out"] = damage(entry["outputs"]["out"])
-    cache_entries(cache.cache_dir, {key: json.dumps(entry)})
+    stored = json.loads(cache_entries(cache.cache_dir)[key])
+    stored["out"] = damage(stored["out"])
+    cache_entries(cache.cache_dir, {key: json.dumps(stored)})
     assert cache.lookup(key) is None
     assert key not in cache_entries(cache.cache_dir)  # evicted
     assert "evicting" in caplog.text
@@ -226,6 +235,34 @@ def test_second_store_of_a_key_with_other_small_bytes_leaves_one_row(
     assert os.listdir(cache.cache_dir) == ["ac.sqlite"]  # no orphan blob
     assert list(cache_entries(cache.cache_dir)) == [key]
     assert cache.lookup(key)["out"].checksum == first.checksum
+
+
+def test_store_hashes_only_inline_bytes_it_reads_again(tmp_path,
+                                                      monkeypatch):
+    """The bytes collect read and hashed, under a signature that still
+    holds, are stored with no second hash; a file read again is hashed."""
+    path = tmp_path / "small.txt"
+    path.write_text("small\n")
+    age(path)
+    contents = {}
+    small = FileValue.from_path(str(path), contents=contents)
+    hashed = []
+    real = cache_module.hashlib.sha256
+
+    def sha256(data):
+        hashed.append(data)
+        return real(data)
+
+    monkeypatch.setattr(cache_module, "hashlib",
+                        types.SimpleNamespace(sha256=sha256))
+    cache = ResultCache(str(tmp_path / "cache"))
+    collected, read_again = (_key(_node(), {"f": small}, {"n": n})
+                             for n in (1, 2))
+    cache.store(collected, {"out": small}, "run", contents)
+    assert hashed == []
+    cache.store(read_again, {"out": small}, "run")
+    assert hashed == [b"small\n"]
+    assert cache.lookup(collected)["out"].checksum == small.checksum
 
 
 def test_small_output_changed_since_it_was_collected_is_not_stored(
@@ -385,11 +422,12 @@ def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
-    None, [], {}, {"outputs": 5},
-    {"outputs": {"out": {"class": "File", "basename": "o.txt", "size": 1}}},
+    None, [], "", 5, {"out": {"basename": "o.txt", "size": 1}},
 ], ids=["null", "list", "empty", "outputs-not-a-map", "file-without-checksum"])
 def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
                                                        entry):
+    """``entry`` is the JSON of a row's outputs, which must map each
+    output id to its value, every mapping in it a File."""
     fv = _fv(tmp_path)
     key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
@@ -398,6 +436,39 @@ def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
     assert cache.lookup(key) is None
     assert key not in cache_entries(cache.cache_dir)
     assert "evicting" in caplog.text
+
+
+def test_an_index_of_the_older_shape_is_dropped_and_its_keys_miss_once(
+        tmp_path, caplog):
+    """An ``ac(key TEXT, entry TEXT)`` index opens with no warning: its
+    table is dropped, and its keys miss and are stored again."""
+    small = _fv(tmp_path, "small.txt", "small\n")
+    key = _key(_node(), {"f": small})
+    (tmp_path / "cache").mkdir()
+    index = str(tmp_path / "cache" / "ac.sqlite")
+    db = sqlite3.connect(index)
+    with db:
+        db.execute("CREATE TABLE ac (key TEXT PRIMARY KEY,"
+                   " entry TEXT NOT NULL) WITHOUT ROWID")
+        stored = dict(small.to_json(include_path=False), mode=0o644,
+                      inline=base64.b64encode(b"small\n").decode())
+        db.execute("INSERT INTO ac VALUES (?, ?)", (key, json.dumps(
+            {"outputs": {"out": stored}, "createdAt": 0.0,
+             "sourceRunId": "old"})))
+    db.close()
+    cache = ResultCache(str(tmp_path / "cache"))
+    assert cache.lookup(key) is None
+    cache.store(key, {"out": small}, "run")
+    assert cache.lookup(key)["out"].checksum == small.checksum
+    cache.close()
+    db = sqlite3.connect(index)
+    try:
+        tables = db.execute("SELECT name FROM sqlite_master").fetchall()
+    finally:
+        db.close()
+    assert tables == [("entries",)]
+    assert list(cache_entries(cache.cache_dir)) == [key]
+    assert caplog.text == ""
 
 
 def test_store_failure_degrades_to_warning(tmp_path, caplog):
@@ -812,9 +883,9 @@ def test_small_hits_are_written_only_where_they_are_read(tmp_path):
     assert run(["cat"])[1] == []
     states, written = run(["cat"])
     assert set(states.values()) == {"Cached"}
-    (entry,) = [json.loads(e) for e in cache_entries(cache.cache_dir).values()
-                if "all" in json.loads(e)["outputs"]]
-    assert written == [entry["outputs"]["all"]["checksum"]]
+    (stored,) = [json.loads(e) for e in cache_entries(cache.cache_dir).values()
+                 if "all" in json.loads(e)]
+    assert written == [stored["all"]["checksum"]]
     states, written = run(["cat", "--"])  # another gather: it runs
     assert (states["fan"], states["gather"]) == ("Cached", "Succeeded")
     assert written == sorted(hashlib.sha256(f"{i}\n".encode()).hexdigest()
@@ -823,7 +894,6 @@ def test_small_hits_are_written_only_where_they_are_read(tmp_path):
 
 def test_index_error_on_the_coordinator_is_a_miss_and_a_warning(
         tmp_path, monkeypatch, caplog):
-    import sqlite3
     import threading
     tool = {"cwlVersion": "v1.2", "class": "CommandLineTool",
             "baseCommand": ["echo"],
@@ -913,7 +983,7 @@ def test_lookup_hashes_a_payload_only_where_its_signature_moved(
     if not links:
         _refuse_links(monkeypatch)
     cache.store(key, {"out": fv}, "run")
-    stored = json.loads(cache_entries(cache.cache_dir)[key])["outputs"]["out"]
+    stored = json.loads(cache_entries(cache.cache_dir)[key])["out"]
     assert ("sig" in stored) is signed
     if change is not None:
         change(_entry_payload(cache.cache_dir, key), fv)
@@ -1017,7 +1087,7 @@ def test_data_plane_hashes_each_input_once_and_no_signed_payload(
     assert hashed == {"planner": 6 * SLICE}  # collect; staging hashes none
     entries = [json.loads(e) for e in cache_entries(cache.cache_dir).values()]
     assert len(entries) == 6
-    assert all("sig" in e["outputs"]["slice"] for e in entries)
+    assert all("sig" in e["slice"] for e in entries)
     hashed.clear()
     warm = run(None)
     assert [warm.tasks[f"cut[{i}]"].state for i in range(6)] \

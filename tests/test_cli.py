@@ -585,10 +585,10 @@ def test_entry_of_the_wrong_shape_runs_the_task_again(project):
     _run_once(project)
     cache_dir = str(project / "cache")
     (key,) = cache_entries(cache_dir)
-    cache_entries(cache_dir, {key: "{}"})
+    cache_entries(cache_dir, {key: "[]"})
     out, state = _run_once(project)
     assert state == "Succeeded"
-    assert json.loads(cache_entries(cache_dir)[key])["outputs"]["out"][
+    assert json.loads(cache_entries(cache_dir)[key])["out"][
         "checksum"] == out["checksum"]
     assert _run_once(project)[1] == "Cached"
 

@@ -4,7 +4,7 @@ rules rebuild, from the written record, every fact the run's result held."""
 import json
 import os
 
-from conftest import provenance_rules, run_cli
+from conftest import cache_entries, provenance_rules, run_cli
 from test_acceptance import _stand_in_docker, _upper_case_on_host_and_boxed
 
 from miniwfl import parser, planner, provenance, scheduler
@@ -75,6 +75,9 @@ def _assert_rebuilt(result, sink):
                    for k, v in (task.outputs or {}).items()}
         assert rules["task_facts"](record, task_id) == (
             task.tool_digest, task.state, task.cached, outputs), task_id
+        assert rules["task_inputs"](record, task_id) == {
+            k: planner.value_to_json(v, include_path=False)
+            for k, v in task.inputs.items()}, task_id
         attempts = record["tasks"][task_id]["attempts"]
         assert len(attempts) == len(task.attempts)
         for written, attempt in zip(attempts, task.attempts):
@@ -99,10 +102,25 @@ def test_a_scatter_into_a_gather_and_its_warm_rerun_lose_no_fact(tmp_path):
     assert "outputs" not in record["tasks"]["fan"]
     assert all("toolDigest" not in record["tasks"][f"fan[{i}]"]
                for i in range(4))
+    gather = record["tasks"]["gather"]
+    assert (gather["inputs"], gather["sources"]) == ({}, {"fs": "fan/out"})
     assert not any("cached" in task for task in record["tasks"].values())
     assert {task.state for task in warm.tasks.values()} == {"Cached"}
     record = _assert_rebuilt(warm, tmp_path / "warm" / "provenance")
     assert record["outdir"] is None  # no attempt, so no directory
+
+
+def test_the_gathers_inputs_do_not_grow_with_the_scatter(tmp_path):
+    """A gather records the scatter output it reads by name, so its
+    ``inputs`` and ``sources`` take as many bytes for 2 shards as for 20."""
+    sizes = []
+    for width in (2, 20):
+        result = _run(*_fan_in(width), tmp_path / str(width) / ".work")
+        assert result.status == "Success"
+        record = _assert_rebuilt(result, tmp_path / str(width) / "provenance")
+        gather = record["tasks"]["gather"]
+        sizes.append(len(json.dumps([gather["inputs"], gather["sources"]])))
+    assert sizes[0] == sizes[1]
 
 
 def test_an_env_that_sets_home_and_tmpdir_loses_no_fact(tmp_path):
@@ -179,25 +197,108 @@ steps:
 # the host's PATH is in it once); a change that records more per task, such
 # as per-attempt phase timings or cache keys, raises it here
 BYTES_PER_TASK = 700
+# bytes per entry of the cache index after the same scatter (about 250
+# measured, 410 when each row held hex text, "class", an inline payload's
+# size and a float time); a change that stores more per entry raises it here
+BYTES_PER_ENTRY = 300
+WIDTH = 300
+
+
+def _run_scatter(tmp_path, outdir):
+    """Run the ``WIDTH``-shard echo scatter into ``outdir``, with the
+    cache beside it in ``<outdir>.cache``."""
+    (tmp_path / "echo.cwl").write_text(json.dumps(ECHO))
+    (tmp_path / "wf.cwl").write_text(SCATTER_WF)
+    (tmp_path / "job.json").write_text(json.dumps(
+        {"items": [str(i) for i in range(WIDTH)]}))
+    code, _ = run_cli([
+        "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.json"),
+        "--outdir", str(outdir), "--cache-dir", str(outdir) + ".cache",
+        "--parallel", "2", "--no-container", "--quiet"])
+    assert code == 0
 
 
 def test_record_length_is_independent_of_the_outdir_path(tmp_path):
     """Two runs into outdirs whose paths differ in length write records of
     one length, within the bytes-per-task budget."""
-    (tmp_path / "echo.cwl").write_text(json.dumps(ECHO))
-    (tmp_path / "wf.cwl").write_text(SCATTER_WF)
-    width = 300
-    (tmp_path / "job.json").write_text(json.dumps(
-        {"items": [str(i) for i in range(width)]}))
     sizes = []
     for outdir in (tmp_path / "o", tmp_path / ("outdir-" + "x" * 40)):
-        code, _ = run_cli([
-            "run", str(tmp_path / "wf.cwl"), str(tmp_path / "job.json"),
-            "--outdir", str(outdir), "--cache-dir", str(outdir) + ".cache",
-            "--parallel", "2", "--no-container", "--quiet"])
-        assert code == 0
+        _run_scatter(tmp_path, outdir)
         (path,) = (outdir / "provenance").iterdir()
         assert str(tmp_path) not in path.read_text()
         sizes.append(path.stat().st_size)
     assert sizes[0] == sizes[1]
-    assert sizes[0] <= BYTES_PER_TASK * (width + 1), sizes[0] / (width + 1)
+    assert sizes[0] <= BYTES_PER_TASK * (WIDTH + 1), sizes[0] / (WIDTH + 1)
+
+
+OPTIONAL = type(None)
+# key -> allowed types at each level of a record; a task leaves out what
+# the README's rules rebuild, so some of its keys are optional
+RUN_KEYS = {"runId": str, "engineVersion": str, "workflowDigest": str,
+            "status": str, "jobOrder": dict, "outdir": (str, OPTIONAL),
+            "env": dict, "tasks": dict, "events": list}
+TASK_KEYS = {"state": str, "attempts": list, "inputs": dict}
+TASK_OPTIONAL_KEYS = {"toolDigest": str, "outputs": dict, "sources": dict}
+ATTEMPT_KEYS = {"attempt": int, "argv": list, "env": (dict, OPTIONAL),
+                "startTime": (str, OPTIONAL), "endTime": (str, OPTIONAL),
+                "exitCode": (int, OPTIONAL), "outcome": str,
+                "error": (str, OPTIONAL), "workdir": (str, OPTIONAL),
+                "tmpdir": (str, OPTIONAL)}
+EVENT_KEYS = {"ts": str, "task": str, "transition": str, "attempt": int}
+STATES = {"Succeeded", "Cached", "Skipped", "Failed", "Cancelled"}
+
+
+def _assert_shape(value, keys, optional=None):
+    optional = optional or {}
+    assert set(keys) <= set(value) <= set(keys) | set(optional), value
+    for key, item in value.items():
+        assert isinstance(item, {**keys, **optional}[key]), (key, item)
+
+
+def test_the_record_schema(tmp_path):
+    """The key set and value types at the run, task, attempt and event
+    levels, over a run with a scatter, a gather whose input is a source,
+    a failed step and a step it left Cancelled."""
+    fail = dict(ECHO, baseCommand=["false"])
+    doc = parser.parse_raw({
+        "cwlVersion": "v1.2", "class": "Workflow",
+        "inputs": [{"id": "items", "type": "string[]"}],
+        "outputs": [{"id": "all", "type": "File",
+                     "outputSource": "gather/all"}],
+        "steps": [
+            {"id": "fan", "run": ECHO, "in": {"msg": "items"},
+             "scatter": "msg"},
+            {"id": "gather", "run": CAT, "in": {"fs": "fan/out"}},
+            {"id": "bad", "run": fail, "in": {"msg": "items"},
+             "scatter": "msg"},
+            {"id": "down", "run": CAT, "in": {"fs": "bad/out"}}]})
+    result = _run(doc, {"items": ["a", "b"]}, tmp_path / "out" / ".work",
+                  on_error="continue")
+    record = _assert_rebuilt(result, tmp_path / "out" / "provenance")
+    _assert_shape(record, RUN_KEYS)
+    for task_id, task in record["tasks"].items():
+        _assert_shape(task, TASK_KEYS, TASK_OPTIONAL_KEYS)
+        assert task["state"] in STATES, task_id
+        assert all(isinstance(source, str) and "/" in source
+                   for source in task.get("sources", {}).values())
+        for attempt in task["attempts"]:
+            _assert_shape(attempt, ATTEMPT_KEYS)
+    for event in record["events"]:
+        _assert_shape(event, EVENT_KEYS)
+    tasks = record["tasks"]
+    assert tasks["gather"]["sources"] == {"fs": "fan/out"}
+    assert (tasks["bad"]["state"], tasks["down"]["state"]) \
+        == ("Failed", "Cancelled")
+    last = record["events"][-1]
+    assert (last["task"], last["transition"], last["attempt"]) \
+        == ("down", "Cancelled", 0)
+
+
+def test_cache_index_bytes_per_entry(tmp_path):
+    """The same scatter leaves one index row per shard, each within the
+    bytes-per-entry budget."""
+    _run_scatter(tmp_path, tmp_path / "o")
+    cache_dir = tmp_path / "o.cache"
+    assert len(cache_entries(str(cache_dir))) == WIDTH
+    size = (cache_dir / "ac.sqlite").stat().st_size
+    assert size <= BYTES_PER_ENTRY * WIDTH, size / WIDTH

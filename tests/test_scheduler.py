@@ -2,6 +2,7 @@
 
 import heapq
 import os
+import random
 import signal
 import threading
 import time
@@ -651,30 +652,33 @@ PIN_EXPECTED = {
         {}),
     "fail_stop": (
         "PermanentFail",
-        ["bad Ready 0", "indep Ready 0", "bad Running 1", "bad Failed 0"],
-        {"bad": "Failed", "indep": "Ready"},
+        ["bad Ready 0", "indep Ready 0", "bad Running 1", "bad Failed 0",
+         "down Cancelled 0", "indep Cancelled 0"],
+        {"bad": "Failed", "down": "Cancelled", "indep": "Cancelled"},
         {}),
     "fail_continue": (
         "PermanentFail",
         ["bad Ready 0", "indep Ready 0", "bad Running 1", "bad Failed 0",
-         "indep Running 1", "indep Succeeded 1"],
-        {"bad": "Failed", "indep": "Succeeded"},
+         "indep Running 1", "indep Succeeded 1", "down Cancelled 0"],
+        {"bad": "Failed", "down": "Cancelled", "indep": "Succeeded"},
         {}),
     "shard_failure": (
         "PermanentFail",
         ["fan Ready 0", "fan Running 0", "indep Ready 0", "fan[0] Running 1",
          "fan[0] Succeeded 1", "fan[1] Running 1", "fan[1] Failed 1",
-         "fan Failed 0", "indep Running 1", "indep Succeeded 1"],
-        {"fan": "Failed", "fan[0]": "Succeeded", "fan[1]": "Failed",
-         "fan[2]": "Pending", "indep": "Succeeded"},
+         "fan Failed 0", "indep Running 1", "indep Succeeded 1",
+         "down Cancelled 0", "fan[2] Cancelled 0"],
+        {"down": "Cancelled", "fan": "Failed", "fan[0]": "Succeeded",
+         "fan[1]": "Failed", "fan[2]": "Cancelled", "indep": "Succeeded"},
         {}),
     "oversized": (
         "PermanentFail",
         ["fan Ready 0", "fan Running 0", "fan Failed 0", "huge Ready 0",
          "huge Failed 0", "small Ready 0", "small Running 1",
-         "small Succeeded 1"],
-        {"fan": "Failed", "fan[0]": "Pending", "fan[1]": "Pending",
-         "huge": "Failed", "small": "Succeeded"},
+         "small Succeeded 1", "fan[0] Cancelled 0", "fan[1] Cancelled 0",
+         "fan[2] Cancelled 0"],
+        {"fan": "Failed", "fan[0]": "Cancelled", "fan[1]": "Cancelled",
+         "fan[2]": "Cancelled", "huge": "Failed", "small": "Succeeded"},
         {}),
     "cached": (
         "Success",
@@ -712,6 +716,45 @@ def test_event_log_and_task_states_are_pinned(name, cached_dir):
             for tid, task in record["tasks"].items()} \
         == {tid: task.cached for tid, task in result.tasks.items()}
     assert result.outputs == outputs
+
+
+_TERMINAL = {planner.SUCCEEDED, planner.CACHED, planner.SKIPPED,
+             planner.FAILED, planner.CANCELLED}
+
+
+def test_every_record_ends_terminal(cached_dir):
+    """Over random graphs of plain and scattered nodes, some failing, some
+    failing for a while, under both error policies: every node and every
+    shard made has a record, each record ends in a terminal state, and the
+    Cancelled ones are logged last, in task-id order."""
+    rng = random.Random(29)
+    for trial in range(300):
+        nodes, fail, flaky = [], set(), {}
+        for i in range(rng.randint(1, 10)):
+            deps = [f"n{j}" for j in range(i) if rng.random() < 0.3]
+            if rng.random() < 0.3:
+                nodes.append(_fan(f"n{i}", "abc"[:rng.randint(0, 3)],
+                                  deps=deps, layer=len(deps)))
+            else:
+                nodes.append(_node(f"n{i}", deps=deps, layer=len(deps)))
+            if rng.random() < 0.2:
+                fail.add(f"n{i}")
+            if rng.random() < 0.2:
+                flaky[f"n{i}"] = 1
+        result = _run(_graph(*nodes),
+                      StubRuntime(cached_dir, fail=fail,
+                                  temp_fail_counts=flaky),
+                      parallelism=rng.randint(1, 3), retries=rng.randint(0, 1),
+                      on_error=rng.choice(["stop", "continue"]))
+        assert {node.id for node in nodes} <= set(result.tasks), trial
+        states = {tid: task.state for tid, task in result.tasks.items()}
+        assert set(states.values()) <= _TERMINAL, (trial, states)
+        cancelled = [e["task"] for e in result.event_log
+                     if e["transition"] == planner.CANCELLED]
+        assert [e["task"] for e in result.event_log[
+            len(result.event_log) - len(cancelled):]] == sorted(cancelled)
+        assert (result.status == "Success") \
+            == (not {planner.FAILED, planner.CANCELLED} & set(states.values()))
 
 
 # --- coordinator cost ------------------------------------------------------
