@@ -9,9 +9,9 @@ hex ``key`` and of the ``run`` id that stored it (hex text everywhere but
 the index), the store time ``at`` in whole seconds, and the compact JSON
 of its ``outputs``, where every mapping is a File, without ``"class"``;
 ``cas/<sha256>`` is one payload file, named by its checksum and shared by
-every entry holding those bytes.  The older ``ac`` table is dropped when
-the index is opened, and the older ``ac/<key>.json`` and
-``<first-2-hex>/<key>/`` layouts are never read: their entries miss.
+every entry holding those bytes.  An older ``ac`` table is dropped, and
+the file vacuumed, when the index is opened; the older ``ac/<key>.json``
+and ``<first-2-hex>/<key>/`` layouts are never read: their entries miss.
 
 A payload takes one of two forms, chosen by its size.  A File output of
 at most ``_INLINE_MAX`` bytes is stored in its entry, base64 under
@@ -68,7 +68,7 @@ from .planner import _INLINE_MAX, FileValue, TaskNode, file_checksum, map_files
 from .runtime import place_file, write_atomically
 
 _BUSY_TIMEOUT_S = 10.0  # how long a statement waits on another's lock
-_SCHEMA = ("DROP TABLE IF EXISTS ac",  # the older index: its entries miss
+_SCHEMA = ("PRAGMA journal_mode=WAL", "PRAGMA synchronous=NORMAL",
            "CREATE TABLE IF NOT EXISTS entries (key BLOB PRIMARY KEY,"
            " run BLOB, at INTEGER, outputs TEXT NOT NULL) WITHOUT ROWID")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -237,9 +237,10 @@ class ResultCache:
                                  isolation_level=None,  # autocommit
                                  check_same_thread=False)
             try:
-                for statement in ("PRAGMA journal_mode=WAL",
-                                  "PRAGMA synchronous=NORMAL", *_SCHEMA):
+                for statement in _SCHEMA:
                     db.execute(statement)
+                if db.execute("PRAGMA table_info(ac)").fetchall():  # older
+                    db.executescript("DROP TABLE IF EXISTS ac; VACUUM")
             except BaseException:
                 db.close()
                 raise
@@ -263,13 +264,13 @@ class ResultCache:
         with self._lock:
             self._close()
 
-    def lookup(self, key: Optional[str]):
+    def lookup(self, key: Optional[str], output_ids=None):
         """Verified outputs for a key, or None; always None without a key.
 
-        Entries that are not JSON of the shape ``store`` writes, or whose
-        payloads are missing, unreadable or corrupt, are evicted and
-        reported as misses.  An inline payload's File carries its verified
-        bytes for ``republish``, which gives it a path.
+        Entries not of the shape ``store`` writes (for ``output_ids``, the
+        tool's, where given), or whose payloads are missing, unreadable or
+        corrupt, are evicted and reported as misses.  An inline payload's
+        File carries its verified bytes for ``republish`` to give a path.
         """
         if key is None:
             return None
@@ -280,6 +281,8 @@ class ResultCache:
         try:
             outputs = {out_id: _entry_to_value(stored, self.cas_dir)
                        for out_id, stored in json.loads(rows[0][0]).items()}
+            if output_ids is not None and outputs.keys() != set(output_ids):
+                raise KeyError(f"outputs {sorted(outputs)}")
         except (ValueError, AttributeError, KeyError, TypeError) as exc:
             _warn("cache entry unreadable, evicting: %s: %r", key, exc)
             self.evict(key)

@@ -77,7 +77,6 @@ _WAIT_SLICE_S = 0.2
 
 # the states of a task that ended with outputs, which its readers can read
 _DONE = frozenset({SUCCEEDED, CACHED, SKIPPED})
-_LIVE = frozenset({PENDING, READY, RUNNING})
 
 
 class RunConfig(Record):
@@ -405,7 +404,8 @@ class _Coordinator:
                                    record.tool_digest, record.resources)
         if record.key is None:
             return False
-        hit = cache.lookup(record.key)
+        hit = cache.lookup(record.key,
+                           [out.id for out in record.task.tool.outputs])
         if hit is None:
             return False
         try:
@@ -518,19 +518,16 @@ class _Coordinator:
         return self._result()
 
     def _cancel_live(self):
-        """End Cancelled, in task-id order, each record still live (shards
-        not yet admitted too) and one made for each node that had none."""
-        records = {shard.task.id: shard for shards in self.shards.values()
-                   for shard in shards}
-        records.update(self.tasks)
+        """End Cancelled, in task-id order, each live or never-made record."""
+        for shard in (s for shards in self.shards.values() for s in shards):
+            self.tasks.setdefault(shard.task.id, shard)
         for node in self.graph.nodes.values():
-            if node.id not in records:
-                records[node.id] = TaskRecord(node, node, {},
-                                              digest_tool(node.tool))
-        for task_id in sorted(records):
-            record = self.tasks[task_id] = records[task_id]
-            if record.state in _LIVE:
-                self.mark(record, CANCELLED)
+            if node.id not in self.tasks:
+                self.tasks[node.id] = TaskRecord(node, node, {},
+                                                 digest_tool(node.tool))
+        for task_id in sorted(self.tasks):
+            if _TRANSITIONS[self.tasks[task_id].state]:  # a live state
+                self.mark(self.tasks[task_id], CANCELLED)
 
     def _result(self) -> RunResult:
         states = {self.tasks[tid].state for tid in self.graph.nodes}

@@ -422,18 +422,18 @@ def test_republish_copies_where_links_fail(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
-    None, [], "", 5, {"out": {"basename": "o.txt", "size": 1}},
+    None, [], {}, 5, {"out": {"basename": "o.txt", "size": 1}},
 ], ids=["null", "list", "empty", "outputs-not-a-map", "file-without-checksum"])
 def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
                                                        entry):
-    """``entry`` is the JSON of a row's outputs, which must map each
-    output id to its value, every mapping in it a File."""
+    """``entry`` is the JSON of a row's outputs, which must map each of
+    the tool's output ids to its value, every mapping in it a File."""
     fv = _fv(tmp_path)
     key = _key(_node(), {"f": fv})
     cache = ResultCache(str(tmp_path / "cache"))
     cache.store(key, {"out": fv}, "run")
     cache_entries(cache.cache_dir, {key: json.dumps(entry)})
-    assert cache.lookup(key) is None
+    assert cache.lookup(key, ["out"]) is None
     assert key not in cache_entries(cache.cache_dir)
     assert "evicting" in caplog.text
 
@@ -441,7 +441,8 @@ def test_entry_of_the_wrong_shape_is_evicted_as_a_miss(tmp_path, caplog,
 def test_an_index_of_the_older_shape_is_dropped_and_its_keys_miss_once(
         tmp_path, caplog):
     """An ``ac(key TEXT, entry TEXT)`` index opens with no warning: its
-    table is dropped, and its keys miss and are stored again."""
+    table is dropped and its pages freed, and its keys miss and are
+    stored again."""
     small = _fv(tmp_path, "small.txt", "small\n")
     key = _key(_node(), {"f": small})
     (tmp_path / "cache").mkdir()
@@ -464,9 +465,11 @@ def test_an_index_of_the_older_shape_is_dropped_and_its_keys_miss_once(
     db = sqlite3.connect(index)
     try:
         tables = db.execute("SELECT name FROM sqlite_master").fetchall()
+        (free,) = db.execute("PRAGMA freelist_count").fetchone()
     finally:
         db.close()
     assert tables == [("entries",)]
+    assert free == 0  # vacuumed: the dropped table's pages are returned
     assert list(cache_entries(cache.cache_dir)) == [key]
     assert caplog.text == ""
 

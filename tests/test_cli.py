@@ -585,7 +585,7 @@ def test_entry_of_the_wrong_shape_runs_the_task_again(project):
     _run_once(project)
     cache_dir = str(project / "cache")
     (key,) = cache_entries(cache_dir)
-    cache_entries(cache_dir, {key: "[]"})
+    cache_entries(cache_dir, {key: "{}"})
     out, state = _run_once(project)
     assert state == "Succeeded"
     assert json.loads(cache_entries(cache_dir)[key])["out"][
@@ -791,8 +791,8 @@ def test_blob_removed_between_lookup_and_republish_is_a_miss(project,
     out, state = _run_once(project)
     lookup = ResultCache.lookup
 
-    def then_prune(self, key):
-        hit = lookup(self, key)
+    def then_prune(self, key, output_ids=None):
+        hit = lookup(self, key, output_ids)
         for blob in (project / "cache" / "cas").iterdir():
             blob.unlink()
         return hit

@@ -527,7 +527,7 @@ class FakeCache:
     def __init__(self):
         self.entries = {}
 
-    def lookup(self, key):
+    def lookup(self, key, output_ids=None):
         return self.entries.get(key)
 
     def store(self, key, outputs, source_run_id, contents=None):
@@ -953,7 +953,7 @@ def test_error_in_coordinator_logic_on_a_worker_reaches_the_caller(
     class BrokenIndex:
         lookups = 0
 
-        def lookup(self, key):
+        def lookup(self, key, output_ids=None):
             self.lookups += 1
             if self.lookups == 2:
                 raise RuntimeError("index gone")
